@@ -1,8 +1,12 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 import oracles
+from conftest import load_spec
 from gamescribe import engine
 from gamescribe.engine import (GameState, IllegalMove, Move, PlayoutLimitExceeded,
                                XorShift64Star, apply_move, check_end, eval_condition,
@@ -275,3 +279,17 @@ def test_draw_fallback_has_no_end_id(tictactoe):
             break
     else:
         pytest.fail("no draw found in seeds 0..99")
+
+
+def _load_digests():
+    return json.loads((Path(__file__).parent / "trace_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_load_digests()))
+def test_trace_digests_match_golden(name):
+    # sha256 of the exported traces for seeds 0-49; any change to move
+    # generation order, move contents or end detection changes the digest.
+    spec = load_spec(name)
+    traces = [random_playout(spec, seed) for seed in range(50)]
+    payload = json.dumps([trace_to_dict(t, spec) for t in traces])
+    assert hashlib.sha256(payload.encode()).hexdigest() == _load_digests()[name]
