@@ -33,8 +33,6 @@ class BoardGraph:
     rows: int
     cols: int
     sites: list[Site] = field(default_factory=list)
-    orthogonal: list[list[int]] = field(default_factory=list)
-    diagonal: list[list[int]] = field(default_factory=list)
     adjacent: list[list[int]] = field(default_factory=list)
     # Per-site rays along each all-adjacent direction, nearest site first.
     rays: list[list[list[int]]] = field(default_factory=list)
@@ -45,9 +43,7 @@ class BoardGraph:
     sides: dict[str, list[int]] = field(default_factory=dict)
     _by_label: dict[str, int] = field(default_factory=dict)
     _by_coord: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def site_at(self, row: int, col: int) -> int | None:
-        return self._by_coord.get((row, col))
+    _ray_index: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def site_by_label(self, label: str) -> int | None:
         return self._by_label.get(label)
@@ -57,10 +53,11 @@ class BoardGraph:
         return self._by_coord.get((s.row + vec[0], s.col + vec[1]))
 
     def direction_vectors(self, name: str, player: int) -> list[tuple[int, int]]:
-        table = self.player_directions.get(player, {})
-        if name not in table:
-            raise KeyError(f"direction {name!r} undefined for player {player}")
-        return table[name]
+        return self.player_directions[player][name]
+
+    def ray(self, site: int, vec: tuple[int, int]) -> list[int]:
+        """Sites from ``site`` along the adjacent direction ``vec``, nearest first."""
+        return self.rays[site][self._ray_index[vec]]
 
     @property
     def site_count(self) -> int:
@@ -79,6 +76,7 @@ def _column_label(col: int) -> str:
 
 def _finish(board: BoardGraph, vectors: tuple[tuple[int, int], ...]) -> None:
     by_coord = board._by_coord
+    board._ray_index = {vec: i for i, vec in enumerate(vectors)}
     for s in board.sites:
         board._by_label[s.label] = s.index
         by_coord[(s.row, s.col)] = s.index
@@ -108,14 +106,6 @@ def build_square(rows: int, cols: int, shape: str = "square") -> BoardGraph:
             board.sites.append(Site(idx, f"{_column_label(col)}{row + 1}", row, col))
     vectors = SQUARE_ORTHOGONAL + SQUARE_DIAGONAL
     _finish(board, vectors)
-    by_coord = board._by_coord
-    for s in board.sites:
-        board.orthogonal.append(
-            [by_coord[(s.row + dr, s.col + dc)] for dr, dc in SQUARE_ORTHOGONAL
-             if (s.row + dr, s.col + dc) in by_coord])
-        board.diagonal.append(
-            [by_coord[(s.row + dr, s.col + dc)] for dr, dc in SQUARE_DIAGONAL
-             if (s.row + dr, s.col + dc) in by_coord])
     board.line_axes = ((0, 1), (1, 0), (1, 1), (1, -1))
     board.player_directions = {
         1: {"Forward": [(1, 0)], "FL": [(1, -1)], "FR": [(1, 1)],
@@ -146,8 +136,6 @@ def build_hex_diamond(size: int) -> BoardGraph:
             idx = row * size + col
             board.sites.append(Site(idx, f"{_column_label(col)}{row + 1}", row, col))
     _finish(board, HEX_NEIGHBOURS)
-    board.orthogonal = [list(a) for a in board.adjacent]
-    board.diagonal = [[] for _ in board.sites]
     board.line_axes = ((0, 1), (1, 0), (1, -1))
     all_dirs = list(HEX_NEIGHBOURS)
     per_player = {"Adjacent": all_dirs, "Orthogonal": all_dirs, "Diagonal": []}

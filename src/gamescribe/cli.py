@@ -38,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="optional (heuristics ...) file for the strategy section")
     gen.add_argument("--no-similar", action="store_true",
                      help="highlight only the selected move instead of all similar ones")
-    gen.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for the playout batch")
     gen.add_argument("--format", choices=["html", "json"], default="html",
                      help="'json' additionally dumps traces and the move taxonomy")
 
@@ -50,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_args(st)
     st.add_argument("--playouts", type=int, default=100)
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -63,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
                 config = RunConfig(
                     game_path=game, playouts=args.playouts, seed=args.seed,
                     out_dir=args.out, heuristics_path=args.heuristics,
-                    similar_moves=not args.no_similar, jobs=args.jobs,
+                    similar_moves=not args.no_similar,
                     dump_json=args.format == "json")
                 game_dir = generate(config)
                 names.append(game_dir.name)
@@ -74,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
             print(translate_game(load_game(args.game)), end="")
         elif args.command == "playout-stats":
             config = RunConfig(game_path=args.game, playouts=args.playouts,
-                               seed=args.seed, jobs=args.jobs)
+                               seed=args.seed)
             print(playout_stats(config))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)

@@ -3,18 +3,66 @@
 The compiler validates the tree against the ludeme registry, numbers every
 node into a ludeme table (preorder ids), builds the board graph, expands
 ``Each``/``Neutral`` piece declarations, resolves region and start-placement
-sites, and records the play and end rules by ludeme id.
+sites, decodes the play rule and each piece's rule into typed rules, and
+records the end rules by ludeme id.  Rule shapes the engine cannot run are
+rejected here, with the offset of the offending ludeme.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import Union
 
 from . import boards
 from .boards import BoardGraph
 from .registry import (ArityMismatch, BadArgumentKind, CompileError, Registry, UnsupportedShape,
                        default_registry)
-from .sexpr import Call, Collection, RawNode, Symbol, children
+from .sexpr import Call, Collection, Number, RawNode, Symbol, children, print_canonical
+
+
+@dataclass(frozen=True)
+class SiteSet:
+    kind: tuple[str, ...]      # e.g. ("Side", "NE"), or ("Empty",) for a move target
+    sites: tuple[int, ...]     # empty for ("Empty",), which depends on the state
+
+
+@dataclass(frozen=True)
+class MoveRule:
+    """A decoded ``(move <kind> ...)`` ludeme."""
+
+    id: int                        # ludeme id of the (move ...) node
+    kind: str                      # Add | Step | Slide | Shoot
+    directions: tuple[str, ...]    # Step/Slide direction names, ("Adjacent",) by default
+    to: SiteSet | None             # Add target, None when absent
+    projectile: str | None         # Shoot: name of the piece placed
+    again: bool                    # (then (moveAgain))
+
+
+@dataclass(frozen=True)
+class ForEachPiece:
+    """``(forEach Piece)``: every piece of the mover moves by its own rule."""
+
+    id: int
+
+
+@dataclass(frozen=True)
+class IfRule:
+    id: int
+    cond: RawNode                  # condition ludeme, evaluated as parsed
+    then: "PlayRule"
+    otherwise: "PlayRule | None"
+
+
+PlayRule = Union[MoveRule, ForEachPiece, IfRule]
+
+# Arguments each move kind reads besides its kind symbol.
+_MOVE_ARGS = {
+    "Add": {"to", "then"},
+    "Step": {"directions", "then"},
+    "Slide": {"directions", "then"},
+    "Shoot": {"piece", "then"},
+}
 
 
 @dataclass(frozen=True)
@@ -22,15 +70,12 @@ class PieceSpec:
     name: str          # full name, e.g. "Disc", "Queen1", "Dot0"
     base: str          # declared name, e.g. "Queen"
     owner: int         # 0 = neutral
-    move_rule_id: int | None = None
+    rule: MoveRule | None = None
     from_each: bool = False
 
-
-@dataclass(frozen=True)
-class SiteSet:
-    node_id: int
-    kind: tuple[str, ...]      # e.g. ("Side", "NE")
-    sites: tuple[int, ...]
+    @property
+    def move_rule_id(self) -> int | None:
+        return self.rule.id if self.rule is not None else None
 
 
 @dataclass(frozen=True)
@@ -63,18 +108,24 @@ class GameSpec:
     regions: list[RegionSpec]
     swap_meta: bool
     start_placements: list[StartPlacement]
-    play_id: int
+    play: PlayRule
     end_rules: list[EndRule]
     root: RawNode
     table: dict[int, tuple[RawNode, int | None]] = field(default_factory=dict)
-    _ids: dict[int, int] = field(default_factory=dict)  # id(node) -> ludeme id
-    _cache: dict = field(default_factory=dict)          # derived-analysis scratch
+    # Every decoded play and piece rule by ludeme id.
+    rules: dict[int, PlayRule] = field(default_factory=dict)
+    # Whether the mover participates in move signatures; see _distinct_rules.
+    distinct_rules: bool = False
+
+    @property
+    def play_id(self) -> int:
+        return self.play.id
 
     def node(self, ludeme_id: int) -> RawNode:
         return self.table[ludeme_id][0]
 
     def id_of(self, node: RawNode) -> int:
-        return self._ids[id(node)]
+        return next(lid for lid, (n, _) in self.table.items() if n is node)
 
     def pieces_of(self, owner: int) -> list[PieceSpec]:
         return [p for p in self.pieces if p.owner == owner]
@@ -95,6 +146,7 @@ class GameSpec:
 
 
 def _number_tree(root: RawNode) -> tuple[dict[int, tuple[RawNode, int | None]], dict[int, int]]:
+    """Preorder ludeme table, plus an id(node) -> ludeme id map for the compiler's own use."""
     table: dict[int, tuple[RawNode, int | None]] = {}
     ids: dict[int, int] = {}
     counter = 0
@@ -110,6 +162,30 @@ def _number_tree(root: RawNode) -> tuple[dict[int, tuple[RawNode, int | None]], 
 
     visit(root, None)
     return table, ids
+
+
+def _canonical_rule(node: RawNode) -> str:
+    # Owner-index renaming: strip digit suffixes from quoted piece names and
+    # collapse P1/P2/... symbols so per-player copies of a rule compare equal.
+    text = print_canonical(node)
+    text = re.sub(r'"([A-Za-z]+)\d+"', r'"\1"', text)
+    return re.sub(r"\bP\d+\b", "P", text)
+
+
+def _distinct_rules(pieces: list[PieceSpec], play: PlayRule, player_count: int,
+                    table: dict[int, tuple[RawNode, int | None]]) -> bool:
+    """Whether the mover participates in move signatures.
+
+    True when (a) players' per-piece move rules differ after owner-index
+    renaming, or (b) the play rule is a conditional, which can route
+    different movers through different move ludemes.
+    """
+    per_player: dict[int, set[str]] = {p: set() for p in range(1, player_count + 1)}
+    for piece in pieces:
+        if piece.owner > 0 and piece.rule is not None:
+            per_player[piece.owner].add(_canonical_rule(table[piece.rule.id][0]))
+    rule_sets = list(per_player.values())
+    return any(s != rule_sets[0] for s in rule_sets[1:]) or isinstance(play, IfRule)
 
 
 def _player_index(sym: str) -> int:
@@ -147,8 +223,8 @@ class _Compiler:
             raise CompileError("top-level form must be (game ...)",
                                getattr(tree, "span", (0, 0)))
         self.registry.validate_tree(tree)
-        table, ids = _number_tree(tree)
-        self.ids = ids
+        table, self.ids = _number_tree(tree)
+        self.rules: dict[int, PlayRule] = {}
 
         name = tree.args[0].value
         players_node, equipment_node, rules_node = tree.args[1], tree.args[2], tree.args[3]
@@ -157,12 +233,12 @@ class _Compiler:
             raise BadArgumentKind("player count must be at least 1", players_node.span)
 
         board, piece_nodes, region_nodes = self._split_equipment(equipment_node)
-        pieces = self._expand_pieces(piece_nodes, player_count)
+        pieces = self._expand_pieces(piece_nodes, player_count, board)
         regions = [self._compile_region(node, board, player_count) for node in region_nodes]
 
         swap_meta = False
         start_placements: list[StartPlacement] = []
-        play_id: int | None = None
+        play: PlayRule | None = None
         end_rules: list[EndRule] = []
         for section in rules_node.args:
             head = section.head.name
@@ -173,18 +249,20 @@ class _Compiler:
                 for place in _as_items(section.args[0]):
                     start_placements.append(self._compile_place(place, board, pieces))
             elif head == "play":
-                play_id = ids[id(section.args[0])]
+                play = self._compile_rule(section.args[0], board)
             elif head == "end":
                 for rule in _as_items(section.args[0]):
                     end_rules.append(self._compile_end_rule(rule))
-        assert play_id is not None  # registry guarantees a play section
+        assert play is not None  # registry guarantees a play section
 
         spec = GameSpec(
             name=name, player_count=player_count, board=board, pieces=pieces,
             regions=regions, swap_meta=swap_meta, start_placements=start_placements,
-            play_id=play_id, end_rules=end_rules, root=tree, table=table, _ids=ids,
+            play=play, end_rules=end_rules, root=tree, table=table, rules=self.rules,
+            distinct_rules=_distinct_rules(pieces, play, player_count, table),
         )
         self._check_start_conflicts(spec)
+        self._check_rules(spec)
         return spec
 
     def _split_equipment(self, equipment: Call):
@@ -202,7 +280,8 @@ class _Compiler:
             raise CompileError("equipment has no board", equipment.span)
         return board, piece_nodes, region_nodes
 
-    def _expand_pieces(self, piece_nodes: list[Call], player_count: int) -> list[PieceSpec]:
+    def _expand_pieces(self, piece_nodes: list[Call], player_count: int,
+                       board: BoardGraph) -> list[PieceSpec]:
         pieces: list[PieceSpec] = []
         for node in piece_nodes:
             base = node.args[0].value
@@ -211,21 +290,80 @@ class _Compiler:
             if len(node.args) < 2 or not isinstance(node.args[1], Symbol):
                 raise ArityMismatch("equipment piece needs an owner symbol", node.span)
             owner_sym = node.args[1].name
-            rule_id = None
+            rule = None
             if len(node.args) > 2:
-                rule_id = self.ids[id(node.args[2])]
+                rule = self._compile_rule(node.args[2], board, piece_rule=True)
             if owner_sym == "Each":
                 for p in range(1, player_count + 1):
-                    pieces.append(PieceSpec(f"{base}{p}", base, p, rule_id, True))
+                    pieces.append(PieceSpec(f"{base}{p}", base, p, rule, True))
             elif owner_sym == "Neutral":
-                pieces.append(PieceSpec(f"{base}0", base, 0, rule_id, False))
+                pieces.append(PieceSpec(f"{base}0", base, 0, rule, False))
             else:
                 owner = _player_index(owner_sym)
                 if owner > player_count:
                     raise BadArgumentKind(
                         f"piece owner {owner_sym} exceeds player count", node.args[1].span)
-                pieces.append(PieceSpec(base, base, owner, rule_id, False))
+                pieces.append(PieceSpec(base, base, owner, rule, False))
         return pieces
+
+    def _compile_rule(self, node: RawNode, board: BoardGraph, *,
+                      piece_rule: bool = False) -> PlayRule:
+        """Decode a play rule, or with ``piece_rule`` a piece's (move ...) rule."""
+        if piece_rule and not (isinstance(node, Call) and node.head.name == "move"):
+            raise BadArgumentKind("a piece rule must be a (move ...) ludeme", node.span)
+        if not (isinstance(node, Call) and node.head.name in ("move", "forEach", "if")):
+            raise BadArgumentKind("a play rule must be a (move ...), (forEach ...) or (if ...) "
+                                  "ludeme", node.span)
+        lid = self.ids[id(node)]
+        head = node.head.name
+        if head == "forEach":
+            rule: PlayRule = ForEachPiece(lid)
+        elif head == "if":
+            self._check_condition(node.args[0])
+            then = self._compile_rule(node.args[1], board)
+            otherwise = self._compile_rule(node.args[2], board) if len(node.args) > 2 else None
+            rule = IfRule(lid, node.args[0], then, otherwise)
+        else:
+            rule = self._compile_move(node, lid, board, piece_rule)
+        self.rules[lid] = rule
+        return rule
+
+    def _compile_move(self, node: Call, lid: int, board: BoardGraph,
+                      piece_rule: bool) -> MoveRule:
+        kind = node.args[0].name
+        if kind in ("Step", "Slide") and not piece_rule:
+            raise BadArgumentKind(f"(move {kind} ...) moves a piece, so it belongs in a "
+                                  "piece rule reached through (forEach Piece)", node.span)
+        args: dict[str, Call] = {}
+        for arg in node.args[1:]:
+            if not (isinstance(arg, Call) and arg.head.name in _MOVE_ARGS[kind]):
+                what = f"({arg.head.name} ...)" if isinstance(arg, Call) else print_canonical(arg)
+                raise BadArgumentKind(f"(move {kind} ...) cannot use {what}", arg.span)
+            args.setdefault(arg.head.name, arg)
+        directions: tuple[str, ...] = ()
+        if kind in ("Step", "Slide"):
+            dirs = args.get("directions")
+            directions = tuple(s.name for s in _as_items(dirs.args[0])) if dirs else ("Adjacent",)
+        to = None
+        if "to" in args:
+            to = self._compile_site_set(args["to"].args[0], board, target=True)
+        projectile = args["piece"].args[0].value if "piece" in args else None
+        return MoveRule(lid, kind, directions, to, projectile, "then" in args)
+
+    def _check_condition(self, cond: Call) -> None:
+        # The engine and translator read conditions as parsed; check the
+        # arguments they read by position.
+        head = cond.head.name
+        if head in ("or", "and"):
+            for sub in cond.args:
+                self._check_condition(sub)
+        elif head == "is":
+            mode, rest = cond.args[0].name, cond.args[1:]
+            if mode == "Line" and not (rest and isinstance(rest[0], Number)):
+                raise BadArgumentKind("(is Line ...) needs a line length", cond.span)
+            if mode == "Even" and not (rest and isinstance(rest[0], Call)
+                                       and rest[0].head.name == "count"):
+                raise BadArgumentKind("(is Even ...) needs (count Moves)", cond.span)
 
     def _compile_region(self, node: Call, board: BoardGraph, player_count: int) -> RegionSpec:
         owner = _player_index(node.args[0].name)
@@ -237,14 +375,18 @@ class _Compiler:
             sets.append(self._compile_site_set(sites_node, board))
         return RegionSpec(owner, tuple(sets))
 
-    def _compile_site_set(self, node: Call, board: BoardGraph) -> SiteSet:
+    def _compile_site_set(self, node: Call, board: BoardGraph, *,
+                          target: bool = False) -> SiteSet:
         kind = tuple(a.name for a in node.args)
+        if target and kind == ("Empty",):
+            return SiteSet(kind, ())
         if len(kind) == 2 and kind[0] == "Side":
             side = kind[1]
             if side not in board.sides:
                 raise BadArgumentKind(f"board has no '{side}' side", node.span)
-            return SiteSet(self.ids[id(node)], kind, tuple(board.sides[side]))
-        raise BadArgumentKind(f"(sites {' '.join(kind)}) is not a static site set", node.span)
+            return SiteSet(kind, tuple(board.sides[side]))
+        what = "move target" if target else "static site set"
+        raise BadArgumentKind(f"(sites {' '.join(kind)}) is not a {what}", node.span)
 
     def _compile_place(self, node: Call, board: BoardGraph,
                        pieces: list[PieceSpec]) -> StartPlacement:
@@ -266,6 +408,7 @@ class _Compiler:
         cond, result = rule.args[0], rule.args[1]
         if not (isinstance(result, Call) and result.head.name == "result"):
             raise BadArgumentKind("end rule branch must be a (result ...) ludeme", result.span)
+        self._check_condition(cond)
         return EndRule(
             end_id=self.ids[id(rule)],
             cond_id=self.ids[id(cond)],
@@ -281,6 +424,22 @@ class _Compiler:
                     raise CompileError(
                         f"start placement conflict at {spec.board.sites[site].label}")
                 seen[site] = placement.piece_name
+
+    def _check_rules(self, spec: GameSpec) -> None:
+        """Check the decoded rules against the declared pieces and the board."""
+        for rule in spec.rules.values():
+            if isinstance(rule, MoveRule) and rule.kind == "Shoot" \
+                    and spec.piece_named(rule.projectile) is None:
+                raise BadArgumentKind("(move Shoot ...) needs (piece ...) naming a declared "
+                                      "piece", spec.node(rule.id).span)
+        for piece in spec.pieces:
+            if piece.rule is None or piece.owner == 0:
+                continue  # neutral pieces never move
+            known = spec.board.player_directions.get(piece.owner, {})
+            for name in piece.rule.directions:
+                if name not in known:
+                    raise BadArgumentKind(f"the board has no {name} direction for "
+                                          f"P{piece.owner}", spec.node(piece.rule.id).span)
 
 
 def compile_game(tree: RawNode, registry: Registry | None = None) -> GameSpec:

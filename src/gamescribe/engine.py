@@ -1,31 +1,23 @@
 """Tree-walking interpreter for compiled game specs.
 
-Generates legal moves, applies them, evaluates end conditions, and runs
-seeded random playouts.  All randomness comes from a fixed xorshift64*
-generator so traces replay identically on any platform.
+Generates legal moves from the compiled play rules, applies them, evaluates
+end conditions, and runs seeded random playouts.  All randomness comes from
+a fixed xorshift64* generator so traces replay identically on any platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import GameSpec
-from .sexpr import Call, Collection
+from .compiler import ForEachPiece, GameSpec, MoveRule, PlayRule
+from .sexpr import Call
 
 
 class EngineError(Exception):
     pass
 
 
-class PlacementConflict(EngineError):
-    pass
-
-
 class IllegalMove(EngineError):
-    pass
-
-
-class UnsupportedPlayRule(EngineError):
     pass
 
 
@@ -70,13 +62,11 @@ class XorShift64Star:
 
 @dataclass(frozen=True)
 class Action:
-    kind: str  # Add | Remove | Move | Score | SetMoverAgain
+    kind: str  # Add | Remove | Move | SetMoverAgain
     piece: str | None = None
     site: int | None = None
     from_site: int | None = None
     to_site: int | None = None
-    player: int | None = None
-    value: int | None = None
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,6 @@ class EndMatch:
     end_id: int | None  # None for the implicit draw-by-no-moves fallback
     players: tuple[int, ...]
     outcome: str  # Win | Loss | Draw
-    final_move: "Move | None"
     winning_sites: tuple[int, ...] | None = None
 
 
@@ -126,9 +115,6 @@ def initial_state(spec: GameSpec) -> GameState:
     for placement in spec.start_placements:
         piece = spec.piece_named(placement.piece_name)
         for site in placement.sites:
-            if contents[site] is not None:
-                raise PlacementConflict(
-                    f"two pieces placed at {spec.board.sites[site].label}")
             contents[site] = (piece.name, piece.owner)
     return GameState(contents=contents, mover=1, move_count=0,
                      scores=(0,) * spec.player_count)
@@ -138,139 +124,90 @@ def _next_player(spec: GameSpec, player: int) -> int:
     return player % spec.player_count + 1
 
 
-def _find_arg(node: Call, head: str) -> Call | None:
-    for a in node.args:
-        if isinstance(a, Call) and a.head.name == head:
-            return a
-    return None
-
-
 def _mover_piece(spec: GameSpec, mover: int) -> str | None:
     owned = spec.pieces_of(mover)
     return owned[0].name if owned else None
 
 
-def _direction_names(node: Call) -> list[str]:
-    dirs = _find_arg(node, "directions")
-    if dirs is None:
-        return ["Adjacent"]
-    arg = dirs.args[0]
-    if isinstance(arg, Collection):
-        return [s.name for s in arg.items]
-    return [arg.name]
-
-
-def _resolve_site_set(spec: GameSpec, state: GameState, sites_node: Call) -> list[int]:
-    kind = tuple(a.name for a in sites_node.args)
-    if kind == ("Empty",):
-        return [i for i, c in enumerate(state.contents) if c is None]
-    if len(kind) == 2 and kind[0] == "Side":
-        return list(spec.board.sides[kind[1]])
-    raise UnsupportedPlayRule(f"cannot resolve (sites {' '.join(kind)})")
-
-
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     """All legal moves for the state's mover, in deterministic order."""
     if state._legal is None:
-        state._legal = _generate(spec, state, spec.node(spec.play_id), None)
+        state._legal = _generate(spec, state, spec.play)
     return state._legal
 
 
-def _generate(spec: GameSpec, state: GameState, node, ctx) -> list[Move]:
-    if not isinstance(node, Call):
-        raise UnsupportedPlayRule(f"unexpected play expression: {node!r}")
-    head = node.head.name
-    if head == "move":
-        return _generate_move(spec, state, node, ctx)
-    if head == "forEach":
+def _generate(spec: GameSpec, state: GameState, rule: PlayRule) -> list[Move]:
+    if isinstance(rule, MoveRule):
+        return _generate_move(spec, state, rule, None)
+    if isinstance(rule, ForEachPiece):
         moves: list[Move] = []
         for site, content in enumerate(state.contents):
             if content is None or content[1] != state.mover:
                 continue
             piece = spec.piece_named(content[0])
-            if piece is None or piece.move_rule_id is None:
+            if piece is None or piece.rule is None:
                 continue
-            moves.extend(_generate(spec, state, spec.node(piece.move_rule_id),
-                                   (content[0], site)))
+            moves.extend(_generate_move(spec, state, piece.rule, (content[0], site)))
         return moves
-    if head == "if":
-        ok = eval_condition(spec, state, node.args[0], state.mover)
-        if ok:
-            return _generate(spec, state, node.args[1], ctx)
-        if len(node.args) > 2:
-            return _generate(spec, state, node.args[2], ctx)
-        return []
-    raise UnsupportedPlayRule(f"unsupported play ludeme '{head}'")
+    branch = rule.then if eval_condition(spec, state, rule.cond, state.mover) else rule.otherwise
+    return _generate(spec, state, branch) if branch is not None else []
 
 
-def _generate_move(spec: GameSpec, state: GameState, node: Call, ctx) -> list[Move]:
-    kind = node.args[0].name
-    origin = spec.id_of(node)
+def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> list[Move]:
+    """Moves of one (move ...) rule; ``ctx`` is the (piece, site) a piece rule moves."""
+    origin = rule.id
     mover = state.mover
-    again = False
-    then = _find_arg(node, "then")
-    if then is not None and isinstance(then.args[0], Call) \
-            and then.args[0].head.name == "moveAgain":
-        again = True
+    board = spec.board
+    tail = (Action("SetMoverAgain"),) if rule.again else ()
 
     moves: list[Move] = []
-    if kind == "Add":
-        to = _find_arg(node, "to")
-        targets = _resolve_site_set(spec, state, to.args[0]) if to else []
+    if rule.kind == "Add":
+        if rule.to is None:
+            targets: list[int] | tuple[int, ...] = []
+        elif rule.to.kind == ("Empty",):
+            targets = [i for i, c in enumerate(state.contents) if c is None]
+        else:
+            targets = rule.to.sites
         piece = _mover_piece(spec, mover)
         for site in targets:
-            actions = [Action("Add", piece=piece, site=site)]
-            moves.append(Move(mover, piece, origin, tuple(actions), site, site))
-    elif kind == "Step":
-        if ctx is None:
-            raise UnsupportedPlayRule("(move Step ...) needs a piece context")
+            actions = (Action("Add", piece=piece, site=site),) + tail
+            moves.append(Move(mover, piece, origin, actions, site, site))
+    elif rule.kind == "Step":
         piece, site = ctx
-        for name in _direction_names(node):
-            for vec in spec.board.direction_vectors(name, mover):
-                target = spec.board.offset(site, vec)
+        for name in rule.directions:
+            for vec in board.direction_vectors(name, mover):
+                target = board.offset(site, vec)
                 if target is None:
                     continue
                 occupant = state.contents[target]
                 if occupant is None:
-                    actions = [Action("Move", from_site=site, to_site=target)]
+                    actions = (Action("Move", from_site=site, to_site=target),)
                 elif occupant[1] not in (mover, 0):
-                    actions = [Action("Remove", site=target),
-                               Action("Move", from_site=site, to_site=target)]
+                    actions = (Action("Remove", site=target),
+                               Action("Move", from_site=site, to_site=target))
                 else:
                     continue
-                moves.append(Move(mover, piece, origin, tuple(actions), site, target))
-    elif kind == "Slide":
-        if ctx is None:
-            raise UnsupportedPlayRule("(move Slide ...) needs a piece context")
+                moves.append(Move(mover, piece, origin, actions + tail, site, target))
+    elif rule.kind == "Slide":
         piece, site = ctx
-        for ray in spec.board.rays[site]:
-            for target in ray:
-                if state.contents[target] is not None:
-                    break
-                actions = [Action("Move", from_site=site, to_site=target)]
-                moves.append(Move(mover, piece, origin, tuple(actions), site, target))
-    elif kind == "Shoot":
-        piece_node = _find_arg(node, "piece")
-        if piece_node is None:
-            raise UnsupportedPlayRule("(move Shoot ...) needs a projectile piece")
-        projectile = piece_node.args[0].value
+        for name in rule.directions:
+            for vec in board.direction_vectors(name, mover):
+                for target in board.ray(site, vec):
+                    if state.contents[target] is not None:
+                        break
+                    actions = (Action("Move", from_site=site, to_site=target),) + tail
+                    moves.append(Move(mover, piece, origin, actions, site, target))
+    else:  # Shoot: from where the last move landed, along every ray
         last = state.last_move
         if last is None or last.to_site is None:
             return []
-        for ray in spec.board.rays[last.to_site]:
+        for ray in board.rays[last.to_site]:
             for target in ray:
                 if state.contents[target] is not None:
                     break
-                actions = [Action("Add", piece=projectile, site=target)]
-                moves.append(Move(mover, projectile, origin, tuple(actions),
+                actions = (Action("Add", piece=rule.projectile, site=target),) + tail
+                moves.append(Move(mover, rule.projectile, origin, actions,
                                   last.to_site, target))
-    else:
-        raise UnsupportedPlayRule(f"unsupported move kind '{kind}'")
-
-    if again:
-        moves = [Move(m.mover, m.piece, m.origin_id,
-                      m.actions + (Action("SetMoverAgain"),), m.from_site, m.to_site)
-                 for m in moves]
     return moves
 
 
@@ -282,7 +219,6 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
     if validate and move not in legal_moves(spec, state):
         raise IllegalMove(f"move not legal in this state: {move}")
     contents = list(state.contents)
-    scores = list(state.scores)
     again = False
     for action in move.actions:
         if action.kind == "Add":
@@ -293,8 +229,6 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
         elif action.kind == "Move":
             contents[action.to_site] = contents[action.from_site]
             contents[action.from_site] = None
-        elif action.kind == "Score":
-            scores[action.player - 1] = action.value
         elif action.kind == "SetMoverAgain":
             again = True
         else:
@@ -302,7 +236,7 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
     mover = move.mover if again else _next_player(spec, move.mover)
     new_state = GameState(contents=contents, mover=mover,
                           move_count=state.move_count + 1,
-                          scores=tuple(scores), last_move=move)
+                          scores=state.scores, last_move=move)
     new_state.terminal = check_end(spec, new_state, move)
     return new_state
 
@@ -429,9 +363,9 @@ def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
             players = tuple(range(1, spec.player_count + 1))
         else:
             players = (subject,)
-        return EndMatch(rule.end_id, players, rule.outcome, move, sites)
+        return EndMatch(rule.end_id, players, rule.outcome, sites)
     if not legal_moves(spec, state):
-        return EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", move, None)
+        return EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
     return None
 
 
@@ -445,7 +379,7 @@ def random_playout(spec: GameSpec, seed: int, *,
         legal = legal_moves(spec, state)
         if not legal:  # degenerate spec with no opening move
             state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)),
-                                      "Draw", None, None)
+                                      "Draw", None)
             break
         move = legal[rng.randrange(len(legal))]
         state = apply_move(state, move, spec, validate=False)
@@ -472,8 +406,6 @@ def _action_to_jsonable(action: Action, spec: GameSpec) -> list:
     for site in (action.site, action.from_site, action.to_site):
         if site is not None:
             out.append(label[site].label)
-    if action.player is not None:
-        out.extend([action.player, action.value])
     return out
 
 

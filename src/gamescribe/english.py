@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import GameSpec
-from .sexpr import Call, Collection, RawNode
+from .compiler import ForEachPiece, GameSpec, MoveRule, PlayRule
+from .sexpr import Call
 
 
 class MissingTemplate(Exception):
@@ -33,15 +33,14 @@ DIRECTION_WORDS = {
 
 @dataclass
 class TranslationContext:
-    """Carries the current document section and the fixed player-name table."""
+    """Carries the fixed player-name table."""
 
-    section: str = "rules"
     player_names: dict[int, str] = field(default_factory=dict)
 
     @staticmethod
-    def for_spec(spec: GameSpec, section: str = "rules") -> "TranslationContext":
+    def for_spec(spec: GameSpec) -> "TranslationContext":
         names = {p: f"player {number_word(p)}" for p in range(1, spec.player_count + 1)}
-        return TranslationContext(section=section, player_names=names)
+        return TranslationContext(player_names=names)
 
 
 def number_word(n: int) -> str:
@@ -82,8 +81,7 @@ def _board_phrase(spec: GameSpec) -> str:
     raise MissingTemplate(f"no phrase for board shape '{board.shape}'")
 
 
-def _site_set_phrase(node: Call) -> str:
-    kind = tuple(a.name for a in node.args)
+def _site_set_phrase(kind: tuple[str, ...]) -> str:
     if kind == ("Empty",):
         return "the set of empty cells"
     if len(kind) == 2 and kind[0] == "Side":
@@ -91,65 +89,28 @@ def _site_set_phrase(node: Call) -> str:
     raise MissingTemplate(f"no phrase for (sites {' '.join(kind)})")
 
 
-def _directions_phrase(node: Call) -> str:
-    dirs = None
-    for a in node.args:
-        if isinstance(a, Call) and a.head.name == "directions":
-            dirs = a
-            break
-    if dirs is None:
-        names = ["Adjacent"]
-    else:
-        arg = dirs.args[0]
-        names = [s.name for s in arg.items] if isinstance(arg, Collection) else [arg.name]
-    return _join_or([DIRECTION_WORDS.get(n, n.lower()) for n in names])
-
-
-def _then_suffix(node: Call) -> str:
-    for a in node.args:
-        if isinstance(a, Call) and a.head.name == "then":
-            effect = a.args[0]
-            if isinstance(effect, Call) and effect.head.name == "moveAgain":
-                return " then move again"
-            raise MissingTemplate(f"no phrase for effect '{effect}'")
-    return ""
-
-
-def _find_call(node: Call, head: str) -> Call | None:
-    for a in node.args:
-        if isinstance(a, Call) and a.head.name == head:
-            return a
-    return None
-
-
-def _move_fragment(node: Call, ctx: TranslationContext, spec: GameSpec,
+def _move_fragment(rule: MoveRule | ForEachPiece, ctx: TranslationContext, spec: GameSpec,
                    *, piece_subject: bool) -> str:
-    """Lower-case verb phrase for a (move ...) or (forEach Piece) ludeme.
+    """Lower-case verb phrase for a (move ...) or (forEach Piece) rule.
 
     With ``piece_subject`` the phrase follows a plural piece-name subject
     ("Queens slide ..."); otherwise it is imperative ("add one of ...").
     """
-    if node.head.name == "forEach":
+    if isinstance(rule, ForEachPiece):
         return "move one of your pieces"
-    kind = node.args[0].name
-    if kind == "Add":
-        to = _find_call(node, "to")
-        target = _site_set_phrase(to.args[0]) if to else "the board"
-        return f"add one of your pieces to {target}" + _then_suffix(node)
-    if kind == "Slide":
-        subject = "" if piece_subject else " one of your pieces"
+    then = " then move again" if rule.again else ""
+    subject = "" if piece_subject else " one of your pieces"
+    directions = _join_or([DIRECTION_WORDS[n] for n in rule.directions])
+    if rule.kind == "Add":
+        target = _site_set_phrase(rule.to.kind) if rule.to else "the board"
+        return f"add one of your pieces to {target}" + then
+    if rule.kind == "Slide":
         return (f"slide{subject} from the location of the piece in the "
-                f"{_directions_phrase(node)} direction through the set of empty cells"
-                + _then_suffix(node))
-    if kind == "Step":
-        subject = "" if piece_subject else " one of your pieces"
+                f"{directions} direction through the set of empty cells" + then)
+    if rule.kind == "Step":
         return (f"step{subject} to an empty or enemy-occupied cell in the "
-                f"{_directions_phrase(node)} direction" + _then_suffix(node))
-    if kind == "Shoot":
-        piece = _find_call(node, "piece")
-        name = piece.args[0].value if piece else "a piece"
-        return f"shoot the piece {name}" + _then_suffix(node)
-    raise MissingTemplate(f"no phrase for move kind '{kind}'")
+                f"{directions} direction" + then)
+    return f"shoot the piece {rule.projectile}" + then
 
 
 def _count_phrase(node: Call) -> str:
@@ -207,20 +168,15 @@ def _result_phrase(node: Call, ctx: TranslationContext) -> str:
     return "the game is a draw"
 
 
-def _play_fragment(node: RawNode, ctx: TranslationContext, spec: GameSpec) -> str:
-    if not isinstance(node, Call):
-        raise MissingTemplate(f"no phrase for {node!r}")
-    head = node.head.name
-    if head in ("move", "forEach"):
-        return _move_fragment(node, ctx, spec, piece_subject=False)
-    if head == "if":
-        cond = _condition_phrase(node.args[0], ctx, spec)
-        then = _play_fragment(node.args[1], ctx, spec)
-        if len(node.args) > 2:
-            other = _play_fragment(node.args[2], ctx, spec)
-            return f"if {cond}, {then}, else {other}"
-        return f"if {cond}, {then}"
-    raise MissingTemplate(f"no phrase for play ludeme '{head}'")
+def _play_fragment(rule: PlayRule, ctx: TranslationContext, spec: GameSpec) -> str:
+    if isinstance(rule, (MoveRule, ForEachPiece)):
+        return _move_fragment(rule, ctx, spec, piece_subject=False)
+    cond = _condition_phrase(rule.cond, ctx, spec)
+    then = _play_fragment(rule.then, ctx, spec)
+    if rule.otherwise is not None:
+        other = _play_fragment(rule.otherwise, ctx, spec)
+        return f"if {cond}, {then}, else {other}"
+    return f"if {cond}, {then}"
 
 
 def _end_sentence(rule: Call, ctx: TranslationContext, spec: GameSpec) -> str:
@@ -234,29 +190,30 @@ def draw_fallback_sentence() -> str:
     return "If no player can move, the game ends in a draw."
 
 
-def translate_node(spec: GameSpec, node, section: str = "rules") -> str:
-    """Translate a single ludeme (node or ludeme id) into a text fragment."""
+def translate_node(spec: GameSpec, node) -> str:
+    """Translate a single ludeme (node or ludeme id) into a text fragment.
+
+    Play and piece rules are translated from their compiled form, so they
+    are only recognised by ludeme id.
+    """
+    ctx = TranslationContext.for_spec(spec)
     if isinstance(node, int):
+        if node in spec.rules:
+            return _sentence(_play_fragment(spec.rules[node], ctx, spec))
         node = spec.node(node)
-    ctx = TranslationContext.for_spec(spec, section)
     if not isinstance(node, Call):
         raise MissingTemplate(f"no template for {node!r}")
     head = node.head.name
     if head == "board":
         return f"on a {_board_phrase(spec)}"
-    if head in ("move", "forEach"):
-        return _sentence(_move_fragment(node, ctx, spec, piece_subject=False))
-    if head == "if":
-        branch = node.args[1]
-        if isinstance(branch, Call) and branch.head.name == "result":
-            return _end_sentence(node, ctx, spec)
-        return _sentence(_play_fragment(node, ctx, spec))
+    if head == "if" and isinstance(node.args[1], Call) and node.args[1].head.name == "result":
+        return _end_sentence(node, ctx, spec)
     if head in ("is", "no", "or", "and"):
         return _condition_phrase(node, ctx, spec)
     if head == "result":
         return _result_phrase(node, ctx)
     if head == "sites":
-        return _site_set_phrase(node)
+        return _site_set_phrase(tuple(a.name for a in node.args))
     if head == "count":
         return _count_phrase(node)
     if head == "swap":
@@ -304,14 +261,13 @@ def translate_game(spec: GameSpec) -> str:
     rule_lines: list[str] = []
     seen_rules: set[tuple[str, int]] = set()
     for piece in spec.pieces:
-        if piece.move_rule_id is None:
+        if piece.rule is None:
             continue
-        key = (piece.base, piece.move_rule_id)
+        key = (piece.base, piece.rule.id)
         if key in seen_rules:
             continue
         seen_rules.add(key)
-        fragment = _move_fragment(spec.node(piece.move_rule_id), ctx, spec,
-                                  piece_subject=True)
+        fragment = _move_fragment(piece.rule, ctx, spec, piece_subject=True)
         rule_lines.append(f"     {plural(piece.base)} {fragment}.")
     if rule_lines:
         lines.append("Rules for Pieces:")
@@ -331,7 +287,7 @@ def translate_game(spec: GameSpec) -> str:
                          f"{join_list(list(placement.labels))}.")
 
     lines.append("Rules:")
-    lines.append("     " + _sentence(_play_fragment(spec.node(spec.play_id), ctx, spec)))
+    lines.append("     " + _sentence(_play_fragment(spec.play, ctx, spec)))
 
     lines.append("Aim:")
     for rule in spec.end_rules:

@@ -9,8 +9,8 @@ action types.
 
 from __future__ import annotations
 
+from html import escape as _escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 SECTIONS = ["Rules", "Heuristics", "Setup", "Endings", "Moves"]
 NO_STRATEGY_PLACEHOLDER = "No strategy information available."
@@ -25,6 +25,12 @@ _STYLE = (
 
 class MissingAsset(Exception):
     pass
+
+
+def escape(text: str) -> str:
+    # Only &, < and > need escaping: no text written into an attribute value
+    # here can hold a double quote, because .lud strings cannot.
+    return _escape(text, quote=False)
 
 
 def _mover_label(mover) -> str:

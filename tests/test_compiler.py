@@ -30,9 +30,6 @@ def test_ludeme_table_covers_every_node(tictactoe):
 def test_square_board_geometry(tictactoe):
     board = tictactoe.board
     assert board.site_count == 9
-    corner = board.site_by_label("A1")
-    assert len(board.orthogonal[corner]) == 2
-    assert len(board.diagonal[corner]) == 1
     centre = board.site_by_label("B2")
     assert len(board.adjacent[centre]) == 8
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -293,3 +294,25 @@ def test_trace_digests_match_golden(name):
     traces = [random_playout(spec, seed) for seed in range(50)]
     payload = json.dumps([trace_to_dict(t, spec) for t in traces])
     assert hashlib.sha256(payload.encode()).hexdigest() == _load_digests()[name]
+
+
+@pytest.mark.parametrize("name", sorted(_load_digests()))
+def test_pickled_spec_plays_identically(name):
+    spec = load_spec(name)
+    copy = pickle.loads(pickle.dumps(spec))
+    for seed in range(3):
+        want, got = random_playout(spec, seed), random_playout(copy, seed)
+        assert got.moves == want.moves
+        assert got.outcome == want.outcome
+
+
+def test_slide_walks_only_named_directions():
+    from gamescribe.compiler import compile_game
+    from gamescribe.sexpr import parse
+    spec = compile_game(parse(
+        '(game "Rooks" (players 2) (equipment {(board (square 3)) '
+        '(piece "Rook" Each (move Slide (directions Orthogonal)))}) '
+        '(rules (start (place "Rook1" {"A1"})) (play (forEach Piece)) '
+        '(end (if (no Moves Next) (result Mover Win)))))'))
+    moves = legal_moves(spec, initial_state(spec))
+    assert {spec.board.sites[m.to_site].label for m in moves} == {"A2", "A3", "B1", "C1"}
