@@ -203,6 +203,8 @@ def build_board(board_node: Call) -> BoardGraph:
     shape = board_node.args[0]
     assert isinstance(shape, Call)
     name = shape.head.name
+    if any(isinstance(a, Number) and a.value < 1 for a in shape.args):
+        raise BadArgumentKind("a board needs at least one row and one column", shape.span)
     if name == "square":
         n = shape.args[0].value
         return boards.build_square(n, n)
@@ -227,6 +229,10 @@ class _Compiler:
         self.rules: dict[int, PlayRule] = {}
 
         name = tree.args[0].value
+        # The name becomes the output directory <out>/<name>.
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise BadArgumentKind(f"game name {name!r} is not a directory name",
+                                  tree.args[0].span)
         players_node, equipment_node, rules_node = tree.args[1], tree.args[2], tree.args[3]
         player_count = players_node.args[0].value
         if player_count < 1:

@@ -61,26 +61,15 @@ class XorShift64Star:
 
 
 @dataclass(frozen=True)
-class Action:
-    kind: str  # Add | Remove | Move | SetMoverAgain
-    piece: str | None = None
-    site: int | None = None
-    from_site: int | None = None
-    to_site: int | None = None
-
-
-@dataclass(frozen=True)
 class Move:
     mover: int
     piece: str | None
     origin_id: int  # ludeme id of the (move ...) node that generated it
-    actions: tuple[Action, ...]
+    # ("Add",), ("Move",) or a capture's ("Remove", "Move"), followed by
+    # "SetMoverAgain" when the rule moves again.
+    action_types: tuple[str, ...]
     from_site: int | None
     to_site: int | None
-
-    @property
-    def action_types(self) -> tuple[str, ...]:
-        return tuple(a.kind for a in self.actions)
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,8 @@ def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> lis
     origin = rule.id
     mover = state.mover
     board = spec.board
-    tail = (Action("SetMoverAgain"),) if rule.again else ()
+    tail = ("SetMoverAgain",) if rule.again else ()
+    add, shift, capture = ("Add",) + tail, ("Move",) + tail, ("Remove", "Move") + tail
 
     moves: list[Move] = []
     if rule.kind == "Add":
@@ -170,8 +160,7 @@ def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> lis
             targets = rule.to.sites
         piece = _mover_piece(spec, mover)
         for site in targets:
-            actions = (Action("Add", piece=piece, site=site),) + tail
-            moves.append(Move(mover, piece, origin, actions, site, site))
+            moves.append(Move(mover, piece, origin, add, site, site))
     elif rule.kind == "Step":
         piece, site = ctx
         for name in rule.directions:
@@ -181,13 +170,12 @@ def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> lis
                     continue
                 occupant = state.contents[target]
                 if occupant is None:
-                    actions = (Action("Move", from_site=site, to_site=target),)
+                    kinds = shift
                 elif occupant[1] not in (mover, 0):
-                    actions = (Action("Remove", site=target),
-                               Action("Move", from_site=site, to_site=target))
+                    kinds = capture
                 else:
                     continue
-                moves.append(Move(mover, piece, origin, actions + tail, site, target))
+                moves.append(Move(mover, piece, origin, kinds, site, target))
     elif rule.kind == "Slide":
         piece, site = ctx
         for name in rule.directions:
@@ -195,8 +183,7 @@ def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> lis
                 for target in board.ray(site, vec):
                     if state.contents[target] is not None:
                         break
-                    actions = (Action("Move", from_site=site, to_site=target),) + tail
-                    moves.append(Move(mover, piece, origin, actions, site, target))
+                    moves.append(Move(mover, piece, origin, shift, site, target))
     else:  # Shoot: from where the last move landed, along every ray
         last = state.last_move
         if last is None or last.to_site is None:
@@ -205,8 +192,7 @@ def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> lis
             for target in ray:
                 if state.contents[target] is not None:
                     break
-                actions = (Action("Add", piece=rule.projectile, site=target),) + tail
-                moves.append(Move(mover, rule.projectile, origin, actions,
+                moves.append(Move(mover, rule.projectile, origin, add,
                                   last.to_site, target))
     return moves
 
@@ -219,21 +205,14 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
     if validate and move not in legal_moves(spec, state):
         raise IllegalMove(f"move not legal in this state: {move}")
     contents = list(state.contents)
-    again = False
-    for action in move.actions:
-        if action.kind == "Add":
-            piece = spec.piece_named(action.piece)
-            contents[action.site] = (piece.name, piece.owner)
-        elif action.kind == "Remove":
-            contents[action.site] = None
-        elif action.kind == "Move":
-            contents[action.to_site] = contents[action.from_site]
-            contents[action.from_site] = None
-        elif action.kind == "SetMoverAgain":
-            again = True
-        else:
-            raise IllegalMove(f"unknown action kind '{action.kind}'")
-    mover = move.mover if again else _next_player(spec, move.mover)
+    kinds = move.action_types
+    if "Add" in kinds:
+        piece = spec.piece_named(move.piece)
+        contents[move.to_site] = (piece.name, piece.owner)
+    elif "Move" in kinds:  # a capture's Remove is the overwrite of to_site
+        contents[move.to_site] = contents[move.from_site]
+        contents[move.from_site] = None
+    mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
     new_state = GameState(contents=contents, mover=mover,
                           move_count=state.move_count + 1,
                           scores=state.scores, last_move=move)
@@ -371,7 +350,11 @@ def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
 
 def random_playout(spec: GameSpec, seed: int, *,
                    move_cap: int = PLAYOUT_MOVE_CAP) -> PlayoutTrace:
-    """Uniform random playout; identical seed yields an identical trace."""
+    """Uniform random playout; identical seed yields an identical trace.
+
+    Raises PlayoutLimitExceeded exactly when the game is not over after
+    ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
+    """
     rng = XorShift64Star(seed)
     state = initial_state(spec)
     moves: list[Move] = []
@@ -381,11 +364,11 @@ def random_playout(spec: GameSpec, seed: int, *,
             state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)),
                                       "Draw", None)
             break
+        if len(moves) >= move_cap:
+            raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
         move = legal[rng.randrange(len(legal))]
         state = apply_move(state, move, spec, validate=False)
         moves.append(move)
-        if len(moves) > move_cap:
-            raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
     return PlayoutTrace(seed, tuple(moves), state.terminal, state)
 
 
@@ -398,15 +381,21 @@ def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> Game
     return state
 
 
-def _action_to_jsonable(action: Action, spec: GameSpec) -> list:
-    label = spec.board.sites
-    out: list = [action.kind]
-    if action.piece is not None:
-        out.append(action.piece)
-    for site in (action.site, action.from_site, action.to_site):
-        if site is not None:
-            out.append(label[site].label)
-    return out
+def _move_to_dict(move: Move, spec: GameSpec) -> dict:
+    sites = spec.board.sites
+    src = sites[move.from_site].label if move.from_site is not None else None
+    dst = sites[move.to_site].label if move.to_site is not None else None
+    # Each action type's exported arguments, read off the move's piece and sites.
+    args = {"Add": (move.piece, dst), "Remove": (dst,), "Move": (src, dst),
+            "SetMoverAgain": ()}
+    return {
+        "mover": move.mover,
+        "piece": move.piece,
+        "origin_ludeme": move.origin_id,
+        "from": src,
+        "to": dst,
+        "actions": [[kind, *args[kind]] for kind in move.action_types],
+    }
 
 
 def trace_to_dict(trace: PlayoutTrace, spec: GameSpec) -> dict:
@@ -414,17 +403,7 @@ def trace_to_dict(trace: PlayoutTrace, spec: GameSpec) -> dict:
     outcome = trace.outcome
     return {
         "seed": trace.seed,
-        "moves": [
-            {
-                "mover": m.mover,
-                "piece": m.piece,
-                "origin_ludeme": m.origin_id,
-                "from": spec.board.sites[m.from_site].label if m.from_site is not None else None,
-                "to": spec.board.sites[m.to_site].label if m.to_site is not None else None,
-                "actions": [_action_to_jsonable(a, spec) for a in m.actions],
-            }
-            for m in trace.moves
-        ],
+        "moves": [_move_to_dict(m, spec) for m in trace.moves],
         "outcome": {
             "players": list(outcome.players),
             "result": outcome.outcome,

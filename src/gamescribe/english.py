@@ -120,8 +120,15 @@ def _count_phrase(node: Call) -> str:
     raise MissingTemplate(f"no phrase for (count {mode})")
 
 
-def _condition_phrase(node: Call, ctx: TranslationContext, spec: GameSpec,
-                      *, depth: int = 0) -> str:
+def _operand(node: Call) -> Call:
+    """``node`` with one-operand (or ...)/(and ...) wrappers stripped."""
+    while node.head.name in ("or", "and") and len(node.args) == 1:
+        node = node.args[0]
+    return node
+
+
+def _condition_phrase(node: Call, ctx: TranslationContext, spec: GameSpec) -> str:
+    node = _operand(node)
     head = node.head.name
     if head == "is":
         mode = node.args[0].name
@@ -139,8 +146,8 @@ def _condition_phrase(node: Call, ctx: TranslationContext, spec: GameSpec,
         return "the next player cannot move"
     if head in ("or", "and"):
         parts = []
-        for sub in node.args:
-            phrase = _condition_phrase(sub, ctx, spec, depth=depth + 1)
+        for sub in map(_operand, node.args):
+            phrase = _condition_phrase(sub, ctx, spec)
             # Parenthesise nested compound operands to keep grouping unambiguous.
             if sub.head.name in ("or", "and"):
                 phrase = f"({phrase})"

@@ -78,6 +78,12 @@ RawNode = Union[Symbol, Number, Text, Call, Collection]
 _INTEGER = re.compile(r"-?[0-9]+$")
 _DELIMS = set('(){}"')
 
+# Deepest nesting of calls and collections the reader accepts.  Every walk
+# over a tree (this reader, numbering, printing, condition evaluation and
+# translation) recurses once or twice per level, so this keeps them well
+# inside Python's default recursion limit of 1000.
+MAX_DEPTH = 200
+
 
 class _Reader:
     def __init__(self, text: str):
@@ -99,25 +105,28 @@ class _Reader:
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
 
-    def read_node(self) -> RawNode:
+    def read_node(self, depth: int = 0) -> RawNode:
+        """Read one node nested ``depth`` calls or collections deep."""
         c = self.text[self.pos]
+        if c in "({" and depth >= MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.pos)
         if c == "(":
-            return self.read_call()
+            return self.read_call(depth + 1)
         if c == "{":
-            return self.read_collection()
+            return self.read_collection(depth + 1)
         if c == '"':
             return self.read_string()
         if c in ")}":
             raise UnbalancedParen(f"unexpected '{c}'", self.pos)
         return self.read_token()
 
-    def read_call(self) -> Call:
+    def read_call(self, depth: int) -> Call:
         start = self.pos
         self.pos += 1  # consume (
         self.skip_trivia()
         if self.at_end():
             raise UnbalancedParen("unclosed '('", start)
-        head = self.read_node()
+        head = self.read_node(depth)
         if not isinstance(head, Symbol):
             raise ParseError("call head must be a symbol", start + 1)
         args: list[RawNode] = []
@@ -130,9 +139,9 @@ class _Reader:
                 return Call(head, tuple(args), span=(start, self.pos))
             if self.text[self.pos] == "}":
                 raise UnbalancedParen("unexpected '}'", self.pos)
-            args.append(self.read_node())
+            args.append(self.read_node(depth))
 
-    def read_collection(self) -> Collection:
+    def read_collection(self, depth: int) -> Collection:
         start = self.pos
         self.pos += 1  # consume {
         items: list[RawNode] = []
@@ -145,7 +154,7 @@ class _Reader:
                 return Collection(tuple(items), span=(start, self.pos))
             if self.text[self.pos] == ")":
                 raise UnbalancedParen("unexpected ')'", self.pos)
-            items.append(self.read_node())
+            items.append(self.read_node(depth))
 
     def read_string(self) -> Text:
         start = self.pos

@@ -132,7 +132,8 @@ def _game(equipment: str, play: str, end: str = "(is Line 3)", start: str = "") 
             f'(rules {start} (play {play}) (end (if {end} (result Mover Win)))))')
 
 
-# Rule shapes the engine cannot run: (source, the ludeme the error points at).
+# Games the engine cannot run or the writer cannot place under --out:
+# (source, the ludeme the error points at).
 UNRUNNABLE = {
     "step-outside-piece-rule": (
         _game('(piece "Disc" Each)', "(move Step (directions Adjacent))"), "(move Step"),
@@ -163,6 +164,12 @@ UNRUNNABLE = {
     "even-without-count": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Even Mover)"),
         "(is Even Mover)"),
+    "name-escapes-out-dir": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))")
+        .replace('"Bad"', '"../Bad"'), '"../Bad"'),
+    "board-without-rows": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))")
+        .replace("(square 3)", "(square 0)"), "(square 0)"),
 }
 
 

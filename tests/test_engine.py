@@ -263,13 +263,41 @@ def test_move_cap_raises():
         random_playout(spec, 0, move_cap=500)
 
 
-def test_trace_export_round_trips_labels(tictactoe):
+def test_move_cap_boundary(tictactoe):
+    # Seed 12 is a 9-move draw: a cap of 9 lets it end, a cap of 8 does not.
+    trace = random_playout(tictactoe, 12, move_cap=9)
+    assert len(trace.moves) == 9 and trace.outcome.outcome == "Draw"
+    with pytest.raises(PlayoutLimitExceeded):
+        random_playout(tictactoe, 12, move_cap=8)
+
+
+def _first_exported(spec, action_types):
+    """Exported entry of the first move with ``action_types`` in seeds 0..19."""
+    for seed in range(20):
+        trace = random_playout(spec, seed)
+        for move, entry in zip(trace.moves, trace_to_dict(trace, spec)["moves"]):
+            if move.action_types == action_types:
+                assert spec.board.site_by_label(entry["from"]) == move.from_site
+                assert spec.board.site_by_label(entry["to"]) == move.to_site
+                return entry
+    pytest.fail(f"no {action_types} move in seeds 0..19")
+
+
+def test_trace_export_round_trips_labels(tictactoe, breakthrough, amazons):
     trace = random_playout(tictactoe, 0)
     payload = trace_to_dict(trace, tictactoe)
     assert payload["seed"] == 0
     assert len(payload["moves"]) == len(trace.moves)
     assert payload["moves"][0]["actions"][0][0] == "Add"
     assert payload["outcome"]["result"] in ("Win", "Draw")
+
+    capture = _first_exported(breakthrough, ("Remove", "Move"))
+    assert capture["actions"] == [["Remove", capture["to"]],
+                                  ["Move", capture["from"], capture["to"]]]
+    slide = _first_exported(amazons, ("Move", "SetMoverAgain"))
+    assert slide["actions"] == [["Move", slide["from"], slide["to"]], ["SetMoverAgain"]]
+    shot = _first_exported(amazons, ("Add",))
+    assert shot["actions"] == [["Add", "Dot0", shot["to"]]]
 
 
 def test_draw_fallback_has_no_end_id(tictactoe):

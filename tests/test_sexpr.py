@@ -43,6 +43,7 @@ def test_symbols_may_contain_punctuation():
     (")", UnbalancedParen),
     ('("unclosed', UnterminatedString),
     ("(a) (b)", TrailingContent),
+    pytest.param("(a " * 3000 + ")" * 3000, ParseError, id="nested-3000-deep"),
 ])
 def test_reader_errors(text, err):
     with pytest.raises(err):

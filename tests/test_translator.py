@@ -86,6 +86,15 @@ def test_nested_condition_grouping(tictactoe):
     assert english._condition_phrase(three, ctx, tictactoe) == \
         ("either a player places 3 of their pieces in an adjacent direction line, "
          "the next player cannot move; otherwise the number of moves is even")
+    # A one-operand or/and reads as its operand, also where it is an operand.
+    line = "a player places 3 of their pieces in an adjacent direction line"
+    assert english._condition_phrase(parse("(or (is Line 3))"), ctx, tictactoe) == line
+    assert english._condition_phrase(parse("(and (no Moves Next))"), ctx, tictactoe) == \
+        "the next player cannot move"
+    assert english._condition_phrase(
+        parse("(or (and (is Line 3)) (or (and (is Even (count Moves)) (no Moves Next))))"),
+        ctx, tictactoe) == \
+        f"either {line} or (the number of moves is even and the next player cannot move)"
 
 
 def test_result_phrases(tictactoe):
