@@ -3,9 +3,10 @@
 The compiler validates the tree against the ludeme registry, numbers every
 node into a ludeme table (preorder ids), builds the board graph, expands
 ``Each``/``Neutral`` piece declarations, resolves region and start-placement
-sites, decodes the play rule and each piece's rule into typed rules, and
-records the end rules by ludeme id.  Rule shapes the engine cannot run are
-rejected here, with the offset of the offending ludeme.
+sites, decodes the play rule and each piece's rule into typed rules,
+records the end rules by ludeme id, and numbers the union-find anchors of
+``(is Connected ...)``.  Rule shapes the engine cannot run are rejected
+here, with the offset of the offending ludeme.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ class IfRule:
 
 PlayRule = Union[MoveRule, ForEachPiece, IfRule]
 
+
+def _play_moves(rule: PlayRule | None):
+    """The (move ...) rules a play rule reaches without going through a piece rule."""
+    if isinstance(rule, MoveRule):
+        yield rule
+    elif isinstance(rule, IfRule):
+        yield from _play_moves(rule.then)
+        yield from _play_moves(rule.otherwise)
+
+
 # Arguments each move kind reads besides its kind symbol.
 _MOVE_ARGS = {
     "Add": {"to", "then"},
@@ -99,6 +110,34 @@ class EndRule:
     outcome: str     # Win | Loss | Draw
 
 
+@dataclass(frozen=True)
+class AnchorTable:
+    """Union-find anchors for ``(is Connected ...)``.
+
+    One anchor node per (player, region site set), numbered after the board's
+    sites; an anchor is joined to each of its player's pieces in its set.
+    """
+
+    of_player: tuple[tuple[int, ...], ...]            # indexed by player; 0 has none
+    at_site: dict[tuple[int, int], tuple[int, ...]]   # (player, site) -> anchors holding it
+    size: int                                         # board sites + anchors
+
+
+def _anchor_table(regions: list[RegionSpec], player_count: int,
+                  site_count: int) -> AnchorTable:
+    of_player: list[list[int]] = [[] for _ in range(player_count + 1)]
+    at_site: dict[tuple[int, int], tuple[int, ...]] = {}
+    node = site_count
+    for region in regions:
+        for site_set in region.site_sets:
+            of_player[region.owner].append(node)
+            for site in site_set.sites:
+                key = (region.owner, site)
+                at_site[key] = at_site.get(key, ()) + (node,)
+            node += 1
+    return AnchorTable(tuple(map(tuple, of_player)), at_site, node)
+
+
 @dataclass
 class GameSpec:
     name: str
@@ -110,6 +149,9 @@ class GameSpec:
     start_placements: list[StartPlacement]
     play: PlayRule
     end_rules: list[EndRule]
+    # Whether the play rule reaches a (move Add ...) outside a piece rule.
+    play_adds: bool
+    anchors: AnchorTable
     root: RawNode
     table: dict[int, tuple[RawNode, int | None]] = field(default_factory=dict)
     # Every decoded play and piece rule by ludeme id.
@@ -264,7 +306,10 @@ class _Compiler:
         spec = GameSpec(
             name=name, player_count=player_count, board=board, pieces=pieces,
             regions=regions, swap_meta=swap_meta, start_placements=start_placements,
-            play=play, end_rules=end_rules, root=tree, table=table, rules=self.rules,
+            play=play, end_rules=end_rules,
+            play_adds=any(rule.kind == "Add" for rule in _play_moves(play)),
+            anchors=_anchor_table(regions, player_count, board.site_count),
+            root=tree, table=table, rules=self.rules,
             distinct_rules=_distinct_rules(pieces, play, player_count, table),
         )
         self._check_start_conflicts(spec)
@@ -433,6 +478,14 @@ class _Compiler:
 
     def _check_rules(self, spec: GameSpec) -> None:
         """Check the decoded rules against the declared pieces and the board."""
+        # A play rule's Add places the mover's first piece, so every player needs one.
+        for rule in _play_moves(spec.play):
+            if rule.kind != "Add":
+                continue
+            for player in range(1, spec.player_count + 1):
+                if not spec.pieces_of(player):
+                    raise BadArgumentKind(f"(move Add ...) places the mover's piece, but "
+                                          f"P{player} owns no piece", spec.node(rule.id).span)
         for rule in spec.rules.values():
             if isinstance(rule, MoveRule) and rule.kind == "Shoot" \
                     and spec.piece_named(rule.projectile) is None:

@@ -1,15 +1,21 @@
 """Tree-walking interpreter for compiled game specs.
 
 Generates legal moves from the compiled play rules, applies them, evaluates
-end conditions, and runs seeded random playouts.  All randomness comes from
-a fixed xorshift64* generator so traces replay identically on any platform.
+end conditions, and runs seeded random playouts.  A playout counts the
+mover's legal moves, draws one index with ``randrange(count)`` and builds
+only the move at that index of the legal list.  An Add rule's moves are its
+target sites, read from an empty-site list that ``apply_move`` keeps up to
+date, so only piece rules build the full list.  ``(is Connected ...)`` asks
+an incremental union-find first and searches for the winning path only once
+that reports a connection.  All randomness comes from a fixed xorshift64*
+generator so traces replay identically on any platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import ForEachPiece, GameSpec, MoveRule, PlayRule
+from .compiler import ForEachPiece, GameSpec, IfRule, MoveRule, PlayRule
 from .sexpr import Call
 
 
@@ -88,7 +94,11 @@ class GameState:
     scores: tuple[int, ...]
     terminal: EndMatch | None = None
     last_move: Move | None = None
+    # Caches of what ``contents`` implies, built lazily; apply_move carries the
+    # empty sites (ascending) and the union-find parents (see _union_find) forward.
     _legal: "list[Move] | None" = field(default=None, repr=False, compare=False)
+    _empty: "list[int] | None" = field(default=None, repr=False, compare=False)
+    _uf: "list[int] | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,38 @@ def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     return state._legal
 
 
+def _empty_sites(state: GameState) -> list[int]:
+    """The state's empty sites, ascending."""
+    if state._empty is None:
+        state._empty = [i for i, c in enumerate(state.contents) if c is None]
+    return state._empty
+
+
+def _add_sites(state: GameState, rule: MoveRule) -> list[int] | tuple[int, ...]:
+    """An Add rule's target sites, in the order of its legal moves."""
+    if rule.to is None:
+        return ()
+    if rule.to.kind == ("Empty",):
+        return _empty_sites(state)
+    return rule.to.sites
+
+
+def _add_rule(spec: GameSpec, state: GameState) -> MoveRule | None:
+    """The Add rule the play rule resolves to in ``state``, if it resolves to one."""
+    if not spec.play_adds:
+        return None
+    rule = spec.play
+    while isinstance(rule, IfRule):
+        rule = rule.then if eval_condition(spec, state, rule.cond, state.mover) else rule.otherwise
+    return rule if isinstance(rule, MoveRule) and rule.kind == "Add" else None
+
+
+def _count_moves(spec: GameSpec, state: GameState) -> int:
+    """``len(legal_moves(spec, state))``, without building an Add rule's moves."""
+    rule = _add_rule(spec, state)
+    return len(legal_moves(spec, state)) if rule is None else len(_add_sites(state, rule))
+
+
 def _generate(spec: GameSpec, state: GameState, rule: PlayRule) -> list[Move]:
     if isinstance(rule, MoveRule):
         return _generate_move(spec, state, rule, None)
@@ -152,14 +194,8 @@ def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> lis
 
     moves: list[Move] = []
     if rule.kind == "Add":
-        if rule.to is None:
-            targets: list[int] | tuple[int, ...] = []
-        elif rule.to.kind == ("Empty",):
-            targets = [i for i, c in enumerate(state.contents) if c is None]
-        else:
-            targets = rule.to.sites
         piece = _mover_piece(spec, mover)
-        for site in targets:
+        for site in _add_sites(state, rule):
             moves.append(Move(mover, piece, origin, add, site, site))
     elif rule.kind == "Step":
         piece, site = ctx
@@ -206,16 +242,29 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
         raise IllegalMove(f"move not legal in this state: {move}")
     contents = list(state.contents)
     kinds = move.action_types
+    # A Move or an overwriting Add drops the union-find, and a Move the empty
+    # sites; each is rebuilt from contents if it is asked for again.
+    empty = uf = None
     if "Add" in kinds:
         piece = spec.piece_named(move.piece)
-        contents[move.to_site] = (piece.name, piece.owner)
+        site = move.to_site
+        if contents[site] is not None:
+            empty = state._empty
+        else:
+            if state._empty is not None:
+                empty = state._empty.copy()
+                empty.remove(site)
+            if state._uf is not None:
+                uf = state._uf.copy()
+                _join(spec, uf, contents, site, piece.owner)
+        contents[site] = (piece.name, piece.owner)
     elif "Move" in kinds:  # a capture's Remove is the overwrite of to_site
         contents[move.to_site] = contents[move.from_site]
         contents[move.from_site] = None
     mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
     new_state = GameState(contents=contents, mover=mover,
                           move_count=state.move_count + 1,
-                          scores=state.scores, last_move=move)
+                          scores=state.scores, last_move=move, _empty=empty, _uf=uf)
     new_state.terminal = check_end(spec, new_state, move)
     return new_state
 
@@ -241,7 +290,7 @@ def _eval(spec: GameSpec, state: GameState, cond: Call,
         raise UnsupportedCondition(f"unsupported condition (is {mode} ...)")
     if head == "no":
         # (no Moves Next): the player due to move next has no legal moves.
-        return len(legal_moves(spec, state)) == 0, None
+        return _count_moves(spec, state) == 0, None
     if head == "or":
         for sub in cond.args:
             ok, sites = _eval(spec, state, sub, mover)
@@ -292,16 +341,63 @@ def _eval_line(spec: GameSpec, state: GameState,
     return False, None
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
+
+
+def _join(spec: GameSpec, parent: list[int], contents: list, site: int, owner: int) -> None:
+    """Join ``owner``'s piece on ``site`` to the owner's adjacent pieces and anchors."""
+    for n in spec.board.adjacent[site]:
+        c = contents[n]
+        if c is not None and c[1] == owner:
+            _union(parent, site, n)
+    for anchor in spec.anchors.at_site.get((owner, site), ()):
+        _union(parent, site, anchor)
+
+
+def _union_find(spec: GameSpec, state: GameState) -> list[int]:
+    """Union-find parents over the sites and the anchors of ``spec.anchors``."""
+    if state._uf is None:
+        parent = list(range(spec.anchors.size))
+        for site, c in enumerate(state.contents):
+            if c is not None:
+                _join(spec, parent, state.contents, site, c[1])
+        state._uf = parent
+    return state._uf
+
+
+def _uf_connected(spec: GameSpec, state: GameState, player: int) -> bool:
+    """Whether ``player``'s pieces join the anchors of all the player's region site sets.
+
+    False means ``player`` is not connected.  With two site sets True means
+    connected; with more, two groups can join the anchors between them
+    without one group touching every set, so the search decides.
+    """
+    anchors = spec.anchors.of_player[player]
+    if len(anchors) < 2:
+        return False
+    parent = _union_find(spec, state)
+    root = _find(parent, anchors[0])
+    return all(_find(parent, a) == root for a in anchors[1:])
+
+
 def _eval_connected(spec: GameSpec, state: GameState,
                     mover: int) -> tuple[bool, tuple[int, ...] | None]:
-    site_sets = [set(ss.sites) for r in spec.regions_of(mover) for ss in r.site_sets]
-    if len(site_sets) < 2:
+    if not _uf_connected(spec, state, mover):
         return False, None
+    site_sets = [set(ss.sites) for r in spec.regions_of(mover) for ss in r.site_sets]
     occupied = {i for i, c in enumerate(state.contents)
                 if c is not None and c[1] == mover}
     seeds = sorted(site_sets[0] & occupied)
-    if not seeds:
-        return False, None
     # BFS over the mover's pieces from the first region set.
     parent: dict[int, int | None] = {s: None for s in seeds}
     frontier = list(seeds)
@@ -343,7 +439,7 @@ def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
         else:
             players = (subject,)
         return EndMatch(rule.end_id, players, rule.outcome, sites)
-    if not legal_moves(spec, state):
+    if not _count_moves(spec, state):
         return EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
     return None
 
@@ -352,6 +448,10 @@ def random_playout(spec: GameSpec, seed: int, *,
                    move_cap: int = PLAYOUT_MOVE_CAP) -> PlayoutTrace:
     """Uniform random playout; identical seed yields an identical trace.
 
+    Each ply draws ``randrange(count)`` over the mover's legal moves and
+    plays the move at that index of ``legal_moves``; an Add rule's move is
+    built from its target site without building the others.
+
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
     """
@@ -359,16 +459,29 @@ def random_playout(spec: GameSpec, seed: int, *,
     state = initial_state(spec)
     moves: list[Move] = []
     while state.terminal is None:
-        legal = legal_moves(spec, state)
-        if not legal:  # degenerate spec with no opening move
+        rule = _add_rule(spec, state)
+        if rule is None:
+            legal = legal_moves(spec, state)
+            count = len(legal)
+        else:
+            targets = _add_sites(state, rule)
+            count = len(targets)
+        if not count:  # degenerate spec with no opening move
             state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)),
                                       "Draw", None)
             break
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
-        move = legal[rng.randrange(len(legal))]
+        pick = rng.randrange(count)
+        if rule is None:
+            move = legal[pick]
+        else:
+            site, mover = targets[pick], state.mover
+            kinds = ("Add", "SetMoverAgain") if rule.again else ("Add",)
+            move = Move(mover, _mover_piece(spec, mover), rule.id, kinds, site, site)
         state = apply_move(state, move, spec, validate=False)
         moves.append(move)
+    state._empty = state._uf = None  # traces are kept; their final states need no caches
     return PlayoutTrace(seed, tuple(moves), state.terminal, state)
 
 

@@ -170,6 +170,8 @@ UNRUNNABLE = {
     "board-without-rows": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))")
         .replace("(square 3)", "(square 0)"), "(square 0)"),
+    "add-for-player-without-piece": (
+        _game('(piece "Disc" P1)', "(move Add (to (sites Empty)))"), "(move Add"),
 }
 
 

@@ -1,0 +1,102 @@
+"""Count-and-pick playouts against the full-list reference in reference_playout.py."""
+
+import pytest
+
+import oracles
+import reference_playout
+from conftest import load_spec
+from gamescribe import engine
+from gamescribe.compiler import compile_game
+from gamescribe.engine import apply_move, initial_state, random_playout, trace_to_dict
+from gamescribe.sexpr import parse
+
+# An Add onto a fixed site set, which overwrites occupied sites.
+CROWN = ('(game "Crown" (players 2) (equipment {(board (square 3)) (piece "Disc" Each) '
+         '(regions P1 {(sites Side W) (sites Side E)}) '
+         '(regions P2 {(sites Side W) (sites Side E)})}) '
+         '(rules (play (move Add (to (sites Side N)))) '
+         '(end (if (is Connected Mover) (result Mover Win)))))')
+
+# P1 adds to empty sites, P2 steps and captures, so Adds follow Moves.
+HYBRID = ('(game "Hybrid" (players 2) (equipment {(board (square 4)) '
+          '(piece "Disc" Each (move Step (directions Adjacent))) '
+          '(regions P1 {(sites Side S) (sites Side N)}) '
+          '(regions P2 {(sites Side W) (sites Side E)})}) '
+          '(rules (start {(place "Disc1" {"A1"}) (place "Disc2" {"D4"})}) '
+          '(play (if (is Even (count Moves)) (move Add (to (sites Empty))) (forEach Piece))) '
+          '(end (if (or (is Connected Mover) (no Moves Next)) (result Mover Win)))))')
+
+
+def _spec(name):
+    if name in ("Crown", "Hybrid"):
+        return compile_game(parse(CROWN if name == "Crown" else HYBRID))
+    return load_spec(name)
+
+
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe",
+                                  "Crown", "Hybrid"])
+def test_playouts_match_full_list_reference(name):
+    spec = _spec(name)
+    for seed in range(200):
+        got = trace_to_dict(random_playout(spec, seed), spec)
+        want = trace_to_dict(reference_playout.random_playout(spec, seed), spec)
+        assert got == want, f"{name} seed {seed}"
+
+
+def _walk(spec, seed, monkeypatch):
+    """(state before, state after, caches carried in) for each move of a playout.
+
+    The carried flags say whether apply_move handed the new state its empty
+    sites and union-find, before check_end could build them from contents.
+    """
+    trace = random_playout(spec, seed)
+    carried = []
+    check_end = engine.check_end
+
+    def spy(spec, state, move):
+        carried.append((state._empty is not None, state._uf is not None))
+        return check_end(spec, state, move)
+
+    monkeypatch.setattr(engine, "check_end", spy)
+    before = initial_state(spec)
+    for move in trace.moves:
+        after = apply_move(before, move, spec, validate=False)
+        yield before, after, carried[-1]
+        before = after
+    monkeypatch.undo()
+
+
+def test_hex_incremental_state_matches_contents(hexgame, monkeypatch):
+    size = hexgame.board.rows
+    sides = {1: (set(hexgame.board.sides["NE"]), set(hexgame.board.sides["SW"])),
+             2: (set(hexgame.board.sides["NW"]), set(hexgame.board.sides["SE"]))}
+    for seed in range(20):
+        for ply, (_, state, carried) in enumerate(_walk(hexgame, seed, monkeypatch)):
+            # From the second move on, apply_move updates both instead of dropping them.
+            assert carried == (True, True) or ply == 0
+            assert engine._empty_sites(state) == [i for i, c in enumerate(state.contents)
+                                                  if c is None]
+            for player in (1, 2):
+                occupied = {i for i, c in enumerate(state.contents)
+                            if c is not None and c[1] == player}
+                assert engine._uf_connected(hexgame, state, player) == \
+                    oracles.hex_sides_connected(size, occupied, *sides[player])
+
+
+@pytest.mark.parametrize("name", ["Crown", "Hybrid"])
+def test_overwrites_and_steps_keep_state_in_step(name, monkeypatch):
+    spec = _spec(name)
+    shapes = set()  # (first action type, whether the target was occupied)
+    for seed in range(20):
+        for before, state, _ in _walk(spec, seed, monkeypatch):
+            move = state.last_move
+            shapes.add((move.action_types[0], before.contents[move.to_site] is not None))
+            assert engine._empty_sites(state) == [i for i, c in enumerate(state.contents)
+                                                  if c is None]
+            for player in (1, 2):
+                want = reference_playout.eval_connected(spec, state.contents, player)[0]
+                assert engine._uf_connected(spec, state, player) == want
+    if name == "Crown":
+        assert ("Add", True) in shapes
+    else:
+        assert {("Add", False), ("Move", False), ("Remove", True)} <= shapes
