@@ -149,8 +149,6 @@ class GameSpec:
     start_placements: list[StartPlacement]
     play: PlayRule
     end_rules: list[EndRule]
-    # Whether the play rule reaches a (move Add ...) outside a piece rule.
-    play_adds: bool
     anchors: AnchorTable
     root: RawNode
     table: dict[int, tuple[RawNode, int | None]] = field(default_factory=dict)
@@ -307,7 +305,6 @@ class _Compiler:
             name=name, player_count=player_count, board=board, pieces=pieces,
             regions=regions, swap_meta=swap_meta, start_placements=start_placements,
             play=play, end_rules=end_rules,
-            play_adds=any(rule.kind == "Add" for rule in _play_moves(play)),
             anchors=_anchor_table(regions, player_count, board.site_count),
             root=tree, table=table, rules=self.rules,
             distinct_rules=_distinct_rules(pieces, play, player_count, table),
@@ -370,7 +367,7 @@ class _Compiler:
         if head == "forEach":
             rule: PlayRule = ForEachPiece(lid)
         elif head == "if":
-            self._check_condition(node.args[0])
+            self._check_condition(node.args[0], play=True)
             then = self._compile_rule(node.args[1], board)
             otherwise = self._compile_rule(node.args[2], board) if len(node.args) > 2 else None
             rule = IfRule(lid, node.args[0], then, otherwise)
@@ -401,13 +398,16 @@ class _Compiler:
         projectile = args["piece"].args[0].value if "piece" in args else None
         return MoveRule(lid, kind, directions, to, projectile, "then" in args)
 
-    def _check_condition(self, cond: Call) -> None:
+    def _check_condition(self, cond: Call, *, play: bool = False) -> None:
         # The engine and translator read conditions as parsed; check the
         # arguments they read by position.
         head = cond.head.name
         if head in ("or", "and"):
             for sub in cond.args:
-                self._check_condition(sub)
+                self._check_condition(sub, play=play)
+        elif head == "no" and play:
+            raise BadArgumentKind("(no Moves ...) cannot decide a play rule: it asks for "
+                                  "the moves that the rule decides", cond.span)
         elif head == "is":
             mode, rest = cond.args[0].name, cond.args[1:]
             if mode == "Line" and not (rest and isinstance(rest[0], Number)):

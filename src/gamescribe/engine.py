@@ -1,14 +1,16 @@
 """Tree-walking interpreter for compiled game specs.
 
 Generates legal moves from the compiled play rules, applies them, evaluates
-end conditions, and runs seeded random playouts.  A playout counts the
-mover's legal moves, draws one index with ``randrange(count)`` and builds
-only the move at that index of the legal list.  An Add rule's moves are its
-target sites, read from an empty-site list that ``apply_move`` keeps up to
-date, so only piece rules build the full list.  ``(is Connected ...)`` asks
-an incremental union-find first and searches for the winning path only once
-that reports a connection.  All randomness comes from a fixed xorshift64*
-generator so traces replay identically on any platform.
+end conditions, and runs seeded random playouts.  Each state resolves its
+play rule once into target sites: an Add rule's come from an empty-site
+list that ``apply_move`` keeps up to date, and each piece's Step, Slide or
+Shoot targets from the board's rays.  A playout counts the targets, draws
+one index with ``randrange(count)`` and builds only the move at that index
+of the legal list; ``legal_moves`` builds them all from the same targets,
+in the same order.  ``(is Connected ...)`` asks an incremental union-find
+first and searches for the winning path only once that reports a
+connection.  All randomness comes from a fixed xorshift64* generator so
+traces replay identically on any platform.
 """
 
 from __future__ import annotations
@@ -96,7 +98,11 @@ class GameState:
     last_move: Move | None = None
     # Caches of what ``contents`` implies, built lazily; apply_move carries the
     # empty sites (ascending) and the union-find parents (see _union_find) forward.
+    # _leaf, _targets and _total are the resolved play rule (see _resolve).
     _legal: "list[Move] | None" = field(default=None, repr=False, compare=False)
+    _leaf: "PlayRule | None" = field(default=None, repr=False, compare=False)
+    _targets: "list | tuple | None" = field(default=None, repr=False, compare=False)
+    _total: int = field(default=0, repr=False, compare=False)
     _empty: "list[int] | None" = field(default=None, repr=False, compare=False)
     _uf: "list[int] | None" = field(default=None, repr=False, compare=False)
 
@@ -131,7 +137,12 @@ def _mover_piece(spec: GameSpec, mover: int) -> str | None:
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     """All legal moves for the state's mover, in deterministic order."""
     if state._legal is None:
-        state._legal = _generate(spec, state, spec.play)
+        total = _resolve(spec, state)
+        if isinstance(state._leaf, ForEachPiece):
+            state._legal = [_move(spec, state, rule, piece, site, target)
+                            for rule, piece, site, sites in state._targets for target in sites]
+        else:
+            state._legal = [_pick(spec, state, k) for k in range(total)]
     return state._legal
 
 
@@ -142,95 +153,103 @@ def _empty_sites(state: GameState) -> list[int]:
     return state._empty
 
 
-def _add_sites(state: GameState, rule: MoveRule) -> list[int] | tuple[int, ...]:
-    """An Add rule's target sites, in the order of its legal moves."""
-    if rule.to is None:
-        return ()
-    if rule.to.kind == ("Empty",):
-        return _empty_sites(state)
-    return rule.to.sites
-
-
-def _add_rule(spec: GameSpec, state: GameState) -> MoveRule | None:
-    """The Add rule the play rule resolves to in ``state``, if it resolves to one."""
-    if not spec.play_adds:
-        return None
-    rule = spec.play
-    while isinstance(rule, IfRule):
-        rule = rule.then if eval_condition(spec, state, rule.cond, state.mover) else rule.otherwise
-    return rule if isinstance(rule, MoveRule) and rule.kind == "Add" else None
-
-
-def _count_moves(spec: GameSpec, state: GameState) -> int:
-    """``len(legal_moves(spec, state))``, without building an Add rule's moves."""
-    rule = _add_rule(spec, state)
-    return len(legal_moves(spec, state)) if rule is None else len(_add_sites(state, rule))
-
-
-def _generate(spec: GameSpec, state: GameState, rule: PlayRule) -> list[Move]:
-    if isinstance(rule, MoveRule):
-        return _generate_move(spec, state, rule, None)
-    if isinstance(rule, ForEachPiece):
-        moves: list[Move] = []
-        for site, content in enumerate(state.contents):
-            if content is None or content[1] != state.mover:
-                continue
-            piece = spec.piece_named(content[0])
-            if piece is None or piece.rule is None:
-                continue
-            moves.extend(_generate_move(spec, state, piece.rule, (content[0], site)))
-        return moves
-    branch = rule.then if eval_condition(spec, state, rule.cond, state.mover) else rule.otherwise
-    return _generate(spec, state, branch) if branch is not None else []
-
-
-def _generate_move(spec: GameSpec, state: GameState, rule: MoveRule, ctx) -> list[Move]:
-    """Moves of one (move ...) rule; ``ctx`` is the (piece, site) a piece rule moves."""
-    origin = rule.id
-    mover = state.mover
-    board = spec.board
-    tail = ("SetMoverAgain",) if rule.again else ()
-    add, shift, capture = ("Add",) + tail, ("Move",) + tail, ("Remove", "Move") + tail
-
-    moves: list[Move] = []
+def _rule_targets(spec: GameSpec, state: GameState, rule: MoveRule,
+                  site: int | None) -> list[int] | tuple[int, ...]:
+    """Target sites of ``rule`` moving the piece on ``site``, in legal-move order."""
     if rule.kind == "Add":
-        piece = _mover_piece(spec, mover)
-        for site in _add_sites(state, rule):
-            moves.append(Move(mover, piece, origin, add, site, site))
-    elif rule.kind == "Step":
-        piece, site = ctx
-        for name in rule.directions:
-            for vec in board.direction_vectors(name, mover):
-                target = board.offset(site, vec)
-                if target is None:
-                    continue
-                occupant = state.contents[target]
-                if occupant is None:
-                    kinds = shift
-                elif occupant[1] not in (mover, 0):
-                    kinds = capture
-                else:
-                    continue
-                moves.append(Move(mover, piece, origin, kinds, site, target))
-    elif rule.kind == "Slide":
-        piece, site = ctx
-        for name in rule.directions:
-            for vec in board.direction_vectors(name, mover):
-                for target in board.ray(site, vec):
-                    if state.contents[target] is not None:
-                        break
-                    moves.append(Move(mover, piece, origin, shift, site, target))
-    else:  # Shoot: from where the last move landed, along every ray
+        if rule.to is None:
+            return ()
+        return _empty_sites(state) if rule.to.kind == ("Empty",) else rule.to.sites
+    board, contents, mover = spec.board, state.contents, state.mover
+    targets = []
+    if rule.kind == "Shoot":  # from where the last move landed, along every ray
         last = state.last_move
         if last is None or last.to_site is None:
-            return []
-        for ray in board.rays[last.to_site]:
-            for target in ray:
-                if state.contents[target] is not None:
-                    break
-                moves.append(Move(mover, rule.projectile, origin, add,
-                                  last.to_site, target))
-    return moves
+            return targets
+        rays = board.rays[last.to_site]
+    elif rule.kind == "Slide":
+        vectors = board.player_directions[mover]
+        rays = [board.ray(site, vec) for name in rule.directions for vec in vectors[name]]
+    else:  # Step: onto an empty site or an enemy piece that is not neutral
+        vectors = board.player_directions[mover]
+        for name in rule.directions:
+            for vec in vectors[name]:
+                ray = board.ray(site, vec)
+                if ray:
+                    occupant = contents[ray[0]]
+                    if occupant is None or occupant[1] not in (mover, 0):
+                        targets.append(ray[0])
+        return targets
+    for ray in rays:
+        for target in ray:
+            if contents[target] is not None:
+                break
+            targets.append(target)
+    return targets
+
+
+def _resolve(spec: GameSpec, state: GameState) -> int:
+    """Cache the state's leaf rule and its targets on the state; return their count.
+
+    The leaf is the (move ...) or (forEach Piece) rule that the play rule
+    reaches through its ``if`` branches, or None.  A (move ...) leaf's
+    targets are its target sites; a (forEach Piece) leaf's are one
+    (rule, piece, site, target sites) group per mover's piece with a target,
+    in site order.
+    """
+    if state._targets is None:
+        mover = state.mover
+        rule = spec.play
+        while isinstance(rule, IfRule):
+            rule = rule.then if eval_condition(spec, state, rule.cond, mover) else rule.otherwise
+        if isinstance(rule, ForEachPiece):
+            targets, total = [], 0
+            for site, content in enumerate(state.contents):
+                if content is None or content[1] != mover:
+                    continue
+                piece = spec.piece_named(content[0])
+                if piece is None or piece.rule is None:
+                    continue
+                sites = _rule_targets(spec, state, piece.rule, site)
+                if sites:
+                    targets.append((piece.rule, content[0], site, sites))
+                    total += len(sites)
+        else:
+            targets = _rule_targets(spec, state, rule, None) if rule is not None else ()
+            total = len(targets)
+        state._leaf, state._targets, state._total = rule, targets, total
+    return state._total
+
+
+def _move(spec: GameSpec, state: GameState, rule: MoveRule, piece: str | None,
+          site: int | None, target: int) -> Move:
+    """``rule``'s move of ``piece`` from ``site`` onto ``target``.
+
+    An Add places the mover's first piece on ``target`` and a Shoot its
+    projectile from where the last move landed; a Step onto a piece captures it.
+    """
+    if rule.kind == "Add":
+        piece, site, kinds = _mover_piece(spec, state.mover), target, ("Add",)
+    elif rule.kind == "Shoot":
+        piece, site, kinds = rule.projectile, state.last_move.to_site, ("Add",)
+    elif state.contents[target] is None:
+        kinds = ("Move",)
+    else:
+        kinds = ("Remove", "Move")
+    if rule.again:
+        kinds += ("SetMoverAgain",)
+    return Move(state.mover, piece, rule.id, kinds, site, target)
+
+
+def _pick(spec: GameSpec, state: GameState, k: int) -> Move:
+    """The ``k``-th legal move of a resolved state, built without the others."""
+    targets = state._targets
+    if isinstance(state._leaf, MoveRule):
+        return _move(spec, state, state._leaf, None, None, targets[k])
+    for rule, piece, site, sites in targets:
+        if k < len(sites):
+            return _move(spec, state, rule, piece, site, sites[k])
+        k -= len(sites)
 
 
 def apply_move(state: GameState, move: Move, spec: GameSpec, *,
@@ -290,7 +309,7 @@ def _eval(spec: GameSpec, state: GameState, cond: Call,
         raise UnsupportedCondition(f"unsupported condition (is {mode} ...)")
     if head == "no":
         # (no Moves Next): the player due to move next has no legal moves.
-        return _count_moves(spec, state) == 0, None
+        return _resolve(spec, state) == 0, None
     if head == "or":
         for sub in cond.args:
             ok, sites = _eval(spec, state, sub, mover)
@@ -439,7 +458,7 @@ def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
         else:
             players = (subject,)
         return EndMatch(rule.end_id, players, rule.outcome, sites)
-    if not _count_moves(spec, state):
+    if not _resolve(spec, state):
         return EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
     return None
 
@@ -449,8 +468,8 @@ def random_playout(spec: GameSpec, seed: int, *,
     """Uniform random playout; identical seed yields an identical trace.
 
     Each ply draws ``randrange(count)`` over the mover's legal moves and
-    plays the move at that index of ``legal_moves``; an Add rule's move is
-    built from its target site without building the others.
+    plays the move at that index of ``legal_moves``, built from the state's
+    target sites (see _resolve) without building the others.
 
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
@@ -459,29 +478,18 @@ def random_playout(spec: GameSpec, seed: int, *,
     state = initial_state(spec)
     moves: list[Move] = []
     while state.terminal is None:
-        rule = _add_rule(spec, state)
-        if rule is None:
-            legal = legal_moves(spec, state)
-            count = len(legal)
-        else:
-            targets = _add_sites(state, rule)
-            count = len(targets)
+        count = _resolve(spec, state)
         if not count:  # degenerate spec with no opening move
             state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)),
                                       "Draw", None)
             break
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
-        pick = rng.randrange(count)
-        if rule is None:
-            move = legal[pick]
-        else:
-            site, mover = targets[pick], state.mover
-            kinds = ("Add", "SetMoverAgain") if rule.again else ("Add",)
-            move = Move(mover, _mover_piece(spec, mover), rule.id, kinds, site, site)
+        move = _pick(spec, state, rng.randrange(count))
         state = apply_move(state, move, spec, validate=False)
         moves.append(move)
-    state._empty = state._uf = None  # traces are kept; their final states need no caches
+    # Traces are kept; their final states need no caches.
+    state._empty = state._uf = state._targets = None
     return PlayoutTrace(seed, tuple(moves), state.terminal, state)
 
 

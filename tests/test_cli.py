@@ -172,6 +172,12 @@ UNRUNNABLE = {
         .replace("(square 3)", "(square 0)"), "(square 0)"),
     "add-for-player-without-piece": (
         _game('(piece "Disc" P1)', "(move Add (to (sites Empty)))"), "(move Add"),
+    "no-moves-decides-play": (
+        _game('(piece "Disc" Each)', "(if (no Moves Next) (move Add (to (sites Empty))) "
+              "(move Add (to (sites Empty))))"), "(no Moves Next)"),
+    "no-moves-under-or-decides-play": (
+        _game('(piece "Disc" Each)', "(if (or (is Even (count Moves)) (and (no Moves Next))) "
+              "(move Add (to (sites Empty))))"), "(no Moves Next)"),
 }
 
 

@@ -26,15 +26,30 @@ HYBRID = ('(game "Hybrid" (players 2) (equipment {(board (square 4)) '
           '(play (if (is Even (count Moves)) (move Add (to (sites Empty))) (forEach Piece))) '
           '(end (if (or (is Connected Mover) (no Moves Next)) (result Mover Win)))))')
 
+# Pawns step forward and capture, but not onto the neutral dots; rooks slide
+# orthogonally until they meet any piece.
+BLOCKED = ('(game "Blocked" (players 2) (equipment {(board (square 5)) '
+           '(piece "Pawn" Each (move Step (directions {Forward FL FR}))) '
+           '(piece "Rook" Each (move Slide (directions Orthogonal))) '
+           '(piece "Dot" Neutral) '
+           '(regions P1 (sites Side N)) (regions P2 (sites Side S))}) '
+           '(rules (start {(place "Pawn1" {"A1" "B1" "D1" "E1"}) (place "Rook1" {"C1"}) '
+           '(place "Pawn2" {"A5" "B5" "D5" "E5"}) (place "Rook2" {"C5"}) '
+           '(place "Dot0" {"B3" "C3" "D3"})}) '
+           '(play (forEach Piece)) '
+           '(end (if (is In Mover) (result Mover Win)))))')
+
+SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED}
+
 
 def _spec(name):
-    if name in ("Crown", "Hybrid"):
-        return compile_game(parse(CROWN if name == "Crown" else HYBRID))
+    if name in SMALL_GAMES:
+        return compile_game(parse(SMALL_GAMES[name]))
     return load_spec(name)
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe",
-                                  "Crown", "Hybrid"])
+                                  "Crown", "Hybrid", "Blocked"])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
@@ -100,3 +115,35 @@ def test_overwrites_and_steps_keep_state_in_step(name, monkeypatch):
         assert ("Add", True) in shapes
     else:
         assert {("Add", False), ("Move", False), ("Remove", True)} <= shapes
+
+
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hybrid", "Blocked"])
+def test_playouts_never_build_the_legal_list(name, monkeypatch):
+    spec = _spec(name)
+    want = [trace_to_dict(random_playout(spec, seed), spec) for seed in range(5)]
+
+    def refuse(spec, state):
+        raise AssertionError("random_playout built the full legal list")
+
+    monkeypatch.setattr(engine, "legal_moves", refuse)
+    assert [trace_to_dict(random_playout(spec, seed), spec) for seed in range(5)] == want
+
+
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "Hybrid", "Blocked"])
+def test_pick_is_kth_legal_move(name):
+    spec = _spec(name)
+    for seed in range(5):
+        trace = random_playout(spec, seed)
+        rng = engine.XorShift64Star(seed)
+        state = initial_state(spec)
+        for move in trace.moves:
+            total = engine._resolve(spec, state)
+            k = rng.randrange(total)
+            # A fresh copy of the state, so its legal list is built from its contents
+            # now, not from the targets the playout cached when it reached the state.
+            legal = engine.legal_moves(spec, engine.GameState(
+                state.contents, state.mover, state.move_count, state.scores,
+                last_move=state.last_move))
+            assert total == len(legal)
+            assert move == engine._pick(spec, state, k) == legal[k]
+            state = apply_move(state, move, spec, validate=False)
