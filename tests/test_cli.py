@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -203,3 +204,28 @@ def test_cli_import_stays_light():
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _output_digests(name, tmp_path, capsys):
+    """sha256 of each file ``generate --format json`` writes, and of ``translate`` stdout."""
+    game = str(CORPUS / f"{name}.lud")
+    out = tmp_path / name
+    assert main(["generate", "--game", game, "--playouts", "100", "--seed", "0",
+                 "--out", str(out), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert main(["translate", "--game", game]) == 0
+    digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*")) if path.is_file()}
+    digests["<translate stdout>"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return digests
+
+
+OUTPUT_DIGESTS = json.loads((REPO_ROOT / "tests" / "output_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_outputs_match_recorded_digests(name, tmp_path, capsys):
+    got, want = _output_digests(name, tmp_path, capsys), OUTPUT_DIGESTS[name]
+    differing = sorted(path for path in got.keys() | want.keys()
+                       if got.get(path) != want.get(path))
+    assert not differing, f"{name}: outputs differ from the recorded digests: {differing}"
