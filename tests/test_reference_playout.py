@@ -39,7 +39,17 @@ BLOCKED = ('(game "Blocked" (players 2) (equipment {(board (square 5)) '
            '(play (forEach Piece)) '
            '(end (if (is In Mover) (result Mover Win)))))')
 
-SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED}
+# Two end rules: a line that also connects the mover's sides wins, with the
+# winning sites of both conditions; a connection without the line, checked
+# only when the first rule fails, makes the next player win.
+KNOT = ('(game "Knot" (players 2) (equipment {(board (square 4)) (piece "Disc" Each) '
+        '(regions P1 {(sites Side S) (sites Side N)}) '
+        '(regions P2 {(sites Side W) (sites Side E)})}) '
+        '(rules (play (move Add (to (sites Empty)))) '
+        '(end {(if (and (is Line 3) (is Connected Mover)) (result Mover Win)) '
+        '(if (is Connected Mover) (result Next Win))})))')
+
+SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT}
 
 
 def _spec(name):
@@ -49,7 +59,7 @@ def _spec(name):
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe",
-                                  "Crown", "Hybrid", "Blocked"])
+                                  "Crown", "Hybrid", "Blocked", "Knot"])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
