@@ -3,10 +3,12 @@
 The compiler validates the tree against the ludeme registry, numbers every
 node into a ludeme table (preorder ids), builds the board graph, expands
 ``Each``/``Neutral`` piece declarations, resolves region and start-placement
-sites, decodes the play rule and each piece's rule into typed rules,
-records the end rules by ludeme id, and numbers the union-find anchors of
-``(is Connected ...)``.  Rule shapes the engine cannot run are rejected
-here, with the offset of the offending ludeme.
+sites, decodes the play rule, each piece's rule, the end rules and their
+conditions into typed rules, and numbers the union-find anchors of
+``(is Connected ...)``.  Only this module reads a ludeme's arguments by
+position; the engine and the translator read the typed rules.  Rule shapes
+the engine cannot run, and arguments it would not read, are rejected here,
+with the offset of the offending ludeme.
 """
 
 from __future__ import annotations
@@ -26,6 +28,52 @@ from .sexpr import Call, Collection, Number, RawNode, Symbol, children, print_ca
 class SiteSet:
     kind: tuple[str, ...]      # e.g. ("Side", "NE"), or ("Empty",) for a move target
     sites: tuple[int, ...]     # empty for ("Empty",), which depends on the state
+
+
+@dataclass(frozen=True)
+class IsLine:
+    """``(is Line n)``: the last move's piece is in a line of at least ``length``."""
+
+    length: int
+
+
+@dataclass(frozen=True)
+class IsConnected:
+    """``(is Connected Mover)``: the mover's pieces join all the mover's region site sets."""
+
+
+@dataclass(frozen=True)
+class IsIn:
+    """``(is In Mover)``: the last move landed in one of the mover's regions."""
+
+    sites: tuple[frozenset[int], ...]   # indexed by player; region sites, empty for 0
+
+
+@dataclass(frozen=True)
+class IsEven:
+    """``(is Even (count Moves))``: an even number of moves has been played."""
+
+
+@dataclass(frozen=True)
+class NoMovesNext:
+    """``(no Moves Next)``: the player due to move has no legal move."""
+
+
+@dataclass(frozen=True)
+class AnyOf:
+    """``(or ...)`` of two or more conditions; the first that holds decides."""
+
+    parts: tuple["Condition", ...]
+
+
+@dataclass(frozen=True)
+class AllOf:
+    """``(and ...)`` of two or more conditions; the winning sites of all of them."""
+
+    parts: tuple["Condition", ...]
+
+
+Condition = Union[IsLine, IsConnected, IsIn, IsEven, NoMovesNext, AnyOf, AllOf]
 
 
 @dataclass(frozen=True)
@@ -50,7 +98,7 @@ class ForEachPiece:
 @dataclass(frozen=True)
 class IfRule:
     id: int
-    cond: RawNode                  # condition ludeme, evaluated as parsed
+    cond: Condition
     then: "PlayRule"
     otherwise: "PlayRule | None"
 
@@ -105,7 +153,7 @@ class StartPlacement:
 @dataclass(frozen=True)
 class EndRule:
     end_id: int      # id of the (if ...) node under (end ...)
-    cond_id: int
+    cond: Condition
     who: str         # Mover | Next | P1..P4
     outcome: str     # Win | Loss | Draw
 
@@ -145,7 +193,6 @@ class GameSpec:
     board: BoardGraph
     pieces: list[PieceSpec]
     regions: list[RegionSpec]
-    swap_meta: bool
     start_placements: list[StartPlacement]
     play: PlayRule
     end_rules: list[EndRule]
@@ -232,6 +279,10 @@ def _player_index(sym: str) -> int:
     return int(sym[1:])
 
 
+def _describe(node: RawNode) -> str:
+    return f"({node.head.name} ...)" if isinstance(node, Call) else print_canonical(node)
+
+
 def _as_items(node: RawNode) -> tuple[RawNode, ...]:
     if isinstance(node, Collection):
         return node.items
@@ -281,17 +332,18 @@ class _Compiler:
         board, piece_nodes, region_nodes = self._split_equipment(equipment_node)
         pieces = self._expand_pieces(piece_nodes, player_count, board)
         regions = [self._compile_region(node, board, player_count) for node in region_nodes]
+        # (is In Mover) reads the region sites of whoever moves.
+        self.region_sites = tuple(
+            frozenset(s for r in regions if r.owner == p for ss in r.site_sets for s in ss.sites)
+            for p in range(player_count + 1))
 
-        swap_meta = False
+        # (meta (swap)) is accepted, but neither played nor translated.
         start_placements: list[StartPlacement] = []
         play: PlayRule | None = None
         end_rules: list[EndRule] = []
         for section in rules_node.args:
             head = section.head.name
-            if head == "meta":
-                swap_meta = any(isinstance(m, Call) and m.head.name == "swap"
-                                for m in section.args)
-            elif head == "start":
+            if head == "start":
                 for place in _as_items(section.args[0]):
                     start_placements.append(self._compile_place(place, board, pieces))
             elif head == "play":
@@ -303,7 +355,7 @@ class _Compiler:
 
         spec = GameSpec(
             name=name, player_count=player_count, board=board, pieces=pieces,
-            regions=regions, swap_meta=swap_meta, start_placements=start_placements,
+            regions=regions, start_placements=start_placements,
             play=play, end_rules=end_rules,
             anchors=_anchor_table(regions, player_count, board.site_count),
             root=tree, table=table, rules=self.rules,
@@ -367,10 +419,10 @@ class _Compiler:
         if head == "forEach":
             rule: PlayRule = ForEachPiece(lid)
         elif head == "if":
-            self._check_condition(node.args[0], play=True)
+            cond = self._compile_condition(node.args[0], play=True)
             then = self._compile_rule(node.args[1], board)
             otherwise = self._compile_rule(node.args[2], board) if len(node.args) > 2 else None
-            rule = IfRule(lid, node.args[0], then, otherwise)
+            rule = IfRule(lid, cond, then, otherwise)
         else:
             rule = self._compile_move(node, lid, board, piece_rule)
         self.rules[lid] = rule
@@ -385,8 +437,7 @@ class _Compiler:
         args: dict[str, Call] = {}
         for arg in node.args[1:]:
             if not (isinstance(arg, Call) and arg.head.name in _MOVE_ARGS[kind]):
-                what = f"({arg.head.name} ...)" if isinstance(arg, Call) else print_canonical(arg)
-                raise BadArgumentKind(f"(move {kind} ...) cannot use {what}", arg.span)
+                raise BadArgumentKind(f"(move {kind} ...) cannot use {_describe(arg)}", arg.span)
             args.setdefault(arg.head.name, arg)
         directions: tuple[str, ...] = ()
         if kind in ("Step", "Slide"):
@@ -398,23 +449,38 @@ class _Compiler:
         projectile = args["piece"].args[0].value if "piece" in args else None
         return MoveRule(lid, kind, directions, to, projectile, "then" in args)
 
-    def _check_condition(self, cond: Call, *, play: bool = False) -> None:
-        # The engine and translator read conditions as parsed; check the
-        # arguments they read by position.
+    def _compile_condition(self, cond: Call, *, play: bool = False) -> Condition:
+        """Decode a condition ludeme; ``play`` when it decides a play rule."""
+        # The registry guarantees the head, the (is ...) mode and (no Moves Next).
         head = cond.head.name
         if head in ("or", "and"):
-            for sub in cond.args:
-                self._check_condition(sub, play=play)
-        elif head == "no" and play:
-            raise BadArgumentKind("(no Moves ...) cannot decide a play rule: it asks for "
-                                  "the moves that the rule decides", cond.span)
-        elif head == "is":
-            mode, rest = cond.args[0].name, cond.args[1:]
-            if mode == "Line" and not (rest and isinstance(rest[0], Number)):
+            parts = tuple(self._compile_condition(sub, play=play) for sub in cond.args)
+            if len(parts) == 1:
+                return parts[0]
+            return AnyOf(parts) if head == "or" else AllOf(parts)
+        if head == "no":
+            if play:
+                raise BadArgumentKind("(no Moves ...) cannot decide a play rule: it asks for "
+                                      "the moves that the rule decides", cond.span)
+            return NoMovesNext()
+        mode, rest = cond.args[0].name, cond.args[1:]
+        first = rest[0] if rest else None
+        read = 1  # Line's length, Even's (count Moves), or the role Mover
+        if mode == "Line":
+            if not isinstance(first, Number):
                 raise BadArgumentKind("(is Line ...) needs a line length", cond.span)
-            if mode == "Even" and not (rest and isinstance(rest[0], Call)
-                                       and rest[0].head.name == "count"):
+            compiled: Condition = IsLine(first.value)
+        elif mode == "Even":
+            if not (isinstance(first, Call) and first.head.name == "count"):
                 raise BadArgumentKind("(is Even ...) needs (count Moves)", cond.span)
+            compiled = IsEven()
+        else:  # Connected | In test the mover, whose role may be left out
+            read = int(isinstance(first, Symbol) and first.name == "Mover")
+            compiled = IsConnected() if mode == "Connected" else IsIn(self.region_sites)
+        if len(rest) > read:
+            raise BadArgumentKind(f"(is {mode} ...) cannot use {_describe(rest[read])}",
+                                  rest[read].span)
+        return compiled
 
     def _compile_region(self, node: Call, board: BoardGraph, player_count: int) -> RegionSpec:
         owner = _player_index(node.args[0].name)
@@ -459,10 +525,9 @@ class _Compiler:
         cond, result = rule.args[0], rule.args[1]
         if not (isinstance(result, Call) and result.head.name == "result"):
             raise BadArgumentKind("end rule branch must be a (result ...) ludeme", result.span)
-        self._check_condition(cond)
         return EndRule(
             end_id=self.ids[id(rule)],
-            cond_id=self.ids[id(cond)],
+            cond=self._compile_condition(cond),
             who=result.args[0].name,
             outcome=result.args[1].name,
         )

@@ -1,24 +1,25 @@
-"""Tree-walking interpreter for compiled game specs.
+"""Interpreter for compiled game specs.
 
 Generates legal moves from the compiled play rules, applies them, evaluates
-end conditions, and runs seeded random playouts.  Each state resolves its
-play rule once into target sites: an Add rule's come from an empty-site
-list that ``apply_move`` keeps up to date, and each piece's Step, Slide or
-Shoot targets from the board's rays.  A playout counts the targets, draws
-one index with ``randrange(count)`` and builds only the move at that index
-of the legal list; ``legal_moves`` builds them all from the same targets,
-in the same order.  ``(is Connected ...)`` asks an incremental union-find
-first and searches for the winning path only once that reports a
-connection.  All randomness comes from a fixed xorshift64* generator so
-traces replay identically on any platform.
+the compiled end rules and conditions by their type, and runs seeded random
+playouts.  Each state resolves its play rule once into target sites: an Add
+rule's come from an empty-site list that ``apply_move`` keeps up to date,
+and each piece's Step, Slide or Shoot targets from the board's rays.  A
+playout counts the targets, draws one index with ``randrange(count)`` and
+builds only the move at that index of the legal list; ``legal_moves``
+builds them all from the same targets, in the same order.
+``(is Connected ...)`` asks an incremental union-find first and searches
+for the winning path only once that reports a connection.  All randomness
+comes from a fixed xorshift64* generator so traces replay identically on
+any platform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import ForEachPiece, GameSpec, IfRule, MoveRule, PlayRule
-from .sexpr import Call
+from .compiler import (AnyOf, Condition, ForEachPiece, GameSpec, IfRule, IsConnected, IsEven,
+                       IsIn, IsLine, MoveRule, NoMovesNext, PlayRule)
 
 
 class EngineError(Exception):
@@ -26,10 +27,6 @@ class EngineError(Exception):
 
 
 class IllegalMove(EngineError):
-    pass
-
-
-class UnsupportedCondition(EngineError):
     pass
 
 
@@ -93,7 +90,6 @@ class GameState:
     contents: list  # per-site (piece name, owner) or None
     mover: int
     move_count: int
-    scores: tuple[int, ...]
     terminal: EndMatch | None = None
     last_move: Move | None = None
     # Caches of what ``contents`` implies, built lazily; apply_move carries the
@@ -121,8 +117,7 @@ def initial_state(spec: GameSpec) -> GameState:
         piece = spec.piece_named(placement.piece_name)
         for site in placement.sites:
             contents[site] = (piece.name, piece.owner)
-    return GameState(contents=contents, mover=1, move_count=0,
-                     scores=(0,) * spec.player_count)
+    return GameState(contents=contents, mover=1, move_count=0)
 
 
 def _next_player(spec: GameSpec, player: int) -> int:
@@ -283,55 +278,43 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
     mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
     new_state = GameState(contents=contents, mover=mover,
                           move_count=state.move_count + 1,
-                          scores=state.scores, last_move=move, _empty=empty, _uf=uf)
+                          last_move=move, _empty=empty, _uf=uf)
     new_state.terminal = check_end(spec, new_state, move)
     return new_state
 
 
-def _eval(spec: GameSpec, state: GameState, cond: Call,
+def _eval(spec: GameSpec, state: GameState, cond: Condition,
           mover: int) -> tuple[bool, tuple[int, ...] | None]:
-    head = cond.head.name
-    if head == "is":
-        mode = cond.args[0].name
-        if mode == "Even":
-            return state.move_count % 2 == 0, None
-        if mode == "Line":
-            return _eval_line(spec, state, cond.args[1].value)
-        if mode == "Connected":
-            return _eval_connected(spec, state, mover)
-        if mode == "In":
-            last = state.last_move
-            if last is None or last.to_site is None:
-                return False, None
-            targets = {s for r in spec.regions_of(mover) for ss in r.site_sets
-                       for s in ss.sites}
-            return last.to_site in targets, None
-        raise UnsupportedCondition(f"unsupported condition (is {mode} ...)")
-    if head == "no":
-        # (no Moves Next): the player due to move next has no legal moves.
+    """Whether ``cond`` holds for ``mover`` in ``state``, and its winning sites."""
+    if isinstance(cond, IsEven):
+        return state.move_count % 2 == 0, None
+    if isinstance(cond, IsLine):
+        return _eval_line(spec, state, cond.length)
+    if isinstance(cond, IsConnected):
+        return _eval_connected(spec, state, mover)
+    if isinstance(cond, IsIn):
+        last = state.last_move
+        return last is not None and last.to_site in cond.sites[mover], None
+    if isinstance(cond, NoMovesNext):
         return _resolve(spec, state) == 0, None
-    if head == "or":
-        for sub in cond.args:
+    if isinstance(cond, AnyOf):
+        for sub in cond.parts:
             ok, sites = _eval(spec, state, sub, mover)
             if ok:
                 return True, sites
         return False, None
-    if head == "and":
-        collected: list[int] = []
-        for sub in cond.args:
-            ok, sites = _eval(spec, state, sub, mover)
-            if not ok:
-                return False, None
-            if sites:
-                collected.extend(sites)
-        return True, tuple(collected) if collected else None
-    raise UnsupportedCondition(f"unsupported condition '{head}'")
+    collected: list[int] = []  # AllOf
+    for sub in cond.parts:
+        ok, sites = _eval(spec, state, sub, mover)
+        if not ok:
+            return False, None
+        if sites:
+            collected.extend(sites)
+    return True, tuple(collected) if collected else None
 
 
-def eval_condition(spec: GameSpec, state: GameState, cond, mover: int) -> bool:
-    """Evaluate a condition ludeme (node or ludeme id) in ``state``."""
-    if isinstance(cond, int):
-        cond = spec.node(cond)
+def eval_condition(spec: GameSpec, state: GameState, cond: Condition, mover: int) -> bool:
+    """Evaluate a compiled condition in ``state``."""
     return _eval(spec, state, cond, mover)[0]
 
 
@@ -349,12 +332,11 @@ def _eval_line(spec: GameSpec, state: GameState,
     for axis in board.line_axes:
         run = [site]
         for sign in (1, -1):
-            vec = (axis[0] * sign, axis[1] * sign)
-            cur = board.offset(site, vec)
-            while cur is not None and state.contents[cur] is not None \
-                    and state.contents[cur][1] == owner:
+            for cur in board.ray(site, (axis[0] * sign, axis[1] * sign)):
+                c = state.contents[cur]
+                if c is None or c[1] != owner:
+                    break
                 run.append(cur)
-                cur = board.offset(cur, vec)
         if len(run) >= length:
             return True, tuple(sorted(run))
     return False, None
@@ -444,7 +426,7 @@ def _eval_connected(spec: GameSpec, state: GameState,
 def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
     """First matching end rule after ``move``, else the draw fallback."""
     for rule in spec.end_rules:
-        ok, sites = _eval(spec, state, spec.node(rule.cond_id), move.mover)
+        ok, sites = _eval(spec, state, rule.cond, move.mover)
         if not ok:
             continue
         if rule.who == "Mover":

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .compiler import ForEachPiece, GameSpec, MoveRule, PlayRule
-from .sexpr import Call
+from .compiler import (AllOf, AnyOf, Condition, EndRule, ForEachPiece, GameSpec, IsConnected,
+                       IsEven, IsIn, IsLine, MoveRule, NoMovesNext, PlayRule)
 
 
 class MissingTemplate(Exception):
@@ -113,55 +113,32 @@ def _move_fragment(rule: MoveRule | ForEachPiece, ctx: TranslationContext, spec:
     return f"shoot the piece {rule.projectile}" + then
 
 
-def _count_phrase(node: Call) -> str:
-    mode = node.args[0].name
-    if mode == "Moves":
-        return "the number of moves"
-    raise MissingTemplate(f"no phrase for (count {mode})")
-
-
-def _operand(node: Call) -> Call:
-    """``node`` with one-operand (or ...)/(and ...) wrappers stripped."""
-    while node.head.name in ("or", "and") and len(node.args) == 1:
-        node = node.args[0]
-    return node
-
-
-def _condition_phrase(node: Call, ctx: TranslationContext, spec: GameSpec) -> str:
-    node = _operand(node)
-    head = node.head.name
-    if head == "is":
-        mode = node.args[0].name
-        if mode == "Even":
-            return f"{_count_phrase(node.args[1])} is even"
-        if mode == "Line":
-            n = node.args[1].value
-            return f"a player places {n} of their pieces in an adjacent direction line"
-        if mode == "Connected":
-            return "the region(s) of the moving player are connected"
-        if mode == "In":
-            return "the moving player reaches their target region"
-        raise MissingTemplate(f"no phrase for (is {mode} ...)")
-    if head == "no":
+def _condition_phrase(cond: Condition) -> str:
+    if isinstance(cond, IsEven):
+        return "the number of moves is even"
+    if isinstance(cond, IsLine):
+        return f"a player places {cond.length} of their pieces in an adjacent direction line"
+    if isinstance(cond, IsConnected):
+        return "the region(s) of the moving player are connected"
+    if isinstance(cond, IsIn):
+        return "the moving player reaches their target region"
+    if isinstance(cond, NoMovesNext):
         return "the next player cannot move"
-    if head in ("or", "and"):
-        parts = []
-        for sub in map(_operand, node.args):
-            phrase = _condition_phrase(sub, ctx, spec)
-            # Parenthesise nested compound operands to keep grouping unambiguous.
-            if sub.head.name in ("or", "and"):
-                phrase = f"({phrase})"
-            parts.append(phrase)
-        if head == "or":
-            if len(parts) == 2:
-                return f"either {parts[0]} or {parts[1]}"
-            return "either " + ", ".join(parts[:-1]) + "; otherwise " + parts[-1]
+    parts = []
+    for sub in cond.parts:
+        phrase = _condition_phrase(sub)
+        # Parenthesise nested compound operands to keep grouping unambiguous.
+        if isinstance(sub, (AnyOf, AllOf)):
+            phrase = f"({phrase})"
+        parts.append(phrase)
+    if isinstance(cond, AllOf):
         return " and ".join(parts)
-    raise MissingTemplate(f"no phrase for condition '{head}'")
+    if len(parts) == 2:
+        return f"either {parts[0]} or {parts[1]}"
+    return "either " + ", ".join(parts[:-1]) + "; otherwise " + parts[-1]
 
 
-def _result_phrase(node: Call, ctx: TranslationContext) -> str:
-    who, outcome = node.args[0].name, node.args[1].name
+def _result_phrase(who: str, outcome: str, ctx: TranslationContext) -> str:
     if who == "Mover":
         subject = "the moving player"
     elif who == "Next":
@@ -178,7 +155,7 @@ def _result_phrase(node: Call, ctx: TranslationContext) -> str:
 def _play_fragment(rule: PlayRule, ctx: TranslationContext, spec: GameSpec) -> str:
     if isinstance(rule, (MoveRule, ForEachPiece)):
         return _move_fragment(rule, ctx, spec, piece_subject=False)
-    cond = _condition_phrase(rule.cond, ctx, spec)
+    cond = _condition_phrase(rule.cond)
     then = _play_fragment(rule.then, ctx, spec)
     if rule.otherwise is not None:
         other = _play_fragment(rule.otherwise, ctx, spec)
@@ -186,10 +163,9 @@ def _play_fragment(rule: PlayRule, ctx: TranslationContext, spec: GameSpec) -> s
     return f"if {cond}, {then}"
 
 
-def _end_sentence(rule: Call, ctx: TranslationContext, spec: GameSpec) -> str:
-    cond = _condition_phrase(rule.args[0], ctx, spec)
-    result = _result_phrase(rule.args[1], ctx)
-    return f"If {cond}, {result}."
+def _end_sentence(rule: EndRule, ctx: TranslationContext) -> str:
+    cond = _condition_phrase(rule.cond)
+    return f"If {cond}, {_result_phrase(rule.who, rule.outcome, ctx)}."
 
 
 def draw_fallback_sentence() -> str:
@@ -197,36 +173,15 @@ def draw_fallback_sentence() -> str:
     return "If no player can move, the game ends in a draw."
 
 
-def translate_node(spec: GameSpec, node) -> str:
-    """Translate a single ludeme (node or ludeme id) into a text fragment.
-
-    Play and piece rules are translated from their compiled form, so they
-    are only recognised by ludeme id.
-    """
+def translate_node(spec: GameSpec, ludeme_id: int) -> str:
+    """Translate the play, piece or end rule with ludeme id ``ludeme_id`` into a sentence."""
     ctx = TranslationContext.for_spec(spec)
-    if isinstance(node, int):
-        if node in spec.rules:
-            return _sentence(_play_fragment(spec.rules[node], ctx, spec))
-        node = spec.node(node)
-    if not isinstance(node, Call):
-        raise MissingTemplate(f"no template for {node!r}")
-    head = node.head.name
-    if head == "board":
-        return f"on a {_board_phrase(spec)}"
-    if head == "if" and isinstance(node.args[1], Call) and node.args[1].head.name == "result":
-        return _end_sentence(node, ctx, spec)
-    if head in ("is", "no", "or", "and"):
-        return _condition_phrase(node, ctx, spec)
-    if head == "result":
-        return _result_phrase(node, ctx)
-    if head == "sites":
-        return _site_set_phrase(tuple(a.name for a in node.args))
-    if head == "count":
-        return _count_phrase(node)
-    if head == "swap":
-        # Compiled and recognised, but the pie rule contributes no manual text.
-        return ""
-    raise MissingTemplate(f"no template for ludeme '{head}'")
+    if ludeme_id in spec.rules:
+        return _sentence(_play_fragment(spec.rules[ludeme_id], ctx, spec))
+    for rule in spec.end_rules:
+        if rule.end_id == ludeme_id:
+            return _end_sentence(rule, ctx)
+    raise MissingTemplate(f"no template for ludeme {ludeme_id}: not a play, piece or end rule")
 
 
 def translate_game(spec: GameSpec) -> str:
@@ -298,7 +253,6 @@ def translate_game(spec: GameSpec) -> str:
 
     lines.append("Aim:")
     for rule in spec.end_rules:
-        end_node = spec.node(rule.end_id)
-        lines.append("     " + _end_sentence(end_node, ctx, spec))
+        lines.append("     " + _end_sentence(rule, ctx))
 
     return "\n".join(lines) + "\n"

@@ -2,7 +2,8 @@
 
 A move's signature is the four-property tuple (mover, piece, origin rule,
 action types).  The mover component only participates for games whose
-players have different piece rules; see ``players_have_distinct_rules``.
+players have different piece rules or a conditional play rule; the compiler
+decides this once, in ``GameSpec.distinct_rules``.
 """
 
 from __future__ import annotations
@@ -41,16 +42,8 @@ class EndingExample:
     winning_sites: tuple[int, ...] | None
 
 
-def players_have_distinct_rules(spec: GameSpec) -> bool:
-    """Whether the mover property participates in move signatures.
-
-    Decided when the game is compiled; see ``GameSpec.distinct_rules``.
-    """
-    return spec.distinct_rules
-
-
 def move_signature(move: Move, spec: GameSpec) -> MoveSignature:
-    mover = move.mover if players_have_distinct_rules(spec) else None
+    mover = move.mover if spec.distinct_rules else None
     return MoveSignature(mover, move.piece, move.origin_id, move.action_types)
 
 

@@ -54,7 +54,8 @@ def _generate(spec: GameSpec, state: State, rule) -> list[Move]:
                 continue
             moves.extend(_generate_move(spec, state, piece.rule, (content[0], site)))
         return moves
-    branch = rule.then if _eval(spec, state, rule.cond, state.mover)[0] else rule.otherwise
+    cond = spec.node(rule.id).args[0]
+    branch = rule.then if _eval(spec, state, cond, state.mover)[0] else rule.otherwise
     return _generate(spec, state, branch) if branch is not None else []
 
 
@@ -222,7 +223,7 @@ def eval_connected(spec: GameSpec, contents: list, mover: int):
 
 def check_end(spec: GameSpec, state: State, move: Move) -> EndMatch | None:
     for rule in spec.end_rules:
-        ok, sites = _eval(spec, state, spec.node(rule.cond_id), move.mover)
+        ok, sites = _eval(spec, state, spec.node(rule.end_id).args[0], move.mover)
         if not ok:
             continue
         if rule.who == "Mover":

@@ -98,7 +98,7 @@ def test_criterion_5_oracle_equivalence(tictactoe, hexgame):
         site = rng.choice(occupied)
         fake = Move(contents[site][1], contents[site][0], tictactoe.play_id, (),
                     site, site)
-        state = GameState(contents=contents, mover=1, move_count=0, scores=(0, 0),
+        state = GameState(contents=contents, mover=1, move_count=0,
                           last_move=fake)
         if engine._eval_line(tictactoe, state, 3)[0] != \
                 oracles.ttt_line_through(contents, site):
@@ -115,7 +115,7 @@ def test_criterion_5_oracle_equivalence(tictactoe, hexgame):
                 contents[i] = ("Marker1", 1)
             elif roll < 0.8:
                 contents[i] = ("Marker2", 2)
-        state = GameState(contents=contents, mover=1, move_count=0, scores=(0, 0))
+        state = GameState(contents=contents, mover=1, move_count=0)
         for player in (1, 2):
             occupied = {i for i, c in enumerate(contents)
                         if c is not None and c[1] == player}

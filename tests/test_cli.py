@@ -179,6 +179,17 @@ UNRUNNABLE = {
     "no-moves-under-or-decides-play": (
         _game('(piece "Disc" Each)', "(if (or (is Even (count Moves)) (and (no Moves Next))) "
               "(move Add (to (sites Empty))))"), "(no Moves Next)"),
+    "connected-of-another-player": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Connected P2)"),
+        "P2"),
+    "in-of-another-player": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is In P2)"), "P2"),
+    "line-argument-after-length": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 3 Mover)"),
+        "Mover"),
+    "even-argument-after-count": (
+        _game('(piece "Disc" Each)',
+              "(if (is Even (count Moves) 7) (move Add (to (sites Empty))))"), "7"),
 }
 
 

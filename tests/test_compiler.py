@@ -80,11 +80,6 @@ def test_hex_regions(hexgame):
     assert all(len(ss.sites) == 11 for ss in p1.site_sets)
 
 
-def test_swap_meta_flag(hexgame, tictactoe):
-    assert hexgame.swap_meta is True
-    assert tictactoe.swap_meta is False
-
-
 def test_move_ludeme_ids(amazons, tictactoe):
     assert len(amazons.move_ludeme_ids()) == 2
     assert len(tictactoe.move_ludeme_ids()) == 1

@@ -190,7 +190,7 @@ def test_line_matches_bruteforce_oracle(tictactoe):
         site = rng.choice(occupied)
         fake = Move(contents[site][1], contents[site][0], tictactoe.play_id, (),
                     site, site)
-        state = GameState(contents=contents, mover=1, move_count=0, scores=(0, 0),
+        state = GameState(contents=contents, mover=1, move_count=0,
                           last_move=fake)
         got, sites = engine._eval_line(tictactoe, state, 3)
         assert got == oracles.ttt_line_through(contents, site)
@@ -213,7 +213,7 @@ def test_connected_matches_unionfind_oracle(hexgame):
                 contents[i] = ("Marker1", 1)
             elif roll < 0.9:
                 contents[i] = ("Marker2", 2)
-        state = GameState(contents=contents, mover=1, move_count=0, scores=(0, 0))
+        state = GameState(contents=contents, mover=1, move_count=0)
         occupied = {i for i, c in enumerate(contents) if c is not None and c[1] == 1}
         got, sites = engine._eval_connected(hexgame, state, 1)
         assert got == oracles.hex_sides_connected(size, occupied, ne, sw)
@@ -233,8 +233,7 @@ def test_hex_win_detected_via_end_rules(hexgame):
 
 def test_even_condition_gates_amazons_turns(amazons):
     # (is Even (count Moves)) is the branch condition of the Amazons play rule.
-    play = amazons.node(amazons.play_id)
-    cond = play.args[0]
+    cond = amazons.play.cond
     state = initial_state(amazons)
     assert eval_condition(amazons, state, cond, 1) is True  # move_count == 0
     move = legal_moves(amazons, state)[0]

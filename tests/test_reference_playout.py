@@ -152,8 +152,7 @@ def test_pick_is_kth_legal_move(name):
             # A fresh copy of the state, so its legal list is built from its contents
             # now, not from the targets the playout cached when it reached the state.
             legal = engine.legal_moves(spec, engine.GameState(
-                state.contents, state.mover, state.move_count, state.scores,
-                last_move=state.last_move))
+                state.contents, state.mover, state.move_count, last_move=state.last_move))
             assert total == len(legal)
             assert move == engine._pick(spec, state, k) == legal[k]
             state = apply_move(state, move, spec, validate=False)

@@ -1,8 +1,7 @@
 import oracles
 from gamescribe.engine import initial_state, legal_moves, random_playout
 from gamescribe.taxonomy import (MoveSignature, collect_distinct, collect_endings,
-                                 coverage_report, move_signature, players_have_distinct_rules,
-                                 similar_legal_moves)
+                                 coverage_report, move_signature, similar_legal_moves)
 
 
 def _traces(spec, count, seed=0):
@@ -16,14 +15,14 @@ def _sig_tuples(distinct):
 
 def test_distinct_rules_flag(tictactoe, hexgame, amazons, breakthrough):
     # Shared rules: the mover does not participate in signatures.
-    assert players_have_distinct_rules(tictactoe) is False
-    assert players_have_distinct_rules(hexgame) is False
-    assert players_have_distinct_rules(breakthrough) is False
+    assert tictactoe.distinct_rules is False
+    assert hexgame.distinct_rules is False
+    assert breakthrough.distinct_rules is False
     # The Amazons play rule branches, so the mover matters.
-    assert players_have_distinct_rules(amazons) is True
+    assert amazons.distinct_rules is True
     # The independent check agrees on all four games.
     for spec in (tictactoe, hexgame, amazons, breakthrough):
-        assert oracles.players_rules_differ(spec) == players_have_distinct_rules(spec)
+        assert oracles.players_rules_differ(spec) == spec.distinct_rules
 
 
 def test_move_signature_components(tictactoe, amazons):

@@ -3,6 +3,7 @@ import pytest
 import goldens
 from conftest import normalise
 from gamescribe import english
+from gamescribe.compiler import compile_game
 from gamescribe.english import (MissingTemplate, TranslationContext, join_list, number_word,
                                 plural, translate_game, translate_node)
 from gamescribe.sexpr import parse
@@ -69,41 +70,40 @@ def test_translate_single_ludemes(tictactoe, amazons):
 
 
 def test_swap_translates_to_nothing(hexgame):
-    # The pie rule is compiled but contributes no manual sentence.
-    assert hexgame.swap_meta
-    assert translate_node(hexgame, parse("(swap)")) == ""
+    # The pie rule is accepted but contributes no manual sentence.
     assert "swap" not in translate_game(hexgame).lower()
 
 
-def test_nested_condition_grouping(tictactoe):
-    ctx = TranslationContext.for_spec(tictactoe)
-    node = parse("(or (and (is Even (count Moves)) (no Moves Next)) (is Line 3))")
-    phrase = english._condition_phrase(node, ctx, tictactoe)
+def _phrase(condition):
+    """The phrase of ``condition`` compiled as the end condition of a 3x3 game."""
+    spec = compile_game(parse(
+        '(game "T" (players 2) (equipment {(board (square 3)) (piece "Disc" Each)}) '
+        f'(rules (play (move Add (to (sites Empty)))) (end (if {condition} (result Mover Win)))))'))
+    return english._condition_phrase(spec.end_rules[0].cond)
+
+
+def test_nested_condition_grouping():
+    phrase = _phrase("(or (and (is Even (count Moves)) (no Moves Next)) (is Line 3))")
     assert phrase == ("either (the number of moves is even and the next player "
                       "cannot move) or a player places 3 of their pieces in an "
                       "adjacent direction line")
-    three = parse("(or (is Line 3) (no Moves Next) (is Even (count Moves)))")
-    assert english._condition_phrase(three, ctx, tictactoe) == \
+    assert _phrase("(or (is Line 3) (no Moves Next) (is Even (count Moves)))") == \
         ("either a player places 3 of their pieces in an adjacent direction line, "
          "the next player cannot move; otherwise the number of moves is even")
     # A one-operand or/and reads as its operand, also where it is an operand.
     line = "a player places 3 of their pieces in an adjacent direction line"
-    assert english._condition_phrase(parse("(or (is Line 3))"), ctx, tictactoe) == line
-    assert english._condition_phrase(parse("(and (no Moves Next))"), ctx, tictactoe) == \
-        "the next player cannot move"
-    assert english._condition_phrase(
-        parse("(or (and (is Line 3)) (or (and (is Even (count Moves)) (no Moves Next))))"),
-        ctx, tictactoe) == \
+    assert _phrase("(or (is Line 3))") == line
+    assert _phrase("(and (no Moves Next))") == "the next player cannot move"
+    nested = "(or (and (is Line 3)) (or (and (is Even (count Moves)) (no Moves Next))))"
+    assert _phrase(nested) == \
         f"either {line} or (the number of moves is even and the next player cannot move)"
 
 
 def test_result_phrases(tictactoe):
     ctx = TranslationContext.for_spec(tictactoe)
-    assert english._result_phrase(parse("(result Next Loss)"), ctx) == \
-        "the next player loses"
-    assert english._result_phrase(parse("(result P2 Win)"), ctx) == "player two wins"
-    assert english._result_phrase(parse("(result Mover Draw)"), ctx) == \
-        "the game is a draw"
+    assert english._result_phrase("Next", "Loss", ctx) == "the next player loses"
+    assert english._result_phrase("P2", "Win", ctx) == "player two wins"
+    assert english._result_phrase("Mover", "Draw", ctx) == "the game is a draw"
 
 
 def test_draw_fallback_sentence():
@@ -113,4 +113,4 @@ def test_draw_fallback_sentence():
 
 def test_missing_template_raises(tictactoe):
     with pytest.raises(MissingTemplate):
-        translate_node(tictactoe, parse("(moveAgain)"))
+        translate_node(tictactoe, 0)  # the (game ...) ludeme is not a rule
