@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 game file not found, 3 parse/compile error,
-4 playout move-cap exceeded.
+Exit codes: 0 success, 2 game file not found, 3 parse/compile error or a
+malformed heuristics file, 4 playout move-cap exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .english import translate_game
 from .pipeline import RunConfig, generate, load_game, playout_stats, write_index
 from .registry import CompileError
 from .sexpr import ParseError
+from .strategy import HeuristicsError
 
 
 def _add_game_args(sub: argparse.ArgumentParser, multiple: bool = False) -> None:
@@ -76,6 +77,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
+    except HeuristicsError as exc:
+        print(f"error: heuristics file {args.heuristics}: {exc}", file=sys.stderr)
+        return 3
     except ParseError as exc:
         print(f"error: parse failed: {exc}", file=sys.stderr)
         return 3

@@ -10,19 +10,21 @@ Heuristics arrive as an S-expression document, e.g.::
 
 Importance labels come from a fixed bucket table over |weight|:
 [0, 0.2) very low, [0.2, 0.4) low, [0.4, 0.6) moderate, [0.6, 0.8) high,
-[0.8, inf) very high.
+[0.8, inf) very high.  A malformed entry raises ``HeuristicsError`` with the
+entry's offset in the document.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .compiler import GameSpec
-from .sexpr import Call, Collection, Number, RawNode, Symbol, parse
+from .registry import CompileError
+from .sexpr import Call, Collection, Number, RawNode, Symbol, Text, parse, print_canonical
 
 
-class HeuristicsError(Exception):
+class HeuristicsError(CompileError):
     pass
 
 
@@ -36,6 +38,7 @@ class HeuristicEntry:
     weight: float
     piece: str | None = None   # Material only
     target_length: int | None = None  # LineCompletion only
+    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 _BUCKETS = [
@@ -56,43 +59,54 @@ def importance_bucket(weight: float) -> str:
     return "very high importance"
 
 
-def _weight_of(node: RawNode) -> float:
+# Each entry kind: its name, the type of the argument it reads before its
+# weight (None when it reads only the weight), and an example.
+_ENTRIES = {
+    "material": ("Material", Text, '(material "Pawn" 0.5)'),
+    "mobility": ("Mobility", None, "(mobility 0.3)"),
+    "lineCompletion": ("LineCompletion", Number, "(lineCompletion 3 0.5)"),
+}
+
+
+def _weight_of(node: RawNode | None) -> float | None:
+    """The finite weight ``node`` spells, else None."""
     # Game files only use integer literals, so fractional weights arrive as
     # bare symbols like "0.15"; accept both.
     if isinstance(node, Number):
         return float(node.value)
-    if isinstance(node, Symbol):
-        try:
-            return float(node.name)
-        except ValueError:
-            pass
-    raise HeuristicsError(f"expected a numeric weight, got {node!r}")
+    try:
+        weight = float(node.name) if isinstance(node, Symbol) else math.nan
+    except ValueError:
+        return None
+    return weight if math.isfinite(weight) else None
+
+
+def _entry(item: RawNode) -> HeuristicEntry:
+    if not (isinstance(item, Call) and item.head.name in _ENTRIES):
+        raise HeuristicsError(f"{print_canonical(item)} is not a material, mobility or "
+                              "lineCompletion entry", item.span)
+    kind, operand, example = _ENTRIES[item.head.name]
+    *operands, last = item.args or (None,)
+    weight = _weight_of(last)
+    if weight is None or [type(a) for a in operands] != ([operand] if operand else []):
+        raise HeuristicsError(f"{print_canonical(item)} is not an entry like {example} "
+                              "with a finite weight", item.span)
+    if kind == "Material":
+        return HeuristicEntry(kind, weight, piece=operands[0].value, span=item.span)
+    if kind == "LineCompletion":
+        return HeuristicEntry(kind, weight, target_length=operands[0].value, span=item.span)
+    return HeuristicEntry(kind, weight, span=item.span)
 
 
 def parse_heuristics(text: str) -> list[HeuristicEntry]:
     root = parse(text)
     if not (isinstance(root, Call) and root.head.name == "heuristics"):
-        raise HeuristicsError("heuristics file must contain one (heuristics ...) form")
-    entries: list[HeuristicEntry] = []
-    items: tuple[RawNode, ...] = ()
-    if root.args:
-        arg = root.args[0]
-        items = arg.items if isinstance(arg, Collection) else tuple(root.args)
-    for item in items:
-        if not isinstance(item, Call):
-            raise HeuristicsError(f"expected a heuristic entry, got {item!r}")
-        head = item.head.name
-        if head == "material":
-            entries.append(HeuristicEntry("Material", _weight_of(item.args[1]),
-                                          piece=item.args[0].value))
-        elif head == "mobility":
-            entries.append(HeuristicEntry("Mobility", _weight_of(item.args[0])))
-        elif head == "lineCompletion":
-            entries.append(HeuristicEntry("LineCompletion", _weight_of(item.args[1]),
-                                          target_length=item.args[0].value))
-        else:
-            raise HeuristicsError(f"unknown heuristic kind '{head}'")
-    return entries
+        raise HeuristicsError("heuristics file must contain one (heuristics ...) form",
+                              root.span)
+    items = root.args
+    if len(items) == 1 and isinstance(items[0], Collection):
+        items = items[0].items
+    return [_entry(item) for item in items]
 
 
 def explain_heuristics(entries: list[HeuristicEntry], spec: GameSpec) -> list[str]:
@@ -106,7 +120,8 @@ def explain_heuristics(entries: list[HeuristicEntry], spec: GameSpec) -> list[st
         importance = importance_bucket(entry.weight)
         if entry.kind == "Material":
             if entry.piece not in bases:
-                raise UnknownPieceName(f"no piece named '{entry.piece}' in this game")
+                raise UnknownPieceName(f'(material "{entry.piece}" ...) names no piece of '
+                                       "this game", entry.span)
             lines.append(f"Try to {verb} the number of {entry.piece}(s) you control "
                          f"({importance})")
         elif entry.kind == "Mobility":

@@ -128,6 +128,34 @@ def test_heuristics_flag_feeds_strategy_section(tmp_path):
         "Try to maximise the number of Disc(s) you control (very high importance)"]
 
 
+# Malformed heuristics files: (source, the entry the error points at).
+BAD_HEURISTICS = {
+    "material-without-piece": ("(heuristics { (material 0.3) })", "(material"),
+    "mobility-without-weight": ("(heuristics { (mobility) })", "(mobility"),
+    "piece-name-not-a-string": ("(heuristics { (material Pawn 0.3) })", "(material"),
+    "unknown-kind": ("(heuristics { (foo 1) })", "(foo"),
+    "entry-not-a-call": ("(heuristics 5)", "5"),
+    "infinite-weight": ("(heuristics { (lineCompletion 3 inf) })", "(lineCompletion"),
+    "unknown-piece": ('(heuristics { (material "Nope" 0.3) })', "(material"),
+    "entry-outside-heuristics": ('(material "Nope" 0.3)', "(material"),
+    "line-length-not-a-number": ('(heuristics { (lineCompletion "x" 0.5) })', "(lineCompletion"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HEURISTICS))
+def test_malformed_heuristics_exit_3(tmp_path, capsys, name):
+    source, culprit = BAD_HEURISTICS[name]
+    heur = tmp_path / "h.lud"
+    heur.write_text(source)
+    rc = main(["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "3",
+               "--out", str(tmp_path / "out"), "--heuristics", str(heur)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"heuristics file {heur}" in err
+    assert f"(at offset {source.index(culprit)})" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _game(equipment: str, play: str, end: str = "(is Line 3)", start: str = "") -> str:
     return (f'(game "Bad" (players 2) (equipment {{(board (square 3)) {equipment}}}) '
             f'(rules {start} (play {play}) (end (if {end} (result Mover Win)))))')
