@@ -98,8 +98,7 @@ def test_criterion_5_oracle_equivalence(tictactoe, hexgame):
         site = rng.choice(occupied)
         fake = Move(contents[site][1], contents[site][0], tictactoe.play_id, (),
                     site, site)
-        state = GameState(contents=contents, mover=1, move_count=0,
-                          last_move=fake)
+        state = GameState(contents=contents, mover=1, move_count=0, last_move=fake)
         if engine._eval_line(tictactoe, state, 3)[0] != \
                 oracles.ttt_line_through(contents, site):
             disagreements += 1

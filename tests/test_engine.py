@@ -190,8 +190,7 @@ def test_line_matches_bruteforce_oracle(tictactoe):
         site = rng.choice(occupied)
         fake = Move(contents[site][1], contents[site][0], tictactoe.play_id, (),
                     site, site)
-        state = GameState(contents=contents, mover=1, move_count=0,
-                          last_move=fake)
+        state = GameState(contents=contents, mover=1, move_count=0, last_move=fake)
         got, sites = engine._eval_line(tictactoe, state, 3)
         assert got == oracles.ttt_line_through(contents, site)
         if got:
