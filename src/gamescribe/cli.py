@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 game file not found, 3 parse/compile error or a
-malformed heuristics file, 4 playout move-cap exceeded.
+Exit codes: 0 success, 2 game file not found, 3 parse/compile error, a
+malformed heuristics file or (generate, playout-stats) a game with no legal
+opening move, 4 playout move-cap exceeded.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from .engine import PlayoutLimitExceeded
 from .english import translate_game
-from .pipeline import RunConfig, generate, load_game, playout_stats, write_index
+from .pipeline import NoOpeningMove, RunConfig, generate, load_game, playout_stats, write_index
 from .registry import CompileError
 from .sexpr import ParseError
 from .strategy import HeuristicsError
@@ -82,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ParseError as exc:
         print(f"error: parse failed: {exc}", file=sys.stderr)
+        return 3
+    except NoOpeningMove as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except CompileError as exc:
         print(f"error: compile failed: {exc}", file=sys.stderr)

@@ -336,6 +336,7 @@ class _Compiler:
         self.region_sites = tuple(
             frozenset(s for r in regions if r.owner == p for ss in r.site_sets for s in ss.sites)
             for p in range(player_count + 1))
+        self.anchors = _anchor_table(regions, player_count, board.site_count)
 
         # (meta (swap)) is accepted, but neither played nor translated.
         start_placements: list[StartPlacement] = []
@@ -357,7 +358,7 @@ class _Compiler:
             name=name, player_count=player_count, board=board, pieces=pieces,
             regions=regions, start_placements=start_placements,
             play=play, end_rules=end_rules,
-            anchors=_anchor_table(regions, player_count, board.site_count),
+            anchors=self.anchors,
             root=tree, table=table, rules=self.rules,
             distinct_rules=_distinct_rules(pieces, play, player_count, table),
         )
@@ -469,6 +470,8 @@ class _Compiler:
         if mode == "Line":
             if not isinstance(first, Number):
                 raise BadArgumentKind("(is Line ...) needs a line length", cond.span)
+            if first.value < 2:  # every piece is a line of one
+                raise BadArgumentKind("(is Line ...) needs a length of at least 2", first.span)
             compiled: Condition = IsLine(first.value)
         elif mode == "Even":
             if not (isinstance(first, Call) and first.head.name == "count"):
@@ -480,6 +483,12 @@ class _Compiler:
         if len(rest) > read:
             raise BadArgumentKind(f"(is {mode} ...) cannot use {_describe(rest[read])}",
                                   rest[read].span)
+        if isinstance(compiled, IsConnected) and \
+                not any(len(anchors) >= 2 for anchors in self.anchors.of_player):
+            raise BadArgumentKind("(is Connected ...) can never hold: no player has two region "
+                                  "site sets to connect", cond.span)
+        if isinstance(compiled, IsIn) and not any(compiled.sites):
+            raise BadArgumentKind("(is In ...) can never hold: no player has a region", cond.span)
         return compiled
 
     def _compile_region(self, node: Call, board: BoardGraph, player_count: int) -> RegionSpec:

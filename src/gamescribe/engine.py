@@ -484,25 +484,36 @@ def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> Game
     return state
 
 
+def move_actions(move: Move, piece, src, dst) -> list[list]:
+    """Each of ``move``'s action types followed by its exported arguments.
+
+    The arguments are read off ``piece`` and the from/to site labels ``src``
+    and ``dst``, in whatever form the caller exports them.
+    """
+    args = {"Add": (piece, dst), "Remove": (dst,), "Move": (src, dst), "SetMoverAgain": ()}
+    return [[kind, *args[kind]] for kind in move.action_types]
+
+
 def _move_to_dict(move: Move, spec: GameSpec) -> dict:
     sites = spec.board.sites
     src = sites[move.from_site].label if move.from_site is not None else None
     dst = sites[move.to_site].label if move.to_site is not None else None
-    # Each action type's exported arguments, read off the move's piece and sites.
-    args = {"Add": (move.piece, dst), "Remove": (dst,), "Move": (src, dst),
-            "SetMoverAgain": ()}
     return {
         "mover": move.mover,
         "piece": move.piece,
         "origin_ludeme": move.origin_id,
         "from": src,
         "to": dst,
-        "actions": [[kind, *args[kind]] for kind in move.action_types],
+        "actions": move_actions(move, move.piece, src, dst),
     }
 
 
 def trace_to_dict(trace: PlayoutTrace, spec: GameSpec) -> dict:
-    """JSON-friendly form of one playout (debug export)."""
+    """JSON-friendly form of one playout (debug export).
+
+    ``pipeline._write_traces`` writes the same text as ``json.dumps`` of these
+    dicts with ``indent=2``, without building them; the tests hold it to that.
+    """
     outcome = trace.outcome
     return {
         "seed": trace.seed,

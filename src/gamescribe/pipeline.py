@@ -3,6 +3,14 @@
 All stages are deterministic for a fixed RunConfig: playout seeds are
 ``seed .. seed + playouts - 1``, each trace depends only on its own seed,
 and asset ids are content hashes of move signatures.
+
+``generate --format json`` exports the playouts as ``traces.json`` through
+``_write_traces``, which builds the text from templates instead of building
+``engine.trace_to_dict`` dicts and passing them to ``json.dumps(indent=2)``
+(the pure-Python encoder, since ``indent`` disables the C one).  Its output
+is the same bytes; ``trace_to_dict`` stays as the debug export that the
+tests hold the writer to.  A game whose first mover has no legal move
+cannot be played out, so ``generate`` and ``playout-stats`` reject it.
 """
 
 from __future__ import annotations
@@ -10,12 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import engine, render, strategy, taxonomy
 from .compiler import GameSpec, compile_game
 from .english import translate_game
 from .manual import build_manual, check_assets
+from .registry import CompileError
 from .sexpr import parse
 from .taxonomy import DistinctMove, EndingExample
 
@@ -38,6 +48,23 @@ class RunConfig:
 def load_game(path: Path) -> GameSpec:
     text = Path(path).read_text(encoding="utf-8")
     return compile_game(parse(text))
+
+
+class NoOpeningMove(CompileError):
+    """The game compiles, but its first mover has no legal move."""
+
+
+def load_playable(path: Path) -> GameSpec:
+    """``load_game``, rejecting a game whose first mover has no legal move.
+
+    Every playout of such a game would be a draw before the first move, so
+    its manual would show no move and no ending.
+    """
+    spec = load_game(path)
+    if not engine.legal_moves(spec, engine.initial_state(spec)):
+        raise NoOpeningMove("no legal opening move: every playout would end before its "
+                            "first move", spec.node(spec.play_id).span)
+    return spec
 
 
 def run_playouts(spec: GameSpec, seed: int, count: int) -> list[engine.PlayoutTrace]:
@@ -86,8 +113,6 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
     out = []
     for example in endings:
         trace = traces_by_seed[example.exemplar_seed]
-        if not trace.moves:
-            continue  # degenerate game over before any move
         state = engine.replay(spec, trace, upto=len(trace.moves) - 1)
         move = trace.moves[-1]
         before, after = render.render_ending_pair(spec, state, move)
@@ -112,9 +137,59 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _array(items: list[str], pad: str) -> str:
+    """JSON array of encoded ``items`` laid out as ``json.dumps(indent=2)`` does at ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+_MOVE = ('{\n        "mover": %d,\n        "piece": %s,\n        "origin_ludeme": %d,\n'
+         '        "from": %s,\n        "to": %s,\n        "actions": %s\n      }')
+_TRACE = ('{\n    "seed": %d,\n    "moves": %s,\n    "outcome": {\n      "players": %s,\n'
+          '      "result": %s,\n      "end_ludeme": %s,\n      "winning_sites": %s\n    }\n  }')
+
+
+def _move_text(move: engine.Move, labels: list[str]) -> str:
+    piece = _quote(move.piece) if move.piece is not None else "null"
+    src = labels[move.from_site] if move.from_site is not None else "null"
+    dst = labels[move.to_site] if move.to_site is not None else "null"
+    actions = [_array([_quote(kind), *args], " " * 10)
+               for kind, *args in engine.move_actions(move, piece, src, dst)]
+    return _MOVE % (move.mover, piece, move.origin_id, src, dst, _array(actions, " " * 8))
+
+
+def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec) -> None:
+    """Write ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)`` plus a newline.
+
+    The text comes from templates of that layout, with no dict per move or
+    trace.  Strings go through json's C encoder, and each distinct move (a
+    frozen value whose text depends only on its fields and the board's
+    labels) is encoded once per write.
+    """
+    labels = [_quote(site.label) for site in spec.board.sites]
+    texts: dict[engine.Move, str] = {}
+    items = []
+    for trace in traces:
+        moves = []
+        for move in trace.moves:
+            text = texts.get(move)
+            if text is None:
+                text = texts[move] = _move_text(move, labels)
+            moves.append(text)
+        outcome = trace.outcome
+        sites = outcome.winning_sites
+        items.append(_TRACE % (
+            trace.seed, _array(moves, "    "), _array([str(p) for p in outcome.players], "      "),
+            _quote(outcome.outcome), "null" if outcome.end_id is None else outcome.end_id,
+            _array([labels[s] for s in sites], "      ") if sites else "null"))
+    path.write_text(_array(items, "") + "\n")
+
+
 def generate(config: RunConfig) -> Path:
     """Run the whole pipeline for one game; returns the game's output dir."""
-    spec = load_game(config.game_path)
+    spec = load_playable(config.game_path)
     traces = run_playouts(spec, config.seed, config.playouts)
     traces_by_seed = {t.seed: t for t in traces}
     distinct = taxonomy.collect_distinct(traces, spec)
@@ -147,8 +222,7 @@ def generate(config: RunConfig) -> Path:
     check_assets(manifest, game_dir)
 
     if config.dump_json:
-        _write_json(game_dir / "traces.json",
-                    [engine.trace_to_dict(t, spec) for t in traces])
+        _write_traces(game_dir / "traces.json", traces, spec)
         _write_json(game_dir / "taxonomy.json",
                     {"distinct_moves": move_leaves, "coverage": coverage})
     return game_dir
@@ -156,7 +230,7 @@ def generate(config: RunConfig) -> Path:
 
 def playout_stats(config: RunConfig) -> str:
     """Outcome frequencies and move-ludeme coverage for a playout batch."""
-    spec = load_game(config.game_path)
+    spec = load_playable(config.game_path)
     traces = run_playouts(spec, config.seed, config.playouts)
     distinct = taxonomy.collect_distinct(traces, spec)
     coverage = taxonomy.coverage_report(distinct, spec)

@@ -218,6 +218,16 @@ UNRUNNABLE = {
     "even-argument-after-count": (
         _game('(piece "Disc" Each)',
               "(if (is Even (count Moves) 7) (move Add (to (sites Empty))))"), "7"),
+    "line-length-0": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 0)"), "0)"),
+    "line-length-1": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 1)"), "1)"),
+    "connected-without-regions": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
+              end="(and (is Line 3) (is Connected Mover))"), "(is Connected"),
+    "in-without-regions": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
+              end="(or (is Line 3) (and (is Even (count Moves)) (is In Mover)))"), "(is In"),
 }
 
 
@@ -233,6 +243,22 @@ def test_unrunnable_rule_exits_3_at_compile_time(tmp_path, capsys, name):
     assert "compile failed" in err
     assert f"(at offset {source.index(culprit)})" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_no_legal_opening_move_exits_3(tmp_path, capsys):
+    # The first mover has no last move to shoot from, so no playout can start.
+    source = _game('(piece "Disc" Each) (piece "Dot" Neutral)', '(move Shoot (piece "Dot0"))')
+    game = tmp_path / "shoot.lud"
+    game.write_text(source)
+    for argv in (["generate", "--out", str(tmp_path / "out")], ["playout-stats"]):
+        rc = main([*argv, "--game", str(game), "--playouts", "3"])
+        err = capsys.readouterr().err
+        assert rc == 3, argv
+        assert "error: no legal opening move" in err
+        assert f"(at offset {source.index('(move Shoot')})" in err
+    assert not (tmp_path / "out").exists()
+    assert main(["translate", "--game", str(game)]) == 0
+    assert "Rules:" in capsys.readouterr().out
 
 
 def test_cli_import_stays_light():

@@ -147,3 +147,15 @@ def test_placement_label_must_exist():
               '(end (if (is Line 3) (result Mover Win)))))')
     with pytest.raises(BadArgumentKind):
         compile_game(parse(source))
+
+
+def test_condition_one_player_can_meet_compiles():
+    # Only P1 has regions; P2 can never win by them, but P1 can, so the game stands.
+    spec = compile_game(parse(
+        '(game "Lopsided" (players 2) (equipment {(board (square 3)) (piece "Disc" Each) '
+        '(regions P1 {(sites Side S) (sites Side N)})}) '
+        '(rules (play (move Add (to (sites Empty)))) '
+        '(end {(if (is Connected Mover) (result Mover Win)) '
+        '(if (is In Mover) (result Mover Loss))})))'))
+    assert [len(a) for a in spec.anchors.of_player] == [0, 2, 0]
+    assert not spec.end_rules[1].cond.sites[2]
