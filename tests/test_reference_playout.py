@@ -49,7 +49,17 @@ KNOT = ('(game "Knot" (players 2) (equipment {(board (square 4)) (piece "Disc" E
         '(end {(if (and (is Line 3) (is Connected Mover)) (result Mover Win)) '
         '(if (is Connected Mover) (result Next Win))})))')
 
-SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT}
+# Piece rules that place pieces: a Rook's Add places the mover's first
+# declared piece, a Pawn, not a Rook; a Pawn's Shoot starts where the last
+# move landed, not on the Pawn's own site.
+DROP = ('(game "Drop" (players 2) (equipment {(board (square 4)) '
+        '(piece "Pawn" Each (move Shoot (piece "Dot0"))) '
+        '(piece "Rook" Each (move Add (to (sites Empty)))) (piece "Dot" Neutral)}) '
+        '(rules (start {(place "Rook1" {"A1"}) (place "Rook2" {"D4"})}) '
+        '(play (forEach Piece)) '
+        '(end (if (is Line 3) (result Mover Win)))))')
+
+SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT, "Drop": DROP}
 
 
 def _spec(name):
@@ -59,7 +69,7 @@ def _spec(name):
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe",
-                                  "Crown", "Hybrid", "Blocked", "Knot"])
+                                  "Crown", "Hybrid", "Blocked", "Knot", "Drop"])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
