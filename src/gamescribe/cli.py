@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 game file not found, 3 parse/compile error, a
-malformed heuristics file or (generate, playout-stats) a game with no legal
-opening move, 4 playout move-cap exceeded.
+Exit codes: 0 success, 2 usage error (``--playouts 0``) or game file not
+found, 3 parse/compile error, a malformed heuristics file or (generate,
+playout-stats) a game with no legal opening move, 4 playout move-cap exceeded.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ def _add_game_args(sub: argparse.ArgumentParser, multiple: bool = False) -> None
                      + (" (repeatable)" if multiple else ""))
 
 
+def playout_count(text: str) -> int:
+    count = int(text)  # not an integer: argparse reports "invalid playout_count value"
+    if count < 1:  # argparse makes this a usage error, exit 2
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamescribe",
@@ -33,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="build a full manual for each game")
     _add_game_args(gen, multiple=True)
-    gen.add_argument("--playouts", type=int, default=100)
+    gen.add_argument("--playouts", type=playout_count, default=100)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, default=Path("out"))
     gen.add_argument("--heuristics", type=Path, default=None,
@@ -48,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("playout-stats", help="print outcome and coverage statistics")
     _add_game_args(st)
-    st.add_argument("--playouts", type=int, default=100)
+    st.add_argument("--playouts", type=playout_count, default=100)
     st.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -8,7 +8,8 @@ conditions into typed rules, and numbers the union-find anchors of
 ``(is Connected ...)``.  Only this module reads a ludeme's arguments by
 position; the engine and the translator read the typed rules.  Rule shapes
 the engine cannot run, and arguments it would not read, are rejected here,
-with the offset of the offending ludeme.
+with the offset of the offending ludeme, as it is decoded; only a Shoot's
+projectile waits until every piece is declared.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Union
 
 from . import boards
 from .boards import BoardGraph
-from .registry import (ArityMismatch, BadArgumentKind, CompileError, Registry, UnsupportedShape,
+from .registry import (ArityMismatch, BadArgumentKind, CompileError, UnsupportedShape,
                        default_registry)
 from .sexpr import Call, Collection, Number, RawNode, Symbol, children, print_canonical
 
@@ -83,7 +84,7 @@ class MoveRule:
     id: int                        # ludeme id of the (move ...) node
     kind: str                      # Add | Step | Slide | Shoot
     directions: tuple[str, ...]    # Step/Slide direction names, ("Adjacent",) by default
-    to: SiteSet | None             # Add target, None when absent
+    to: SiteSet | None             # Add target, None for the other kinds
     projectile: str | None         # Shoot: name of the piece placed
     again: bool                    # (then (moveAgain))
 
@@ -104,15 +105,6 @@ class IfRule:
 
 
 PlayRule = Union[MoveRule, ForEachPiece, IfRule]
-
-
-def _play_moves(rule: PlayRule | None):
-    """The (move ...) rules a play rule reaches without going through a piece rule."""
-    if isinstance(rule, MoveRule):
-        yield rule
-    elif isinstance(rule, IfRule):
-        yield from _play_moves(rule.then)
-        yield from _play_moves(rule.otherwise)
 
 
 # Arguments each move kind reads besides its kind symbol.
@@ -308,14 +300,11 @@ def build_board(board_node: Call) -> BoardGraph:
 
 
 class _Compiler:
-    def __init__(self, registry: Registry):
-        self.registry = registry
-
     def compile(self, tree: RawNode) -> GameSpec:
         if not (isinstance(tree, Call) and tree.head.name == "game"):
             raise CompileError("top-level form must be (game ...)",
                                getattr(tree, "span", (0, 0)))
-        self.registry.validate_tree(tree)
+        default_registry().validate_tree(tree)
         table, self.ids = _number_tree(tree)
         self.rules: dict[int, PlayRule] = {}
 
@@ -325,12 +314,13 @@ class _Compiler:
             raise BadArgumentKind(f"game name {name!r} is not a directory name",
                                   tree.args[0].span)
         players_node, equipment_node, rules_node = tree.args[1], tree.args[2], tree.args[3]
-        player_count = players_node.args[0].value
+        player_count = self.player_count = players_node.args[0].value
         if player_count < 1:
             raise BadArgumentKind("player count must be at least 1", players_node.span)
 
         board, piece_nodes, region_nodes = self._split_equipment(equipment_node)
-        pieces = self._expand_pieces(piece_nodes, player_count, board)
+        self.board = board
+        pieces = self.pieces = self._expand_pieces(piece_nodes, player_count, board)
         regions = [self._compile_region(node, board, player_count) for node in region_nodes]
         # (is In Mover) reads the region sites of whoever moves.
         self.region_sites = tuple(
@@ -342,19 +332,27 @@ class _Compiler:
         start_placements: list[StartPlacement] = []
         play: PlayRule | None = None
         end_rules: list[EndRule] = []
+        placed: set[int] = set()
         for section in rules_node.args:
             head = section.head.name
             if head == "start":
                 for place in _as_items(section.args[0]):
-                    start_placements.append(self._compile_place(place, board, pieces))
+                    start_placements.append(self._compile_place(place, board, pieces, placed))
             elif head == "play":
                 play = self._compile_rule(section.args[0], board)
             elif head == "end":
                 for rule in _as_items(section.args[0]):
                     end_rules.append(self._compile_end_rule(rule))
         assert play is not None  # registry guarantees a play section
+        # Piece rules compile before the pieces declared after them, so the
+        # projectile of every Shoot is checked once all pieces are known.
+        for rule in self.rules.values():
+            if isinstance(rule, MoveRule) and rule.kind == "Shoot" \
+                    and not any(p.name == rule.projectile for p in pieces):
+                raise BadArgumentKind("(move Shoot ...) needs (piece ...) naming a declared "
+                                      "piece", table[rule.id][0].span)
 
-        spec = GameSpec(
+        return GameSpec(
             name=name, player_count=player_count, board=board, pieces=pieces,
             regions=regions, start_placements=start_placements,
             play=play, end_rules=end_rules,
@@ -362,9 +360,6 @@ class _Compiler:
             root=tree, table=table, rules=self.rules,
             distinct_rules=_distinct_rules(pieces, play, player_count, table),
         )
-        self._check_start_conflicts(spec)
-        self._check_rules(spec)
-        return spec
 
     def _split_equipment(self, equipment: Call):
         board = None
@@ -394,6 +389,7 @@ class _Compiler:
             rule = None
             if len(node.args) > 2:
                 rule = self._compile_rule(node.args[2], board, piece_rule=True)
+            start = len(pieces)
             if owner_sym == "Each":
                 for p in range(1, player_count + 1):
                     pieces.append(PieceSpec(f"{base}{p}", base, p, rule, True))
@@ -405,6 +401,14 @@ class _Compiler:
                     raise BadArgumentKind(
                         f"piece owner {owner_sym} exceeds player count", node.args[1].span)
                 pieces.append(PieceSpec(base, base, owner, rule, False))
+            for piece in pieces[start:]:  # the pieces this node declares
+                if rule is None or piece.owner == 0:
+                    continue  # neutral pieces never move
+                known = board.player_directions.get(piece.owner, {})
+                for name in rule.directions:
+                    if name not in known:
+                        raise BadArgumentKind(f"the board has no {name} direction for "
+                                              f"P{piece.owner}", node.args[2].span)
         return pieces
 
     def _compile_rule(self, node: RawNode, board: BoardGraph, *,
@@ -445,8 +449,16 @@ class _Compiler:
             dirs = args.get("directions")
             directions = tuple(s.name for s in _as_items(dirs.args[0])) if dirs else ("Adjacent",)
         to = None
-        if "to" in args:
+        if kind == "Add":
+            if "to" not in args:
+                raise BadArgumentKind("(move Add ...) needs (to ...) naming its sites", node.span)
             to = self._compile_site_set(args["to"].args[0], board, target=True)
+            # An Add places the mover's first piece.  A piece rule's mover owns the
+            # piece whose rule it is; a play rule's may be any player.
+            for player in range(1, self.player_count + 1):
+                if not (piece_rule or any(p.owner == player for p in self.pieces)):
+                    raise BadArgumentKind(f"(move Add ...) places the mover's piece, but "
+                                          f"P{player} owns no piece", node.span)
         projectile = args["piece"].args[0].value if "piece" in args else None
         return MoveRule(lid, kind, directions, to, projectile, "then" in args)
 
@@ -472,6 +484,11 @@ class _Compiler:
                 raise BadArgumentKind("(is Line ...) needs a line length", cond.span)
             if first.value < 2:  # every piece is a line of one
                 raise BadArgumentKind("(is Line ...) needs a length of at least 2", first.span)
+            # The longest line on every supported board shape runs along a row or column.
+            longest = max(self.board.rows, self.board.cols)
+            if first.value > longest:
+                raise BadArgumentKind(f"(is Line ...) can never hold: the board's longest line "
+                                      f"has {longest} sites", first.span)
             compiled: Condition = IsLine(first.value)
         elif mode == "Even":
             if not (isinstance(first, Call) and first.head.name == "count"):
@@ -514,8 +531,8 @@ class _Compiler:
         what = "move target" if target else "static site set"
         raise BadArgumentKind(f"(sites {' '.join(kind)}) is not a {what}", node.span)
 
-    def _compile_place(self, node: Call, board: BoardGraph,
-                       pieces: list[PieceSpec]) -> StartPlacement:
+    def _compile_place(self, node: Call, board: BoardGraph, pieces: list[PieceSpec],
+                       placed: set[int]) -> StartPlacement:
         piece_name = node.args[0].value
         if not any(p.name == piece_name for p in pieces):
             raise BadArgumentKind(f"placement of undeclared piece '{piece_name}'",
@@ -526,6 +543,9 @@ class _Compiler:
             site = board.site_by_label(label)
             if site is None:
                 raise BadArgumentKind(f"no site labelled '{label}' on the board", t.span)
+            if site in placed:
+                raise CompileError(f"start placement conflict at {label}", t.span)
+            placed.add(site)
             sites.append(site)
         return StartPlacement(piece_name, labels, tuple(sites))
 
@@ -534,47 +554,17 @@ class _Compiler:
         cond, result = rule.args[0], rule.args[1]
         if not (isinstance(result, Call) and result.head.name == "result"):
             raise BadArgumentKind("end rule branch must be a (result ...) ludeme", result.span)
+        who = result.args[0]
+        if who.name.startswith("P") and _player_index(who.name) > self.player_count:
+            raise BadArgumentKind(f"result player {who.name} exceeds player count", who.span)
         return EndRule(
             end_id=self.ids[id(rule)],
             cond=self._compile_condition(cond),
-            who=result.args[0].name,
+            who=who.name,
             outcome=result.args[1].name,
         )
 
-    def _check_start_conflicts(self, spec: GameSpec) -> None:
-        seen: dict[int, str] = {}
-        for placement in spec.start_placements:
-            for site in placement.sites:
-                if site in seen:
-                    raise CompileError(
-                        f"start placement conflict at {spec.board.sites[site].label}")
-                seen[site] = placement.piece_name
 
-    def _check_rules(self, spec: GameSpec) -> None:
-        """Check the decoded rules against the declared pieces and the board."""
-        # A play rule's Add places the mover's first piece, so every player needs one.
-        for rule in _play_moves(spec.play):
-            if rule.kind != "Add":
-                continue
-            for player in range(1, spec.player_count + 1):
-                if not spec.pieces_of(player):
-                    raise BadArgumentKind(f"(move Add ...) places the mover's piece, but "
-                                          f"P{player} owns no piece", spec.node(rule.id).span)
-        for rule in spec.rules.values():
-            if isinstance(rule, MoveRule) and rule.kind == "Shoot" \
-                    and spec.piece_named(rule.projectile) is None:
-                raise BadArgumentKind("(move Shoot ...) needs (piece ...) naming a declared "
-                                      "piece", spec.node(rule.id).span)
-        for piece in spec.pieces:
-            if piece.rule is None or piece.owner == 0:
-                continue  # neutral pieces never move
-            known = spec.board.player_directions.get(piece.owner, {})
-            for name in piece.rule.directions:
-                if name not in known:
-                    raise BadArgumentKind(f"the board has no {name} direction for "
-                                          f"P{piece.owner}", spec.node(piece.rule.id).span)
-
-
-def compile_game(tree: RawNode, registry: Registry | None = None) -> GameSpec:
+def compile_game(tree: RawNode) -> GameSpec:
     """Validate and compile a parsed ``(game ...)`` tree."""
-    return _Compiler(registry or default_registry()).compile(tree)
+    return _Compiler().compile(tree)

@@ -7,7 +7,8 @@ rule's come from an empty-site list that ``apply_move`` keeps up to date,
 and each piece's Step, Slide or Shoot targets from the board's rays.  A
 playout counts the targets, draws one index with ``randrange(count)`` and
 builds only the move at that index of the legal list; ``legal_moves``
-builds them all from the same targets, in the same order.
+builds them all from the same targets, in the same order.  Every play rule
+resolves to one form: (rule, piece, site, target sites) groups.
 ``(is Connected ...)`` asks an incremental union-find first and searches
 for the winning path only once that reports a connection.  All randomness
 comes from a fixed xorshift64* generator so traces replay identically on
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .compiler import (AnyOf, Condition, ForEachPiece, GameSpec, IfRule, IsConnected, IsEven,
-                       IsIn, IsLine, MoveRule, NoMovesNext, PlayRule)
+                       IsIn, IsLine, MoveRule, NoMovesNext)
 
 
 class EngineError(Exception):
@@ -94,10 +95,9 @@ class GameState:
     last_move: Move | None = None
     # Caches of what ``contents`` implies, built lazily; apply_move carries the
     # empty sites (ascending) and the union-find parents (see _union_find) forward.
-    # _leaf, _targets and _total are the resolved play rule (see _resolve).
+    # _groups and _total are the resolved play rule (see _resolve).
     _legal: "list[Move] | None" = field(default=None, repr=False, compare=False)
-    _leaf: "PlayRule | None" = field(default=None, repr=False, compare=False)
-    _targets: "list | tuple | None" = field(default=None, repr=False, compare=False)
+    _groups: "list[tuple] | None" = field(default=None, repr=False, compare=False)
     _total: int = field(default=0, repr=False, compare=False)
     _empty: "list[int] | None" = field(default=None, repr=False, compare=False)
     _uf: "list[int] | None" = field(default=None, repr=False, compare=False)
@@ -132,12 +132,9 @@ def _mover_piece(spec: GameSpec, mover: int) -> str | None:
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
     """All legal moves for the state's mover, in deterministic order."""
     if state._legal is None:
-        total = _resolve(spec, state)
-        if isinstance(state._leaf, ForEachPiece):
-            state._legal = [_move(spec, state, rule, piece, site, target)
-                            for rule, piece, site, sites in state._targets for target in sites]
-        else:
-            state._legal = [_pick(spec, state, k) for k in range(total)]
+        _resolve(spec, state)
+        state._legal = [_move(spec, state, rule, piece, site, target)
+                        for rule, piece, site, sites in state._groups for target in sites]
     return state._legal
 
 
@@ -152,8 +149,6 @@ def _rule_targets(spec: GameSpec, state: GameState, rule: MoveRule,
                   site: int | None) -> list[int] | tuple[int, ...]:
     """Target sites of ``rule`` moving the piece on ``site``, in legal-move order."""
     if rule.kind == "Add":
-        if rule.to is None:
-            return ()
         return _empty_sites(state) if rule.to.kind == ("Empty",) else rule.to.sites
     board, contents, mover = spec.board, state.contents, state.mover
     targets = []
@@ -184,35 +179,34 @@ def _rule_targets(spec: GameSpec, state: GameState, rule: MoveRule,
 
 
 def _resolve(spec: GameSpec, state: GameState) -> int:
-    """Cache the state's leaf rule and its targets on the state; return their count.
+    """Cache the state's resolved play rule on the state; return its move count.
 
-    The leaf is the (move ...) or (forEach Piece) rule that the play rule
-    reaches through its ``if`` branches, or None.  A (move ...) leaf's
-    targets are its target sites; a (forEach Piece) leaf's are one
-    (rule, piece, site, target sites) group per mover's piece with a target,
-    in site order.
+    The play rule resolves through its ``if`` branches to a (move ...) rule,
+    a (forEach Piece) or nothing.  The cache is one list of
+    (rule, piece, site, target sites) groups in legal-move order, each with
+    at least one target: a (forEach Piece) gives one group per mover's piece,
+    in site order, and a (move ...) rule at most one, with no piece or site.
     """
-    if state._targets is None:
+    if state._groups is None:
         mover = state.mover
         rule = spec.play
         while isinstance(rule, IfRule):
             rule = rule.then if eval_condition(spec, state, rule.cond, mover) else rule.otherwise
+        groups, total = [], 0
         if isinstance(rule, ForEachPiece):
-            targets, total = [], 0
             for site, content in enumerate(state.contents):
-                if content is None or content[1] != mover:
-                    continue
-                piece = spec.piece_named(content[0])
-                if piece is None or piece.rule is None:
-                    continue
-                sites = _rule_targets(spec, state, piece.rule, site)
-                if sites:
-                    targets.append((piece.rule, content[0], site, sites))
-                    total += len(sites)
-        else:
-            targets = _rule_targets(spec, state, rule, None) if rule is not None else ()
-            total = len(targets)
-        state._leaf, state._targets, state._total = rule, targets, total
+                if content is not None and content[1] == mover:
+                    piece_rule = spec.piece_named(content[0]).rule
+                    sites = _rule_targets(spec, state, piece_rule, site) if piece_rule else ()
+                    if sites:
+                        groups.append((piece_rule, content[0], site, sites))
+                        total += len(sites)
+        elif rule is not None:
+            sites = _rule_targets(spec, state, rule, None)
+            if sites:
+                groups.append((rule, None, None, sites))
+                total = len(sites)
+        state._groups, state._total = groups, total
     return state._total
 
 
@@ -220,8 +214,8 @@ def _move(spec: GameSpec, state: GameState, rule: MoveRule, piece: str | None,
           site: int | None, target: int) -> Move:
     """``rule``'s move of ``piece`` from ``site`` onto ``target``.
 
-    An Add places the mover's first piece on ``target`` and a Shoot its
-    projectile from where the last move landed; a Step onto a piece captures it.
+    An Add places the mover's first piece and a Shoot starts where the last
+    move landed, in piece rules too; a Step onto a piece captures it.
     """
     if rule.kind == "Add":
         piece, site, kinds = _mover_piece(spec, state.mover), target, ("Add",)
@@ -238,10 +232,7 @@ def _move(spec: GameSpec, state: GameState, rule: MoveRule, piece: str | None,
 
 def _pick(spec: GameSpec, state: GameState, k: int) -> Move:
     """The ``k``-th legal move of a resolved state, built without the others."""
-    targets = state._targets
-    if isinstance(state._leaf, MoveRule):
-        return _move(spec, state, state._leaf, None, None, targets[k])
-    for rule, piece, site, sites in targets:
+    for rule, piece, site, sites in state._groups:
         if k < len(sites):
             return _move(spec, state, rule, piece, site, sites[k])
         k -= len(sites)
@@ -471,7 +462,7 @@ def random_playout(spec: GameSpec, seed: int, *,
         state = apply_move(state, move, spec, validate=False)
         moves.append(move)
     # Traces are kept; their final states need no caches.
-    state._empty = state._uf = state._targets = None
+    state._empty = state._uf = state._groups = None
     return PlayoutTrace(seed, tuple(moves), state.terminal, state)
 
 

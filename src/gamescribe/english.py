@@ -2,13 +2,11 @@
 
 Every supported ludeme has a phrase template; templates consume the
 translated fragments of their children, so translating the whole game is
-one recursive walk.  Output section order: header, regions, pieces, piece
-rules, turn order, setup, Rules, Aim.
+one recursive walk over the compiled rules.  Output section order: header,
+regions, pieces, piece rules, turn order, setup, Rules, Aim.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .compiler import (AllOf, AnyOf, Condition, EndRule, ForEachPiece, GameSpec, IsConnected,
                        IsEven, IsIn, IsLine, MoveRule, NoMovesNext, PlayRule)
@@ -31,41 +29,25 @@ DIRECTION_WORDS = {
 }
 
 
-@dataclass
-class TranslationContext:
-    """Carries the fixed player-name table."""
-
-    player_names: dict[int, str] = field(default_factory=dict)
-
-    @staticmethod
-    def for_spec(spec: GameSpec) -> "TranslationContext":
-        names = {p: f"player {number_word(p)}" for p in range(1, spec.player_count + 1)}
-        return TranslationContext(player_names=names)
-
-
 def number_word(n: int) -> str:
     return NUMBER_WORDS.get(n, str(n))
+
+
+def _player_name(player: int) -> str:
+    return f"player {number_word(player)}"
 
 
 def plural(name: str) -> str:
     return PLURAL_EXCEPTIONS.get(name, name + "s")
 
 
-def join_list(items: list[str]) -> str:
-    """Comma-separated list with a terminal " and "."""
+def join_list(items: list[str], conjunction: str = "and") -> str:
+    """Comma-separated list with a terminal " and " (or other ``conjunction``)."""
     if not items:
         return ""
     if len(items) == 1:
         return items[0]
-    return ", ".join(items[:-1]) + " and " + items[-1]
-
-
-def _join_or(items: list[str]) -> str:
-    if not items:
-        return ""
-    if len(items) == 1:
-        return items[0]
-    return ", ".join(items[:-1]) + " or " + items[-1]
+    return ", ".join(items[:-1]) + f" {conjunction} " + items[-1]
 
 
 def _sentence(fragment: str) -> str:
@@ -89,8 +71,7 @@ def _site_set_phrase(kind: tuple[str, ...]) -> str:
     raise MissingTemplate(f"no phrase for (sites {' '.join(kind)})")
 
 
-def _move_fragment(rule: MoveRule | ForEachPiece, ctx: TranslationContext, spec: GameSpec,
-                   *, piece_subject: bool) -> str:
+def _move_fragment(rule: MoveRule | ForEachPiece, *, piece_subject: bool) -> str:
     """Lower-case verb phrase for a (move ...) or (forEach Piece) rule.
 
     With ``piece_subject`` the phrase follows a plural piece-name subject
@@ -100,10 +81,9 @@ def _move_fragment(rule: MoveRule | ForEachPiece, ctx: TranslationContext, spec:
         return "move one of your pieces"
     then = " then move again" if rule.again else ""
     subject = "" if piece_subject else " one of your pieces"
-    directions = _join_or([DIRECTION_WORDS[n] for n in rule.directions])
+    directions = join_list([DIRECTION_WORDS[n] for n in rule.directions], "or")
     if rule.kind == "Add":
-        target = _site_set_phrase(rule.to.kind) if rule.to else "the board"
-        return f"add one of your pieces to {target}" + then
+        return f"add one of your pieces to {_site_set_phrase(rule.to.kind)}" + then
     if rule.kind == "Slide":
         return (f"slide{subject} from the location of the piece in the "
                 f"{directions} direction through the set of empty cells" + then)
@@ -138,13 +118,13 @@ def _condition_phrase(cond: Condition) -> str:
     return "either " + ", ".join(parts[:-1]) + "; otherwise " + parts[-1]
 
 
-def _result_phrase(who: str, outcome: str, ctx: TranslationContext) -> str:
+def _result_phrase(who: str, outcome: str) -> str:
     if who == "Mover":
         subject = "the moving player"
     elif who == "Next":
         subject = "the next player"
     else:
-        subject = ctx.player_names.get(int(who[1:]), who)
+        subject = _player_name(int(who[1:]))
     if outcome == "Win":
         return f"{subject} wins"
     if outcome == "Loss":
@@ -152,20 +132,20 @@ def _result_phrase(who: str, outcome: str, ctx: TranslationContext) -> str:
     return "the game is a draw"
 
 
-def _play_fragment(rule: PlayRule, ctx: TranslationContext, spec: GameSpec) -> str:
+def _play_fragment(rule: PlayRule) -> str:
     if isinstance(rule, (MoveRule, ForEachPiece)):
-        return _move_fragment(rule, ctx, spec, piece_subject=False)
+        return _move_fragment(rule, piece_subject=False)
     cond = _condition_phrase(rule.cond)
-    then = _play_fragment(rule.then, ctx, spec)
+    then = _play_fragment(rule.then)
     if rule.otherwise is not None:
-        other = _play_fragment(rule.otherwise, ctx, spec)
+        other = _play_fragment(rule.otherwise)
         return f"if {cond}, {then}, else {other}"
     return f"if {cond}, {then}"
 
 
-def _end_sentence(rule: EndRule, ctx: TranslationContext) -> str:
+def _end_sentence(rule: EndRule) -> str:
     cond = _condition_phrase(rule.cond)
-    return f"If {cond}, {_result_phrase(rule.who, rule.outcome, ctx)}."
+    return f"If {cond}, {_result_phrase(rule.who, rule.outcome)}."
 
 
 def draw_fallback_sentence() -> str:
@@ -175,18 +155,16 @@ def draw_fallback_sentence() -> str:
 
 def translate_node(spec: GameSpec, ludeme_id: int) -> str:
     """Translate the play, piece or end rule with ludeme id ``ludeme_id`` into a sentence."""
-    ctx = TranslationContext.for_spec(spec)
     if ludeme_id in spec.rules:
-        return _sentence(_play_fragment(spec.rules[ludeme_id], ctx, spec))
+        return _sentence(_play_fragment(spec.rules[ludeme_id]))
     for rule in spec.end_rules:
         if rule.end_id == ludeme_id:
-            return _end_sentence(rule, ctx)
+            return _end_sentence(rule)
     raise MissingTemplate(f"no template for ludeme {ludeme_id}: not a play, piece or end rule")
 
 
 def translate_game(spec: GameSpec) -> str:
     """Full English translation, one section per line group."""
-    ctx = TranslationContext.for_spec(spec)
     lines: list[str] = []
 
     lines.append(f'The game "{spec.name}" is played by '
@@ -211,7 +189,7 @@ def translate_game(spec: GameSpec) -> str:
         elif piece.owner == 0:
             neutral_bases.append(piece.base)
         else:
-            name = ctx.player_names[piece.owner]
+            name = _player_name(piece.owner)
             piece_sentences.append(f"{name[0].upper()}{name[1:]} plays with "
                                    f"{plural(piece.base)}.")
     if neutral_bases:
@@ -229,7 +207,7 @@ def translate_game(spec: GameSpec) -> str:
         if key in seen_rules:
             continue
         seen_rules.add(key)
-        fragment = _move_fragment(piece.rule, ctx, spec, piece_subject=True)
+        fragment = _move_fragment(piece.rule, piece_subject=True)
         rule_lines.append(f"     {plural(piece.base)} {fragment}.")
     if rule_lines:
         lines.append("Rules for Pieces:")
@@ -244,15 +222,15 @@ def translate_game(spec: GameSpec) -> str:
             if piece.owner == 0:
                 owner_phrase = ""
             else:
-                owner_phrase = f" for {ctx.player_names[piece.owner]}"
+                owner_phrase = f" for {_player_name(piece.owner)}"
             lines.append(f"     Place a {piece.base}{owner_phrase} on sites: "
                          f"{join_list(list(placement.labels))}.")
 
     lines.append("Rules:")
-    lines.append("     " + _sentence(_play_fragment(spec.play, ctx, spec)))
+    lines.append("     " + _sentence(_play_fragment(spec.play)))
 
     lines.append("Aim:")
     for rule in spec.end_rules:
-        lines.append("     " + _end_sentence(rule, ctx))
+        lines.append("     " + _end_sentence(rule))
 
     return "\n".join(lines) + "\n"

@@ -37,45 +37,53 @@ def _mover_label(mover) -> str:
     return "All players" if mover is None else f"Player {mover}"
 
 
-def _group(items, key):
-    out: dict = {}
-    for item in items:
-        out.setdefault(key(item), []).append(item)
-    return out
+def _move_groups(moves: list[dict]) -> dict:
+    """Leaf indices by mover label, piece and origin rule, each level in first-seen order.
 
-
-def _moves_tree(moves: list[dict]) -> dict:
-    tree: dict = {}
+    An origin rule is keyed by its text, with its ludeme id appended when
+    another origin under the same piece has the same text.
+    """
+    groups: dict = {}
     for i, leaf in enumerate(moves):
-        level1 = tree.setdefault(_mover_label(leaf["mover"]), {})
-        level2 = level1.setdefault(leaf["piece"] or "No piece", {})
-        level3 = level2.setdefault(leaf["rule_text"], {})
-        level3[", ".join(leaf["action_types"])] = i
-    return tree
+        pieces = groups.setdefault(_mover_label(leaf["mover"]), {})
+        origins = pieces.setdefault(leaf["piece"] or "No piece", {})
+        origins.setdefault(leaf["origin_ludeme"], []).append(i)
+    for pieces in groups.values():
+        for piece, origins in pieces.items():
+            texts = [moves[indices[0]]["rule_text"] for indices in origins.values()]
+            pieces[piece] = {
+                text if texts.count(text) == 1 else f"{text} (ludeme {origin})": indices
+                for (origin, indices), text in zip(origins.items(), texts)}
+    return groups
 
 
-def _moves_html(moves: list[dict]) -> list[str]:
+def _moves_tree(moves: list[dict], groups: dict) -> dict:
+    return {mover: {piece: {key: {", ".join(moves[i]["action_types"]): i for i in indices}
+                            for key, indices in rules.items()}
+                    for piece, rules in pieces.items()}
+            for mover, pieces in groups.items()}
+
+
+def _moves_html(moves: list[dict], groups: dict) -> list[str]:
     # Hierarchy levels with a single child are collapsed visually (their
     # heading is omitted); manual.json preserves the full structure.
     parts: list[str] = []
-    by_mover = _group(moves, lambda m: _mover_label(m["mover"]))
-    for mover_label, mover_moves in by_mover.items():
+    for mover_label, pieces in groups.items():
         parts.append(f'<div class="mover-group" data-mover="{escape(mover_label)}">')
-        if len(by_mover) > 1:
+        if len(groups) > 1:
             parts.append(f"<h3>{escape(mover_label)}</h3>")
-        by_piece = _group(mover_moves, lambda m: m["piece"] or "No piece")
-        for piece, piece_moves in by_piece.items():
+        for piece, rules in pieces.items():
             parts.append(f'<div class="piece-group" data-piece="{escape(piece)}">')
-            if len(by_piece) > 1:
+            if len(pieces) > 1:
                 parts.append(f"<h4>{escape(piece)}</h4>")
-            by_rule = _group(piece_moves, lambda m: m["rule_text"])
-            for rule_text, rule_moves in by_rule.items():
+            for indices in rules.values():
                 parts.append('<div class="rule-group">')
-                parts.append(f"<p>{escape(rule_text)}</p>")
-                for leaf in rule_moves:
+                parts.append(f"<p>{escape(moves[indices[0]]['rule_text'])}</p>")
+                for i in indices:
+                    leaf = moves[i]
                     actions = ", ".join(leaf["action_types"])
                     parts.append('<div class="leaf">')
-                    if len(rule_moves) > 1:
+                    if len(indices) > 1:
                         parts.append(f'<p class="actions">Actions: {escape(actions)}</p>')
                     parts.append(f'<img src="{escape(leaf["before"])}" alt="before"/>')
                     parts.append(f'<img src="{escape(leaf["after"])}" alt="after"/>')
@@ -92,9 +100,10 @@ def build_manual(spec, translation: str, strategy_lines: list[str] | None,
     """Build the manual page and its JSON manifest.
 
     ``endings`` items: {text, before, after, result}.  ``moves`` items:
-    {mover, piece, rule_text, action_types, before, after, id}.
+    {mover, piece, origin_ludeme, rule_text, action_types, before, after, id}.
     """
     heuristics = strategy_lines if strategy_lines else [NO_STRATEGY_PLACEHOLDER]
+    groups = _move_groups(moves)
 
     parts = [
         "<!DOCTYPE html>",
@@ -119,7 +128,7 @@ def build_manual(spec, translation: str, strategy_lines: list[str] | None,
         parts.append(f'<img src="{escape(ending["after"])}" alt="after"/>')
         parts.append("</div>")
     parts.append("<h2>Moves</h2>")
-    parts.extend(_moves_html(moves))
+    parts.extend(_moves_html(moves, groups))
     parts.append("</body>")
     parts.append("</html>")
     html = "\n".join(parts) + "\n"
@@ -134,7 +143,7 @@ def build_manual(spec, translation: str, strategy_lines: list[str] | None,
         },
         "setup": {"image": setup_image},
         "endings": endings,
-        "moves": {"leaves": moves, "tree": _moves_tree(moves)},
+        "moves": {"leaves": moves, "tree": _moves_tree(moves, groups)},
     }
     return html, manifest
 

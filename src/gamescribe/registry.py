@@ -107,26 +107,14 @@ class Registry:
 
     def check_call(self, call: Call) -> None:
         desc = self.descriptor(call.head.name, call.head.span)
-        args = list(call.args)
+        args = call.args
         i = 0
         for slot in desc.slots:
-            if slot.variadic:
-                matched = 0
-                while i < len(args) and self._matches(args[i], slot):
-                    i += 1
-                    matched += 1
-                if slot.required and matched == 0:
-                    if i < len(args):
-                        raise BadArgumentKind(
-                            f"'{desc.name}' expects {slot.describe()}, got {_kind_of(args[i])}",
-                            args[i].span)
-                    raise ArityMismatch(f"'{desc.name}' is missing a {slot.describe()} argument",
-                                        call.span)
-                continue
-            if i < len(args) and self._matches(args[i], slot):
+            # A variadic slot takes every matching argument in a row, any other slot one.
+            start = i
+            while i < len(args) and (slot.variadic or i == start) and self._matches(args[i], slot):
                 i += 1
-                continue
-            if slot.required:
+            if slot.required and i == start:
                 if i < len(args):
                     raise BadArgumentKind(
                         f"'{desc.name}' expects {slot.describe()}, got {_kind_of(args[i])}",

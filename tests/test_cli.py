@@ -49,12 +49,13 @@ def test_compile_error_exits_3(tmp_path):
 
 def test_endless_game_exits_4(tmp_path):
     game = tmp_path / "wander.lud"
+    # A lone marker never makes a line of three, so the game never ends.
     game.write_text('(game "Wander" (players 1) '
                     '(equipment {(board (square 3)) '
                     '(piece "Marker" P1 (move Step (directions Adjacent)))}) '
                     '(rules (start (place "Marker" {"A1"})) '
                     '(play (forEach Piece)) '
-                    '(end (if (is Line 9) (result Mover Win)))))')
+                    '(end (if (is Line 3) (result Mover Win)))))')
     proc = _run("generate", "--game", str(game), "--playouts", "1",
                 "--out", str(tmp_path / "out"))
     assert proc.returncode == 4
@@ -228,6 +229,17 @@ UNRUNNABLE = {
     "in-without-regions": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
               end="(or (is Line 3) (and (is Even (count Moves)) (is In Mover)))"), "(is In"),
+    "result-player-beyond-count": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))")
+        .replace("(result Mover Win)", "(result P3 Win)"), "P3 Win"),
+    "add-without-target": (
+        _game('(piece "Disc" Each)', "(move Add (then (moveAgain)))"), "(move Add (then"),
+    "line-longer-than-board": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 4)"), "4)"),
+    "start-placement-conflict": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
+              start='(start {(place "Disc1" {"A1"}) (place "Disc2" {"B1" "A1"})})'),
+        '"A1"})})'),
 }
 
 
@@ -259,6 +271,19 @@ def test_no_legal_opening_move_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert main(["translate", "--game", str(game)]) == 0
     assert "Rules:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_playout_count_below_one_is_a_usage_error(tmp_path, capsys, count):
+    for argv in (["generate", "--out", str(tmp_path / "out")], ["playout-stats"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", count])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert "usage:" in err
+        assert f"argument --playouts: must be at least 1, got {count}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_stays_light():

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import CORPUS
-from gamescribe.compiler import compile_game
+from gamescribe.compiler import build_board, compile_game
 from gamescribe.registry import (ArityMismatch, BadArgumentKind, CompileError, UnknownLudeme,
                                  UnsupportedLudeme, default_registry)
 from gamescribe.sexpr import children, parse
@@ -159,3 +159,22 @@ def test_condition_one_player_can_meet_compiles():
         '(if (is In Mover) (result Mover Loss))})))'))
     assert [len(a) for a in spec.anchors.of_player] == [0, 2, 0]
     assert not spec.end_rules[1].cond.sites[2]
+
+
+@pytest.mark.parametrize("shape", ["(square 1)", "(square 5)", "(rectangle 4 2)",
+                                   "(rectangle 2 6)", "(hex Diamond 2)", "(hex Diamond 7)"])
+def test_longest_line_is_the_longer_side(shape):
+    # (is Line n) is checked against max(rows, cols); scan every line for the longest.
+    def source(n):
+        return (f'(game "T" (players 2) (equipment {{(board {shape}) (piece "Disc" Each)}}) '
+                f'(rules (play (move Add (to (sites Empty)))) '
+                f'(end (if (is Line {n}) (result Mover Win)))))')
+
+    board = build_board(parse(f"(board {shape})"))
+    longest = max(1 + len(board.ray(site, axis))
+                  for site in range(board.site_count) for axis in board.line_axes)
+    assert longest == max(board.rows, board.cols)
+    if longest >= 2:
+        assert compile_game(parse(source(longest))).end_rules[0].cond.length == longest
+    with pytest.raises(BadArgumentKind, match="longest line"):
+        compile_game(parse(source(longest + 1)))

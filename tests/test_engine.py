@@ -250,12 +250,13 @@ def test_check_end_is_pure_reevaluation(tictactoe):
 def test_move_cap_raises():
     from gamescribe.compiler import compile_game
     from gamescribe.sexpr import parse
+    # A lone marker never makes a line of three, so the game never ends.
     source = ('(game "Wander" (players 1) '
               '(equipment {(board (square 3)) '
               '(piece "Marker" P1 (move Step (directions Adjacent)))}) '
               '(rules (start (place "Marker" {"A1"})) '
               '(play (forEach Piece)) '
-              '(end (if (is Line 9) (result Mover Win)))))')
+              '(end (if (is Line 3) (result Mover Win)))))')
     spec = compile_game(parse(source))
     with pytest.raises(PlayoutLimitExceeded):
         random_playout(spec, 0, move_cap=500)

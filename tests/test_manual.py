@@ -1,3 +1,4 @@
+import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from gamescribe.manual import (NO_STRATEGY_PLACEHOLDER, SECTIONS, MissingAsset, build_manual,
                                check_assets)
+from gamescribe.pipeline import RunConfig, generate
 
 
 def _leaf(i, mover=None, piece="Disc", rule="Add a piece.", actions=("Add",)):
@@ -122,3 +124,27 @@ def test_check_assets(tmp_path, built):
     for name in names:
         (svg / name).write_text("<svg/>")
     check_assets(manifest, tmp_path)  # no exception
+
+
+def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
+    # Both branches translate to the same sentence; with three players each
+    # mover plays both, so there are six leaves under three movers.
+    game = tmp_path / "twin.lud"
+    game.write_text('(game "Twin" (players 3) (equipment {(board (square 3)) (piece "Disc" Each)}) '
+                    '(rules (play (if (is Even (count Moves)) (move Add (to (sites Empty))) '
+                    '(move Add (to (sites Empty))))) (end (if (is Line 3) (result Mover Win)))))')
+    game_dir = generate(RunConfig(game, playouts=20, out_dir=tmp_path / "out"))
+    manifest = json.loads((game_dir / "manual.json").read_text())
+    indices = []
+
+    def collect(node):
+        if isinstance(node, int):
+            indices.append(node)
+        else:
+            for v in node.values():
+                collect(v)
+
+    collect(manifest["moves"]["tree"])
+    assert len(manifest["moves"]["leaves"]) == 6
+    assert sorted(indices) == list(range(6))
+    assert (game_dir / "manual.html").read_text().count('<div class="leaf">') == 6

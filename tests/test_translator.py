@@ -4,8 +4,8 @@ import goldens
 from conftest import normalise
 from gamescribe import english
 from gamescribe.compiler import compile_game
-from gamescribe.english import (MissingTemplate, TranslationContext, join_list, number_word,
-                                plural, translate_game, translate_node)
+from gamescribe.english import (MissingTemplate, join_list, number_word, plural, translate_game,
+                                translate_node)
 from gamescribe.sexpr import parse
 
 
@@ -99,11 +99,10 @@ def test_nested_condition_grouping():
         f"either {line} or (the number of moves is even and the next player cannot move)"
 
 
-def test_result_phrases(tictactoe):
-    ctx = TranslationContext.for_spec(tictactoe)
-    assert english._result_phrase("Next", "Loss", ctx) == "the next player loses"
-    assert english._result_phrase("P2", "Win", ctx) == "player two wins"
-    assert english._result_phrase("Mover", "Draw", ctx) == "the game is a draw"
+def test_result_phrases():
+    assert english._result_phrase("Next", "Loss") == "the next player loses"
+    assert english._result_phrase("P2", "Win") == "player two wins"
+    assert english._result_phrase("Mover", "Draw") == "the game is a draw"
 
 
 def test_draw_fallback_sentence():
