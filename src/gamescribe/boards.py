@@ -1,13 +1,18 @@
-"""Board graphs: site labelling, adjacency and direction tables.
+"""Board graphs: site labelling, adjacency, rays and direction tables.
 
-Conventions: columns are lettered A.. from the left, rows numbered 1..
-from the bottom, so "A1" is the bottom-left corner.  Player 1 faces
-"north" (increasing row), player 2 faces south.
+Every board is a row-major ``rows x cols`` grid: site ``row * cols + col``,
+columns lettered A.. from the left and rows numbered 1.. from the bottom, so
+"A1" is the bottom-left corner.  Each ray along an adjacent direction
+``(dr, dc)`` is a ``range`` of site indices with step ``dr * cols + dc``, as
+long as the distance to the edge allows.  Direction names map to vectors as
+player 1 faces, north (increasing row); player 2 faces south, so Forward, FL
+and FR turn around for it, and no other player has a facing.
 """
 
 from __future__ import annotations
 
 import string
+import sys
 from dataclasses import dataclass, field
 
 
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 SQUARE_ORTHOGONAL = ((1, 0), (-1, 0), (0, 1), (0, -1))
 SQUARE_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 HEX_NEIGHBOURS = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
+FACING = ("Forward", "FL", "FR")
 
 
 @dataclass(frozen=True)
@@ -32,32 +38,50 @@ class BoardGraph:
     shape: str  # "square" | "rectangle" | "hexDiamond"
     rows: int
     cols: int
+    # The adjacent directions, in the order of each site's rays.
+    vectors: tuple[tuple[int, int], ...]
+    # Axes for line detection: one vector per undirected direction.
+    line_axes: tuple[tuple[int, int], ...]
+    # Direction name -> vectors, as player 1 faces.
+    directions: dict[str, tuple[tuple[int, int], ...]]
     sites: list[Site] = field(default_factory=list)
     adjacent: list[list[int]] = field(default_factory=list)
-    # Per-site rays along each all-adjacent direction, nearest site first.
-    rays: list[list[list[int]]] = field(default_factory=list)
-    # Axes for line detection: one vector per undirected direction.
-    line_axes: tuple[tuple[int, int], ...] = ()
-    # Player id -> direction name -> list of (dr, dc) vectors.
-    player_directions: dict[int, dict[str, list[tuple[int, int]]]] = field(default_factory=dict)
+    # Per-site rays along each adjacent direction, nearest site first.
+    rays: list[list[range]] = field(default_factory=list)
     sides: dict[str, list[int]] = field(default_factory=dict)
     _by_label: dict[str, int] = field(default_factory=dict)
-    _by_coord: dict[tuple[int, int], int] = field(default_factory=dict)
-    _ray_index: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def site_by_label(self, label: str) -> int | None:
         return self._by_label.get(label)
 
     def offset(self, site: int, vec: tuple[int, int]) -> int | None:
         s = self.sites[site]
-        return self._by_coord.get((s.row + vec[0], s.col + vec[1]))
+        row, col = s.row + vec[0], s.col + vec[1]
+        if 0 <= row < self.rows and 0 <= col < self.cols:
+            return row * self.cols + col
+        return None
 
     def direction_vectors(self, name: str, player: int) -> list[tuple[int, int]]:
-        return self.player_directions[player][name]
+        """The vectors of direction ``name`` as ``player`` faces; KeyError if it has none."""
+        vectors = self.directions[name]
+        if name in FACING:
+            if player == 2:
+                return [(-dr, -dc) for dr, dc in vectors]
+            if player != 1:
+                raise KeyError(name)
+        return list(vectors)
 
-    def ray(self, site: int, vec: tuple[int, int]) -> list[int]:
+    def ray_indices(self, names: tuple[str, ...], player: int) -> tuple[int, ...]:
+        """Indices into ``rays[site]`` of the named directions for ``player``, in order.
+
+        Raises KeyError with the first name the board has no vectors for.
+        """
+        return tuple(self.vectors.index(vec) for name in names
+                     for vec in self.direction_vectors(name, player))
+
+    def ray(self, site: int, vec: tuple[int, int]) -> range:
         """Sites from ``site`` along the adjacent direction ``vec``, nearest first."""
-        return self.rays[site][self._ray_index[vec]]
+        return self.rays[site][self.vectors.index(vec)]
 
     @property
     def site_count(self) -> int:
@@ -74,76 +98,53 @@ def _column_label(col: int) -> str:
     return label
 
 
-def _finish(board: BoardGraph, vectors: tuple[tuple[int, int], ...]) -> None:
-    by_coord = board._by_coord
-    board._ray_index = {vec: i for i, vec in enumerate(vectors)}
-    for s in board.sites:
-        board._by_label[s.label] = s.index
-        by_coord[(s.row, s.col)] = s.index
-    for s in board.sites:
-        adj = []
-        for vec in vectors:
-            n = by_coord.get((s.row + vec[0], s.col + vec[1]))
-            if n is not None:
-                adj.append(n)
-        board.adjacent.append(adj)
-        site_rays = []
-        for vec in vectors:
-            ray = []
-            r, c = s.row + vec[0], s.col + vec[1]
-            while (r, c) in by_coord:
-                ray.append(by_coord[(r, c)])
-                r, c = r + vec[0], c + vec[1]
-            site_rays.append(ray)
-        board.rays.append(site_rays)
+def _reach(pos: int, d: int, size: int) -> int:
+    """Steps of ``d`` (-1, 0 or 1) from ``pos`` that stay inside ``0..size-1``."""
+    return size - 1 - pos if d > 0 else pos if d < 0 else sys.maxsize
 
 
-def build_square(rows: int, cols: int, shape: str = "square") -> BoardGraph:
-    board = BoardGraph(shape=shape, rows=rows, cols=cols)
+def _grid(shape: str, rows: int, cols: int, vectors: tuple[tuple[int, int], ...],
+          line_axes: tuple[tuple[int, int], ...],
+          directions: dict[str, tuple[tuple[int, int], ...]],
+          sides: tuple[str, str, str, str]) -> BoardGraph:
+    """A ``rows x cols`` grid; ``sides`` names its top row, bottom row, left and right column."""
+    board = BoardGraph(shape, rows, cols, vectors, line_axes, directions)
+    top, bottom, left, right = sides
+    n = rows * cols
+    board.sides = {top: list(range(n - cols, n)), bottom: list(range(cols)),
+                   left: list(range(0, n, cols)), right: list(range(cols - 1, n, cols))}
     for row in range(rows):
         for col in range(cols):
             idx = row * cols + col
-            board.sites.append(Site(idx, f"{_column_label(col)}{row + 1}", row, col))
-    vectors = SQUARE_ORTHOGONAL + SQUARE_DIAGONAL
-    _finish(board, vectors)
-    board.line_axes = ((0, 1), (1, 0), (1, 1), (1, -1))
-    board.player_directions = {
-        1: {"Forward": [(1, 0)], "FL": [(1, -1)], "FR": [(1, 1)],
-            "Adjacent": list(vectors), "Orthogonal": list(SQUARE_ORTHOGONAL),
-            "Diagonal": list(SQUARE_DIAGONAL)},
-        2: {"Forward": [(-1, 0)], "FL": [(-1, 1)], "FR": [(-1, -1)],
-            "Adjacent": list(vectors), "Orthogonal": list(SQUARE_ORTHOGONAL),
-            "Diagonal": list(SQUARE_DIAGONAL)},
-    }
-    board.sides = {
-        "N": [s.index for s in board.sites if s.row == rows - 1],
-        "S": [s.index for s in board.sites if s.row == 0],
-        "E": [s.index for s in board.sites if s.col == cols - 1],
-        "W": [s.index for s in board.sites if s.col == 0],
-    }
+            label = f"{_column_label(col)}{row + 1}"
+            board.sites.append(Site(idx, label, row, col))
+            board._by_label[label] = idx
+            site_rays = []
+            for dr, dc in vectors:
+                step = dr * cols + dc
+                length = min(_reach(row, dr, rows), _reach(col, dc, cols))
+                # One column makes step 0 for (1, -1) and (-1, 1), whose length is 0.
+                site_rays.append(range(idx + step, idx + step * (length + 1), step or 1))
+            board.rays.append(site_rays)
+            board.adjacent.append([ray[0] for ray in site_rays if ray])
     return board
+
+
+def build_square(rows: int, cols: int, shape: str = "square") -> BoardGraph:
+    vectors = SQUARE_ORTHOGONAL + SQUARE_DIAGONAL
+    return _grid(shape, rows, cols, vectors, ((0, 1), (1, 0), (1, 1), (1, -1)),
+                 {"Forward": ((1, 0),), "FL": ((1, -1),), "FR": ((1, 1),),
+                  "Adjacent": vectors, "Orthogonal": SQUARE_ORTHOGONAL,
+                  "Diagonal": SQUARE_DIAGONAL}, ("N", "S", "W", "E"))
 
 
 def build_hex_diamond(size: int) -> BoardGraph:
     """An n-by-n rhombus of hexagonally tiled cells.
 
     Sides: NE is the top row, SW the bottom row, NW the left column,
-    SE the right column.
+    SE the right column.  Every adjacent direction is orthogonal; there is
+    no Diagonal and no facing.
     """
-    board = BoardGraph(shape="hexDiamond", rows=size, cols=size)
-    for row in range(size):
-        for col in range(size):
-            idx = row * size + col
-            board.sites.append(Site(idx, f"{_column_label(col)}{row + 1}", row, col))
-    _finish(board, HEX_NEIGHBOURS)
-    board.line_axes = ((0, 1), (1, 0), (1, -1))
-    all_dirs = list(HEX_NEIGHBOURS)
-    per_player = {"Adjacent": all_dirs, "Orthogonal": all_dirs, "Diagonal": []}
-    board.player_directions = {1: dict(per_player), 2: dict(per_player)}
-    board.sides = {
-        "NE": [s.index for s in board.sites if s.row == size - 1],
-        "SW": [s.index for s in board.sites if s.row == 0],
-        "NW": [s.index for s in board.sites if s.col == 0],
-        "SE": [s.index for s in board.sites if s.col == size - 1],
-    }
-    return board
+    return _grid("hexDiamond", size, size, HEX_NEIGHBOURS, ((0, 1), (1, 0), (1, -1)),
+                 {"Adjacent": HEX_NEIGHBOURS, "Orthogonal": HEX_NEIGHBOURS},
+                 ("NE", "SW", "NW", "SE"))

@@ -123,6 +123,8 @@ class PieceSpec:
     owner: int         # 0 = neutral
     rule: MoveRule | None = None
     from_each: bool = False
+    # Indices into board.rays[site] that the Step or Slide rule moves along.
+    rays: tuple[int, ...] = ()
 
     @property
     def move_rule_id(self) -> int | None:
@@ -389,26 +391,23 @@ class _Compiler:
             rule = None
             if len(node.args) > 2:
                 rule = self._compile_rule(node.args[2], board, piece_rule=True)
-            start = len(pieces)
             if owner_sym == "Each":
-                for p in range(1, player_count + 1):
-                    pieces.append(PieceSpec(f"{base}{p}", base, p, rule, True))
+                owners = range(1, player_count + 1)
             elif owner_sym == "Neutral":
-                pieces.append(PieceSpec(f"{base}0", base, 0, rule, False))
+                owners = (0,)
             else:
-                owner = _player_index(owner_sym)
-                if owner > player_count:
+                owners = (_player_index(owner_sym),)
+                if owners[0] > player_count:
                     raise BadArgumentKind(
                         f"piece owner {owner_sym} exceeds player count", node.args[1].span)
-                pieces.append(PieceSpec(base, base, owner, rule, False))
-            for piece in pieces[start:]:  # the pieces this node declares
-                if rule is None or piece.owner == 0:
-                    continue  # neutral pieces never move
-                known = board.player_directions.get(piece.owner, {})
-                for name in rule.directions:
-                    if name not in known:
-                        raise BadArgumentKind(f"the board has no {name} direction for "
-                                              f"P{piece.owner}", node.args[2].span)
+            for owner in owners:
+                try:  # neutral pieces never move
+                    rays = board.ray_indices(rule.directions, owner) if rule and owner else ()
+                except KeyError as missing:
+                    raise BadArgumentKind(f"the board has no {missing.args[0]} direction "
+                                          f"for P{owner}", node.args[2].span) from None
+                name = f"{base}{owner}" if owner_sym in ("Each", "Neutral") else base
+                pieces.append(PieceSpec(name, base, owner, rule, owner_sym == "Each", rays))
         return pieces
 
     def _compile_rule(self, node: RawNode, board: BoardGraph, *,

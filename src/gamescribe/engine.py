@@ -4,15 +4,15 @@ Generates legal moves from the compiled play rules, applies them, evaluates
 the compiled end rules and conditions by their type, and runs seeded random
 playouts.  Each state resolves its play rule once into target sites: an Add
 rule's come from an empty-site list that ``apply_move`` keeps up to date,
-and each piece's Step, Slide or Shoot targets from the board's rays.  A
-playout counts the targets, draws one index with ``randrange(count)`` and
-builds only the move at that index of the legal list; ``legal_moves``
-builds them all from the same targets, in the same order.  Every play rule
-resolves to one form: (rule, piece, site, target sites) groups.
-``(is Connected ...)`` asks an incremental union-find first and searches
-for the winning path only once that reports a connection.  All randomness
-comes from a fixed xorshift64* generator so traces replay identically on
-any platform.
+and each piece's Step, Slide or Shoot targets from the board's rays, read
+by the ray indices the compiler gave the piece.  A playout counts the
+targets, draws one index with ``randrange(count)`` and builds only the move
+at that index of the legal list; ``legal_moves`` builds them all from the
+same targets, in the same order.  Every play rule resolves to one form:
+(rule, piece, site, target sites) groups.  ``(is Connected ...)`` asks an
+incremental union-find first and searches for the winning path only once
+that reports a connection.  All randomness comes from a fixed xorshift64*
+generator so traces replay identically on any platform.
 """
 
 from __future__ import annotations
@@ -145,33 +145,32 @@ def _empty_sites(state: GameState) -> list[int]:
     return state._empty
 
 
-def _rule_targets(spec: GameSpec, state: GameState, rule: MoveRule,
-                  site: int | None) -> list[int] | tuple[int, ...]:
-    """Target sites of ``rule`` moving the piece on ``site``, in legal-move order."""
+def _rule_targets(spec: GameSpec, state: GameState, rule: MoveRule, site: int | None,
+                  rays: tuple[int, ...] = ()) -> list[int] | tuple[int, ...]:
+    """Target sites of ``rule`` moving the piece on ``site``, in legal-move order.
+
+    ``rays`` indexes the site's board rays a Step or Slide moves along.
+    """
     if rule.kind == "Add":
         return _empty_sites(state) if rule.to.kind == ("Empty",) else rule.to.sites
-    board, contents, mover = spec.board, state.contents, state.mover
+    contents, mover = state.contents, state.mover
     targets = []
     if rule.kind == "Shoot":  # from where the last move landed, along every ray
         last = state.last_move
         if last is None or last.to_site is None:
             return targets
-        rays = board.rays[last.to_site]
-    elif rule.kind == "Slide":
-        vectors = board.player_directions[mover]
-        rays = [board.ray(site, vec) for name in rule.directions for vec in vectors[name]]
-    else:  # Step: onto an empty site or an enemy piece that is not neutral
-        vectors = board.player_directions[mover]
-        for name in rule.directions:
-            for vec in vectors[name]:
-                ray = board.ray(site, vec)
-                if ray:
-                    occupant = contents[ray[0]]
-                    if occupant is None or occupant[1] not in (mover, 0):
-                        targets.append(ray[0])
+        site, rays = last.to_site, range(len(spec.board.vectors))
+    site_rays = spec.board.rays[site]
+    if rule.kind == "Step":  # onto an empty site or an enemy piece that is not neutral
+        for i in rays:
+            ray = site_rays[i]
+            if ray:
+                occupant = contents[ray[0]]
+                if occupant is None or occupant[1] not in (mover, 0):
+                    targets.append(ray[0])
         return targets
-    for ray in rays:
-        for target in ray:
+    for i in rays:
+        for target in site_rays[i]:
             if contents[target] is not None:
                 break
             targets.append(target)
@@ -196,10 +195,11 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
         if isinstance(rule, ForEachPiece):
             for site, content in enumerate(state.contents):
                 if content is not None and content[1] == mover:
-                    piece_rule = spec.piece_named(content[0]).rule
-                    sites = _rule_targets(spec, state, piece_rule, site) if piece_rule else ()
+                    piece = spec.piece_named(content[0])
+                    sites = (_rule_targets(spec, state, piece.rule, site, piece.rays)
+                             if piece.rule else ())
                     if sites:
-                        groups.append((piece_rule, content[0], site, sites))
+                        groups.append((piece.rule, content[0], site, sites))
                         total += len(sites)
         elif rule is not None:
             sites = _rule_targets(spec, state, rule, None)

@@ -23,7 +23,7 @@ PAD = 16
 _HEX_WIDTH = math.sqrt(3.0) * HEX_RADIUS
 _HEX_VSTEP = 1.5 * HEX_RADIUS
 
-_OWNER_FILL = {0: "#9e9e9e", 1: "#ffffff", 2: "#1a1a1a"}
+_OWNER_FILL = {0: "#9e9e9e", 1: "#ffffff", 2: "#1a1a1a", 3: "#3a6fb0", 4: "#e0a526"}
 _OWNER_STROKE = {0: "#555555", 1: "#1a1a1a", 2: "#1a1a1a"}
 
 RED = "#d62828"

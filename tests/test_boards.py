@@ -1,0 +1,62 @@
+"""Board geometry against a coordinate walk that reads only Site.row and Site.col."""
+
+import pytest
+
+from gamescribe import boards
+
+SQUARE_VECTORS = {(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)} - {(0, 0)}
+
+BOARDS = ([boards.build_square(n, n) for n in range(1, 13)]
+          + [boards.build_square(rows, cols, shape="rectangle")
+             for rows in range(1, 6) for cols in range(1, 8) if rows != cols]
+          + [boards.build_square(1, 12, shape="rectangle"),
+             boards.build_square(12, 1, shape="rectangle")]
+          + [boards.build_hex_diamond(n) for n in range(1, 13)])
+
+
+def _walk(board, by_coord, site, vec):
+    """Sites from ``site`` along ``vec`` until the edge, stepping over ``by_coord``."""
+    s = board.sites[site]
+    row, col, out = s.row + vec[0], s.col + vec[1], []
+    while (row, col) in by_coord:
+        out.append(by_coord[(row, col)])
+        row, col = row + vec[0], col + vec[1]
+    return out
+
+
+@pytest.mark.parametrize("board", BOARDS,
+                         ids=lambda b: f"{b.shape}-{b.rows}x{b.cols}")
+def test_rays_and_adjacency_match_a_coordinate_walk(board):
+    hexagonal = board.shape == "hexDiamond"
+    assert set(board.vectors) == (set(boards.HEX_NEIGHBOURS) if hexagonal else SQUARE_VECTORS)
+    assert len(board.vectors) == len(set(board.vectors))
+    assert len(board.sites) == board.rows * board.cols
+    by_coord = {(s.row, s.col): s.index for s in board.sites}
+    for site, s in enumerate(board.sites):
+        assert board.site_by_label(s.label) == site
+        walks = [_walk(board, by_coord, site, vec) for vec in board.vectors]
+        for vec, walk in zip(board.vectors, walks):
+            assert list(board.ray(site, vec)) == walk, (s.label, vec)
+            assert board.offset(site, vec) == (walk[0] if walk else None), (s.label, vec)
+        assert board.adjacent[site] == [walk[0] for walk in walks if walk], s.label
+
+
+def test_directions_per_player():
+    square, hexagonal = boards.build_square(5, 3, shape="rectangle"), boards.build_hex_diamond(4)
+    ray = square.vectors.index
+    assert square.ray_indices(("Forward", "FL", "FR"), 1) == (ray((1, 0)), ray((1, -1)),
+                                                               ray((1, 1)))
+    assert square.ray_indices(("Forward", "FL", "FR"), 2) == (ray((-1, 0)), ray((-1, 1)),
+                                                               ray((-1, -1)))
+    for player in (1, 2, 3, 4):
+        assert square.ray_indices(("Adjacent",), player) == tuple(range(8))
+        assert square.ray_indices(("Diagonal", "Orthogonal"), player) == (4, 5, 6, 7, 0, 1, 2, 3)
+        assert hexagonal.ray_indices(("Orthogonal",), player) == tuple(range(6))
+    for name in ("Forward", "FL", "FR"):
+        for player in (3, 4):
+            with pytest.raises(KeyError, match=name):
+                square.ray_indices(("Adjacent", name), player)
+        with pytest.raises(KeyError, match=name):
+            hexagonal.ray_indices((name,), 1)
+    with pytest.raises(KeyError, match="Diagonal"):
+        hexagonal.ray_indices(("Diagonal",), 1)

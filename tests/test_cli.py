@@ -185,6 +185,14 @@ UNRUNNABLE = {
         _game('(piece "Disc" Each (move Step (directions Forward)))', "(forEach Piece)",
               start='(start (place "Disc1" {"A1"}))').replace("(square 3)", "(hex Diamond 3)"),
         "(move Step"),
+    "forward-for-p3": (
+        _game('(piece "Disc" Each (move Step (directions Forward)))', "(forEach Piece)",
+              start='(start (place "Disc1" {"A1"}))').replace("(players 2)", "(players 3)"),
+        "(move Step"),
+    "diagonal-on-hex": (
+        _game('(piece "Disc" Each (move Slide (directions Diagonal)))', "(forEach Piece)",
+              start='(start (place "Disc1" {"A1"}))').replace("(square 3)", "(hex Diamond 3)"),
+        "(move Slide"),
     "shot-piece-not-declared": (
         _game('(piece "Disc" Each)', "(if (is Even (count Moves)) (move Add (to (sites Empty))) "
               '(move Shoot (piece "Arrow")))'), "(move Shoot"),
@@ -255,6 +263,44 @@ def test_unrunnable_rule_exits_3_at_compile_time(tmp_path, capsys, name):
     assert "compile failed" in err
     assert f"(at offset {source.index(culprit)})" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("owner", ["P3", "P4"])
+@pytest.mark.parametrize("direction", ["Forward", "FL", "FR"])
+def test_only_players_1_and_2_have_a_facing(tmp_path, capsys, direction, owner):
+    source = (_game(f'(piece "Disc" Each) (piece "Pawn" {owner} '
+                    f'(move Step (directions {{Adjacent {direction}}})))', "(forEach Piece)",
+                    start='(start (place "Disc1" {"A1"}))')
+              .replace("(players 2)", "(players 4)").replace("(square 3)", "(square 4)"))
+    game = tmp_path / "facing.lud"
+    game.write_text(source)
+    assert main(["translate", "--game", str(game)]) == 3
+    err = capsys.readouterr().err
+    assert f"the board has no {direction} direction for {owner}" in err
+    assert f"(at offset {source.index('(move Step')})" in err
+
+
+# Three players whose pieces step in every direction: an Add every other
+# move, so each player both places and steps, and a line of three wins.
+THREE_STEPPERS = ('(game "Three" (players 3) (equipment {(board (square 4)) '
+                  '(piece "Disc" Each (move Step (directions Adjacent)))}) '
+                  '(rules (start {(place "Disc1" {"A1"}) (place "Disc2" {"D4"}) '
+                  '(place "Disc3" {"A4"})}) '
+                  '(play (if (is Even (count Moves)) (move Add (to (sites Empty))) '
+                  '(forEach Piece))) (end (if (is Line 3) (result Mover Win)))))')
+
+
+def test_third_player_steps_adjacent(tmp_path, capsys):
+    game = tmp_path / "three.lud"
+    game.write_text(THREE_STEPPERS)
+    assert main(["translate", "--game", str(game)]) == 0
+    assert main(["playout-stats", "--game", str(game), "--playouts", "20"]) == 0
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(game), "--playouts", "20", "--out", str(out),
+                 "--format", "json"]) == 0
+    traces = json.loads((out / "Three" / "traces.json").read_text())
+    steps = {m["mover"] for t in traces for m in t["moves"] if m["from"] != m["to"]}
+    assert steps == {1, 2, 3}
 
 
 def test_no_legal_opening_move_exits_3(tmp_path, capsys):

@@ -59,7 +59,21 @@ DROP = ('(game "Drop" (players 2) (equipment {(board (square 4)) '
         '(play (forEach Piece)) '
         '(end (if (is Line 3) (result Mover Win)))))')
 
-SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT, "Drop": DROP}
+# Three players on a board of 3 rows and 5 columns, so a ray's site step
+# (dr * cols + dc) differs from its mixed-up (dr * rows + dc): kings step
+# and capture in every direction, bishops slide diagonally.
+TRIO = ('(game "Trio" (players 3) (equipment {(board (rectangle 5 3)) '
+        '(piece "King" Each (move Step (directions Adjacent))) '
+        '(piece "Bishop" Each (move Slide (directions Diagonal))) '
+        '(regions P1 (sites Side E)) (regions P2 (sites Side W)) (regions P3 (sites Side N))}) '
+        '(rules (start {(place "King1" {"A2"}) (place "Bishop1" {"B1"}) '
+        '(place "King2" {"E2"}) (place "Bishop2" {"D3"}) '
+        '(place "King3" {"C1"}) (place "Bishop3" {"E1"})}) '
+        '(play (forEach Piece)) '
+        '(end (if (is In Mover) (result Mover Win)))))')
+
+SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT, "Drop": DROP,
+               "Trio": TRIO}
 
 
 def _spec(name):
@@ -69,7 +83,7 @@ def _spec(name):
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe",
-                                  "Crown", "Hybrid", "Blocked", "Knot", "Drop"])
+                                  "Crown", "Hybrid", "Blocked", "Knot", "Drop", "Trio"])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
@@ -149,7 +163,7 @@ def test_playouts_never_build_the_legal_list(name, monkeypatch):
     assert [trace_to_dict(random_playout(spec, seed), spec) for seed in range(5)] == want
 
 
-@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "Hybrid", "Blocked"])
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "Hybrid", "Blocked", "Trio"])
 def test_pick_is_kth_legal_move(name):
     spec = _spec(name)
     for seed in range(5):

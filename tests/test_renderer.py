@@ -1,8 +1,10 @@
 import xml.etree.ElementTree as ET
 
+from gamescribe.compiler import compile_game
 from gamescribe.engine import apply_move, initial_state, legal_moves, random_playout, replay
 from gamescribe.render import (HighlightSpec, render_board, render_ending_pair,
                                render_move_pair)
+from gamescribe.sexpr import parse
 
 
 def _count(svg: str, needle: str) -> int:
@@ -106,3 +108,17 @@ def test_glyphs_survive_capture_render(breakthrough):
     svg = render_board(breakthrough, state)
     pieces = sum(1 for c in state.contents if c is not None)
     assert _count(svg, 'class="glyph"') == pieces
+
+
+def test_four_players_have_four_fills():
+    spec = compile_game(parse(
+        '(game "Four" (players 4) (equipment {(board (square 4)) (piece "Disc" Each)}) '
+        '(rules (start {(place "Disc1" {"A1"}) (place "Disc2" {"B1"}) (place "Disc3" {"C1"}) '
+        '(place "Disc4" {"D1"})}) (play (move Add (to (sites Empty)))) '
+        '(end (if (is Line 3) (result Mover Win)))))'))
+    root = _assert_well_formed(render_board(spec, initial_state(spec)))
+    ns = "{http://www.w3.org/2000/svg}"
+    fills = {g.get("data-piece"): g.find(f"{ns}circle").get("fill")
+             for g in root.iter(f"{ns}g") if g.get("class") == "glyph"}
+    assert sorted(fills) == ["Disc1", "Disc2", "Disc3", "Disc4"]
+    assert len(set(fills.values())) == 4
