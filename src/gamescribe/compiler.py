@@ -197,6 +197,15 @@ class GameSpec:
     rules: dict[int, PlayRule] = field(default_factory=dict)
     # Whether the mover participates in move signatures; see _distinct_rules.
     distinct_rules: bool = False
+    # The first declared piece of each name, and the name of each player's
+    # first declared piece (None if the player owns none), indexed by player.
+    pieces_by_name: dict[str, PieceSpec] = field(init=False, repr=False, compare=False)
+    first_piece: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.pieces_by_name = {p.name: p for p in reversed(self.pieces)}
+        self.first_piece = tuple(next((p.name for p in self.pieces if p.owner == player), None)
+                                 for player in range(self.player_count + 1))
 
     @property
     def play_id(self) -> int:
@@ -212,10 +221,7 @@ class GameSpec:
         return [p for p in self.pieces if p.owner == owner]
 
     def piece_named(self, name: str) -> PieceSpec | None:
-        for p in self.pieces:
-            if p.name == name:
-                return p
-        return None
+        return self.pieces_by_name.get(name)
 
     def regions_of(self, owner: int) -> list[RegionSpec]:
         return [r for r in self.regions if r.owner == owner]

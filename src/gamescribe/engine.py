@@ -3,20 +3,26 @@
 Generates legal moves from the compiled play rules, applies them, evaluates
 the compiled end rules and conditions by their type, and runs seeded random
 playouts.  Each state resolves its play rule once into target sites: an Add
-rule's come from an empty-site list that ``apply_move`` keeps up to date,
-and each piece's Step, Slide or Shoot targets from the board's rays, read
-by the ray indices the compiler gave the piece.  A playout counts the
-targets, draws one index with ``randrange(count)`` and builds only the move
-at that index of the legal list; ``legal_moves`` builds them all from the
-same targets, in the same order.  Every play rule resolves to one form:
-(rule, piece, site, target sites) groups.  ``(is Connected ...)`` asks an
-incremental union-find first and searches for the winning path only once
-that reports a connection.  All randomness comes from a fixed xorshift64*
-generator so traces replay identically on any platform.
+rule's come from the state's empty-site list, and a (forEach Piece) visits
+only the sites the mover owns, reading each piece's Step, Slide or Shoot
+targets from the board's rays by the ray indices the compiler gave the
+piece.  A playout counts the targets, draws one index with
+``randrange(count)`` and builds only the move at that index of the legal
+list; ``legal_moves`` builds them all from the same targets, in the same
+order.  Every play rule resolves to one form: (rule, piece, site, target
+sites) groups.  ``(is Connected ...)`` asks an incremental union-find first
+and searches for the winning path only once that reports a connection.
+
+``_advance`` is the one transition: it plays a move on a state in place and
+keeps the empty sites, owned sites and union-find it finds built in step
+with ``contents``.  Playouts and ``replay`` advance one state;
+``apply_move`` advances a copy.  All randomness comes from a fixed
+xorshift64* generator so traces replay identically on any platform.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .compiler import (AnyOf, Condition, ForEachPiece, GameSpec, IfRule, IsConnected, IsEven,
@@ -93,13 +99,16 @@ class GameState:
     move_count: int
     terminal: EndMatch | None = None
     last_move: Move | None = None
-    # Caches of what ``contents`` implies, built lazily; apply_move carries the
-    # empty sites (ascending) and the union-find parents (see _union_find) forward.
-    # _groups and _total are the resolved play rule (see _resolve).
+    # Caches of what ``contents`` implies, built lazily.  _advance updates the
+    # empty sites (ascending), the owned sites (ascending, indexed by owner) and
+    # the union-find parents (see _union_find) in place, or drops the
+    # union-find; it clears _legal, _groups and _total, the resolved play rule
+    # (see _resolve).
     _legal: "list[Move] | None" = field(default=None, repr=False, compare=False)
     _groups: "list[tuple] | None" = field(default=None, repr=False, compare=False)
     _total: int = field(default=0, repr=False, compare=False)
     _empty: "list[int] | None" = field(default=None, repr=False, compare=False)
+    _owned: "list[list[int]] | None" = field(default=None, repr=False, compare=False)
     _uf: "list[int] | None" = field(default=None, repr=False, compare=False)
 
 
@@ -114,7 +123,7 @@ class PlayoutTrace:
 def initial_state(spec: GameSpec) -> GameState:
     contents: list = [None] * spec.board.site_count
     for placement in spec.start_placements:
-        piece = spec.piece_named(placement.piece_name)
+        piece = spec.pieces_by_name[placement.piece_name]
         for site in placement.sites:
             contents[site] = (piece.name, piece.owner)
     return GameState(contents=contents, mover=1, move_count=0)
@@ -122,11 +131,6 @@ def initial_state(spec: GameSpec) -> GameState:
 
 def _next_player(spec: GameSpec, player: int) -> int:
     return player % spec.player_count + 1
-
-
-def _mover_piece(spec: GameSpec, mover: int) -> str | None:
-    owned = spec.pieces_of(mover)
-    return owned[0].name if owned else None
 
 
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
@@ -145,36 +149,39 @@ def _empty_sites(state: GameState) -> list[int]:
     return state._empty
 
 
-def _rule_targets(spec: GameSpec, state: GameState, rule: MoveRule, site: int | None,
-                  rays: tuple[int, ...] = ()) -> list[int] | tuple[int, ...]:
-    """Target sites of ``rule`` moving the piece on ``site``, in legal-move order.
+def _owned_sites(spec: GameSpec, state: GameState) -> list[list[int]]:
+    """Each owner's occupied sites, ascending, indexed by owner (0 is neutral)."""
+    if state._owned is None:
+        owned: list[list[int]] = [[] for _ in range(spec.player_count + 1)]
+        for site, c in enumerate(state.contents):
+            if c is not None:
+                owned[c[1]].append(site)
+        state._owned = owned
+    return state._owned
 
-    ``rays`` indexes the site's board rays a Step or Slide moves along.
-    """
-    if rule.kind == "Add":
-        return _empty_sites(state) if rule.to.kind == ("Empty",) else rule.to.sites
-    contents, mover = state.contents, state.mover
+
+def _ray_walk(contents: list, site_rays: list[range],
+              rays: tuple[int, ...] | range) -> list[int]:
+    """The empty sites along each of ``site_rays`` that ``rays`` indexes, up to the first piece."""
     targets = []
-    if rule.kind == "Shoot":  # from where the last move landed, along every ray
-        last = state.last_move
-        if last is None or last.to_site is None:
-            return targets
-        site, rays = last.to_site, range(len(spec.board.vectors))
-    site_rays = spec.board.rays[site]
-    if rule.kind == "Step":  # onto an empty site or an enemy piece that is not neutral
-        for i in rays:
-            ray = site_rays[i]
-            if ray:
-                occupant = contents[ray[0]]
-                if occupant is None or occupant[1] not in (mover, 0):
-                    targets.append(ray[0])
-        return targets
     for i in rays:
         for target in site_rays[i]:
             if contents[target] is not None:
                 break
             targets.append(target)
     return targets
+
+
+def _rule_targets(spec: GameSpec, state: GameState,
+                  rule: MoveRule) -> list[int] | tuple[int, ...]:
+    """Target sites of an Add or Shoot ``rule``, in legal-move order."""
+    if rule.kind == "Add":
+        return _empty_sites(state) if rule.to.kind == ("Empty",) else rule.to.sites
+    last = state.last_move  # a Shoot starts where the last move landed, along every ray
+    if last is None or last.to_site is None:
+        return []
+    board = spec.board
+    return _ray_walk(state.contents, board.rays[last.to_site], range(len(board.vectors)))
 
 
 def _resolve(spec: GameSpec, state: GameState) -> int:
@@ -193,16 +200,34 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
             rule = rule.then if eval_condition(spec, state, rule.cond, mover) else rule.otherwise
         groups, total = [], 0
         if isinstance(rule, ForEachPiece):
-            for site, content in enumerate(state.contents):
-                if content is not None and content[1] == mover:
-                    piece = spec.piece_named(content[0])
-                    sites = (_rule_targets(spec, state, piece.rule, site, piece.rays)
-                             if piece.rule else ())
-                    if sites:
-                        groups.append((piece.rule, content[0], site, sites))
-                        total += len(sites)
+            contents, board_rays, pieces = state.contents, spec.board.rays, spec.pieces_by_name
+            friends = (mover, 0)
+            for site in _owned_sites(spec, state)[mover]:
+                name = contents[site][0]
+                piece = pieces[name]
+                piece_rule = piece.rule
+                if piece_rule is None:
+                    continue
+                kind = piece_rule.kind
+                if kind == "Step":  # onto an empty site or an enemy piece that is not neutral
+                    site_rays = board_rays[site]
+                    sites = []
+                    for i in piece.rays:
+                        ray = site_rays[i]
+                        if ray:
+                            target = ray[0]
+                            occupant = contents[target]
+                            if occupant is None or occupant[1] not in friends:
+                                sites.append(target)
+                elif kind == "Slide":
+                    sites = _ray_walk(contents, board_rays[site], piece.rays)
+                else:  # an Add or a Shoot
+                    sites = _rule_targets(spec, state, piece_rule)
+                if sites:
+                    groups.append((piece_rule, name, site, sites))
+                    total += len(sites)
         elif rule is not None:
-            sites = _rule_targets(spec, state, rule, None)
+            sites = _rule_targets(spec, state, rule)
             if sites:
                 groups.append((rule, None, None, sites))
                 total = len(sites)
@@ -218,7 +243,7 @@ def _move(spec: GameSpec, state: GameState, rule: MoveRule, piece: str | None,
     move landed, in piece rules too; a Step onto a piece captures it.
     """
     if rule.kind == "Add":
-        piece, site, kinds = _mover_piece(spec, state.mover), target, ("Add",)
+        piece, site, kinds = spec.first_piece[state.mover], target, ("Add",)
     elif rule.kind == "Shoot":
         piece, site, kinds = rule.projectile, state.last_move.to_site, ("Add",)
     elif state.contents[target] is None:
@@ -238,39 +263,63 @@ def _pick(spec: GameSpec, state: GameState, k: int) -> Move:
         k -= len(sites)
 
 
+def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
+    """Play ``move`` on ``state`` in place and evaluate the end rules.
+
+    The empty and owned sites, where built, stay in step with ``contents``;
+    so does the union-find after an Add onto an empty site.  Any other move
+    drops the union-find, to be rebuilt from contents if it is asked for.
+    """
+    contents, empty, owned = state.contents, state._empty, state._owned
+    kinds = move.action_types
+    site = move.to_site
+    taken = contents[site]
+    if "Add" in kinds:
+        piece = spec.pieces_by_name[move.piece]
+        placed = (piece.name, piece.owner)
+        if taken is None and state._uf is not None:
+            _join(spec, state._uf, contents, site, piece.owner)
+        else:
+            state._uf = None
+    else:  # a Move; a capture's Remove is the overwrite of to_site
+        origin = move.from_site
+        placed = contents[origin]
+        contents[origin] = None
+        state._uf = None
+        if empty is not None:
+            insort(empty, origin)
+        if owned is not None:
+            owned[placed[1]].remove(origin)
+    contents[site] = placed
+    if taken is None:
+        if empty is not None:
+            empty.remove(site)
+    elif owned is not None:
+        owned[taken[1]].remove(site)
+    if owned is not None:
+        insort(owned[placed[1]], site)
+    state.mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
+    state.move_count += 1
+    state.last_move = move
+    state._legal = state._groups = None
+    state._total = 0
+    state.terminal = check_end(spec, state, move)
+
+
 def apply_move(state: GameState, move: Move, spec: GameSpec, *,
                validate: bool = True) -> GameState:
-    """Apply ``move`` and return the successor state with end rules evaluated."""
+    """Apply ``move`` to a copy of ``state`` and return the copy, with end rules evaluated."""
     if state.terminal is not None:
         raise IllegalMove("state is terminal")
     if validate and move not in legal_moves(spec, state):
         raise IllegalMove(f"move not legal in this state: {move}")
-    contents = list(state.contents)
-    kinds = move.action_types
-    # A Move or an overwriting Add drops the union-find, and a Move the empty
-    # sites; each is rebuilt from contents if it is asked for again.
-    empty = uf = None
-    if "Add" in kinds:
-        piece = spec.piece_named(move.piece)
-        site = move.to_site
-        if contents[site] is not None:
-            empty = state._empty
-        else:
-            if state._empty is not None:
-                empty = state._empty.copy()
-                empty.remove(site)
-            if state._uf is not None:
-                uf = state._uf.copy()
-                _join(spec, uf, contents, site, piece.owner)
-        contents[site] = (piece.name, piece.owner)
-    elif "Move" in kinds:  # a capture's Remove is the overwrite of to_site
-        contents[move.to_site] = contents[move.from_site]
-        contents[move.from_site] = None
-    mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
-    new_state = GameState(contents=contents, mover=mover,
-                          move_count=state.move_count + 1,
-                          last_move=move, _empty=empty, _uf=uf)
-    new_state.terminal = check_end(spec, new_state, move)
+    empty, owned, uf = state._empty, state._owned, state._uf
+    new_state = GameState(
+        list(state.contents), state.mover, state.move_count, last_move=state.last_move,
+        _empty=None if empty is None else empty.copy(),
+        _owned=None if owned is None else [sites.copy() for sites in owned],
+        _uf=None if uf is None else uf.copy())
+    _advance(spec, new_state, move)
     return new_state
 
 
@@ -442,7 +491,8 @@ def random_playout(spec: GameSpec, seed: int, *,
 
     Each ply draws ``randrange(count)`` over the mover's legal moves and
     plays the move at that index of ``legal_moves``, built from the state's
-    target sites (see _resolve) without building the others.
+    target sites (see _resolve) without building the others.  One state is
+    advanced in place from the first ply to the last.
 
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
@@ -459,19 +509,20 @@ def random_playout(spec: GameSpec, seed: int, *,
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
         move = _pick(spec, state, rng.randrange(count))
-        state = apply_move(state, move, spec, validate=False)
+        _advance(spec, state, move)
         moves.append(move)
     # Traces are kept; their final states need no caches.
-    state._empty = state._uf = state._groups = None
+    state._empty = state._owned = state._uf = state._groups = None
     return PlayoutTrace(seed, tuple(moves), state.terminal, state)
 
 
 def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> GameState:
     """State reached by applying the first ``upto`` trace moves (all if None)."""
     state = initial_state(spec)
-    moves = trace.moves if upto is None else trace.moves[:upto]
-    for move in moves:
-        state = apply_move(state, move, spec, validate=False)
+    for move in trace.moves if upto is None else trace.moves[:upto]:
+        if state.terminal is not None:
+            raise IllegalMove("state is terminal")
+        _advance(spec, state, move)
     return state
 
 

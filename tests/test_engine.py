@@ -171,6 +171,8 @@ def test_replay_reaches_identical_terminal(tictactoe):
     assert final.terminal == trace.outcome
     partial = replay(tictactoe, trace, upto=2)
     assert partial.move_count == 2 and partial.terminal is None
+    with pytest.raises(IllegalMove):  # no move follows the end
+        replay(tictactoe, engine.PlayoutTrace(11, trace.moves + trace.moves[-1:], trace.outcome))
 
 
 def test_line_matches_bruteforce_oracle(tictactoe):

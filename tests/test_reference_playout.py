@@ -1,5 +1,7 @@
 """Count-and-pick playouts against the full-list reference in reference_playout.py."""
 
+import copy
+
 import pytest
 
 import oracles
@@ -7,7 +9,7 @@ import reference_playout
 from conftest import load_spec
 from gamescribe import engine
 from gamescribe.compiler import compile_game
-from gamescribe.engine import apply_move, initial_state, random_playout, trace_to_dict
+from gamescribe.engine import apply_move, initial_state, random_playout, replay, trace_to_dict
 from gamescribe.sexpr import parse
 
 # An Add onto a fixed site set, which overwrites occupied sites.
@@ -95,8 +97,9 @@ def test_playouts_match_full_list_reference(name):
 def _walk(spec, seed, monkeypatch):
     """(state before, state after, caches carried in) for each move of a playout.
 
-    The carried flags say whether apply_move handed the new state its empty
-    sites and union-find, before check_end could build them from contents.
+    The carried flags say whether the new state came out of apply_move with
+    empty sites and a union-find, copied from the state before and updated
+    by the move, before check_end could build them from contents.
     """
     trace = random_playout(spec, seed)
     carried = []
@@ -149,6 +152,85 @@ def test_overwrites_and_steps_keep_state_in_step(name, monkeypatch):
         assert ("Add", True) in shapes
     else:
         assert {("Add", False), ("Move", False), ("Remove", True)} <= shapes
+
+
+# The caches each game's playouts keep up to date from one ply to the next.
+KEPT = {"Amazons": {"owned"}, "Breakthrough": {"owned"}, "Hex": {"empty", "uf"},
+        "TicTacToe": {"empty"}, "Crown": {"uf"}, "Hybrid": {"empty", "owned", "uf"},
+        "Blocked": {"owned"}, "Knot": {"empty", "uf"}, "Drop": {"empty", "owned"},
+        "Trio": {"owned"}}
+
+
+def _owned_scan(spec, contents):
+    owned = [[] for _ in range(spec.player_count + 1)]
+    for site, c in enumerate(contents):
+        if c is not None:
+            owned[c[1]].append(site)
+    return owned
+
+
+@pytest.mark.parametrize("name", KEPT)
+def test_in_place_playout_keeps_caches_in_step(name, monkeypatch):
+    """At every ply of random_playout, the caches the move updated match contents."""
+    spec = _spec(name)
+    kept = set()
+    check_end = engine.check_end
+
+    def spy(spec, state, move):
+        contents = state.contents
+        if state._owned is not None:
+            kept.add("owned")
+            assert state._owned == _owned_scan(spec, contents)
+        if state._empty is not None:
+            kept.add("empty")
+            assert state._empty == [i for i, c in enumerate(contents) if c is None]
+        if state._uf is not None:
+            kept.add("uf")
+        for player in range(1, spec.player_count + 1):
+            want = reference_playout.eval_connected(spec, contents, player)[0]
+            assert engine._uf_connected(spec, state, player) == want
+        return check_end(spec, state, move)
+
+    monkeypatch.setattr(engine, "check_end", spy)
+    for seed in range(20):
+        random_playout(spec, seed)
+    assert kept == KEPT[name]
+
+
+@pytest.mark.parametrize("name", ["Hex", "Breakthrough", "Amazons", "Crown", "Hybrid"])
+def test_apply_move_leaves_its_state_alone(name):
+    """apply_move changes no cache of the state it starts from, and replay agrees with it."""
+    spec = _spec(name)
+    for seed in range(5):
+        trace = random_playout(spec, seed)
+        chain = [initial_state(spec)]
+        for move in trace.moves:
+            state = chain[-1]
+            # Build every cache, so each one is copied and updated.
+            engine._empty_sites(state)
+            engine._owned_sites(spec, state)
+            engine._union_find(spec, state)
+            saved = copy.deepcopy((state.contents, state._empty, state._uf, state._owned))
+            chain.append(apply_move(state, move, spec))
+            assert (state.contents, state._empty, state._uf, state._owned) == saved
+        for upto, want in enumerate(chain):
+            got = replay(spec, trace, upto)
+            assert (got.contents, got.mover, got.move_count, got.last_move, got.terminal) == \
+                (want.contents, want.mover, want.move_count, want.last_move, want.terminal)
+
+
+def test_playouts_and_replay_advance_one_state(breakthrough, monkeypatch):
+    made = []
+    state_type = engine.GameState
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return state_type(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "GameState", counted)
+    trace = random_playout(breakthrough, 0)
+    replay(breakthrough, trace)
+    assert len(trace.moves) > 2 and len(made) == 2
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hybrid", "Blocked"])
