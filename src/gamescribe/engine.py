@@ -191,7 +191,8 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
     a (forEach Piece) or nothing.  The cache is one list of
     (rule, piece, site, target sites) groups in legal-move order, each with
     at least one target: a (forEach Piece) gives one group per mover's piece,
-    in site order, and a (move ...) rule at most one, with no piece or site.
+    in site order, but one per Add or Shoot rule, whose moves are the same from
+    every site (see _move); a (move ...) rule gives at most one, with no piece or site.
     """
     if state._groups is None:
         mover = state.mover
@@ -201,12 +202,12 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
         groups, total = [], 0
         if isinstance(rule, ForEachPiece):
             contents, board_rays, pieces = state.contents, spec.board.rays, spec.pieces_by_name
-            friends = (mover, 0)
+            friends, placed = (mover, 0), set()  # placed: Add and Shoot rules seen
             for site in _owned_sites(spec, state)[mover]:
                 name = contents[site][0]
                 piece = pieces[name]
                 piece_rule = piece.rule
-                if piece_rule is None:
+                if piece_rule is None or piece_rule.id in placed:
                     continue
                 kind = piece_rule.kind
                 if kind == "Step":  # onto an empty site or an enemy piece that is not neutral
@@ -222,6 +223,7 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
                 elif kind == "Slide":
                     sites = _ray_walk(contents, board_rays[site], piece.rays)
                 else:  # an Add or a Shoot
+                    placed.add(piece_rule.id)
                     sites = _rule_targets(spec, state, piece_rule)
                 if sites:
                     groups.append((piece_rule, name, site, sites))

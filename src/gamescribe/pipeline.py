@@ -82,7 +82,7 @@ def _ending_id(example: EndingExample) -> str:
 
 def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
                         traces_by_seed: dict, svg_dir: Path,
-                        similar: bool) -> list[dict]:
+                        similar: bool, layout: render._Layout) -> list[dict]:
     mode = "all-similar" if similar else "selected-only"
     leaves = []
     for d in distinct:
@@ -90,7 +90,7 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
         trace = traces_by_seed[seed]
         state = engine.replay(spec, trace, upto=index)
         move = trace.moves[index]
-        before, after = render.render_move_pair(spec, state, move, mode)
+        before, after = render.render_move_pair(spec, state, move, mode, layout)
         sig_id = _signature_id(d.signature)
         (svg_dir / f"move_{sig_id}_before.svg").write_text(before)
         (svg_dir / f"move_{sig_id}_after.svg").write_text(after)
@@ -109,13 +109,14 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
 
 
 def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
-                          traces_by_seed: dict, svg_dir: Path) -> list[dict]:
+                          traces_by_seed: dict, svg_dir: Path,
+                          layout: render._Layout) -> list[dict]:
     out = []
     for example in endings:
         trace = traces_by_seed[example.exemplar_seed]
         state = engine.replay(spec, trace, upto=len(trace.moves) - 1)
         move = trace.moves[-1]
-        before, after = render.render_ending_pair(spec, state, move)
+        before, after = render.render_ending_pair(spec, state, move, layout)
         end_id = _ending_id(example)
         (svg_dir / f"end_{end_id}_before.svg").write_text(before)
         (svg_dir / f"end_{end_id}_after.svg").write_text(after)
@@ -207,12 +208,13 @@ def generate(config: RunConfig) -> Path:
     svg_dir = game_dir / "svg"
     svg_dir.mkdir(parents=True, exist_ok=True)
 
-    setup_svg = render.render_board(spec, engine.initial_state(spec))
+    layout = render._Layout(spec)  # every image of the game shares its cells
+    setup_svg = render.render_board(spec, engine.initial_state(spec), None, layout)
     (svg_dir / "setup.svg").write_text(setup_svg)
 
     move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir,
-                                      config.similar_moves)
-    ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir)
+                                      config.similar_moves, layout)
+    ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir, layout)
 
     html, manifest = build_manual(spec, translation, strategy_lines,
                                   "svg/setup.svg", ending_entries, move_leaves)

@@ -5,6 +5,9 @@ circumradius laid out as a rhombus, 16-unit canvas padding.  Each cell is
 one element with class "cell", each occupied site one group with class
 "glyph"; highlights render as class "arrow" groups and "dot-red" /
 "dot-green" circles, drawn above the glyphs.
+
+Every image of a game has the same cells, built once per ``_Layout``;
+``pipeline.generate`` passes one ``_Layout`` to all of the game's images.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class _Layout:
         else:
             self.width = 2 * PAD + CELL * self.cols
             self.height = 2 * PAD + CELL * self.rows
+        self.cells = [_cell_element(self, site.row, site.col) for site in board.sites]
 
     def centre(self, row: int, col: int) -> tuple[float, float]:
         if self.hex:
@@ -151,16 +155,15 @@ def _dot(layout: _Layout, spec: GameSpec, site: int, colour: str) -> str:
 
 
 def render_board(spec: GameSpec, state: GameState,
-                 highlights: HighlightSpec | None = None) -> str:
-    """Render one state as a standalone SVG document."""
-    layout = _Layout(spec)
+                 highlights: HighlightSpec | None = None, layout: _Layout | None = None) -> str:
+    """Render one state as a standalone SVG document, on a new ``_Layout`` unless given one."""
+    if layout is None:
+        layout = _Layout(spec)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(layout.width)}" '
         f'height="{_fmt(layout.height)}" '
-        f'viewBox="0 0 {_fmt(layout.width)} {_fmt(layout.height)}">'
+        f'viewBox="0 0 {_fmt(layout.width)} {_fmt(layout.height)}">', *layout.cells
     ]
-    for site in spec.board.sites:
-        parts.append(_cell_element(layout, site.row, site.col))
     for index, content in enumerate(state.contents):
         if content is None:
             continue
@@ -177,21 +180,22 @@ def render_board(spec: GameSpec, state: GameState,
 
 
 def render_move_pair(spec: GameSpec, state: GameState, move: Move,
-                     mode: str = "all-similar") -> tuple[str, str]:
+                     mode: str = "all-similar",
+                     layout: _Layout | None = None) -> tuple[str, str]:
     """Before/after images for a move; before carries the red highlight."""
     highlighted = [move] if mode == "selected-only" else \
         similar_legal_moves(state, move, spec)
     spec_hl = HighlightSpec()
     for m in highlighted:
         spec_hl.add_move(m)
-    before = render_board(spec, state, spec_hl)
+    before = render_board(spec, state, spec_hl, layout)
     after_state = apply_move(state, move, spec)
-    after = render_board(spec, after_state)
+    after = render_board(spec, after_state, None, layout)
     return before, after
 
 
-def render_ending_pair(spec: GameSpec, state: GameState,
-                       move: Move) -> tuple[str, str]:
+def render_ending_pair(spec: GameSpec, state: GameState, move: Move,
+                       layout: _Layout | None = None) -> tuple[str, str]:
     """Before/after images for a game-ending move.
 
     The before image highlights the final move in red; the after image
@@ -199,11 +203,11 @@ def render_ending_pair(spec: GameSpec, state: GameState,
     """
     spec_hl = HighlightSpec()
     spec_hl.add_move(move)
-    before = render_board(spec, state, spec_hl)
+    before = render_board(spec, state, spec_hl, layout)
     after_state = apply_move(state, move, spec)
     after_hl = None
     if after_state.terminal is not None and after_state.terminal.winning_sites:
         after_hl = HighlightSpec()
         after_hl.dots = [(s, "green") for s in after_state.terminal.winning_sites]
-    after = render_board(spec, after_state, after_hl)
+    after = render_board(spec, after_state, after_hl, layout)
     return before, after

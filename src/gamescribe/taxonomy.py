@@ -4,19 +4,22 @@ A move's signature is the four-property tuple (mover, piece, origin rule,
 action types).  The mover component only participates for games whose
 players have different piece rules or a conditional play rule; the compiler
 decides this once, in ``GameSpec.distinct_rules``.
+
+``collect_distinct`` classifies a playout batch in one pass over the traces
+in ascending seed order, keyed by the plain signature tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .compiler import GameSpec
 from .engine import GameState, Move, PlayoutTrace, legal_moves
 from .english import draw_fallback_sentence, translate_node
 
 
-@dataclass(frozen=True, order=True)
-class MoveSignature:
+class MoveSignature(NamedTuple):  # equal to, and hashed as, the plain tuple of its fields
     mover: int | None       # None when players share piece rules
     piece: str | None       # None for piece-less moves (Pass/Swap class)
     origin_id: int
@@ -49,17 +52,16 @@ def move_signature(move: Move, spec: GameSpec) -> MoveSignature:
 
 def collect_distinct(traces: list[PlayoutTrace], spec: GameSpec) -> list[DistinctMove]:
     """One DistinctMove per unique signature, exemplar at lowest (seed, index)."""
-    first: dict[MoveSignature, tuple[int, int]] = {}
-    for trace in traces:
-        for index, move in enumerate(trace.moves):
-            sig = move_signature(move, spec)
-            occurrence = (trace.seed, index)
-            if sig not in first or occurrence < first[sig]:
-                first[sig] = occurrence
-    out = [
-        DistinctMove(sig, first[sig], translate_node(spec, sig.origin_id))
-        for sig in first
-    ]
+    by_mover = spec.distinct_rules
+    first: dict[tuple, tuple[int, int]] = {}
+    # In seed order (a stable sort), a key's first occurrence is its lowest (seed, index).
+    for trace in sorted(traces, key=lambda t: t.seed):
+        for index, m in enumerate(trace.moves):
+            key = (m.mover if by_mover else None, m.piece, m.origin_id, m.action_types)
+            if key not in first:
+                first[key] = (trace.seed, index)
+    out = [DistinctMove(MoveSignature(*key), exemplar, translate_node(spec, key[2]))
+           for key, exemplar in first.items()]
     out.sort(key=lambda d: d.signature.sort_key())
     return out
 
@@ -67,8 +69,9 @@ def collect_distinct(traces: list[PlayoutTrace], spec: GameSpec) -> list[Distinc
 def similar_legal_moves(state: GameState, selected: Move, spec: GameSpec) -> list[Move]:
     """Every legal move sharing the selected move's signature (inclusive)."""
     target = move_signature(selected, spec)
+    by_mover = spec.distinct_rules
     return [m for m in legal_moves(spec, state)
-            if move_signature(m, spec) == target]
+            if (m.mover if by_mover else None, m.piece, m.origin_id, m.action_types) == target]
 
 
 def collect_endings(traces: list[PlayoutTrace], spec: GameSpec) -> list[EndingExample]:

@@ -46,12 +46,19 @@ def _generate(spec: GameSpec, state: State, rule) -> list[Move]:
         return _generate_move(spec, state, rule, None)
     if isinstance(rule, ForEachPiece):
         moves: list[Move] = []
+        placed = set()  # Add and Shoot rules already generated
         for site, content in enumerate(state.contents):
             if content is None or content[1] != state.mover:
                 continue
             piece = spec.piece_named(content[0])
             if piece is None or piece.rule is None:
                 continue
+            # An Add or a Shoot makes the same moves from every site, so each
+            # such rule is generated once, at its first site.
+            if piece.rule.kind in ("Add", "Shoot"):
+                if piece.rule.id in placed:
+                    continue
+                placed.add(piece.rule.id)
             moves.extend(_generate_move(spec, state, piece.rule, (content[0], site)))
         return moves
     cond = spec.node(rule.id).args[0]

@@ -262,3 +262,19 @@ def test_pick_is_kth_legal_move(name):
             assert total == len(legal)
             assert move == engine._pick(spec, state, k) == legal[k]
             state = apply_move(state, move, spec, validate=False)
+
+
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES])
+def test_legal_moves_hold_no_duplicate(name):
+    """No move is legal twice in one state, so a playout draws every move equally often.
+
+    The reference builds its lists the same way, so the differential above
+    cannot see a duplicate; this checks the engine's lists directly.
+    """
+    spec = _spec(name)
+    for seed in range(50):
+        state = initial_state(spec)
+        for move in random_playout(spec, seed).moves:
+            legal = engine.legal_moves(spec, state)
+            assert len(set(legal)) == len(legal), f"{name} seed {seed} ply {state.move_count}"
+            state = apply_move(state, move, spec, validate=False)

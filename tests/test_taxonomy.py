@@ -1,7 +1,14 @@
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
 from gamescribe.engine import initial_state, legal_moves, random_playout
+from gamescribe.english import translate_node
 from gamescribe.taxonomy import (MoveSignature, collect_distinct, collect_endings,
                                  coverage_report, move_signature, similar_legal_moves)
+from test_reference_playout import SMALL_GAMES, _spec
 
 
 def _traces(spec, count, seed=0):
@@ -116,3 +123,37 @@ def test_coverage_report(tictactoe, amazons):
     empty = coverage_report([], tictactoe)
     assert empty["complete"] is False
     assert empty["unexercised"] == tictactoe.move_ludeme_ids()
+
+
+GAMES = ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES]
+
+
+@lru_cache(maxsize=None)
+def _batch(name):
+    """A game's spec and 12 playouts, seeds 100-111."""
+    spec = _spec(name)
+    return spec, _traces(spec, 12, seed=100)
+
+
+def _lowest_occurrences(traces, spec):
+    """Each signature's lowest (seed, index), comparing every occurrence."""
+    lowest = {}
+    for trace in traces:
+        for index, move in enumerate(trace.moves):
+            sig = move_signature(move, spec)
+            lowest[sig] = min(lowest.get(sig, (trace.seed, index)), (trace.seed, index))
+    return lowest
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GAMES), st.data())
+def test_collect_distinct_keeps_lowest_occurrence(name, data):
+    spec, traces = _batch(name)
+    # Any non-empty subset of the batch, in any order.
+    picked = data.draw(st.lists(st.sampled_from(range(len(traces))), min_size=1, unique=True))
+    batch = [traces[i] for i in picked]
+    want = _lowest_occurrences(batch, spec)
+    got = collect_distinct(batch, spec)
+    assert {d.signature: d.exemplar for d in got} == want
+    assert [d.signature for d in got] == sorted(want, key=MoveSignature.sort_key)
+    assert all(d.rule_text == translate_node(spec, d.signature.origin_id) for d in got)
