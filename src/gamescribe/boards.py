@@ -4,7 +4,9 @@ Every board is a row-major ``rows x cols`` grid: site ``row * cols + col``,
 columns lettered A.. from the left and rows numbered 1.. from the bottom, so
 "A1" is the bottom-left corner.  Each ray along an adjacent direction
 ``(dr, dc)`` is a ``range`` of site indices with step ``dr * cols + dc``, as
-long as the distance to the edge allows.  Direction names map to vectors as
+long as the distance to the edge allows.  Rays and adjacency are built on
+first read, so a board that is only compiled and translated never builds
+them; every later read is a plain attribute.  Direction names map to vectors as
 player 1 faces, north (increasing row); player 2 faces south, so Forward, FL
 and FR turn around for it, and no other player has a facing.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import string
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 # (dr, dc) offsets, rows growing northward.
@@ -33,7 +36,7 @@ class Site:
 
 @dataclass
 class BoardGraph:
-    """Immutable-after-construction description of a board's geometry."""
+    """A board's geometry, immutable once built; rays and adjacency are built on first read."""
 
     shape: str  # "square" | "rectangle" | "hexDiamond"
     rows: int
@@ -45,11 +48,25 @@ class BoardGraph:
     # Direction name -> vectors, as player 1 faces.
     directions: dict[str, tuple[tuple[int, int], ...]]
     sites: list[Site] = field(default_factory=list)
-    adjacent: list[list[int]] = field(default_factory=list)
-    # Per-site rays along each adjacent direction, nearest site first.
-    rays: list[list[range]] = field(default_factory=list)
     sides: dict[str, list[int]] = field(default_factory=dict)
     _by_label: dict[str, int] = field(default_factory=dict)
+
+    # Per-site rays along each adjacent direction, nearest site first; built on first read.
+    @cached_property
+    def rays(self) -> list[list[range]]:
+        rows, cols, rays = self.rows, self.cols, [[] for _ in self.sites]
+        for s, site_rays in zip(self.sites, rays):
+            for dr, dc in self.vectors:
+                step = dr * cols + dc
+                length = min(_reach(s.row, dr, rows), _reach(s.col, dc, cols))
+                # One column makes step 0 for (1, -1) and (-1, 1), whose length is 0.
+                site_rays.append(range(s.index + step, s.index + step * (length + 1), step or 1))
+        return rays
+
+    # Per-site neighbours, the first site of each non-empty ray; built on first read.
+    @cached_property
+    def adjacent(self) -> list[list[int]]:
+        return [[ray[0] for ray in site_rays if ray] for site_rays in self.rays]
 
     def site_by_label(self, label: str) -> int | None:
         return self._by_label.get(label)
@@ -119,14 +136,6 @@ def _grid(shape: str, rows: int, cols: int, vectors: tuple[tuple[int, int], ...]
             label = f"{_column_label(col)}{row + 1}"
             board.sites.append(Site(idx, label, row, col))
             board._by_label[label] = idx
-            site_rays = []
-            for dr, dc in vectors:
-                step = dr * cols + dc
-                length = min(_reach(row, dr, rows), _reach(col, dc, cols))
-                # One column makes step 0 for (1, -1) and (-1, 1), whose length is 0.
-                site_rays.append(range(idx + step, idx + step * (length + 1), step or 1))
-            board.rays.append(site_rays)
-            board.adjacent.append([ray[0] for ray in site_rays if ray])
     return board
 
 

@@ -36,6 +36,8 @@ class IsLine:
     """``(is Line n)``: the last move's piece is in a line of at least ``length``."""
 
     length: int
+    # One (forward, backward) pair of indices into board.rays[site] per line axis.
+    rays: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -494,7 +496,9 @@ class _Compiler:
             if first.value > longest:
                 raise BadArgumentKind(f"(is Line ...) can never hold: the board's longest line "
                                       f"has {longest} sites", first.span)
-            compiled: Condition = IsLine(first.value)
+            ray = self.board.vectors.index
+            compiled: Condition = IsLine(first.value, tuple(
+                (ray((dr, dc)), ray((-dr, -dc))) for dr, dc in self.board.line_axes))
         elif mode == "Even":
             if not (isinstance(first, Call) and first.head.name == "count"):
                 raise BadArgumentKind("(is Even ...) needs (count Moves)", cond.span)

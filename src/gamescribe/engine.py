@@ -5,8 +5,8 @@ the compiled end rules and conditions by their type, and runs seeded random
 playouts.  Each state resolves its play rule once into target sites: an Add
 rule's come from the state's empty-site list, and a (forEach Piece) visits
 only the sites the mover owns, reading each piece's Step, Slide or Shoot
-targets from the board's rays by the ray indices the compiler gave the
-piece.  A playout counts the targets, draws one index with
+targets, and each ``(is Line n)`` run, from the board's rays by the ray
+indices the compiler gave them.  A playout counts the targets, draws one index with
 ``randrange(count)`` and builds only the move at that index of the legal
 list; ``legal_moves`` builds them all from the same targets, in the same
 order.  Every play rule resolves to one form: (rule, piece, site, target
@@ -331,7 +331,7 @@ def _eval(spec: GameSpec, state: GameState, cond: Condition,
     if isinstance(cond, IsEven):
         return state.move_count % 2 == 0, None
     if isinstance(cond, IsLine):
-        return _eval_line(spec, state, cond.length)
+        return _eval_line(spec, state, cond)
     if isinstance(cond, IsConnected):
         return _eval_connected(spec, state, mover)
     if isinstance(cond, IsIn):
@@ -361,7 +361,7 @@ def eval_condition(spec: GameSpec, state: GameState, cond: Condition, mover: int
 
 
 def _eval_line(spec: GameSpec, state: GameState,
-               length: int) -> tuple[bool, tuple[int, ...] | None]:
+               cond: IsLine) -> tuple[bool, tuple[int, ...] | None]:
     last = state.last_move
     if last is None or last.to_site is None:
         return False, None
@@ -370,16 +370,16 @@ def _eval_line(spec: GameSpec, state: GameState,
     if content is None:
         return False, None
     owner = content[1]
-    board = spec.board
-    for axis in board.line_axes:
+    site_rays = spec.board.rays[site]
+    for pair in cond.rays:
         run = [site]
-        for sign in (1, -1):
-            for cur in board.ray(site, (axis[0] * sign, axis[1] * sign)):
+        for i in pair:
+            for cur in site_rays[i]:
                 c = state.contents[cur]
                 if c is None or c[1] != owner:
                     break
                 run.append(cur)
-        if len(run) >= length:
+        if len(run) >= cond.length:
             return True, tuple(sorted(run))
     return False, None
 
