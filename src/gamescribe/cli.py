@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage error (``--playouts 0``) or game file not
-found, 3 parse/compile error, a malformed heuristics file or (generate,
-playout-stats) a game with no legal opening move, 4 playout move-cap exceeded.
+Exit codes: 0 success; 2 usage error (``--playouts 0``), an input file that
+is missing or cannot be read (such as a directory), a ``--out`` that is not a
+directory, or two ``generate --game`` files of the same game name; 3
+parse/compile error (including an input that is not UTF-8, at the offset of
+its first bad byte), a malformed heuristics file or (generate,
+playout-stats) a game with no legal opening move; 4 playout move-cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from pathlib import Path
 
 from .engine import PlayoutLimitExceeded
 from .english import translate_game
-from .pipeline import NoOpeningMove, RunConfig, generate, load_game, playout_stats, write_index
+from .pipeline import (NoOpeningMove, RunConfig, generate, load_game, load_playable,
+                       playout_stats, write_index)
 from .registry import CompileError
 from .sexpr import ParseError
 from .strategy import HeuristicsError
@@ -64,18 +68,27 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "generate":
-            names = []
+            # Every game loads before any is written; each name is its output directory.
+            specs, paths = [], {}
             for game in args.game:
+                spec = load_playable(game)
+                if spec.name in paths:
+                    print(f"error: {paths[spec.name]} and {game} both describe the game "
+                          f"{spec.name!r}, whose manual goes to {args.out / spec.name}",
+                          file=sys.stderr)
+                    return 2
+                paths[spec.name] = game
+                specs.append(spec)
+            for game, spec in zip(args.game, specs):
                 config = RunConfig(
                     game_path=game, playouts=args.playouts, seed=args.seed,
                     out_dir=args.out, heuristics_path=args.heuristics,
                     similar_moves=not args.no_similar,
                     dump_json=args.format == "json")
-                game_dir = generate(config)
-                names.append(game_dir.name)
+                game_dir = generate(config, spec)
                 print(f"wrote {game_dir / 'manual.html'}")
-            if len(names) > 1:
-                write_index(args.out, names)
+            if len(specs) > 1:
+                write_index(args.out, list(paths))
         elif args.command == "translate":
             print(translate_game(load_game(args.game)), end="")
         elif args.command == "playout-stats":
@@ -84,6 +97,10 @@ def main(argv: list[str] | None = None) -> int:
             print(playout_stats(config))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input that cannot be read, or an --out that is not a directory
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 2
     except HeuristicsError as exc:
         print(f"error: heuristics file {args.heuristics}: {exc}", file=sys.stderr)

@@ -199,13 +199,16 @@ class GameSpec:
     rules: dict[int, PlayRule] = field(default_factory=dict)
     # Whether the mover participates in move signatures; see _distinct_rules.
     distinct_rules: bool = False
-    # The first declared piece of each name, and the name of each player's
+    # The first declared piece of each name, the (name, owner) site content
+    # that placing a piece of each name makes, and the name of each player's
     # first declared piece (None if the player owns none), indexed by player.
     pieces_by_name: dict[str, PieceSpec] = field(init=False, repr=False, compare=False)
+    content_of: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
     first_piece: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pieces_by_name = {p.name: p for p in reversed(self.pieces)}
+        self.content_of = {name: (name, p.owner) for name, p in self.pieces_by_name.items()}
         self.first_piece = tuple(next((p.name for p in self.pieces if p.owner == player), None)
                                  for player in range(self.player_count + 1))
 

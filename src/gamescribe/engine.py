@@ -1,8 +1,11 @@
 """Interpreter for compiled game specs.
 
 Generates legal moves from the compiled play rules, applies them, evaluates
-the compiled end rules and conditions by their type, and runs seeded random
-playouts.  Each state resolves its play rule once into target sites: an Add
+the compiled end rules and conditions, and runs seeded random playouts.  A
+``Move`` is a ``NamedTuple``: it compares and hashes as the plain tuple of
+its six fields.  A condition is evaluated by the function that
+``_CONDITIONS`` holds for its type, one entry per condition class of the
+compiler.  Each state resolves its play rule once into target sites: an Add
 rule's come from the state's empty-site list, and a (forEach Piece) visits
 only the sites the mover owns, reading each piece's Step, Slide or Shoot
 targets, and each ``(is Line n)`` run, from the board's rays by the ray
@@ -15,7 +18,8 @@ and searches for the winning path only once that reports a connection.
 
 ``_advance`` is the one transition: it plays a move on a state in place and
 keeps the empty sites, owned sites and union-find it finds built in step
-with ``contents``.  Playouts and ``replay`` advance one state;
+with ``contents``; the site content it places is the spec's shared
+``content_of`` tuple for the piece.  Playouts and ``replay`` advance one state;
 ``apply_move`` advances a copy.  All randomness comes from a fixed
 xorshift64* generator so traces replay identically on any platform.
 """
@@ -24,9 +28,10 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .compiler import (AnyOf, Condition, ForEachPiece, GameSpec, IfRule, IsConnected, IsEven,
-                       IsIn, IsLine, MoveRule, NoMovesNext)
+from .compiler import (AllOf, AnyOf, Condition, ForEachPiece, GameSpec, IfRule, IsConnected,
+                       IsEven, IsIn, IsLine, MoveRule, NoMovesNext)
 
 
 class EngineError(Exception):
@@ -72,8 +77,7 @@ class XorShift64Star:
         return self.next_uint64() % n
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):  # equal to, and hashed as, the plain tuple of its fields
     mover: int
     piece: str | None
     origin_id: int  # ludeme id of the (move ...) node that generated it
@@ -123,9 +127,9 @@ class PlayoutTrace:
 def initial_state(spec: GameSpec) -> GameState:
     contents: list = [None] * spec.board.site_count
     for placement in spec.start_placements:
-        piece = spec.pieces_by_name[placement.piece_name]
+        placed = spec.content_of[placement.piece_name]
         for site in placement.sites:
-            contents[site] = (piece.name, piece.owner)
+            contents[site] = placed
     return GameState(contents=contents, mover=1, move_count=0)
 
 
@@ -176,7 +180,10 @@ def _rule_targets(spec: GameSpec, state: GameState,
                   rule: MoveRule) -> list[int] | tuple[int, ...]:
     """Target sites of an Add or Shoot ``rule``, in legal-move order."""
     if rule.kind == "Add":
-        return _empty_sites(state) if rule.to.kind == ("Empty",) else rule.to.sites
+        if rule.to.kind != ("Empty",):
+            return rule.to.sites
+        empty = state._empty
+        return empty if empty is not None else _empty_sites(state)
     last = state.last_move  # a Shoot starts where the last move landed, along every ray
     if last is None or last.to_site is None:
         return []
@@ -273,14 +280,13 @@ def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
     drops the union-find, to be rebuilt from contents if it is asked for.
     """
     contents, empty, owned = state.contents, state._empty, state._owned
-    kinds = move.action_types
+    kinds = move.action_types  # "Add" can only come first, "SetMoverAgain" only last
     site = move.to_site
     taken = contents[site]
-    if "Add" in kinds:
-        piece = spec.pieces_by_name[move.piece]
-        placed = (piece.name, piece.owner)
+    if kinds[0] == "Add":
+        placed = spec.content_of[move.piece]
         if taken is None and state._uf is not None:
-            _join(spec, state._uf, contents, site, piece.owner)
+            _join(spec, state._uf, contents, site, placed[1])
         else:
             state._uf = None
     else:  # a Move; a capture's Remove is the overwrite of to_site
@@ -300,7 +306,7 @@ def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
         owned[taken[1]].remove(site)
     if owned is not None:
         insort(owned[placed[1]], site)
-    state.mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
+    state.mover = move.mover if kinds[-1] == "SetMoverAgain" else _next_player(spec, move.mover)
     state.move_count += 1
     state.last_move = move
     state._legal = state._groups = None
@@ -328,24 +334,24 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
 def _eval(spec: GameSpec, state: GameState, cond: Condition,
           mover: int) -> tuple[bool, tuple[int, ...] | None]:
     """Whether ``cond`` holds for ``mover`` in ``state``, and its winning sites."""
-    if isinstance(cond, IsEven):
-        return state.move_count % 2 == 0, None
-    if isinstance(cond, IsLine):
-        return _eval_line(spec, state, cond)
-    if isinstance(cond, IsConnected):
-        return _eval_connected(spec, state, mover)
-    if isinstance(cond, IsIn):
-        last = state.last_move
-        return last is not None and last.to_site in cond.sites[mover], None
-    if isinstance(cond, NoMovesNext):
-        return _resolve(spec, state) == 0, None
-    if isinstance(cond, AnyOf):
-        for sub in cond.parts:
-            ok, sites = _eval(spec, state, sub, mover)
-            if ok:
-                return True, sites
-        return False, None
-    collected: list[int] = []  # AllOf
+    return _CONDITIONS[type(cond)](spec, state, cond, mover)
+
+
+def _eval_in(spec: GameSpec, state: GameState, cond: IsIn, mover: int):
+    last = state.last_move
+    return last is not None and last.to_site in cond.sites[mover], None
+
+
+def _eval_any(spec: GameSpec, state: GameState, cond: AnyOf, mover: int):
+    for sub in cond.parts:
+        ok, sites = _eval(spec, state, sub, mover)
+        if ok:
+            return True, sites
+    return False, None
+
+
+def _eval_all(spec: GameSpec, state: GameState, cond: AllOf, mover: int):
+    collected: list[int] = []
     for sub in cond.parts:
         ok, sites = _eval(spec, state, sub, mover)
         if not ok:
@@ -428,9 +434,14 @@ def _uf_connected(spec: GameSpec, state: GameState, player: int) -> bool:
     anchors = spec.anchors.of_player[player]
     if len(anchors) < 2:
         return False
-    parent = _union_find(spec, state)
+    parent = state._uf
+    if parent is None:
+        parent = _union_find(spec, state)
     root = _find(parent, anchors[0])
-    return all(_find(parent, a) == root for a in anchors[1:])
+    for anchor in anchors[1:]:
+        if _find(parent, anchor) != root:
+            return False
+    return True
 
 
 def _eval_connected(spec: GameSpec, state: GameState,
@@ -465,10 +476,25 @@ def _eval_connected(spec: GameSpec, state: GameState,
     return True, tuple(sorted(path))
 
 
+# Each condition type of compiler.Condition, and how to evaluate it: called
+# with (spec, state, cond, mover), it returns whether the condition holds and
+# its winning sites.
+_CONDITIONS = {
+    IsEven: lambda spec, state, cond, mover: (state.move_count % 2 == 0, None),
+    IsLine: lambda spec, state, cond, mover: _eval_line(spec, state, cond),
+    IsConnected: lambda spec, state, cond, mover: _eval_connected(spec, state, mover),
+    IsIn: _eval_in,
+    NoMovesNext: lambda spec, state, cond, mover: (_resolve(spec, state) == 0, None),
+    AnyOf: _eval_any,
+    AllOf: _eval_all,
+}
+
+
 def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
     """First matching end rule after ``move``, else the draw fallback."""
     for rule in spec.end_rules:
-        ok, sites = _eval(spec, state, rule.cond, move.mover)
+        cond = rule.cond
+        ok, sites = _CONDITIONS[type(cond)](spec, state, cond, move.mover)
         if not ok:
             continue
         if rule.who == "Mover":

@@ -26,7 +26,7 @@ from .compiler import GameSpec, compile_game
 from .english import translate_game
 from .manual import build_manual, check_assets
 from .registry import CompileError
-from .sexpr import parse
+from .sexpr import ParseError, parse
 from .taxonomy import DistinctMove, EndingExample
 
 
@@ -45,9 +45,16 @@ class RunConfig:
             raise ValueError("playout count must be at least 1")
 
 
+def read_source(path: Path) -> str:
+    """The text of a UTF-8 input file; a byte that is not UTF-8 is a ParseError at its offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text", exc.start) from None
+
+
 def load_game(path: Path) -> GameSpec:
-    text = Path(path).read_text(encoding="utf-8")
-    return compile_game(parse(text))
+    return compile_game(parse(read_source(path)))
 
 
 class NoOpeningMove(CompileError):
@@ -188,9 +195,13 @@ def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec)
     path.write_text(_array(items, "") + "\n")
 
 
-def generate(config: RunConfig) -> Path:
-    """Run the whole pipeline for one game; returns the game's output dir."""
-    spec = load_playable(config.game_path)
+def generate(config: RunConfig, spec: GameSpec | None = None) -> Path:
+    """Run the whole pipeline for one game; returns the game's output dir.
+
+    ``spec``, if given, is ``load_playable(config.game_path)`` already loaded.
+    """
+    if spec is None:
+        spec = load_playable(config.game_path)
     traces = run_playouts(spec, config.seed, config.playouts)
     traces_by_seed = {t.seed: t for t in traces}
     distinct = taxonomy.collect_distinct(traces, spec)
@@ -200,8 +211,7 @@ def generate(config: RunConfig) -> Path:
 
     strategy_lines = None
     if config.heuristics_path is not None:
-        entries = strategy.parse_heuristics(
-            Path(config.heuristics_path).read_text(encoding="utf-8"))
+        entries = strategy.parse_heuristics(read_source(config.heuristics_path))
         strategy_lines = strategy.explain_heuristics(entries, spec)
 
     game_dir = Path(config.out_dir) / spec.name

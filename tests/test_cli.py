@@ -365,3 +365,55 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
     differing = sorted(path for path in got.keys() | want.keys()
                        if got.get(path) != want.get(path))
     assert not differing, f"{name}: outputs differ from the recorded digests: {differing}"
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    # A directory where a file should be: the game, then the heuristics file.
+    for argv in (["translate", "--game", str(CORPUS)],
+                 ["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "3",
+                  "--out", str(tmp_path / "out"), "--heuristics", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_not_utf8_exits_3_at_the_bad_byte(tmp_path, capsys):
+    # Each file holds one byte that is not UTF-8, right after ``prefix``.
+    game, heur = tmp_path / "bad.lud", tmp_path / "h.lud"
+    cases = [(game, b'(game "X', b'" (players 2))', ["translate"]),
+             (heur, b'(heuristics {(material "Disc', b'" 0.9)})',
+              ["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "3",
+               "--out", str(tmp_path / "out"), "--heuristics", str(heur)])]
+    for path, prefix, suffix, argv in cases:
+        path.write_bytes(prefix + b"\xff" + suffix)
+        if path is game:
+            argv = [*argv, "--game", str(game)]
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err == f"error: parse failed: {path} is not UTF-8 text (at offset {len(prefix)})\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Not a directory" in err and "Traceback" not in err
+    assert out.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_two_games_of_one_name_exit_2(tmp_path, capsys):
+    first, second = tmp_path / "a.lud", tmp_path / "b.lud"
+    first.write_text((CORPUS / "TicTacToe.lud").read_text())
+    second.write_text((CORPUS / "TicTacToe.lud").read_text())
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(first), "--game", str(CORPUS / "Hex.lud"),
+                 "--game", str(second), "--playouts", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {first} and {second} both describe the game 'Tic-Tac-Toe'" in err
+    assert not out.exists()

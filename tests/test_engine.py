@@ -345,3 +345,32 @@ def test_slide_walks_only_named_directions():
         '(end (if (no Moves Next) (result Mover Win)))))'))
     moves = legal_moves(spec, initial_state(spec))
     assert {spec.board.sites[m.to_site].label for m in moves} == {"A2", "A3", "B1", "C1"}
+
+
+def test_condition_table_covers_every_condition_class():
+    # A condition class the compiler can produce but the engine's table lacks
+    # would fail on the first end check that meets it.
+    from typing import get_args
+
+    from gamescribe import compiler
+    assert set(engine._CONDITIONS) == set(get_args(compiler.Condition))
+    assert all(callable(fn) for fn in engine._CONDITIONS.values())
+    spec = load_spec("TicTacToe")
+    with pytest.raises(KeyError):
+        engine._eval(spec, initial_state(spec), object(), 1)
+
+
+@pytest.mark.parametrize("name", sorted(_load_digests()))
+def test_move_is_a_plain_tuple_value(name):
+    from gamescribe.taxonomy import MoveSignature
+    spec = load_spec(name)
+    trace = random_playout(spec, 0)
+    for move in trace.moves:
+        fields = (move.mover, move.piece, move.origin_id, move.action_types,
+                  move.from_site, move.to_site)
+        assert move == fields and hash(move) == hash(fields)
+        assert move != MoveSignature(*fields[:4])
+    copy = pickle.loads(pickle.dumps(trace))
+    assert copy.moves == trace.moves
+    assert all(type(m) is Move for m in copy.moves)
+    assert copy.outcome == trace.outcome
