@@ -71,13 +71,6 @@ class BoardGraph:
     def site_by_label(self, label: str) -> int | None:
         return self._by_label.get(label)
 
-    def offset(self, site: int, vec: tuple[int, int]) -> int | None:
-        s = self.sites[site]
-        row, col = s.row + vec[0], s.col + vec[1]
-        if 0 <= row < self.rows and 0 <= col < self.cols:
-            return row * self.cols + col
-        return None
-
     def direction_vectors(self, name: str, player: int) -> list[tuple[int, int]]:
         """The vectors of direction ``name`` as ``player`` faces; KeyError if it has none."""
         vectors = self.directions[name]
@@ -95,10 +88,6 @@ class BoardGraph:
         """
         return tuple(self.vectors.index(vec) for name in names
                      for vec in self.direction_vectors(name, player))
-
-    def ray(self, site: int, vec: tuple[int, int]) -> range:
-        """Sites from ``site`` along the adjacent direction ``vec``, nearest first."""
-        return self.rays[site][self.vectors.index(vec)]
 
     @property
     def site_count(self) -> int:

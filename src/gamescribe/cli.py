@@ -6,6 +6,8 @@ directory, or two ``generate --game`` files of the same game name; 3
 parse/compile error (including an input that is not UTF-8, at the offset of
 its first bad byte), a malformed heuristics file or (generate,
 playout-stats) a game with no legal opening move; 4 playout move-cap exceeded.
+Every offset in a message is a character offset into the file's text as
+written, line endings included.
 """
 
 from __future__ import annotations

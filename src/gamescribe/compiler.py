@@ -1,15 +1,17 @@
 """Compile a parsed game description into a typed GameSpec.
 
-The compiler validates the tree against the ludeme registry, numbers every
-node into a ludeme table (preorder ids), builds the board graph, expands
+The compiler validates the tree against the ludeme registry, numbers the
+nodes in preorder (a rule's ludeme id), builds the board graph, expands
 ``Each``/``Neutral`` piece declarations, resolves region and start-placement
 sites, decodes the play rule, each piece's rule, the end rules and their
 conditions into typed rules, and numbers the union-find anchors of
 ``(is Connected ...)``.  Only this module reads a ludeme's arguments by
-position; the engine and the translator read the typed rules.  Rule shapes
-the engine cannot run, and arguments it would not read, are rejected here,
-with the offset of the offending ludeme, as it is decoded; only a Shoot's
-projectile waits until every piece is declared.
+position; the engine, the translator and the taxonomy read only the typed
+rules, whose spans (left out of comparison) are the source offsets that
+later errors quote.  Rule shapes the engine cannot run, and arguments it
+would not read, are rejected here, with the offset of the offending ludeme,
+as it is decoded; only a Shoot's projectile waits until every piece is
+declared.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class MoveRule:
     to: SiteSet | None             # Add target, None for the other kinds
     projectile: str | None         # Shoot: name of the piece placed
     again: bool                    # (then (moveAgain))
+    span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,7 @@ class ForEachPiece:
     """``(forEach Piece)``: every piece of the mover moves by its own rule."""
 
     id: int
+    span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,7 @@ class IfRule:
     cond: Condition
     then: "PlayRule"
     otherwise: "PlayRule | None"
+    span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
 
 
 PlayRule = Union[MoveRule, ForEachPiece, IfRule]
@@ -127,10 +132,6 @@ class PieceSpec:
     from_each: bool = False
     # Indices into board.rays[site] that the Step or Slide rule moves along.
     rays: tuple[int, ...] = ()
-
-    @property
-    def move_rule_id(self) -> int | None:
-        return self.rule.id if self.rule is not None else None
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,7 @@ class GameSpec:
     play: PlayRule
     end_rules: list[EndRule]
     anchors: AnchorTable
-    root: RawNode
-    table: dict[int, tuple[RawNode, int | None]] = field(default_factory=dict)
+    root: RawNode  # the parsed tree, for references that check the compiler from outside
     # Every decoded play and piece rule by ludeme id.
     rules: dict[int, PlayRule] = field(default_factory=dict)
     # Whether the mover participates in move signatures; see _distinct_rules.
@@ -212,48 +212,25 @@ class GameSpec:
         self.first_piece = tuple(next((p.name for p in self.pieces if p.owner == player), None)
                                  for player in range(self.player_count + 1))
 
-    @property
-    def play_id(self) -> int:
-        return self.play.id
-
-    def node(self, ludeme_id: int) -> RawNode:
-        return self.table[ludeme_id][0]
-
-    def id_of(self, node: RawNode) -> int:
-        return next(lid for lid, (n, _) in self.table.items() if n is node)
-
-    def pieces_of(self, owner: int) -> list[PieceSpec]:
-        return [p for p in self.pieces if p.owner == owner]
-
-    def piece_named(self, name: str) -> PieceSpec | None:
-        return self.pieces_by_name.get(name)
-
     def regions_of(self, owner: int) -> list[RegionSpec]:
         return [r for r in self.regions if r.owner == owner]
 
     def move_ludeme_ids(self) -> list[int]:
-        """Ids of every (move ...) call in the description, ascending."""
-        return sorted(lid for lid, (node, _) in self.table.items()
-                      if isinstance(node, Call) and node.head.name == "move")
+        """Ids of every (move ...) call in the description (each one decoded), ascending."""
+        return sorted(lid for lid, rule in self.rules.items() if isinstance(rule, MoveRule))
 
 
-def _number_tree(root: RawNode) -> tuple[dict[int, tuple[RawNode, int | None]], dict[int, int]]:
-    """Preorder ludeme table, plus an id(node) -> ludeme id map for the compiler's own use."""
-    table: dict[int, tuple[RawNode, int | None]] = {}
+def _number_tree(root: RawNode) -> dict[int, int]:
+    """id(node) -> the node's preorder index, its ludeme id, for every node of ``root``."""
     ids: dict[int, int] = {}
-    counter = 0
 
-    def visit(node: RawNode, parent: int | None) -> None:
-        nonlocal counter
-        lid = counter
-        counter += 1
-        table[lid] = (node, parent)
-        ids[id(node)] = lid
+    def visit(node: RawNode) -> None:
+        ids[id(node)] = len(ids)
         for child in children(node):
-            visit(child, lid)
+            visit(child)
 
-    visit(root, None)
-    return table, ids
+    visit(root)
+    return ids
 
 
 def _canonical_rule(node: RawNode) -> str:
@@ -264,19 +241,15 @@ def _canonical_rule(node: RawNode) -> str:
     return re.sub(r"\bP\d+\b", "P", text)
 
 
-def _distinct_rules(pieces: list[PieceSpec], play: PlayRule, player_count: int,
-                    table: dict[int, tuple[RawNode, int | None]]) -> bool:
+def _distinct_rules(rule_texts: dict[int, set[str]], play: PlayRule) -> bool:
     """Whether the mover participates in move signatures.
 
-    True when (a) players' per-piece move rules differ after owner-index
+    True when (a) players' per-piece move rules (``rule_texts``, the
+    canonical text of each player's piece rules) differ after owner-index
     renaming, or (b) the play rule is a conditional, which can route
     different movers through different move ludemes.
     """
-    per_player: dict[int, set[str]] = {p: set() for p in range(1, player_count + 1)}
-    for piece in pieces:
-        if piece.owner > 0 and piece.rule is not None:
-            per_player[piece.owner].add(_canonical_rule(table[piece.rule.id][0]))
-    rule_sets = list(per_player.values())
+    rule_sets = list(rule_texts.values())
     return any(s != rule_sets[0] for s in rule_sets[1:]) or isinstance(play, IfRule)
 
 
@@ -318,7 +291,7 @@ class _Compiler:
             raise CompileError("top-level form must be (game ...)",
                                getattr(tree, "span", (0, 0)))
         default_registry().validate_tree(tree)
-        table, self.ids = _number_tree(tree)
+        self.ids = _number_tree(tree)
         self.rules: dict[int, PlayRule] = {}
 
         name = tree.args[0].value
@@ -330,6 +303,8 @@ class _Compiler:
         player_count = self.player_count = players_node.args[0].value
         if player_count < 1:
             raise BadArgumentKind("player count must be at least 1", players_node.span)
+        # The canonical text of each player's piece rules; see _distinct_rules.
+        self.rule_texts: dict[int, set[str]] = {p: set() for p in range(1, player_count + 1)}
 
         board, piece_nodes, region_nodes = self._split_equipment(equipment_node)
         self.board = board
@@ -363,15 +338,15 @@ class _Compiler:
             if isinstance(rule, MoveRule) and rule.kind == "Shoot" \
                     and not any(p.name == rule.projectile for p in pieces):
                 raise BadArgumentKind("(move Shoot ...) needs (piece ...) naming a declared "
-                                      "piece", table[rule.id][0].span)
+                                      "piece", rule.span)
 
         return GameSpec(
             name=name, player_count=player_count, board=board, pieces=pieces,
             regions=regions, start_placements=start_placements,
             play=play, end_rules=end_rules,
             anchors=self.anchors,
-            root=tree, table=table, rules=self.rules,
-            distinct_rules=_distinct_rules(pieces, play, player_count, table),
+            root=tree, rules=self.rules,
+            distinct_rules=_distinct_rules(self.rule_texts, play),
         )
 
     def _split_equipment(self, equipment: Call):
@@ -412,11 +387,14 @@ class _Compiler:
                     raise BadArgumentKind(
                         f"piece owner {owner_sym} exceeds player count", node.args[1].span)
             for owner in owners:
-                try:  # neutral pieces never move
-                    rays = board.ray_indices(rule.directions, owner) if rule and owner else ()
-                except KeyError as missing:
-                    raise BadArgumentKind(f"the board has no {missing.args[0]} direction "
-                                          f"for P{owner}", node.args[2].span) from None
+                rays = ()
+                if rule and owner:  # neutral pieces never move
+                    self.rule_texts[owner].add(_canonical_rule(node.args[2]))
+                    try:
+                        rays = board.ray_indices(rule.directions, owner)
+                    except KeyError as missing:
+                        raise BadArgumentKind(f"the board has no {missing.args[0]} direction "
+                                              f"for P{owner}", node.args[2].span) from None
                 name = f"{base}{owner}" if owner_sym in ("Each", "Neutral") else base
                 pieces.append(PieceSpec(name, base, owner, rule, owner_sym == "Each", rays))
         return pieces
@@ -432,12 +410,12 @@ class _Compiler:
         lid = self.ids[id(node)]
         head = node.head.name
         if head == "forEach":
-            rule: PlayRule = ForEachPiece(lid)
+            rule: PlayRule = ForEachPiece(lid, node.span)
         elif head == "if":
             cond = self._compile_condition(node.args[0], play=True)
             then = self._compile_rule(node.args[1], board)
             otherwise = self._compile_rule(node.args[2], board) if len(node.args) > 2 else None
-            rule = IfRule(lid, cond, then, otherwise)
+            rule = IfRule(lid, cond, then, otherwise, node.span)
         else:
             rule = self._compile_move(node, lid, board, piece_rule)
         self.rules[lid] = rule
@@ -453,7 +431,10 @@ class _Compiler:
         for arg in node.args[1:]:
             if not (isinstance(arg, Call) and arg.head.name in _MOVE_ARGS[kind]):
                 raise BadArgumentKind(f"(move {kind} ...) cannot use {_describe(arg)}", arg.span)
-            args.setdefault(arg.head.name, arg)
+            if arg.head.name in args:
+                raise BadArgumentKind(f"(move {kind} ...) cannot use {_describe(arg)} twice",
+                                      arg.span)
+            args[arg.head.name] = arg
         directions: tuple[str, ...] = ()
         if kind in ("Step", "Slide"):
             dirs = args.get("directions")
@@ -469,8 +450,14 @@ class _Compiler:
                 if not (piece_rule or any(p.owner == player for p in self.pieces)):
                     raise BadArgumentKind(f"(move Add ...) places the mover's piece, but "
                                           f"P{player} owns no piece", node.span)
-        projectile = args["piece"].args[0].value if "piece" in args else None
-        return MoveRule(lid, kind, directions, to, projectile, "then" in args)
+        projectile = None
+        if "piece" in args:
+            name, *rest = args["piece"].args
+            if rest:  # a reference names the piece; its owner and rule are declared
+                raise BadArgumentKind(f"(move Shoot ...) names the piece it places, so its "
+                                      f"(piece ...) cannot use {_describe(rest[0])}", rest[0].span)
+            projectile = name.value
+        return MoveRule(lid, kind, directions, to, projectile, "then" in args, node.span)
 
     def _compile_condition(self, cond: Call, *, play: bool = False) -> Condition:
         """Decode a condition ludeme; ``play`` when it decides a play rule."""
@@ -562,10 +549,13 @@ class _Compiler:
         return StartPlacement(piece_name, labels, tuple(sites))
 
     def _compile_end_rule(self, rule: Call) -> EndRule:
-        # Registry guarantees the shape (if <condition> (result <who> <outcome>)).
+        # Registry guarantees the shape (if <condition> <any> [<any>]).
         cond, result = rule.args[0], rule.args[1]
         if not (isinstance(result, Call) and result.head.name == "result"):
             raise BadArgumentKind("end rule branch must be a (result ...) ludeme", result.span)
+        if len(rule.args) > 2:
+            raise BadArgumentKind("an end rule has no else branch: the game goes on while "
+                                  "its condition does not hold", rule.args[2].span)
         who = result.args[0]
         if who.name.startswith("P") and _player_index(who.name) > self.player_count:
             raise BadArgumentKind(f"result player {who.name} exceeds player count", who.span)

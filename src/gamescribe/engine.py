@@ -5,13 +5,13 @@ the compiled end rules and conditions, and runs seeded random playouts.  A
 ``Move`` is a ``NamedTuple``: it compares and hashes as the plain tuple of
 its six fields.  A condition is evaluated by the function that
 ``_CONDITIONS`` holds for its type, one entry per condition class of the
-compiler.  Each state resolves its play rule once into target sites: an Add
-rule's come from the state's empty-site list, and a (forEach Piece) visits
-only the sites the mover owns, reading each piece's Step, Slide or Shoot
-targets, and each ``(is Line n)`` run, from the board's rays by the ray
-indices the compiler gave them.  A playout counts the targets, draws one index with
-``randrange(count)`` and builds only the move at that index of the legal
-list; ``legal_moves`` builds them all from the same targets, in the same
+compiler, each taking ``(spec, state, cond, mover)``.  Each state resolves
+its play rule once into target sites: an Add rule's come from the state's
+empty-site list, and a (forEach Piece) visits only the sites the mover owns,
+reading each piece's Step, Slide or Shoot targets, and each ``(is Line n)``
+run, from the board's rays by the ray indices the compiler gave them.  A
+playout counts the targets, draws one index with ``randrange(count)`` and
+builds only the move at that index of the legal list; ``legal_moves`` builds them all from the same targets, in the same
 order.  Every play rule resolves to one form: (rule, piece, site, target
 sites) groups.  ``(is Connected ...)`` asks an incremental union-find first
 and searches for the winning path only once that reports a connection.
@@ -121,7 +121,6 @@ class PlayoutTrace:
     seed: int
     moves: tuple[Move, ...]
     outcome: EndMatch
-    final_state: GameState = field(compare=False, repr=False, default=None)
 
 
 def initial_state(spec: GameSpec) -> GameState:
@@ -337,6 +336,14 @@ def _eval(spec: GameSpec, state: GameState, cond: Condition,
     return _CONDITIONS[type(cond)](spec, state, cond, mover)
 
 
+def _eval_even(spec: GameSpec, state: GameState, cond: IsEven, mover: int):
+    return state.move_count % 2 == 0, None
+
+
+def _eval_no_moves(spec: GameSpec, state: GameState, cond: NoMovesNext, mover: int):
+    return _resolve(spec, state) == 0, None
+
+
 def _eval_in(spec: GameSpec, state: GameState, cond: IsIn, mover: int):
     last = state.last_move
     return last is not None and last.to_site in cond.sites[mover], None
@@ -366,8 +373,8 @@ def eval_condition(spec: GameSpec, state: GameState, cond: Condition, mover: int
     return _eval(spec, state, cond, mover)[0]
 
 
-def _eval_line(spec: GameSpec, state: GameState,
-               cond: IsLine) -> tuple[bool, tuple[int, ...] | None]:
+def _eval_line(spec: GameSpec, state: GameState, cond: IsLine,
+               mover: int) -> tuple[bool, tuple[int, ...] | None]:
     last = state.last_move
     if last is None or last.to_site is None:
         return False, None
@@ -444,7 +451,7 @@ def _uf_connected(spec: GameSpec, state: GameState, player: int) -> bool:
     return True
 
 
-def _eval_connected(spec: GameSpec, state: GameState,
+def _eval_connected(spec: GameSpec, state: GameState, cond: IsConnected,
                     mover: int) -> tuple[bool, tuple[int, ...] | None]:
     if not _uf_connected(spec, state, mover):
         return False, None
@@ -479,22 +486,14 @@ def _eval_connected(spec: GameSpec, state: GameState,
 # Each condition type of compiler.Condition, and how to evaluate it: called
 # with (spec, state, cond, mover), it returns whether the condition holds and
 # its winning sites.
-_CONDITIONS = {
-    IsEven: lambda spec, state, cond, mover: (state.move_count % 2 == 0, None),
-    IsLine: lambda spec, state, cond, mover: _eval_line(spec, state, cond),
-    IsConnected: lambda spec, state, cond, mover: _eval_connected(spec, state, mover),
-    IsIn: _eval_in,
-    NoMovesNext: lambda spec, state, cond, mover: (_resolve(spec, state) == 0, None),
-    AnyOf: _eval_any,
-    AllOf: _eval_all,
-}
+_CONDITIONS = {IsEven: _eval_even, IsLine: _eval_line, IsConnected: _eval_connected,
+               IsIn: _eval_in, NoMovesNext: _eval_no_moves, AnyOf: _eval_any, AllOf: _eval_all}
 
 
 def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
     """First matching end rule after ``move``, else the draw fallback."""
     for rule in spec.end_rules:
-        cond = rule.cond
-        ok, sites = _CONDITIONS[type(cond)](spec, state, cond, move.mover)
+        ok, sites = _eval(spec, state, rule.cond, move.mover)
         if not ok:
             continue
         if rule.who == "Mover":
@@ -539,9 +538,7 @@ def random_playout(spec: GameSpec, seed: int, *,
         move = _pick(spec, state, rng.randrange(count))
         _advance(spec, state, move)
         moves.append(move)
-    # Traces are kept; their final states need no caches.
-    state._empty = state._owned = state._uf = state._groups = None
-    return PlayoutTrace(seed, tuple(moves), state.terminal, state)
+    return PlayoutTrace(seed, tuple(moves), state.terminal)
 
 
 def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> GameState:

@@ -218,7 +218,7 @@ def translate_game(spec: GameSpec) -> str:
     if spec.start_placements:
         lines.append("Setup:")
         for placement in spec.start_placements:
-            piece = spec.piece_named(placement.piece_name)
+            piece = spec.pieces_by_name[placement.piece_name]
             if piece.owner == 0:
                 owner_phrase = ""
             else:

@@ -46,11 +46,17 @@ class RunConfig:
 
 
 def read_source(path: Path) -> str:
-    """The text of a UTF-8 input file; a byte that is not UTF-8 is a ParseError at its offset."""
+    """The text of a UTF-8 input file, line endings and all.
+
+    Offsets into it count characters.  A byte that is not UTF-8 is a
+    ParseError at the character offset where that byte starts.
+    """
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text", exc.start) from None
+        raise ParseError(f"{path} is not UTF-8 text",
+                         len(data[:exc.start].decode("utf-8"))) from None
 
 
 def load_game(path: Path) -> GameSpec:
@@ -70,7 +76,7 @@ def load_playable(path: Path) -> GameSpec:
     spec = load_game(path)
     if not engine.legal_moves(spec, engine.initial_state(spec)):
         raise NoOpeningMove("no legal opening move: every playout would end before its "
-                            "first move", spec.node(spec.play_id).span)
+                            "first move", spec.play.span)
     return spec
 
 

@@ -16,6 +16,8 @@ from .sexpr import Call, Collection, Number, RawNode, Symbol, Text, children
 
 
 class CompileError(Exception):
+    """An error at ``span``, the offending node's (start, end) character offsets."""
+
     def __init__(self, message: str, span: tuple[int, int] = (0, 0)):
         super().__init__(f"{message} (at offset {span[0]})")
         self.message = message

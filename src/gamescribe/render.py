@@ -96,7 +96,7 @@ def _cell_element(layout: _Layout, row: int, col: int) -> str:
 
 
 def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
-    piece = spec.piece_named(name)
+    piece = spec.pieces_by_name.get(name)
     base = piece.base if piece else name
     owner = piece.owner if piece else 0
     fill = _OWNER_FILL.get(owner, "#888888")

@@ -2,8 +2,12 @@
 
 The surface syntax is small: `(head args...)` calls, `{...}` brace
 collections, `"..."` strings, integer literals, and bare symbols.  Symbols
-are maximal runs of characters excluding whitespace and ``(){}"``.  Lines
-starting with ``//`` are comments.
+are maximal runs of characters excluding whitespace and ``(){}"``.  A ``//``
+starts a comment that runs to the end of its line (``\n``, ``\r\n`` or ``\r``).
+
+Every offset, in a ParseError or a span, is a character offset into the
+text as given: ``text[start:end]`` is the node's source, and a file read
+without newline translation keeps its offsets.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Union
 
 
 class ParseError(Exception):
-    """Base class for all reader errors.  Carries a byte offset."""
+    """Base class for all reader errors.  Carries a character offset into the text."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
@@ -39,7 +43,7 @@ class TrailingContent(ParseError):
     pass
 
 
-# Spans are (start, end) byte offsets into the source text.  They are
+# Spans are (start, end) character offsets into the source text.  They are
 # excluded from equality so that structural comparison ignores layout.
 
 @dataclass(frozen=True)
@@ -77,6 +81,7 @@ RawNode = Union[Symbol, Number, Text, Call, Collection]
 
 _INTEGER = re.compile(r"-?[0-9]+$")
 _DELIMS = set('(){}"')
+_LINE_END = re.compile(r"[\r\n]")
 
 # Deepest nesting of calls and collections the reader accepts.  Every walk
 # over a tree (this reader, numbering, printing, condition evaluation and
@@ -97,8 +102,8 @@ class _Reader:
             if c.isspace():
                 self.pos += 1
             elif self.text.startswith("//", self.pos):
-                nl = self.text.find("\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
+                end = _LINE_END.search(self.text, self.pos)
+                self.pos = n if end is None else end.end()
             else:
                 return
 

@@ -3,6 +3,8 @@
 Everything here is deliberately written from scratch against the game
 descriptions themselves (raw rule trees, hand-listed win lines, union-find
 connectivity) rather than reusing the library's own move/condition logic.
+Ludeme ids are numbered here too: a node's id is its index in a preorder
+walk of ``spec.root``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,31 @@ from __future__ import annotations
 import re
 
 from gamescribe.sexpr import Call, children, print_canonical
+
+
+# --- preorder ludeme ids over the raw tree ---
+
+def preorder(root) -> list:
+    """Every node of ``root`` in preorder, call heads included: a node's index is its id."""
+    nodes = []
+
+    def visit(node) -> None:
+        nodes.append(node)
+        for child in children(node):
+            visit(child)
+
+    visit(root)
+    return nodes
+
+
+def move_call_ids(spec) -> list[int]:
+    """Preorder ids of every (move ...) call in ``spec.root``, ascending."""
+    return [lid for lid, node in enumerate(preorder(spec.root))
+            if isinstance(node, Call) and node.head.name == "move"]
+
+
+def _pieces_of(spec, owner: int) -> list:
+    return [p for p in spec.pieces if p.owner == owner]
 
 
 # --- exhaustive move-signature enumeration over the raw rule structure ---
@@ -27,15 +54,16 @@ def _has_if(node) -> bool:
 
 def players_rules_differ(spec) -> bool:
     """Reference copy of the mover-participation test for signatures."""
+    nodes = preorder(spec.root)
     per_player = []
     for p in range(1, spec.player_count + 1):
         rules = set()
-        for piece in spec.pieces_of(p):
-            if piece.move_rule_id is not None:
-                rules.add(_rename_owners(print_canonical(spec.node(piece.move_rule_id))))
+        for piece in _pieces_of(spec, p):
+            if piece.rule is not None:
+                rules.add(_rename_owners(print_canonical(nodes[piece.rule.id])))
         per_player.append(rules)
     differ = any(s != per_player[0] for s in per_player[1:])
-    return differ or _has_if(spec.node(spec.play_id))
+    return differ or _has_if(nodes[spec.play.id])
 
 
 def _then_again(node: Call) -> bool:
@@ -62,6 +90,8 @@ def _base_action_variants(kind: str) -> list[tuple[str, ...]]:
 def enumerate_signatures(spec) -> set[tuple]:
     """All (mover, piece, origin id, action types) tuples the rules can emit."""
     mover_matters = players_rules_differ(spec)
+    nodes = preorder(spec.root)
+    ids = {id(node): lid for lid, node in enumerate(nodes)}
     sigs: set[tuple] = set()
 
     def emit(mover: int, piece: str | None, node: Call) -> None:
@@ -73,16 +103,16 @@ def enumerate_signatures(spec) -> set[tuple]:
         suffix = ("SetMoverAgain",) if _then_again(node) else ()
         for acts in _base_action_variants(kind):
             sigs.add((mover if mover_matters else None, piece,
-                      spec.id_of(node), acts + suffix))
+                      ids[id(node)], acts + suffix))
 
     def walk(node: Call, mover: int, ctx_piece: str | None) -> None:
         head = node.head.name
         if head == "move":
             emit(mover, ctx_piece, node)
         elif head == "forEach":
-            for piece in spec.pieces_of(mover):
-                if piece.move_rule_id is not None:
-                    walk(spec.node(piece.move_rule_id), mover, piece.name)
+            for piece in _pieces_of(spec, mover):
+                if piece.rule is not None:
+                    walk(nodes[piece.rule.id], mover, piece.name)
         elif head == "if":
             walk(node.args[1], mover, ctx_piece)
             if len(node.args) > 2:
@@ -91,8 +121,8 @@ def enumerate_signatures(spec) -> set[tuple]:
             raise ValueError(f"unexpected play ludeme {head!r}")
 
     for mover in range(1, spec.player_count + 1):
-        owned = spec.pieces_of(mover)
-        walk(spec.node(spec.play_id), mover, owned[0].name if owned else None)
+        owned = _pieces_of(spec, mover)
+        walk(nodes[spec.play.id], mover, owned[0].name if owned else None)
     return sigs
 
 

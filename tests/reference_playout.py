@@ -5,15 +5,21 @@ full legal-move list and draws one entry of it, and ``(is Connected ...)``
 runs a breadth-first search over the mover's pieces every time it is
 evaluated.  The engine's count-and-pick playouts must produce the same
 traces; the tests compare the two through ``engine.trace_to_dict``.
+
+Conditions are read from the raw tree, by the preorder ids of
+``oracles.preorder``, and board geometry comes from row/column arithmetic,
+not from the board's rays or adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from gamescribe.compiler import ForEachPiece, GameSpec, MoveRule
 from gamescribe.engine import (PLAYOUT_MOVE_CAP, EndMatch, Move, PlayoutLimitExceeded,
                                PlayoutTrace, XorShift64Star, initial_state)
+from oracles import preorder
 
 
 @dataclass
@@ -21,9 +27,35 @@ class State:
     contents: list
     mover: int
     move_count: int
+    nodes: list  # every node of spec.root in preorder: a ludeme id indexes it
     last_move: Move | None = None
     terminal: EndMatch | None = None
     legal: list | None = None
+
+
+@lru_cache(maxsize=None)
+def _rays(rows: int, cols: int, vectors: tuple) -> tuple:
+    """Per site (row-major), the sites along each of ``vectors`` to the edge, nearest first."""
+    rays = []
+    for site in range(rows * cols):
+        row, col = divmod(site, cols)
+        site_rays = []
+        for dr, dc in vectors:
+            r, c, ray = row + dr, col + dc, []
+            while 0 <= r < rows and 0 <= c < cols:
+                ray.append(r * cols + c)
+                r, c = r + dr, c + dc
+            site_rays.append(tuple(ray))
+        rays.append(tuple(site_rays))
+    return tuple(rays)
+
+
+def _ray(board, site: int, vec: tuple[int, int]) -> tuple[int, ...]:
+    return _rays(board.rows, board.cols, board.vectors)[site][board.vectors.index(vec)]
+
+
+def _neighbours(board, site: int) -> list[int]:
+    return [ray[0] for ray in _rays(board.rows, board.cols, board.vectors)[site] if ray]
 
 
 def _next_player(spec: GameSpec, player: int) -> int:
@@ -31,8 +63,7 @@ def _next_player(spec: GameSpec, player: int) -> int:
 
 
 def _mover_piece(spec: GameSpec, mover: int) -> str | None:
-    owned = spec.pieces_of(mover)
-    return owned[0].name if owned else None
+    return next((p.name for p in spec.pieces if p.owner == mover), None)
 
 
 def legal_moves(spec: GameSpec, state: State) -> list[Move]:
@@ -50,7 +81,7 @@ def _generate(spec: GameSpec, state: State, rule) -> list[Move]:
         for site, content in enumerate(state.contents):
             if content is None or content[1] != state.mover:
                 continue
-            piece = spec.piece_named(content[0])
+            piece = spec.pieces_by_name.get(content[0])
             if piece is None or piece.rule is None:
                 continue
             # An Add or a Shoot makes the same moves from every site, so each
@@ -61,7 +92,7 @@ def _generate(spec: GameSpec, state: State, rule) -> list[Move]:
                 placed.add(piece.rule.id)
             moves.extend(_generate_move(spec, state, piece.rule, (content[0], site)))
         return moves
-    cond = spec.node(rule.id).args[0]
+    cond = state.nodes[rule.id].args[0]
     branch = rule.then if _eval(spec, state, cond, state.mover)[0] else rule.otherwise
     return _generate(spec, state, branch) if branch is not None else []
 
@@ -88,9 +119,10 @@ def _generate_move(spec: GameSpec, state: State, rule: MoveRule, ctx) -> list[Mo
         piece, site = ctx
         for name in rule.directions:
             for vec in board.direction_vectors(name, mover):
-                target = board.offset(site, vec)
-                if target is None:
+                ray = _ray(board, site, vec)
+                if not ray:
                     continue
+                target = ray[0]
                 occupant = state.contents[target]
                 if occupant is None:
                     kinds = shift
@@ -103,7 +135,7 @@ def _generate_move(spec: GameSpec, state: State, rule: MoveRule, ctx) -> list[Mo
         piece, site = ctx
         for name in rule.directions:
             for vec in board.direction_vectors(name, mover):
-                for target in board.ray(site, vec):
+                for target in _ray(board, site, vec):
                     if state.contents[target] is not None:
                         break
                     moves.append(Move(mover, piece, origin, shift, site, target))
@@ -111,8 +143,8 @@ def _generate_move(spec: GameSpec, state: State, rule: MoveRule, ctx) -> list[Mo
         last = state.last_move
         if last is None or last.to_site is None:
             return []
-        for ray in board.rays[last.to_site]:
-            for target in ray:
+        for vec in board.vectors:
+            for target in _ray(board, last.to_site, vec):
                 if state.contents[target] is not None:
                     break
                 moves.append(Move(mover, rule.projectile, origin, add,
@@ -124,13 +156,13 @@ def apply_move(state: State, move: Move, spec: GameSpec) -> State:
     contents = list(state.contents)
     kinds = move.action_types
     if "Add" in kinds:
-        piece = spec.piece_named(move.piece)
+        piece = spec.pieces_by_name[move.piece]
         contents[move.to_site] = (piece.name, piece.owner)
     elif "Move" in kinds:
         contents[move.to_site] = contents[move.from_site]
         contents[move.from_site] = None
     mover = move.mover if "SetMoverAgain" in kinds else _next_player(spec, move.mover)
-    new_state = State(contents, mover, state.move_count + 1, last_move=move)
+    new_state = State(contents, mover, state.move_count + 1, state.nodes, last_move=move)
     new_state.terminal = check_end(spec, new_state, move)
     return new_state
 
@@ -186,12 +218,10 @@ def _eval_line(spec: GameSpec, state: State, length: int):
     for axis in board.line_axes:
         run = [site]
         for sign in (1, -1):
-            vec = (axis[0] * sign, axis[1] * sign)
-            cur = board.offset(site, vec)
-            while cur is not None and state.contents[cur] is not None \
-                    and state.contents[cur][1] == owner:
+            for cur in _ray(board, site, (axis[0] * sign, axis[1] * sign)):
+                if state.contents[cur] is None or state.contents[cur][1] != owner:
+                    break
                 run.append(cur)
-                cur = board.offset(cur, vec)
         if len(run) >= length:
             return True, tuple(sorted(run))
     return False, None
@@ -211,7 +241,7 @@ def eval_connected(spec: GameSpec, contents: list, mover: int):
     while frontier:
         nxt = []
         for site in frontier:
-            for n in spec.board.adjacent[site]:
+            for n in _neighbours(spec.board, site):
                 if n in occupied and n not in parent:
                     parent[n] = site
                     nxt.append(n)
@@ -230,7 +260,7 @@ def eval_connected(spec: GameSpec, contents: list, mover: int):
 
 def check_end(spec: GameSpec, state: State, move: Move) -> EndMatch | None:
     for rule in spec.end_rules:
-        ok, sites = _eval(spec, state, spec.node(rule.end_id).args[0], move.mover)
+        ok, sites = _eval(spec, state, state.nodes[rule.end_id].args[0], move.mover)
         if not ok:
             continue
         if rule.who == "Mover":
@@ -252,7 +282,7 @@ def check_end(spec: GameSpec, state: State, move: Move) -> EndMatch | None:
 def random_playout(spec: GameSpec, seed: int, *,
                    move_cap: int = PLAYOUT_MOVE_CAP) -> PlayoutTrace:
     rng = XorShift64Star(seed)
-    state = State(initial_state(spec).contents, 1, 0)
+    state = State(initial_state(spec).contents, 1, 0, preorder(spec.root))
     moves: list[Move] = []
     while state.terminal is None:
         legal = legal_moves(spec, state)

@@ -96,10 +96,10 @@ def test_criterion_5_oracle_equivalence(tictactoe, hexgame):
         if not occupied:
             continue
         site = rng.choice(occupied)
-        fake = Move(contents[site][1], contents[site][0], tictactoe.play_id, (),
+        fake = Move(contents[site][1], contents[site][0], tictactoe.play.id, (),
                     site, site)
         state = GameState(contents=contents, mover=1, move_count=0, last_move=fake)
-        if engine._eval_line(tictactoe, state, tictactoe.end_rules[0].cond)[0] != \
+        if engine._eval_line(tictactoe, state, tictactoe.end_rules[0].cond, fake.mover)[0] != \
                 oracles.ttt_line_through(contents, site):
             disagreements += 1
 
@@ -118,7 +118,7 @@ def test_criterion_5_oracle_equivalence(tictactoe, hexgame):
         for player in (1, 2):
             occupied = {i for i, c in enumerate(contents)
                         if c is not None and c[1] == player}
-            got = engine._eval_connected(hexgame, state, player)[0]
+            got = engine._eval_connected(hexgame, state, hexgame.end_rules[0].cond, player)[0]
             want = oracles.hex_sides_connected(size, occupied, *sides[player])
             if got != want:
                 disagreements += 1

@@ -35,9 +35,8 @@ def test_rays_and_adjacency_match_a_coordinate_walk(board):
     for site, s in enumerate(board.sites):
         assert board.site_by_label(s.label) == site
         walks = [_walk(board, by_coord, site, vec) for vec in board.vectors]
-        for vec, walk in zip(board.vectors, walks):
-            assert list(board.ray(site, vec)) == walk, (s.label, vec)
-            assert board.offset(site, vec) == (walk[0] if walk else None), (s.label, vec)
+        for vec, ray, walk in zip(board.vectors, board.rays[site], walks):
+            assert list(ray) == walk, (s.label, vec)
         assert board.adjacent[site] == [walk[0] for walk in walks if walk], s.label
 
 

@@ -244,6 +244,18 @@ UNRUNNABLE = {
         _game('(piece "Disc" Each)', "(move Add (then (moveAgain)))"), "(move Add (then"),
     "line-longer-than-board": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 4)"), "4)"),
+    "end-rule-else-branch": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))")
+        .replace("(result Mover Win)", "(result Mover Win) (result Next Win)"),
+        "(result Next Win)"),
+    "shoot-piece-with-owner-and-rule": (
+        _game('(piece "Disc" Each) (piece "Dot" Neutral)',
+              "(if (is Even (count Moves)) (move Add (to (sites Empty))) "
+              '(move Shoot (piece "Dot0" Neutral (move Add (to (sites Empty))))))'),
+        "Neutral (move Add"),
+    "move-argument-twice": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)) (to (sites Side N)))"),
+        "(to (sites Side N))"),
     "start-placement-conflict": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
               start='(start {(place "Disc1" {"A1"}) (place "Disc2" {"B1" "A1"})})'),
@@ -394,6 +406,26 @@ def test_input_not_utf8_exits_3_at_the_bad_byte(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: parse failed: {path} is not UTF-8 text (at offset {len(prefix)})\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, culprit, failure", [
+    # CRLF line endings stay in the text, two characters each.
+    (b'(game "X"\r\n(players 2)\r\n(foo', "(foo", "parse failed: unclosed '('"),
+    # A non-ASCII letter before the error is one character (two bytes).
+    ('(game "Tic-Tac-Toé" (players 2) (equipment {(board (square 3)) (piece "Disc" P3)}) '
+     '(rules (play (move Add (to (sites Empty)))) (end (if (is Line 3) (result Mover Win)))))'
+     .encode(), "P3", "compile failed: piece owner P3 exceeds player count"),
+    # A bad byte after a non-ASCII one is at the character where it starts.
+    ('(game "é'.encode() + b'\xff" (players 2))', "\ufffd", "parse failed: "),
+], ids=["crlf", "non-ascii-name", "bad-byte-after-non-ascii"])
+def test_offsets_count_characters_of_the_file_as_written(tmp_path, capsys, source, culprit,
+                                                         failure):
+    game = tmp_path / "game.lud"
+    game.write_bytes(source)
+    assert main(["translate", "--game", str(game)]) == 3
+    err = capsys.readouterr().err
+    offset = source.decode("utf-8", errors="replace").index(culprit)
+    assert err.startswith(f"error: {failure}") and err.endswith(f"(at offset {offset})\n"), err
 
 
 def test_out_that_is_a_file_exits_2(tmp_path, capsys):

@@ -1,30 +1,58 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import gamescribe
+import oracles
 from conftest import CORPUS
-from gamescribe.compiler import build_board, compile_game
+from gamescribe.compiler import ForEachPiece, IfRule, MoveRule, build_board, compile_game
 from gamescribe.registry import (ArityMismatch, BadArgumentKind, CompileError, UnknownLudeme,
                                  UnsupportedLudeme, default_registry)
-from gamescribe.sexpr import children, parse
+from gamescribe.sexpr import Call, parse
+from test_reference_playout import SMALL_GAMES, _spec
 
-
-def _node_count(node):
-    return 1 + sum(_node_count(c) for c in children(node))
+GAMES = ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES]
 
 
 def test_corpus_games_compile():
     for path in sorted(CORPUS.glob("*.lud")):
         spec = compile_game(parse(path.read_text()))
         assert spec.player_count == 2
-        assert spec.table
+        assert spec.rules
 
 
-def test_ludeme_table_covers_every_node(tictactoe):
-    assert len(tictactoe.table) == _node_count(tictactoe.root)
-    assert tictactoe.table[0][0] is tictactoe.root
-    for lid, (node, parent) in tictactoe.table.items():
-        assert tictactoe.id_of(node) == lid
-        if parent is not None:
-            assert parent < lid  # preorder numbering
+@pytest.mark.parametrize("name", GAMES)
+def test_rule_ids_are_preorder_indices_of_rule_nodes(name):
+    spec = _spec(name)
+    nodes = oracles.preorder(spec.root)
+    heads = {MoveRule: "move", ForEachPiece: "forEach", IfRule: "if"}
+    for lid, rule in spec.rules.items():
+        node = nodes[lid]
+        assert rule.id == lid
+        assert isinstance(node, Call) and node.head.name == heads[type(rule)], (lid, node)
+        assert rule.span == node.span
+    assert spec.rules[spec.play.id] is spec.play
+    for rule in spec.end_rules:
+        assert nodes[rule.end_id].head.name == "if"
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_move_ludeme_ids_match_a_scan_of_the_tree(name):
+    spec = _spec(name)
+    assert spec.move_ludeme_ids() == oracles.move_call_ids(spec)
+
+
+@pytest.mark.parametrize("module", ["engine", "taxonomy", "english", "render", "manual"])
+def test_only_the_compiler_reads_the_raw_tree(module):
+    # Past the compiler, code reads the typed rules: no sexpr import, no spec.root.
+    tree = ast.parse((Path(gamescribe.__file__).parent / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != "sexpr", node.lineno
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert all(alias.name.split(".")[-1] != "sexpr" for alias in node.names), node.lineno
+        assert not (isinstance(node, ast.Attribute) and node.attr == "root"), node.lineno
 
 
 def test_square_board_geometry(tictactoe):
@@ -56,7 +84,7 @@ def test_hex_diamond_geometry(hexgame):
 def test_each_expands_per_player(hexgame):
     names = {p.name for p in hexgame.pieces}
     assert names == {"Marker1", "Marker2"}
-    assert hexgame.pieces_of(1)[0].base == "Marker"
+    assert [p.base for p in hexgame.pieces if p.owner == 1] == ["Marker"]
 
 
 def test_neutral_piece_gets_zero_suffix(amazons):
@@ -171,7 +199,7 @@ def test_longest_line_is_the_longer_side(shape):
                 f'(end (if (is Line {n}) (result Mover Win)))))')
 
     board = build_board(parse(f"(board {shape})"))
-    longest = max(1 + len(board.ray(site, axis))
+    longest = max(1 + len(board.rays[site][board.vectors.index(axis)])
                   for site in range(board.site_count) for axis in board.line_axes)
     assert longest == max(board.rows, board.cols)
     if longest >= 2:

@@ -122,3 +122,11 @@ def test_parse_is_total(text):
 @given(_trees())
 def test_print_parse_round_trip(tree):
     assert parse(print_canonical(tree)) == tree
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_comment_ends_at_any_line_ending(newline):
+    text = f"// a comment{newline}(game 1)"
+    node = parse(text)
+    assert node == Call(Symbol("game"), (Number(1),))
+    assert text[node.span[0]:node.span[1]] == "(game 1)"

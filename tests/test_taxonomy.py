@@ -35,7 +35,7 @@ def test_distinct_rules_flag(tictactoe, hexgame, amazons, breakthrough):
 def test_move_signature_components(tictactoe, amazons):
     move = legal_moves(tictactoe, initial_state(tictactoe))[0]
     sig = move_signature(move, tictactoe)
-    assert sig == MoveSignature(None, "Disc", tictactoe.play_id, ("Add",))
+    assert sig == MoveSignature(None, "Disc", tictactoe.play.id, ("Add",))
     amove = legal_moves(amazons, initial_state(amazons))[0]
     asig = move_signature(amove, amazons)
     assert asig.mover == 1

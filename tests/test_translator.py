@@ -56,7 +56,7 @@ def test_number_word_and_plural():
 
 
 def test_translate_single_ludemes(tictactoe, amazons):
-    assert translate_node(tictactoe, tictactoe.play_id) == \
+    assert translate_node(tictactoe, tictactoe.play.id) == \
         "Add one of your pieces to the set of empty cells."
     rule = tictactoe.end_rules[0]
     assert translate_node(tictactoe, rule.end_id) == \
