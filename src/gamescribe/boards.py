@@ -4,11 +4,14 @@ Every board is a row-major ``rows x cols`` grid: site ``row * cols + col``,
 columns lettered A.. from the left and rows numbered 1.. from the bottom, so
 "A1" is the bottom-left corner.  Each ray along an adjacent direction
 ``(dr, dc)`` is a ``range`` of site indices with step ``dr * cols + dc``, as
-long as the distance to the edge allows.  Rays and adjacency are built on
-first read, so a board that is only compiled and translated never builds
-them; every later read is a plain attribute.  Direction names map to vectors as
-player 1 faces, north (increasing row); player 2 faces south, so Forward, FL
-and FR turn around for it, and no other player has a facing.
+long as the distance to the edge allows.  The same step, with a mask of the
+sites whose ray in that direction is non-empty, moves a set of sites held
+as the bits of one integer one step along the direction.  Rays, adjacency
+and the shifts are built on first read, so a board that is only compiled and
+translated never builds them; every later read is a plain attribute.
+Direction names map to vectors as player 1 faces, north (increasing row);
+player 2 faces south, so Forward, FL and FR turn around for it, and no other
+player has a facing.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class Site:
 
 @dataclass
 class BoardGraph:
-    """A board's geometry, immutable once built; rays and adjacency are built on first read."""
+    """A board's geometry, immutable once built; rays, adjacency and shifts come on first read."""
 
     shape: str  # "square" | "rectangle" | "hexDiamond"
     rows: int
@@ -67,6 +70,17 @@ class BoardGraph:
     @cached_property
     def adjacent(self) -> list[list[int]]:
         return [[ray[0] for ray in site_rays if ray] for site_rays in self.rays]
+
+    # Per ray index, (step, mask): a site s whose bit is in mask has a non-empty
+    # ray in that direction, starting at s + step; built on first read.
+    @cached_property
+    def shifts(self) -> list[tuple[int, int]]:
+        rows, cols, shifts = self.rows, self.cols, []
+        for dr, dc in self.vectors:
+            row_mask = sum(1 << col for col in range(max(0, -dc), cols - max(0, dc)))
+            mask = sum(row_mask << row * cols for row in range(max(0, -dr), rows - max(0, dr)))
+            shifts.append((dr * cols + dc, mask))
+        return shifts
 
     def site_by_label(self, label: str) -> int | None:
         return self._by_label.get(label)

@@ -205,12 +205,27 @@ class GameSpec:
     pieces_by_name: dict[str, PieceSpec] = field(init=False, repr=False, compare=False)
     content_of: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
     first_piece: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
+    # Indexed by player: the names of the player's own and the neutral pieces,
+    # which its Steps cannot land on; and, when every piece of the player that
+    # has a rule Steps, the (name, rule, ray indices) of each such piece, else
+    # None.  A (forEach Piece) of a player with a tuple resolves over occupancy
+    # bits, of a player with None site by site (see engine._resolve).
+    friend_names: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    step_pieces: tuple[tuple | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pieces_by_name = {p.name: p for p in reversed(self.pieces)}
         self.content_of = {name: (name, p.owner) for name, p in self.pieces_by_name.items()}
+        players = range(self.player_count + 1)
         self.first_piece = tuple(next((p.name for p in self.pieces if p.owner == player), None)
-                                 for player in range(self.player_count + 1))
+                                 for player in players)
+        self.friend_names = tuple(tuple(name for name, p in self.pieces_by_name.items()
+                                        if p.owner in (player, 0)) for player in players)
+        ruled = [[p for p in self.pieces_by_name.values() if p.owner == player and p.rule]
+                 for player in players]
+        self.step_pieces = tuple(
+            tuple((p.name, p.rule, p.rays) for p in own)
+            if all(p.rule.kind == "Step" for p in own) else None for own in ruled)
 
     def regions_of(self, owner: int) -> list[RegionSpec]:
         return [r for r in self.regions if r.owner == owner]

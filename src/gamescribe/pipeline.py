@@ -18,8 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from urllib.parse import quote
 
 from . import engine, render, strategy, taxonomy
 from .compiler import GameSpec, compile_game
@@ -274,8 +276,9 @@ def playout_stats(config: RunConfig) -> str:
 
 
 def write_index(out_dir: Path, game_names: list[str]) -> None:
-    items = "\n".join(
-        f'<li><a href="{name}/manual.html">{name}</a></li>' for name in game_names)
+    """Write ``index.html``, linking each game's ``<name>/manual.html``."""
+    items = "\n".join(f'<li><a href="{quote(name)}/manual.html">{escape(name)}</a></li>'
+                       for name in game_names)
     out_dir.joinpath("index.html").write_text(
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>"
         "<title>Game manuals</title></head>\n"

@@ -40,6 +40,21 @@ def test_rays_and_adjacency_match_a_coordinate_walk(board):
         assert board.adjacent[site] == [walk[0] for walk in walks if walk], s.label
 
 
+@pytest.mark.parametrize("board", BOARDS,
+                         ids=lambda b: f"{b.shape}-{b.rows}x{b.cols}")
+def test_shifts_match_a_coordinate_walk(board):
+    """A site's mask bit is set exactly when its ray is non-empty, which starts at site + step."""
+    by_coord = {(s.row, s.col): s.index for s in board.sites}
+    assert len(board.shifts) == len(board.vectors)
+    for vec, (step, mask) in zip(board.vectors, board.shifts):
+        for site in range(board.site_count):
+            walk = _walk(board, by_coord, site, vec)
+            assert bool(mask >> site & 1) == bool(walk), (board.sites[site].label, vec)
+            if walk:
+                assert site + step == walk[0], (board.sites[site].label, vec)
+        assert mask >> board.site_count == 0
+
+
 def test_directions_per_player():
     square, hexagonal = boards.build_square(5, 3, shape="rectangle"), boards.build_hex_diamond(4)
     ray = square.vectors.index

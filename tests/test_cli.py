@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import urllib.parse
+import xml.dom.minidom
 
 import pytest
 
@@ -97,6 +99,19 @@ def test_generate_multiple_games_writes_index(tmp_path):
     index = (out / "index.html").read_text()
     assert 'href="Tic-Tac-Toe/manual.html"' in index
     assert 'href="Breakthrough/manual.html"' in index
+
+
+def test_index_escapes_game_names(tmp_path):
+    name = "Noughts & <Crosses> #1?"
+    game = tmp_path / "noughts.lud"
+    game.write_text((CORPUS / "TicTacToe.lud").read_text().replace("Tic-Tac-Toe", name))
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(game), "--game", str(CORPUS / "Hex.lud"),
+                 "--playouts", "3", "--out", str(out)]) == 0
+    links = xml.dom.minidom.parse(str(out / "index.html")).getElementsByTagName("a")
+    assert [a.firstChild.data for a in links] == [name, "Hex"]
+    for a in links:
+        assert (out / urllib.parse.unquote(a.getAttribute("href"))).is_file()
 
 
 def test_playout_stats_reports_counts():

@@ -1,4 +1,4 @@
-"""Rays and adjacency are built on first read, once per board, and (is Line n) reads them by index."""
+"""Rays, adjacency and shifts are built on first read, once per board; (is Line n) reads rays."""
 
 import pickle
 import re
@@ -13,7 +13,7 @@ from gamescribe.pipeline import load_game
 from gamescribe.sexpr import parse
 from test_boards import BOARDS
 
-GEOMETRY = ("rays", "adjacent")
+GEOMETRY = ("rays", "adjacent", "shifts")
 
 
 @pytest.mark.parametrize("name, shape, size", [("Amazons", "(square 19)", 19),
@@ -33,6 +33,12 @@ def test_translate_builds_no_rays_and_a_playout_builds_them_once(tmp_path, name,
     adjacent = board.adjacent
     random_playout(spec, 1)
     assert board.rays is rays and board.adjacent is adjacent
+
+
+def test_step_playouts_build_shifts_but_no_rays():
+    spec = load_spec("Breakthrough")
+    random_playout(spec, 0)
+    assert set(GEOMETRY) & set(vars(spec.board)) == {"shifts"}
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.lud")))

@@ -74,8 +74,23 @@ TRIO = ('(game "Trio" (players 3) (equipment {(board (rectangle 5 3)) '
         '(play (forEach Piece)) '
         '(end (if (is In Mover) (result Mover Win)))))')
 
+# Steps on a hex board, so each piece moves along six directions, with two
+# Step pieces per player.  A hex board names its six directions Orthogonal
+# and Adjacent alike; hoppers move again after each step.  Neither piece can
+# step onto the neutral stones.
+COMB = ('(game "Comb" (players 2) (equipment {(board (hex Diamond 5)) '
+        '(piece "Ant" Each (move Step (directions Orthogonal))) '
+        '(piece "Hopper" Each (move Step (then (moveAgain)))) '
+        '(piece "Stone" Neutral) '
+        '(regions P1 (sites Side NE)) (regions P2 (sites Side SW))}) '
+        '(rules (start {(place "Ant1" {"A1" "C1" "E1"}) (place "Hopper1" {"B1" "D1"}) '
+        '(place "Ant2" {"A5" "C5" "E5"}) (place "Hopper2" {"B5" "D5"}) '
+        '(place "Stone0" {"B3" "C3" "D3"})}) '
+        '(play (forEach Piece)) '
+        '(end (if (is In Mover) (result Mover Win)))))')
+
 SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT, "Drop": DROP,
-               "Trio": TRIO}
+               "Trio": TRIO, "Comb": COMB}
 
 
 def _spec(name):
@@ -84,8 +99,7 @@ def _spec(name):
     return load_spec(name)
 
 
-@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe",
-                                  "Crown", "Hybrid", "Blocked", "Knot", "Drop", "Trio"])
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
@@ -155,10 +169,12 @@ def test_overwrites_and_steps_keep_state_in_step(name, monkeypatch):
 
 
 # The caches each game's playouts keep up to date from one ply to the next.
-KEPT = {"Amazons": {"owned"}, "Breakthrough": {"owned"}, "Hex": {"empty", "uf"},
-        "TicTacToe": {"empty"}, "Crown": {"uf"}, "Hybrid": {"empty", "owned", "uf"},
+# Only a player with a piece that does not Step walks owned sites; a
+# (forEach Piece) of the others reads the occupancy bits.
+KEPT = {"Amazons": {"owned"}, "Breakthrough": {"occupancy"}, "Hex": {"empty", "uf"},
+        "TicTacToe": {"empty"}, "Crown": {"uf"}, "Hybrid": {"empty", "occupancy", "uf"},
         "Blocked": {"owned"}, "Knot": {"empty", "uf"}, "Drop": {"empty", "owned"},
-        "Trio": {"owned"}}
+        "Trio": {"owned"}, "Comb": {"occupancy"}}
 
 
 def _owned_scan(spec, contents):
@@ -167,6 +183,12 @@ def _owned_scan(spec, contents):
         if c is not None:
             owned[c[1]].append(site)
     return owned
+
+
+def _occupancy_scan(spec, contents):
+    """Each piece name -> the sum of 2**site over the sites that hold it."""
+    return {name: sum(2 ** site for site, c in enumerate(contents)
+                      if c is not None and c[0] == name) for name in spec.content_of}
 
 
 @pytest.mark.parametrize("name", KEPT)
@@ -184,6 +206,9 @@ def test_in_place_playout_keeps_caches_in_step(name, monkeypatch):
         if state._empty is not None:
             kept.add("empty")
             assert state._empty == [i for i, c in enumerate(contents) if c is None]
+        if state._occupancy is not None:
+            kept.add("occupancy")
+            assert state._occupancy == _occupancy_scan(spec, contents)
         if state._uf is not None:
             kept.add("uf")
         for player in range(1, spec.player_count + 1):
@@ -197,7 +222,7 @@ def test_in_place_playout_keeps_caches_in_step(name, monkeypatch):
     assert kept == KEPT[name]
 
 
-@pytest.mark.parametrize("name", ["Hex", "Breakthrough", "Amazons", "Crown", "Hybrid"])
+@pytest.mark.parametrize("name", ["Hex", "Breakthrough", "Amazons", "Crown", "Hybrid", "Comb"])
 def test_apply_move_leaves_its_state_alone(name):
     """apply_move changes no cache of the state it starts from, and replay agrees with it."""
     spec = _spec(name)
@@ -209,10 +234,15 @@ def test_apply_move_leaves_its_state_alone(name):
             # Build every cache, so each one is copied and updated.
             engine._empty_sites(state)
             engine._owned_sites(spec, state)
+            engine._occupancy_of(spec, state)
             engine._union_find(spec, state)
-            saved = copy.deepcopy((state.contents, state._empty, state._uf, state._owned))
-            chain.append(apply_move(state, move, spec))
-            assert (state.contents, state._empty, state._uf, state._owned) == saved
+            saved = copy.deepcopy((state.contents, state._empty, state._uf, state._owned,
+                                   state._occupancy))
+            after = apply_move(state, move, spec)
+            assert (state.contents, state._empty, state._uf, state._owned,
+                    state._occupancy) == saved
+            assert after._occupancy == _occupancy_scan(spec, after.contents)
+            chain.append(after)
         for upto, want in enumerate(chain):
             got = replay(spec, trace, upto)
             assert (got.contents, got.mover, got.move_count, got.last_move, got.terminal) == \
@@ -233,7 +263,7 @@ def test_playouts_and_replay_advance_one_state(breakthrough, monkeypatch):
     assert len(trace.moves) > 2 and len(made) == 2
 
 
-@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hybrid", "Blocked"])
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hybrid", "Blocked", "Comb"])
 def test_playouts_never_build_the_legal_list(name, monkeypatch):
     spec = _spec(name)
     want = [trace_to_dict(random_playout(spec, seed), spec) for seed in range(5)]
@@ -245,7 +275,8 @@ def test_playouts_never_build_the_legal_list(name, monkeypatch):
     assert [trace_to_dict(random_playout(spec, seed), spec) for seed in range(5)] == want
 
 
-@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "Hybrid", "Blocked", "Trio"])
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "Hybrid", "Blocked", "Trio",
+                                  "Comb"])
 def test_pick_is_kth_legal_move(name):
     spec = _spec(name)
     for seed in range(5):
