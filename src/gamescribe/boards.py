@@ -98,10 +98,13 @@ class BoardGraph:
     def ray_indices(self, names: tuple[str, ...], player: int) -> tuple[int, ...]:
         """Indices into ``rays[site]`` of the named directions for ``player``, in order.
 
-        Raises KeyError with the first name the board has no vectors for.
+        An index that an earlier name already gave is left out, so a piece never
+        moves along one ray twice: on a hex board Orthogonal and Adjacent name
+        the same six directions.  Raises KeyError with the first name the board
+        has no vectors for.
         """
-        return tuple(self.vectors.index(vec) for name in names
-                     for vec in self.direction_vectors(name, player))
+        return tuple(dict.fromkeys(self.vectors.index(vec) for name in names
+                                   for vec in self.direction_vectors(name, player)))
 
     @property
     def site_count(self) -> int:

@@ -92,6 +92,14 @@ class MoveRule:
     projectile: str | None         # Shoot: name of the piece placed
     again: bool                    # (then (moveAgain))
     span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
+    # The action types of the rule's moves: an Add's or a Shoot's, a Move's and
+    # a capture's, each followed by "SetMoverAgain" when the rule moves again.
+    action_types: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        again = ("SetMoverAgain",) if self.again else ()
+        object.__setattr__(self, "action_types",
+                           (("Add",) + again, ("Move",) + again, ("Remove", "Move") + again))
 
 
 @dataclass(frozen=True)
@@ -382,6 +390,7 @@ class _Compiler:
     def _expand_pieces(self, piece_nodes: list[Call], player_count: int,
                        board: BoardGraph) -> list[PieceSpec]:
         pieces: list[PieceSpec] = []
+        declared: set[str] = set()
         for node in piece_nodes:
             base = node.args[0].value
             # Owner is optional in the registry (Shoot reuses (piece "X") as a
@@ -411,6 +420,9 @@ class _Compiler:
                         raise BadArgumentKind(f"the board has no {missing.args[0]} direction "
                                               f"for P{owner}", node.args[2].span) from None
                 name = f"{base}{owner}" if owner_sym in ("Each", "Neutral") else base
+                if name in declared:  # a name names one piece: one owner, one rule
+                    raise BadArgumentKind(f"piece '{name}' is already declared", node.span)
+                declared.add(name)
                 pieces.append(PieceSpec(name, base, owner, rule, owner_sym == "Each", rays))
         return pieces
 

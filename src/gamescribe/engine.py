@@ -15,11 +15,10 @@ sites and reads Step, Slide and Shoot targets from the board's rays.  Step
 bits serve a (forEach Piece) of a player whose pieces with a rule all Step
 (``spec.step_pieces``, fixed at compile time): one mask and one shift
 (``board.shifts``) of a piece name's occupancy integer per ray index give
-every site of the piece with a move that way.  A playout counts the moves,
-draws ``randrange(count)`` and builds only that move.  ``(is Line n)``
-reads its runs from the rays.  ``(is Connected ...)`` asks an incremental
-union-find first and searches for the winning path only once that reports
-a connection.
+every site of the piece with a move that way.  ``(is Line n)`` reads its
+runs from the rays.  ``(is Connected ...)`` asks an incremental union-find
+first and searches for the winning path only once that reports a
+connection.
 
 ``_advance`` is the one transition: it plays a move on a state in place and
 keeps the empty sites, owned sites, occupancy bits and union-find it finds
@@ -27,11 +26,18 @@ built in step with ``contents``; the site content it places is the spec's shared
 ``content_of`` tuple for the piece.  Playouts and ``replay`` advance one state;
 ``apply_move`` advances a copy.  All randomness comes from a fixed
 xorshift64* generator so traces replay identically on any platform.
+
+A playout ply draws ``randrange(count)`` over the resolved state's move
+count, builds only the move at that index, with the action types its rule
+carries (``MoveRule.action_types``), and advances the state.  ``_advance``
+ends in ``check_end``, called through the module global, whose no-moves
+fallback resolves the next state, so the next ply reads its count from the
+cache.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,15 +77,16 @@ class XorShift64Star:
         self._state = state if state else 0x9E3779B97F4A7C15
 
     def next_uint64(self) -> int:
+        return self.randrange(1 << 64)  # exact: every output is below 2**64
+
+    def randrange(self, n: int) -> int:
+        """The next output modulo ``n``, in one frame: a playout draws once per ply."""
         x = self._state
         x ^= x >> 12
         x ^= (x << 25) & _MASK
         x ^= x >> 27
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK
-
-    def randrange(self, n: int) -> int:
-        return self.next_uint64() % n
+        return ((x * 0x2545F4914F6CDD1D) & _MASK) % n
 
 
 class Move(NamedTuple):  # equal to, and hashed as, the plain tuple of its fields
@@ -101,7 +108,7 @@ class EndMatch:
     winning_sites: tuple[int, ...] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GameState:
     contents: list  # per-site (piece name, owner) or None
     mover: int
@@ -138,10 +145,6 @@ def initial_state(spec: GameSpec) -> GameState:
         for site in placement.sites:
             contents[site] = placed
     return GameState(contents=contents, mover=1, move_count=0)
-
-
-def _next_player(spec: GameSpec, player: int) -> int:
-    return player % spec.player_count + 1
 
 
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
@@ -309,17 +312,15 @@ def _move(spec: GameSpec, state: GameState, rule: MoveRule, piece: str | None,
     An Add places the mover's first piece and a Shoot starts where the last
     move landed, in piece rules too; a Step onto a piece captures it.
     """
-    if rule.kind == "Add":
-        piece, site, kinds = spec.first_piece[state.mover], target, ("Add",)
-    elif rule.kind == "Shoot":
-        piece, site, kinds = rule.projectile, state.last_move.to_site, ("Add",)
-    elif state.contents[target] is None:
-        kinds = ("Move",)
+    kind = rule.kind
+    if kind == "Add":
+        piece, site, kinds = spec.first_piece[state.mover], target, rule.action_types[0]
+    elif kind == "Shoot":
+        piece, site, kinds = rule.projectile, state.last_move.to_site, rule.action_types[0]
     else:
-        kinds = ("Remove", "Move")
-    if rule.again:
-        kinds += ("SetMoverAgain",)
-    return Move(state.mover, piece, rule.id, kinds, site, target)
+        kinds = rule.action_types[1 if state.contents[target] is None else 2]
+    # The NamedTuple's own __new__ would add a Python frame per move.
+    return tuple.__new__(Move, (state.mover, piece, rule.id, kinds, site, target))
 
 
 def _steps(contents: list, origins: int, by_name: dict):
@@ -398,12 +399,13 @@ def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
             occupancy[placed[0]] ^= bit | 1 << move.from_site
     if taken is None:
         if empty is not None:
-            empty.remove(site)
+            del empty[bisect_left(empty, site)]
     elif owned is not None:
         owned[taken[1]].remove(site)
     if owned is not None:
         insort(owned[placed[1]], site)
-    state.mover = move.mover if kinds[-1] == "SetMoverAgain" else _next_player(spec, move.mover)
+    mover = move.mover
+    state.mover = mover if kinds[-1] == "SetMoverAgain" else mover % spec.player_count + 1
     state.move_count += 1
     state.last_move = move
     state._legal = state._groups = None
@@ -503,20 +505,19 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _union(parent: list[int], a: int, b: int) -> None:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[ra] = rb
-
-
 def _join(spec: GameSpec, parent: list[int], contents: list, site: int, owner: int) -> None:
-    """Join ``owner``'s piece on ``site`` to the owner's adjacent pieces and anchors."""
+    """Join ``owner``'s piece on ``site`` to the owner's adjacent pieces and anchors.
+
+    The root of ``site`` is found once, and the root of each adjacent piece
+    of the owner, and of each anchor holding the site, is linked under it.
+    """
+    root = _find(parent, site)
     for n in spec.board.adjacent[site]:
         c = contents[n]
         if c is not None and c[1] == owner:
-            _union(parent, site, n)
+            parent[_find(parent, n)] = root
     for anchor in spec.anchors.at_site.get((owner, site), ()):
-        _union(parent, site, anchor)
+        parent[_find(parent, anchor)] = root
 
 
 def _union_find(spec: GameSpec, state: GameState) -> list[int]:
@@ -592,13 +593,14 @@ _CONDITIONS = {IsEven: _eval_even, IsLine: _eval_line, IsConnected: _eval_connec
 def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
     """First matching end rule after ``move``, else the draw fallback."""
     for rule in spec.end_rules:
-        ok, sites = _eval(spec, state, rule.cond, move.mover)
+        cond = rule.cond
+        ok, sites = _CONDITIONS[type(cond)](spec, state, cond, move.mover)
         if not ok:
             continue
         if rule.who == "Mover":
             subject = move.mover
         elif rule.who == "Next":
-            subject = _next_player(spec, move.mover)
+            subject = move.mover % spec.player_count + 1
         else:
             subject = int(rule.who[1:])
         if rule.outcome == "Draw":
@@ -618,23 +620,23 @@ def random_playout(spec: GameSpec, seed: int, *,
     Each ply draws ``randrange(count)`` over the mover's legal moves and
     plays the move at that index of ``legal_moves``, built from the state's
     target sites (see _resolve) without building the others.  One state is
-    advanced in place from the first ply to the last.
+    advanced in place from the first ply to the last; the count is the one
+    cached when the state was resolved, before the first ply or by
+    check_end's no-moves fallback after each.
 
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
     """
-    rng = XorShift64Star(seed)
+    draw = XorShift64Star(seed).randrange
     state = initial_state(spec)
     moves: list[Move] = []
+    if not _resolve(spec, state):  # degenerate spec with no opening move
+        state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
     while state.terminal is None:
-        count = _resolve(spec, state)
-        if not count:  # degenerate spec with no opening move
-            state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)),
-                                      "Draw", None)
-            break
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
-        move = _pick(spec, state, rng.randrange(count))
+        # The state is resolved: by the line above, or by check_end's no-moves fallback.
+        move = _pick(spec, state, draw(state._total))
         _advance(spec, state, move)
         moves.append(move)
     return PlayoutTrace(seed, tuple(moves), state.terminal)

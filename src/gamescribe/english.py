@@ -81,7 +81,9 @@ def _move_fragment(rule: MoveRule | ForEachPiece, *, piece_subject: bool) -> str
         return "move one of your pieces"
     then = " then move again" if rule.again else ""
     subject = "" if piece_subject else " one of your pieces"
-    directions = join_list([DIRECTION_WORDS[n] for n in rule.directions], "or")
+    # A direction named twice is moved along once (see BoardGraph.ray_indices).
+    directions = join_list(list(dict.fromkeys(DIRECTION_WORDS[n] for n in rule.directions)),
+                           "or")
     if rule.kind == "Add":
         return f"add one of your pieces to {_site_set_phrase(rule.to.kind)}" + then
     if rule.kind == "Slide":

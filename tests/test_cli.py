@@ -271,6 +271,17 @@ UNRUNNABLE = {
     "move-argument-twice": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)) (to (sites Side N)))"),
         "(to (sites Side N))"),
+    "one-name-two-owners": (
+        _game('(piece "Pawn" P1 (move Step (directions Forward))) '
+              '(piece "Pawn" P2 (move Step (directions Forward)))', "(forEach Piece)",
+              start='(start (place "Pawn" {"A1" "C3"}))'), '(piece "Pawn" P2'),
+    "explicit-owner-of-an-each-name": (
+        _game('(piece "Disc" Each (move Step (directions Adjacent))) (piece "Disc2" P1)',
+              "(forEach Piece)", start='(start (place "Disc1" {"A1"}))'), '(piece "Disc2" P1)'),
+    "one-name-twice-for-one-owner": (
+        _game('(piece "Disc" Each (move Step (directions Adjacent))) '
+              '(piece "Disc1" P1 (move Slide (directions Orthogonal)))', "(forEach Piece)",
+              start='(start (place "Disc1" {"A1"}))'), '(piece "Disc1" P1'),
     "start-placement-conflict": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
               start='(start {(place "Disc1" {"A1"}) (place "Disc2" {"B1" "A1"})})'),

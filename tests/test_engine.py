@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import load_spec
-from gamescribe import engine
+from conftest import CORPUS, load_spec
+from gamescribe import engine, pipeline, taxonomy
 from gamescribe.engine import (GameState, IllegalMove, Move, PlayoutLimitExceeded,
                                XorShift64Star, apply_move, check_end, eval_condition,
                                initial_state, legal_moves, random_playout, replay,
@@ -380,3 +380,49 @@ def test_move_is_a_plain_tuple_value(name):
     assert copy.moves == trace.moves
     assert all(type(m) is Move for m in copy.moves)
     assert copy.outcome == trace.outcome
+
+
+@pytest.mark.parametrize("name", ["Hex", "Amazons"])
+def test_playouts_call_check_end_once_per_ply_through_the_module_global(name, monkeypatch):
+    """A playout looks ``check_end`` up as a module global once per ply.
+
+    Timing tools wrap ``engine.check_end`` (and the other names below) from
+    outside; a ply that inlined the call, or bound it once, would hide the
+    time spent in it.
+    """
+    spec = load_spec(name)
+    want = random_playout(spec, 3)
+    calls = []
+
+    def counting(spec, state, move):
+        calls.append(move)
+        return check_end(spec, state, move)
+
+    monkeypatch.setattr(engine, "check_end", counting)
+    assert random_playout(spec, 3) == want
+    assert calls == list(want.moves)
+
+
+def test_pipeline_and_taxonomy_call_the_engine_by_its_names(monkeypatch):
+    """``pipeline`` calls ``engine.random_playout`` and ``engine.legal_moves``, and
+    ``taxonomy`` its own ``legal_moves`` import, looked up at each call."""
+    called = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(engine, "random_playout")
+    counting(engine, "legal_moves")
+    counting(taxonomy, "legal_moves")
+    spec = pipeline.load_playable(CORPUS / "Hex.lud")
+    assert called == ["legal_moves"]
+    traces = pipeline.run_playouts(spec, 0, 3)
+    assert called == ["legal_moves"] + ["random_playout"] * 3
+    state = replay(spec, traces[0], 1)
+    taxonomy.similar_legal_moves(state, traces[0].moves[1], spec)
+    assert called[-1] == "legal_moves" and len(called) == 5

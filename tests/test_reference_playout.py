@@ -93,10 +93,29 @@ SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNO
                "Trio": TRIO, "Comb": COMB}
 
 
+def _echo(pieces: str, start: str) -> str:
+    return ('(game "Echo" (players 2) (equipment {(board (square 4)) ' + pieces +
+            ' (regions P1 (sites Side N)) (regions P2 (sites Side S))}) '
+            '(rules (start {' + start + '}) (play (forEach Piece)) '
+            '(end (if (is In Mover) (result Mover Win)))))')
+
+
+# Direction lists that name one direction twice: each ray is still moved
+# along once.  Pawns that only Step resolve over occupancy bits; a player
+# with a Slide piece resolves site by site, its Steps too.
+REPEATED = {
+    "EchoStep": _echo('(piece "Pawn" Each (move Step (directions {Forward Forward Adjacent})))',
+                      '(place "Pawn1" {"A1" "C1"}) (place "Pawn2" {"B4" "D4"})'),
+    "EchoSlide": _echo('(piece "Rook" Each (move Slide (directions {Orthogonal Forward}))) '
+                       '(piece "King" Each (move Step (directions {Orthogonal Adjacent})))',
+                       '(place "Rook1" {"A1"}) (place "King1" {"C1"}) '
+                       '(place "Rook2" {"D4"}) (place "King2" {"B4"})'),
+}
+
+
 def _spec(name):
-    if name in SMALL_GAMES:
-        return compile_game(parse(SMALL_GAMES[name]))
-    return load_spec(name)
+    source = {**SMALL_GAMES, **REPEATED}.get(name)
+    return load_spec(name) if source is None else compile_game(parse(source))
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES])
@@ -276,7 +295,7 @@ def test_playouts_never_build_the_legal_list(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "Hybrid", "Blocked", "Trio",
-                                  "Comb"])
+                                  "Comb", *REPEATED])
 def test_pick_is_kth_legal_move(name):
     spec = _spec(name)
     for seed in range(5):
@@ -295,7 +314,8 @@ def test_pick_is_kth_legal_move(name):
             state = apply_move(state, move, spec, validate=False)
 
 
-@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES])
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
+                                  *REPEATED])
 def test_legal_moves_hold_no_duplicate(name):
     """No move is legal twice in one state, so a playout draws every move equally often.
 

@@ -69,6 +69,18 @@ def test_translate_single_ludemes(tictactoe, amazons):
     assert translate_node(amazons, shoot_id) == "Shoot the piece Dot0."
 
 
+def test_direction_named_twice_is_named_once():
+    spec = compile_game(parse(
+        '(game "Echo" (players 2) (equipment {(board (square 4)) '
+        '(piece "Pawn" Each (move Step (directions {Forward Forward Adjacent})))}) '
+        '(rules (start (place "Pawn1" {"A1"})) (play (forEach Piece)) '
+        '(end (if (is Line 3) (result Mover Win)))))'))
+    step_id, = spec.move_ludeme_ids()
+    assert translate_node(spec, step_id) == \
+        "Step one of your pieces to an empty or enemy-occupied cell in the forward or " \
+        "adjacent direction."
+
+
 def test_swap_translates_to_nothing(hexgame):
     # The pie rule is accepted but contributes no manual sentence.
     assert "swap" not in translate_game(hexgame).lower()
