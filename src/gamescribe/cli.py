@@ -1,5 +1,8 @@
 """Command-line entry point.
 
+``generate`` loads every game, then parses the heuristics file once and
+explains it for every game, before it writes anything.
+
 Exit codes: 0 success; 2 usage error (``--playouts 0``), an input file that
 is missing or cannot be read (such as a directory), a ``--out`` that is not a
 directory, or two ``generate --game`` files of the same game name; 3
@@ -18,11 +21,11 @@ from pathlib import Path
 
 from .engine import PlayoutLimitExceeded
 from .english import translate_game
-from .pipeline import (NoOpeningMove, RunConfig, generate, load_game, load_playable,
-                       playout_stats, write_index)
+from .pipeline import (NoOpeningMove, generate, load_game, load_playable, playout_stats,
+                       read_source, write_index)
 from .registry import CompileError
 from .sexpr import ParseError
-from .strategy import HeuristicsError
+from .strategy import HeuristicsError, explain_heuristics, parse_heuristics
 
 
 def _add_game_args(sub: argparse.ArgumentParser, multiple: bool = False) -> None:
@@ -70,7 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "generate":
-            # Every game loads before any is written; each name is its output directory.
+            # Every input is checked before anything is written; each game's
+            # name is its output directory.
             specs, paths = [], {}
             for game in args.game:
                 spec = load_playable(game)
@@ -81,22 +85,19 @@ def main(argv: list[str] | None = None) -> int:
                     return 2
                 paths[spec.name] = game
                 specs.append(spec)
-            for game, spec in zip(args.game, specs):
-                config = RunConfig(
-                    game_path=game, playouts=args.playouts, seed=args.seed,
-                    out_dir=args.out, heuristics_path=args.heuristics,
-                    similar_moves=not args.no_similar,
-                    dump_json=args.format == "json")
-                game_dir = generate(config, spec)
+            entries = parse_heuristics(read_source(args.heuristics)) if args.heuristics else None
+            strategies = [None if entries is None else explain_heuristics(entries, spec)
+                          for spec in specs]
+            for spec, lines in zip(specs, strategies):
+                game_dir = generate(spec, args.seed, args.playouts, args.out, lines,
+                                    similar=not args.no_similar, dump_json=args.format == "json")
                 print(f"wrote {game_dir / 'manual.html'}")
             if len(specs) > 1:
                 write_index(args.out, list(paths))
         elif args.command == "translate":
             print(translate_game(load_game(args.game)), end="")
         elif args.command == "playout-stats":
-            config = RunConfig(game_path=args.game, playouts=args.playouts,
-                               seed=args.seed)
-            print(playout_stats(config))
+            print(playout_stats(load_playable(args.game), args.seed, args.playouts))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2

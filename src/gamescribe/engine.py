@@ -76,9 +76,6 @@ class XorShift64Star:
         state = _splitmix64(seed & _MASK)
         self._state = state if state else 0x9E3779B97F4A7C15
 
-    def next_uint64(self) -> int:
-        return self.randrange(1 << 64)  # exact: every output is below 2**64
-
     def randrange(self, n: int) -> int:
         """The next output modulo ``n``, in one frame: a playout draws once per ply."""
         x = self._state

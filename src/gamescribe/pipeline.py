@@ -1,8 +1,9 @@
 """End-to-end manual generation: parse, compile, play out, render, write.
 
-All stages are deterministic for a fixed RunConfig: playout seeds are
-``seed .. seed + playouts - 1``, each trace depends only on its own seed,
-and asset ids are content hashes of move signatures.
+``generate`` takes a loaded game and plain arguments.  All stages are
+deterministic for fixed arguments: playout seeds are ``seed .. seed +
+playouts - 1``, each trace depends only on its own seed, and asset ids are
+content hashes of move signatures.
 
 ``generate --format json`` exports the playouts as ``traces.json`` through
 ``_write_traces``, which builds the text from templates instead of building
@@ -17,34 +18,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from urllib.parse import quote
 
-from . import engine, render, strategy, taxonomy
+from . import engine, render, taxonomy
 from .compiler import GameSpec, compile_game
 from .english import translate_game
 from .manual import build_manual, check_assets
 from .registry import CompileError
 from .sexpr import ParseError, parse
 from .taxonomy import DistinctMove, EndingExample
-
-
-@dataclass
-class RunConfig:
-    game_path: Path
-    playouts: int = 100
-    seed: int = 0
-    out_dir: Path = Path("out")
-    heuristics_path: Path | None = None
-    similar_moves: bool = True
-    dump_json: bool = False
-
-    def __post_init__(self):
-        if self.playouts < 1:
-            raise ValueError("playout count must be at least 1")
 
 
 def read_source(path: Path) -> str:
@@ -83,6 +68,8 @@ def load_playable(path: Path) -> GameSpec:
 
 
 def run_playouts(spec: GameSpec, seed: int, count: int) -> list[engine.PlayoutTrace]:
+    if count < 1:  # no playout, no move or ending to show
+        raise ValueError("playout count must be at least 1")
     return [engine.random_playout(spec, s) for s in range(seed, seed + count)]
 
 
@@ -98,14 +85,13 @@ def _ending_id(example: EndingExample) -> str:
 def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
                         traces_by_seed: dict, svg_dir: Path,
                         similar: bool, layout: render._Layout) -> list[dict]:
-    mode = "all-similar" if similar else "selected-only"
     leaves = []
     for d in distinct:
         seed, index = d.exemplar
         trace = traces_by_seed[seed]
         state = engine.replay(spec, trace, upto=index)
         move = trace.moves[index]
-        before, after = render.render_move_pair(spec, state, move, mode, layout)
+        before, after = render.render_move_pair(spec, state, move, similar, layout)
         sig_id = _signature_id(d.signature)
         (svg_dir / f"move_{sig_id}_before.svg").write_text(before)
         (svg_dir / f"move_{sig_id}_after.svg").write_text(after)
@@ -203,26 +189,20 @@ def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec)
     path.write_text(_array(items, "") + "\n")
 
 
-def generate(config: RunConfig, spec: GameSpec | None = None) -> Path:
-    """Run the whole pipeline for one game; returns the game's output dir.
+def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
+             strategy_lines: list[str] | None, similar: bool, dump_json: bool) -> Path:
+    """Run the whole pipeline for one ``load_playable`` game; returns its output dir.
 
-    ``spec``, if given, is ``load_playable(config.game_path)`` already loaded.
+    With ``strategy_lines`` None the Heuristics section shows its placeholder.
     """
-    if spec is None:
-        spec = load_playable(config.game_path)
-    traces = run_playouts(spec, config.seed, config.playouts)
+    traces = run_playouts(spec, seed, playouts)
     traces_by_seed = {t.seed: t for t in traces}
     distinct = taxonomy.collect_distinct(traces, spec)
     endings = taxonomy.collect_endings(traces, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
     translation = translate_game(spec)
 
-    strategy_lines = None
-    if config.heuristics_path is not None:
-        entries = strategy.parse_heuristics(read_source(config.heuristics_path))
-        strategy_lines = strategy.explain_heuristics(entries, spec)
-
-    game_dir = Path(config.out_dir) / spec.name
+    game_dir = Path(out_dir) / spec.name
     svg_dir = game_dir / "svg"
     svg_dir.mkdir(parents=True, exist_ok=True)
 
@@ -230,8 +210,7 @@ def generate(config: RunConfig, spec: GameSpec | None = None) -> Path:
     setup_svg = render.render_board(spec, engine.initial_state(spec), None, layout)
     (svg_dir / "setup.svg").write_text(setup_svg)
 
-    move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir,
-                                      config.similar_moves, layout)
+    move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir, similar, layout)
     ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir, layout)
 
     html, manifest = build_manual(spec, translation, strategy_lines,
@@ -241,17 +220,16 @@ def generate(config: RunConfig, spec: GameSpec | None = None) -> Path:
     _write_json(game_dir / "manual.json", manifest)
     check_assets(manifest, game_dir)
 
-    if config.dump_json:
+    if dump_json:
         _write_traces(game_dir / "traces.json", traces, spec)
         _write_json(game_dir / "taxonomy.json",
                     {"distinct_moves": move_leaves, "coverage": coverage})
     return game_dir
 
 
-def playout_stats(config: RunConfig) -> str:
-    """Outcome frequencies and move-ludeme coverage for a playout batch."""
-    spec = load_playable(config.game_path)
-    traces = run_playouts(spec, config.seed, config.playouts)
+def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
+    """Outcome frequencies and move-ludeme coverage for a playout batch of a loaded game."""
+    traces = run_playouts(spec, seed, playouts)
     distinct = taxonomy.collect_distinct(traces, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
 
@@ -262,7 +240,7 @@ def playout_stats(config: RunConfig) -> str:
             f"{outcome.outcome} P{'/P'.join(map(str, outcome.players))}"
         counts[label] = counts.get(label, 0) + 1
     lines = [f"{spec.name}: {len(traces)} playouts, seeds "
-             f"{config.seed}..{config.seed + config.playouts - 1}"]
+             f"{seed}..{seed + playouts - 1}"]
     for label in sorted(counts):
         lines.append(f"  {label}: {counts[label]}")
     lines.append(f"  distinct move signatures: {len(distinct)}")

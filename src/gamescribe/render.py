@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from html import escape
 
 from .compiler import GameSpec
 from .engine import GameState, Move, apply_move
@@ -125,7 +126,7 @@ def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
         body = (f'<polygon points="{_fmt(cx)},{_fmt(cy - 14)} {_fmt(cx - 12)},{_fmt(cy + 12)} '
                 f'{_fmt(cx + 12)},{_fmt(cy + 12)}" fill="{fill}" stroke="{stroke}" '
                 f'stroke-width="2"/>')
-    return f'<g class="glyph" data-piece="{name}">{body}</g>'
+    return f'<g class="glyph" data-piece="{escape(name, quote=False)}">{body}</g>'
 
 
 def _arrow(layout: _Layout, spec: GameSpec, from_site: int, to_site: int) -> str:
@@ -179,12 +180,11 @@ def render_board(spec: GameSpec, state: GameState,
     return "\n".join(parts) + "\n"
 
 
-def render_move_pair(spec: GameSpec, state: GameState, move: Move,
-                     mode: str = "all-similar",
+def render_move_pair(spec: GameSpec, state: GameState, move: Move, similar: bool,
                      layout: _Layout | None = None) -> tuple[str, str]:
-    """Before/after images for a move; before carries the red highlight."""
-    highlighted = [move] if mode == "selected-only" else \
-        similar_legal_moves(state, move, spec)
+    """Before/after images for a move; before highlights it in red, and with
+    ``similar`` every similar legal move too."""
+    highlighted = similar_legal_moves(state, move, spec) if similar else [move]
     spec_hl = HighlightSpec()
     for m in highlighted:
         spec_hl.add_move(m)

@@ -10,8 +10,8 @@ Heuristics arrive as an S-expression document, e.g.::
 
 Importance labels come from a fixed bucket table over |weight|:
 [0, 0.2) very low, [0.2, 0.4) low, [0.4, 0.6) moderate, [0.6, 0.8) high,
-[0.8, inf) very high.  A malformed entry raises ``HeuristicsError`` with the
-entry's offset in the document.
+[0.8, inf) very high.  A document that does not parse, or a malformed
+entry, raises ``HeuristicsError`` at its offset in the document.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .compiler import GameSpec
 from .registry import CompileError
-from .sexpr import Call, Collection, Number, RawNode, Symbol, Text, parse, print_canonical
+from .sexpr import (Call, Collection, Number, ParseError, RawNode, Symbol, Text, parse,
+                    print_canonical)
 
 
 class HeuristicsError(CompileError):
@@ -99,7 +100,10 @@ def _entry(item: RawNode) -> HeuristicEntry:
 
 
 def parse_heuristics(text: str) -> list[HeuristicEntry]:
-    root = parse(text)
+    try:
+        root = parse(text)
+    except ParseError as exc:  # the heuristics file, not a game, is at fault
+        raise HeuristicsError(exc.message, (exc.position, exc.position)) from None
     if not (isinstance(root, Call) and root.head.name == "heuristics"):
         raise HeuristicsError("heuristics file must contain one (heuristics ...) form",
                               root.span)
@@ -121,7 +125,7 @@ def explain_heuristics(entries: list[HeuristicEntry], spec: GameSpec) -> list[st
         if entry.kind == "Material":
             if entry.piece not in bases:
                 raise UnknownPieceName(f'(material "{entry.piece}" ...) names no piece of '
-                                       "this game", entry.span)
+                                       f"the game {spec.name!r}", entry.span)
             lines.append(f"Try to {verb} the number of {entry.piece}(s) you control "
                          f"({importance})")
         elif entry.kind == "Mobility":

@@ -158,7 +158,7 @@ def test_criterion_6_determinism(tmp_path):
 def test_criterion_7_renderer_structure(breakthrough, tictactoe):
     state = initial_state(breakthrough)
     move = legal_moves(breakthrough, state)[0]
-    before, after = render_move_pair(breakthrough, state, move, mode="selected-only")
+    before, after = render_move_pair(breakthrough, state, move, similar=False)
     ok = before.count('class="arrow"') == 1
 
     for seed in range(50):

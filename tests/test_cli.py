@@ -10,6 +10,7 @@ import pytest
 
 import goldens
 from conftest import CORPUS, REPO_ROOT, normalise
+from gamescribe import cli
 from gamescribe.cli import main
 
 
@@ -114,6 +115,22 @@ def test_index_escapes_game_names(tmp_path):
         assert (out / urllib.parse.unquote(a.getAttribute("href"))).is_file()
 
 
+def test_svgs_and_manual_escape_piece_names(tmp_path):
+    names = ["D&lt;isc", "Cr<oss"]
+    game = tmp_path / "marks.lud"
+    game.write_text((CORPUS / "TicTacToe.lud").read_text()
+                    .replace('"Disc"', f'"{names[0]}"').replace('"Cross"', f'"{names[1]}"'))
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(game), "--playouts", "10", "--out", str(out)]) == 0
+    game_dir = out / "Tic-Tac-Toe"
+    pieces = set()
+    for path in [game_dir / "manual.html", *sorted(game_dir.glob("svg/*.svg"))]:
+        doc = xml.dom.minidom.parse(str(path))  # raises on text that is not well-formed
+        pieces |= {g.getAttribute("data-piece") for g in doc.getElementsByTagName("g")
+                   if g.getAttribute("class") == "glyph"}
+    assert pieces == set(names)
+
+
 def test_playout_stats_reports_counts():
     proc = _run("playout-stats", "--game", str(CORPUS / "TicTacToe.lud"),
                 "--playouts", "30")
@@ -155,6 +172,7 @@ BAD_HEURISTICS = {
     "unknown-piece": ('(heuristics { (material "Nope" 0.3) })', "(material"),
     "entry-outside-heuristics": ('(material "Nope" 0.3)', "(material"),
     "line-length-not-a-number": ('(heuristics { (lineCompletion "x" 0.5) })', "(lineCompletion"),
+    "unclosed-brace": ('(heuristics {(material "Disc" 0.9)', "{"),
 }
 
 
@@ -170,6 +188,43 @@ def test_malformed_heuristics_exit_3(tmp_path, capsys, name):
     assert f"heuristics file {heur}" in err
     assert f"(at offset {source.index(culprit)})" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_heuristics_failing_a_later_game_writes_nothing(tmp_path, capsys):
+    heur = tmp_path / "h.lud"
+    heur.write_text('(heuristics {(material "Pawn" 0.5)})')
+    out = tmp_path / "out"
+    rc = main(["generate", "--game", str(CORPUS / "Breakthrough.lud"),
+               "--game", str(CORPUS / "Hex.lud"), "--playouts", "3", "--out", str(out),
+               "--heuristics", str(heur)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert not out.exists()  # Breakthrough's manual included
+    assert err == (f"error: heuristics file {heur}: (material \"Pawn\" ...) names no piece "
+                   "of the game 'Hex' (at offset 13)\n")
+
+
+def test_heuristics_file_is_read_and_parsed_once(tmp_path, monkeypatch):
+    heur = tmp_path / "h.lud"
+    heur.write_text("(heuristics {(mobility 0.3)})")
+    calls = []
+
+    def count(name):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(name) or fn(*args))
+
+    for name in ("read_source", "parse_heuristics", "explain_heuristics"):
+        count(name)
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"),
+                 "--game", str(CORPUS / "Hex.lud"), "--playouts", "3", "--out", str(out),
+                 "--heuristics", str(heur)]) == 0
+    assert calls == ["read_source", "parse_heuristics", "explain_heuristics",
+                     "explain_heuristics"]
+    for name in ("Tic-Tac-Toe", "Hex"):
+        manifest = json.loads((out / name / "manual.json").read_text())
+        assert manifest["heuristics"]["lines"] == [
+            "Try to maximise the number of moves available to you (low importance)"]
 
 
 def _game(equipment: str, play: str, end: str = "(is Line 3)", start: str = "") -> str:

@@ -31,8 +31,8 @@ def test_prng_is_deterministic_and_spread():
 
 
 def test_prng_distinct_seeds_diverge():
-    assert XorShift64Star(1).next_uint64() != XorShift64Star(2).next_uint64()
-    assert XorShift64Star(0).next_uint64() != 0  # zero seed must not stick
+    assert XorShift64Star(1).randrange(1 << 64) != XorShift64Star(2).randrange(1 << 64)
+    assert XorShift64Star(0).randrange(1 << 64) != 0  # zero seed must not stick
 
 
 def test_initial_states(tictactoe, amazons, breakthrough):

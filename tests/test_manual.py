@@ -6,7 +6,7 @@ import pytest
 
 from gamescribe.manual import (NO_STRATEGY_PLACEHOLDER, SECTIONS, MissingAsset, build_manual,
                                check_assets)
-from gamescribe.pipeline import RunConfig, generate
+from gamescribe.pipeline import generate, load_playable
 
 
 def _leaf(i, mover=None, piece="Disc", rule="Add a piece.", actions=("Add",)):
@@ -133,7 +133,8 @@ def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
     game.write_text('(game "Twin" (players 3) (equipment {(board (square 3)) (piece "Disc" Each)}) '
                     '(rules (play (if (is Even (count Moves)) (move Add (to (sites Empty))) '
                     '(move Add (to (sites Empty))))) (end (if (is Line 3) (result Mover Win)))))')
-    game_dir = generate(RunConfig(game, playouts=20, out_dir=tmp_path / "out"))
+    game_dir = generate(load_playable(game), seed=0, playouts=20, out_dir=tmp_path / "out",
+                        strategy_lines=None, similar=True, dump_json=False)
     manifest = json.loads((game_dir / "manual.json").read_text())
     indices = []
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import CORPUS, load_spec
 from gamescribe import render
 from gamescribe.engine import apply_move, initial_state, random_playout
-from gamescribe.pipeline import RunConfig, generate
+from gamescribe.pipeline import generate
 from gamescribe.render import HighlightSpec, _Layout, render_board
 
 
@@ -18,7 +18,8 @@ def test_generate_draws_each_cell_once(tmp_path, monkeypatch, hexgame):
         return cell_element(layout, row, col)
 
     monkeypatch.setattr(render, "_cell_element", counted)
-    generate(RunConfig(CORPUS / "Hex.lud", playouts=20, out_dir=tmp_path))
+    generate(hexgame, seed=0, playouts=20, out_dir=tmp_path, strategy_lines=None,
+             similar=True, dump_json=False)
     # A setup image, a before/after pair per move signature and per ending.
     assert len(list((tmp_path / "Hex" / "svg").glob("*.svg"))) >= 5
     assert len(drawn) == hexgame.board.site_count

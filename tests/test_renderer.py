@@ -46,7 +46,7 @@ def test_rendering_is_deterministic(amazons):
 def test_all_similar_highlights_every_opening_add(tictactoe):
     state = initial_state(tictactoe)
     move = legal_moves(tictactoe, state)[0]
-    before, after = render_move_pair(tictactoe, state, move, mode="all-similar")
+    before, after = render_move_pair(tictactoe, state, move, similar=True)
     _assert_well_formed(before)
     _assert_well_formed(after)
     # An Add stays in place, so each similar move renders as one red dot.
@@ -59,7 +59,7 @@ def test_all_similar_highlights_every_opening_add(tictactoe):
 def test_selected_only_step_is_one_arrow(breakthrough):
     state = initial_state(breakthrough)
     move = legal_moves(breakthrough, state)[0]
-    before, after = render_move_pair(breakthrough, state, move, mode="selected-only")
+    before, after = render_move_pair(breakthrough, state, move, similar=False)
     _assert_well_formed(before)
     assert _count(before, 'class="arrow"') == 1
     assert _count(before, 'class="dot-red"') == 0
@@ -70,7 +70,7 @@ def test_all_similar_step_arrows_match_similar_count(breakthrough):
     from gamescribe.taxonomy import similar_legal_moves
     state = initial_state(breakthrough)
     move = legal_moves(breakthrough, state)[0]
-    before, _ = render_move_pair(breakthrough, state, move, mode="all-similar")
+    before, _ = render_move_pair(breakthrough, state, move, similar=True)
     expected = len(similar_legal_moves(state, move, breakthrough))
     assert _count(before, 'class="arrow"') == expected
 

@@ -58,6 +58,11 @@ def test_parse_rejects_unknown_kind():
         parse_heuristics("(material 0.5)")
 
 
+def test_unparsable_document_is_a_heuristics_error_at_its_offset():
+    with pytest.raises(HeuristicsError, match=r"^unclosed '\{' \(at offset 12\)$"):
+        parse_heuristics('(heuristics {(material "Disc" 0.9)')
+
+
 def test_material_golden_lines(chess_like):
     text = "(heuristics {" + " ".join(
         f'(material "{name}" {weight})'
@@ -92,6 +97,6 @@ def test_zero_weight_entries_are_skipped(chess_like):
 
 
 def test_unknown_piece_name_rejected(chess_like):
-    with pytest.raises(UnknownPieceName):
+    with pytest.raises(UnknownPieceName, match="names no piece of the game 'Court'"):
         explain_heuristics(
             parse_heuristics('(heuristics {(material "Dragon" 0.5)})'), chess_like)
