@@ -290,6 +290,17 @@ def _as_items(node: RawNode) -> tuple[RawNode, ...]:
     return (node,)
 
 
+def line_length_fault(board: BoardGraph, length: int) -> str | None:
+    """Why no line of ``length`` sites can form on ``board``, or None if one can."""
+    if length < 2:  # every piece is a line of one
+        return "needs a length of at least 2"
+    # The longest line on every supported board shape runs along a row or column.
+    longest = max(board.rows, board.cols)
+    if length > longest:
+        return f"can never hold: the board's longest line has {longest} sites"
+    return None
+
+
 def build_board(board_node: Call) -> BoardGraph:
     """Construct the board graph for a ``(board <shape>)`` ludeme."""
     shape = board_node.args[0]
@@ -506,13 +517,9 @@ class _Compiler:
         if mode == "Line":
             if not isinstance(first, Number):
                 raise BadArgumentKind("(is Line ...) needs a line length", cond.span)
-            if first.value < 2:  # every piece is a line of one
-                raise BadArgumentKind("(is Line ...) needs a length of at least 2", first.span)
-            # The longest line on every supported board shape runs along a row or column.
-            longest = max(self.board.rows, self.board.cols)
-            if first.value > longest:
-                raise BadArgumentKind(f"(is Line ...) can never hold: the board's longest line "
-                                      f"has {longest} sites", first.span)
+            fault = line_length_fault(self.board, first.value)
+            if fault:
+                raise BadArgumentKind(f"(is Line ...) {fault}", first.span)
             ray = self.board.vectors.index
             compiled: Condition = IsLine(first.value, tuple(
                 (ray((dr, dc)), ray((-dr, -dc))) for dr, dc in self.board.line_axes))

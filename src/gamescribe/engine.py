@@ -7,18 +7,19 @@ its six fields.  A condition is evaluated by the function that
 ``_CONDITIONS`` holds for its type, one entry per condition class of the
 compiler, each taking ``(spec, state, cond, mover)``.
 
-Each state resolves its play rule once, in one of two forms that a playout
-and ``legal_moves`` read in the same order: sites ascending, then each
-piece's ray order.  Site groups serve an Add rule, whose targets come from
-the empty-site list, and a (forEach Piece) that visits the mover's owned
-sites and reads Step, Slide and Shoot targets from the board's rays.  Step
-bits serve a (forEach Piece) of a player whose pieces with a rule all Step
-(``spec.step_pieces``, fixed at compile time): one mask and one shift
-(``board.shifts``) of a piece name's occupancy integer per ray index give
-every site of the piece with a move that way.  ``(is Line n)`` reads its
-runs from the rays.  ``(is Connected ...)`` asks an incremental union-find
-first and searches for the winning path only once that reports a
-connection.
+Each state resolves its play rule once, in one of two forms, and ``_pick``
+alone reads either: the ``k``-th move in the order sites ascending, then
+each piece's ray order.  ``legal_moves`` is ``_pick`` at every index, so
+the full list and a playout's draw agree by construction.  Site groups
+serve an Add rule, whose targets come from the empty-site list, and a
+(forEach Piece) that visits the mover's owned sites and reads Step, Slide
+and Shoot targets from the board's rays.  Step bits serve a (forEach
+Piece) of a player whose pieces with a rule all Step (``spec.step_pieces``,
+fixed at compile time): one mask and one shift (``board.shifts``) of a
+piece name's occupancy integer per ray index give every site of the piece
+with a move that way.  ``(is Line n)`` reads its runs from the rays.
+``(is Connected ...)`` asks an incremental union-find first and searches
+for the winning path only once that reports a connection.
 
 ``_advance`` is the one transition: it plays a move on a state in place and
 keeps the empty sites, owned sites, occupancy bits and union-find it finds
@@ -116,9 +117,8 @@ class GameState:
     # empty sites (ascending), the owned sites (ascending, indexed by owner),
     # the occupancy of each piece name (bit s set when site s holds it) and
     # the union-find parents (see _union_find) in place, or drops the
-    # union-find; it clears _legal, _groups and _total, the resolved play rule
-    # (see _resolve).
-    _legal: "list[Move] | None" = field(default=None, repr=False, compare=False)
+    # union-find; it clears _groups and _total, the resolved play rule (see
+    # _resolve).
     _groups: "list[tuple] | tuple[int, dict] | None" = field(default=None, repr=False,
                                                              compare=False)
     _total: int = field(default=0, repr=False, compare=False)
@@ -145,17 +145,8 @@ def initial_state(spec: GameSpec) -> GameState:
 
 
 def legal_moves(spec: GameSpec, state: GameState) -> list[Move]:
-    """All legal moves for the state's mover, in deterministic order."""
-    if state._legal is None:
-        _resolve(spec, state)
-        groups = state._groups
-        if isinstance(groups, tuple):
-            state._legal = [_move(spec, state, *step)
-                            for step in _steps(state.contents, *groups)]
-        else:
-            state._legal = [_move(spec, state, rule, piece, site, target)
-                            for rule, piece, site, sites in groups for target in sites]
-    return state._legal
+    """All legal moves for the state's mover: the playout's pick at each index."""
+    return [_pick(spec, state, k) for k in range(_resolve(spec, state))]
 
 
 def _empty_sites(state: GameState) -> list[int]:
@@ -320,24 +311,9 @@ def _move(spec: GameSpec, state: GameState, rule: MoveRule, piece: str | None,
     return tuple.__new__(Move, (state.mover, piece, rule.id, kinds, site, target))
 
 
-def _steps(contents: list, origins: int, by_name: dict):
-    """(rule, piece, site, target) of each move of _resolve's Step-only pair, in legal order."""
-    while origins:
-        low = origins & -origins
-        site = low.bit_length() - 1
-        name = contents[site][0]
-        rule, moves = by_name[name]
-        for bits, step in moves:
-            if bits & low:
-                yield rule, name, site, site + step
-        origins ^= low
-
-
 def _pick(spec: GameSpec, state: GameState, k: int) -> Move:
     """The ``k``-th legal move of a resolved state, built without the others."""
     groups = state._groups
-    # The Step-only form, read as _steps reads it; a loop of its own, since
-    # skipping k items of that generator made a Breakthrough ply about 15% slower.
     if isinstance(groups, tuple):
         contents = state.contents
         origins, by_name = groups
@@ -405,7 +381,7 @@ def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
     state.mover = mover if kinds[-1] == "SetMoverAgain" else mover % spec.player_count + 1
     state.move_count += 1
     state.last_move = move
-    state._legal = state._groups = None
+    state._groups = None
     state._total = 0
     state.terminal = check_end(spec, state, move)
 
@@ -428,12 +404,6 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
     return new_state
 
 
-def _eval(spec: GameSpec, state: GameState, cond: Condition,
-          mover: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether ``cond`` holds for ``mover`` in ``state``, and its winning sites."""
-    return _CONDITIONS[type(cond)](spec, state, cond, mover)
-
-
 def _eval_even(spec: GameSpec, state: GameState, cond: IsEven, mover: int):
     return state.move_count % 2 == 0, None
 
@@ -449,7 +419,7 @@ def _eval_in(spec: GameSpec, state: GameState, cond: IsIn, mover: int):
 
 def _eval_any(spec: GameSpec, state: GameState, cond: AnyOf, mover: int):
     for sub in cond.parts:
-        ok, sites = _eval(spec, state, sub, mover)
+        ok, sites = _CONDITIONS[type(sub)](spec, state, sub, mover)
         if ok:
             return True, sites
     return False, None
@@ -458,7 +428,7 @@ def _eval_any(spec: GameSpec, state: GameState, cond: AnyOf, mover: int):
 def _eval_all(spec: GameSpec, state: GameState, cond: AllOf, mover: int):
     collected: list[int] = []
     for sub in cond.parts:
-        ok, sites = _eval(spec, state, sub, mover)
+        ok, sites = _CONDITIONS[type(sub)](spec, state, sub, mover)
         if not ok:
             return False, None
         if sites:
@@ -468,7 +438,7 @@ def _eval_all(spec: GameSpec, state: GameState, cond: AllOf, mover: int):
 
 def eval_condition(spec: GameSpec, state: GameState, cond: Condition, mover: int) -> bool:
     """Evaluate a compiled condition in ``state``."""
-    return _eval(spec, state, cond, mover)[0]
+    return _CONDITIONS[type(cond)](spec, state, cond, mover)[0]
 
 
 def _eval_line(spec: GameSpec, state: GameState, cond: IsLine,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .compiler import GameSpec
+from .compiler import GameSpec, line_length_fault
 from .registry import CompileError
 from .sexpr import (Call, Collection, Number, ParseError, RawNode, Symbol, Text, parse,
                     print_canonical)
@@ -114,29 +114,33 @@ def parse_heuristics(text: str) -> list[HeuristicEntry]:
 
 
 def explain_heuristics(entries: list[HeuristicEntry], spec: GameSpec) -> list[str]:
-    """One advice line per nonzero-weight entry, in input order."""
+    """One advice line per nonzero-weight entry, in input order.
+
+    Every entry, zero weights too, must name declared pieces and fit the board.
+    """
     lines: list[str] = []
     bases = {p.base for p in spec.pieces} | {p.name for p in spec.pieces}
     for entry in entries:
+        if entry.kind == "Material" and entry.piece not in bases:
+            raise UnknownPieceName(f'(material "{entry.piece}" ...) names no piece of '
+                                   f"the game {spec.name!r}", entry.span)
+        if entry.kind == "LineCompletion":
+            fault = line_length_fault(spec.board, entry.target_length)
+            if fault:
+                raise HeuristicsError(f"(lineCompletion {entry.target_length} ...) {fault}, "
+                                      f"in the game {spec.name!r}", entry.span)
         if entry.weight == 0:
             continue
         verb = "maximise" if entry.weight > 0 else "minimise"
         importance = importance_bucket(entry.weight)
         if entry.kind == "Material":
-            if entry.piece not in bases:
-                raise UnknownPieceName(f'(material "{entry.piece}" ...) names no piece of '
-                                       f"the game {spec.name!r}", entry.span)
             lines.append(f"Try to {verb} the number of {entry.piece}(s) you control "
                          f"({importance})")
         elif entry.kind == "Mobility":
             lines.append(f"Try to {verb} the number of moves available to you "
                          f"({importance})")
-        elif entry.kind == "LineCompletion":
-            if entry.weight > 0:
-                lead = f"Try to work towards completing lines of {entry.target_length}"
-            else:
-                lead = f"Try to avoid completing lines of {entry.target_length}"
-            lines.append(f"{lead} of your pieces ({importance})")
-        else:
-            raise HeuristicsError(f"unknown heuristic kind '{entry.kind}'")
+        else:  # LineCompletion
+            lead = "work towards" if entry.weight > 0 else "avoid"
+            lines.append(f"Try to {lead} completing lines of {entry.target_length} of your "
+                         f"pieces ({importance})")
     return lines

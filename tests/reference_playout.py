@@ -8,7 +8,8 @@ traces; the tests compare the two through ``engine.trace_to_dict``.
 
 Conditions are read from the raw tree, by the preorder ids of
 ``oracles.preorder``, and board geometry comes from row/column arithmetic,
-not from the board's rays or adjacency.
+not from the board's rays or adjacency.  A piece moves along each vector
+its directions name once, in the order first named.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def _rays(rows: int, cols: int, vectors: tuple) -> tuple:
 
 def _ray(board, site: int, vec: tuple[int, int]) -> tuple[int, ...]:
     return _rays(board.rows, board.cols, board.vectors)[site][board.vectors.index(vec)]
+
+
+def _vectors(board, names: tuple[str, ...], mover: int) -> list[tuple[int, int]]:
+    """The vectors the named directions give ``mover``, each once, in the order first named."""
+    return list(dict.fromkeys(vec for name in names
+                              for vec in board.direction_vectors(name, mover)))
 
 
 def _neighbours(board, site: int) -> list[int]:
@@ -117,28 +124,26 @@ def _generate_move(spec: GameSpec, state: State, rule: MoveRule, ctx) -> list[Mo
             moves.append(Move(mover, piece, origin, add, site, site))
     elif rule.kind == "Step":
         piece, site = ctx
-        for name in rule.directions:
-            for vec in board.direction_vectors(name, mover):
-                ray = _ray(board, site, vec)
-                if not ray:
-                    continue
-                target = ray[0]
-                occupant = state.contents[target]
-                if occupant is None:
-                    kinds = shift
-                elif occupant[1] not in (mover, 0):
-                    kinds = capture
-                else:
-                    continue
-                moves.append(Move(mover, piece, origin, kinds, site, target))
+        for vec in _vectors(board, rule.directions, mover):
+            ray = _ray(board, site, vec)
+            if not ray:
+                continue
+            target = ray[0]
+            occupant = state.contents[target]
+            if occupant is None:
+                kinds = shift
+            elif occupant[1] not in (mover, 0):
+                kinds = capture
+            else:
+                continue
+            moves.append(Move(mover, piece, origin, kinds, site, target))
     elif rule.kind == "Slide":
         piece, site = ctx
-        for name in rule.directions:
-            for vec in board.direction_vectors(name, mover):
-                for target in _ray(board, site, vec):
-                    if state.contents[target] is not None:
-                        break
-                    moves.append(Move(mover, piece, origin, shift, site, target))
+        for vec in _vectors(board, rule.directions, mover):
+            for target in _ray(board, site, vec):
+                if state.contents[target] is not None:
+                    break
+                moves.append(Move(mover, piece, origin, shift, site, target))
     else:  # Shoot
         last = state.last_move
         if last is None or last.to_site is None:

@@ -173,6 +173,9 @@ BAD_HEURISTICS = {
     "entry-outside-heuristics": ('(material "Nope" 0.3)', "(material"),
     "line-length-not-a-number": ('(heuristics { (lineCompletion "x" 0.5) })', "(lineCompletion"),
     "unclosed-brace": ('(heuristics {(material "Disc" 0.9)', "{"),
+    "line-of-one": ("(heuristics {(mobility 0.3) (lineCompletion 1 0.5)})", "(lineCompletion"),
+    "line-longer-than-board": ("(heuristics {(lineCompletion 4 0.5)})", "(lineCompletion"),
+    "unknown-piece-zero-weight": ('(heuristics {(material "Nope" 0)})', "(material"),
 }
 
 

@@ -363,7 +363,7 @@ def test_condition_table_covers_every_condition_class():
         assert list(inspect.signature(fn).parameters) == ["spec", "state", "cond", "mover"]
     spec = load_spec("TicTacToe")
     with pytest.raises(KeyError):
-        engine._eval(spec, initial_state(spec), object(), 1)
+        engine.eval_condition(spec, initial_state(spec), object(), 1)
 
 
 @pytest.mark.parametrize("name", sorted(_load_digests()))

@@ -118,7 +118,8 @@ def _spec(name):
     return load_spec(name) if source is None else compile_game(parse(source))
 
 
-@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES])
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
+                                  *REPEATED])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
@@ -312,6 +313,23 @@ def test_pick_is_kth_legal_move(name):
             assert total == len(legal)
             assert move == engine._pick(spec, state, k) == legal[k]
             state = apply_move(state, move, spec, validate=False)
+
+
+@pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
+                                  *REPEATED])
+def test_legal_moves_match_full_list_reference(name):
+    """At every state of a playout, the engine's legal list is the reference's, in its order."""
+    spec = _spec(name)
+    nodes = oracles.preorder(spec.root)
+    for seed in range(10):
+        state = initial_state(spec)
+        ref = reference_playout.State(list(state.contents), 1, 0, nodes)
+        for move in (*random_playout(spec, seed).moves, None):
+            assert engine.legal_moves(spec, state) == reference_playout.legal_moves(spec, ref), \
+                f"{name} seed {seed} ply {state.move_count}"
+            if move is not None:
+                state = apply_move(state, move, spec, validate=False)
+                ref = reference_playout.apply_move(ref, move, spec)
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
