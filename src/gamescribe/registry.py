@@ -54,11 +54,16 @@ class SlotSpec:
     collection_ok: bool = False
 
     def describe(self) -> str:
+        """What the slot takes, with its article: "a number", "an item ludeme"."""
+        if self.kind == "any":
+            return "an argument"
         if self.kind == "symbol" and self.values:
-            return f"symbol in {{{', '.join(self.values)}}}"
-        if self.kind == "ludeme" and self.category:
-            return f"{'/'.join(self.category)} ludeme"
-        return self.kind
+            noun = f"symbol in {{{', '.join(self.values)}}}"
+        elif self.kind == "ludeme" and self.category:
+            noun = f"{'/'.join(self.category)} ludeme"
+        else:
+            noun = self.kind
+        return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ class Registry:
                     raise BadArgumentKind(
                         f"'{desc.name}' expects {slot.describe()}, got {_kind_of(args[i])}",
                         args[i].span)
-                raise ArityMismatch(f"'{desc.name}' is missing a {slot.describe()} argument",
+                raise ArityMismatch(f"'{desc.name}' is missing {slot.describe()}",
                                     call.span)
         if i < len(args):
             raise ArityMismatch(f"'{desc.name}' has {len(args) - i} extra argument(s)",

@@ -39,15 +39,15 @@ class HighlightSpec:
     arrows: list[tuple[int, int]] = field(default_factory=list)  # (from, to)
     dots: list[tuple[int, str]] = field(default_factory=list)    # (site, "red"|"green")
 
-    def add_move(self, move: Move, colour: str = "red") -> None:
-        # Arrow when the piece's location changes, dot otherwise.
+    def add_move(self, move: Move) -> None:
+        # Arrow when the piece's location changes, red dot otherwise.
         if move.from_site is not None and move.to_site is not None \
                 and move.from_site != move.to_site:
             self.arrows.append((move.from_site, move.to_site))
         else:
             site = move.to_site if move.to_site is not None else move.from_site
             if site is not None:
-                self.dots.append((site, colour))
+                self.dots.append((site, "red"))
 
 
 def _fmt(x: float) -> str:

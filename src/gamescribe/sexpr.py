@@ -2,8 +2,15 @@
 
 The surface syntax is small: `(head args...)` calls, `{...}` brace
 collections, `"..."` strings, integer literals, and bare symbols.  Symbols
-are maximal runs of characters excluding whitespace and ``(){}"``.  A ``//``
-starts a comment that runs to the end of its line (``\n``, ``\r\n`` or ``\r``).
+are maximal runs of characters excluding whitespace and ``(){}"``; a run that
+is ``-?[0-9]+`` is an integer.  Strings run to the next ``"``, with no
+escapes.  A ``//`` where a token could start begins a comment that runs to
+the end of its line (``\n``, ``\r\n`` or ``\r``); inside a symbol it is part
+of the symbol.  Whitespace is what ``str.isspace()`` accepts, which is what
+the regex ``\\s`` matches.
+
+``parse`` reads the text with one token pattern in one loop, keeping the
+calls and collections still open on a stack, so it does not recurse.
 
 Every offset, in a ParseError or a span, is a character offset into the
 text as given: ``text[start:end]`` is the node's source, and a file read
@@ -79,109 +86,17 @@ class Collection:
 
 RawNode = Union[Symbol, Number, Text, Call, Collection]
 
-_INTEGER = re.compile(r"-?[0-9]+$")
-_DELIMS = set('(){}"')
-_LINE_END = re.compile(r"[\r\n]")
+# One alternative per token, tried in order at each offset: trivia, an
+# opener, a closer, a string, a quote that opens no string, an integer and a
+# symbol.  Trivia has no group, so ``m.lastindex`` names the token's kind.
+_TOKEN = re.compile(r"""(?:\s+|//[^\r\n]*)+|([({])|([)}])|("[^"]*")|(")"""
+                    r"""|(-?[0-9]+)(?![^\s(){}"])|([^\s(){}"]+)""")
 
-# Deepest nesting of calls and collections the reader accepts.  Every walk
-# over a tree (this reader, numbering, printing, condition evaluation and
-# translation) recurses once or twice per level, so this keeps them well
-# inside Python's default recursion limit of 1000.
+# Deepest nesting of calls and collections the reader accepts.  The reader
+# keeps its open forms on a list, but numbering, printing, condition
+# evaluation and translation recurse once or twice per level, so this keeps
+# them well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 200
-
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_trivia(self) -> None:
-        n = len(self.text)
-        while self.pos < n:
-            c = self.text[self.pos]
-            if c.isspace():
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                end = _LINE_END.search(self.text, self.pos)
-                self.pos = n if end is None else end.end()
-            else:
-                return
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def read_node(self, depth: int = 0) -> RawNode:
-        """Read one node nested ``depth`` calls or collections deep."""
-        c = self.text[self.pos]
-        if c in "({" and depth >= MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.pos)
-        if c == "(":
-            return self.read_call(depth + 1)
-        if c == "{":
-            return self.read_collection(depth + 1)
-        if c == '"':
-            return self.read_string()
-        if c in ")}":
-            raise UnbalancedParen(f"unexpected '{c}'", self.pos)
-        return self.read_token()
-
-    def read_call(self, depth: int) -> Call:
-        start = self.pos
-        self.pos += 1  # consume (
-        self.skip_trivia()
-        if self.at_end():
-            raise UnbalancedParen("unclosed '('", start)
-        head = self.read_node(depth)
-        if not isinstance(head, Symbol):
-            raise ParseError("call head must be a symbol", start + 1)
-        args: list[RawNode] = []
-        while True:
-            self.skip_trivia()
-            if self.at_end():
-                raise UnbalancedParen("unclosed '('", start)
-            if self.text[self.pos] == ")":
-                self.pos += 1
-                return Call(head, tuple(args), span=(start, self.pos))
-            if self.text[self.pos] == "}":
-                raise UnbalancedParen("unexpected '}'", self.pos)
-            args.append(self.read_node(depth))
-
-    def read_collection(self, depth: int) -> Collection:
-        start = self.pos
-        self.pos += 1  # consume {
-        items: list[RawNode] = []
-        while True:
-            self.skip_trivia()
-            if self.at_end():
-                raise UnbalancedParen("unclosed '{'", start)
-            if self.text[self.pos] == "}":
-                self.pos += 1
-                return Collection(tuple(items), span=(start, self.pos))
-            if self.text[self.pos] == ")":
-                raise UnbalancedParen("unexpected ')'", self.pos)
-            items.append(self.read_node(depth))
-
-    def read_string(self) -> Text:
-        start = self.pos
-        end = self.text.find('"', self.pos + 1)
-        if end < 0:
-            raise UnterminatedString("unterminated string", start)
-        self.pos = end + 1
-        return Text(self.text[start + 1 : end], span=(start, self.pos))
-
-    def read_token(self) -> RawNode:
-        start = self.pos
-        n = len(self.text)
-        while self.pos < n:
-            c = self.text[self.pos]
-            if c.isspace() or c in _DELIMS:
-                break
-            self.pos += 1
-        tok = self.text[start : self.pos]
-        span = (start, self.pos)
-        if _INTEGER.match(tok):
-            return Number(int(tok), span=span)
-        return Symbol(tok, span=span)
 
 
 def parse(text: str) -> RawNode:
@@ -190,14 +105,47 @@ def parse(text: str) -> RawNode:
     Raises EmptyInput when nothing but whitespace/comments is present and
     TrailingContent when a second top-level form follows the first.
     """
-    reader = _Reader(text)
-    reader.skip_trivia()
-    if reader.at_end():
+    stack: list[tuple[str, int, list[RawNode]]] = []  # open forms: (opener, start, items)
+    tokens = _TOKEN.finditer(text)
+    for m in tokens:
+        kind = m.lastindex
+        if kind is None:
+            continue
+        if kind == 6:
+            node = Symbol(m.group(6), m.span())
+        elif kind == 1:
+            if len(stack) >= MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", m.start())
+            stack.append((m.group(1), m.start(), []))
+            continue
+        elif kind == 2:
+            closer = m.group(2)
+            opener, start, items = stack.pop() if stack else ("", 0, [])
+            if opener == "(" and closer == ")" and items:
+                node = Call(items[0], tuple(items[1:]), (start, m.end()))
+            elif opener == "{" and closer == "}":
+                node = Collection(tuple(items), (start, m.end()))
+            else:
+                raise UnbalancedParen(f"unexpected '{closer}'", m.start())
+        elif kind == 3:
+            node = Text(m.group(3)[1:-1], m.span())
+        elif kind == 5:
+            node = Number(int(m.group(5)), m.span())
+        else:
+            raise UnterminatedString("unterminated string", m.start())
+        if not stack:
+            break
+        opener, start, items = stack[-1]
+        if opener == "(" and not items and not isinstance(node, Symbol):
+            raise ParseError("call head must be a symbol", start + 1)
+        items.append(node)
+    else:
+        if stack:
+            raise UnbalancedParen(f"unclosed '{stack[-1][0]}'", stack[-1][1])
         raise EmptyInput()
-    node = reader.read_node()
-    reader.skip_trivia()
-    if not reader.at_end():
-        raise TrailingContent("trailing content after top-level form", reader.pos)
+    for m in tokens:
+        if m.lastindex:
+            raise TrailingContent("trailing content after top-level form", m.start())
     return node
 
 

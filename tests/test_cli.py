@@ -340,6 +340,16 @@ UNRUNNABLE = {
         _game('(piece "Disc" Each (move Step (directions Adjacent))) '
               '(piece "Disc1" P1 (move Slide (directions Orthogonal)))', "(forEach Piece)",
               start='(start (place "Disc1" {"A1"}))'), '(piece "Disc1" P1'),
+    "add-without-arguments": (_game('(piece "Disc" Each)', "(move Add)"), "(move Add)"),
+    "shoot-without-arguments": (
+        _game('(piece "Disc" Each)', "(if (is Even (count Moves)) (move Add (to (sites Empty))) "
+              "(move Shoot))"), "(move Shoot)"),
+    "line-without-length": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line)"),
+        "(is Line)"),
+    "even-without-arguments": (
+        _game('(piece "Disc" Each)', "(if (is Even) (move Add (to (sites Empty))))"),
+        "(is Even)"),
     "start-placement-conflict": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
               start='(start {(place "Disc1" {"A1"}) (place "Disc2" {"B1" "A1"})})'),
@@ -359,6 +369,44 @@ def test_unrunnable_rule_exits_3_at_compile_time(tmp_path, capsys, name):
     assert "compile failed" in err
     assert f"(at offset {source.index(culprit)})" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,message", [
+    ("add-without-arguments", "(move Add ...) needs (to ...) naming its sites"),
+    ("shoot-without-arguments", "(move Shoot ...) needs (piece ...) naming a declared piece"),
+    ("line-without-length", "(is Line ...) needs a line length"),
+    ("even-without-arguments", "(is Even ...) needs (count Moves)"),
+])
+def test_bare_form_gets_the_compilers_message(tmp_path, capsys, name, message):
+    game = tmp_path / "bare.lud"
+    game.write_text(UNRUNNABLE[name][0])
+    assert main(["translate", "--game", str(game)]) == 3
+    assert f"error: compile failed: {message} (at offset" in capsys.readouterr().err
+
+
+# (corpus game, form in the file, bare form, the explicit form it stands for)
+BARE_FORMS = {
+    "is-connected": ("Hex", "(is Connected Mover)", "(is Connected)", "(is Connected Mover)"),
+    "is-in": ("Breakthrough", "(is In Mover)", "(is In)", "(is In Mover)"),
+    "move-step": ("Breakthrough", "(move Step (directions { Forward FL FR }))", "(move Step)",
+                  "(move Step (directions Adjacent))"),
+    "move-slide": ("Amazons", "(move Slide (then (moveAgain)))", "(move Slide)",
+                   "(move Slide (directions Adjacent))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARE_FORMS))
+def test_bare_form_translates_as_the_explicit_form(tmp_path, capsys, name):
+    stem, written, bare, explicit = BARE_FORMS[name]
+    source = (CORPUS / f"{stem}.lud").read_text()
+    assert written in source
+    outputs = []
+    for i, form in enumerate((bare, explicit)):
+        game = tmp_path / f"{i}.lud"
+        game.write_text(source.replace(written, form))
+        assert main(["translate", "--game", str(game)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("owner", ["P3", "P4"])

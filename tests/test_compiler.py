@@ -139,6 +139,25 @@ def test_arity_errors():
         compile_game(parse(source))
 
 
+# (text replaced, replacement, where the error points, error type, message)
+@pytest.mark.parametrize("old,new,culprit,error,message", [
+    ("(if (is Line 3) (result Mover Win))", "(if (is Line 3))", "(if (is Line 3))",
+     ArityMismatch, "'if' is missing an argument"),
+    ("(players 2)", "(players Two)", "Two", BadArgumentKind,
+     "'players' expects a number, got symbol"),
+    ("(board (square 3))", "(board)", "(board)", ArityMismatch,
+     "'board' is missing a shape ludeme"),
+])
+def test_slot_errors_name_the_slot(old, new, culprit, error, message):
+    source = ('(game "T" (players 2) (equipment {(board (square 3))}) '
+              '(rules (play (move Add (to (sites Empty)))) '
+              '(end (if (is Line 3) (result Mover Win)))))').replace(old, new)
+    with pytest.raises(error) as exc:
+        compile_game(parse(source))
+    assert exc.value.message == message
+    assert exc.value.span[0] == source.index(culprit)
+
+
 def test_piece_without_owner_rejected():
     source = ('(game "T" (players 2) '
               '(equipment {(board (square 3)) (piece "Disc")}) '

@@ -34,26 +34,56 @@ def test_symbols_may_contain_punctuation():
     assert node.args == (Symbol("N-E"), Symbol("0.5"))  # 0.5 is not an integer
 
 
-@pytest.mark.parametrize("text,err", [
-    ("", EmptyInput),
-    ("   // only a comment\n", EmptyInput),
-    ("(a b", UnbalancedParen),
-    ("{a b", UnbalancedParen),
-    ("(a })", UnbalancedParen),
-    (")", UnbalancedParen),
-    ('("unclosed', UnterminatedString),
-    ("(a) (b)", TrailingContent),
-    pytest.param("(a " * 3000 + ")" * 3000, ParseError, id="nested-3000-deep"),
-])
-def test_reader_errors(text, err):
-    with pytest.raises(err):
+# (source, error type, message, offset) for each way the reader can fail.
+_NEST = "(a " * 199 + "{}" + ")" * 199  # 200 levels: the deepest accepted
+
+READER_ERRORS = {
+    "empty": ("", EmptyInput, "empty input", 0),
+    "comment-only": ("  // only a comment\r\n\t// another", EmptyInput, "empty input", 0),
+    "trailing-form": ("(a) (b)", TrailingContent, "trailing content after top-level form", 4),
+    "trailing-closer": ("(a) )", TrailingContent, "trailing content after top-level form", 4),
+    "trailing-quote": ('(a) "b', TrailingContent, "trailing content after top-level form", 4),
+    "unterminated-string": ('(a "b c)', UnterminatedString, "unterminated string", 3),
+    "unterminated-string-head": ('("unclosed', UnterminatedString, "unterminated string", 1),
+    "paren-at-top": ("  )", UnbalancedParen, "unexpected ')'", 2),
+    "brace-at-top": ("}", UnbalancedParen, "unexpected '}'", 0),
+    "brace-in-call": ("(a b } c)", UnbalancedParen, "unexpected '}'", 5),
+    "paren-in-collection": ("{a b ) c}", UnbalancedParen, "unexpected ')'", 5),
+    "empty-call": ("{x ()}", UnbalancedParen, "unexpected ')'", 4),
+    "brace-as-head": ("(}", UnbalancedParen, "unexpected '}'", 1),
+    "string-head": ('(x ("s" a))', ParseError, "call head must be a symbol", 4),
+    "number-head": ("(x (-12 a))", ParseError, "call head must be a symbol", 4),
+    "collection-head": ("(x ({a b} c))", ParseError, "call head must be a symbol", 4),
+    "call-head": ("(x ( (a b) c))", ParseError, "call head must be a symbol", 4),
+    "call-head-before-unclosed": ("(x ((a b c))", ParseError, "call head must be a symbol", 4),
+    "number-head-before-unclosed": ("(1 a", ParseError, "call head must be a symbol", 1),
+    "unclosed-paren": ("(a {b} (c (d) {e}", UnbalancedParen, "unclosed '('", 7),
+    "unclosed-brace": ("(a (b) {c {d}", UnbalancedParen, "unclosed '{'", 7),
+    "unclosed-after-head": ("(a", UnbalancedParen, "unclosed '('", 0),
+    "depth-201-brace": (_NEST.replace("{}", "(a {})"), ParseError,
+                        "nesting deeper than 200 levels", 600),
+    "depth-201-paren": ("(a " * 201 + ")" * 201, ParseError,
+                        "nesting deeper than 200 levels", 600),
+    "depth-3000": ("(a " * 3000 + ")" * 3000, ParseError, "nesting deeper than 200 levels", 600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_ERRORS))
+def test_reader_error_table(name):
+    text, err, message, offset = READER_ERRORS[name]
+    with pytest.raises(ParseError) as exc:
         parse(text)
+    assert type(exc.value) is err
+    assert (exc.value.message, exc.value.position) == (message, offset)
+    assert str(exc.value) == f"{message} (at offset {offset})"
 
 
-def test_errors_carry_positions():
-    with pytest.raises(UnbalancedParen) as exc:
-        parse("(a b } c)")
-    assert exc.value.position == 5
+def test_nesting_200_deep_parses():
+    node = parse(_NEST)
+    assert node.span == (0, len(_NEST))
+    for _ in range(199):
+        node = node.args[0]
+    assert node == Collection(())
 
 
 def test_spans_cover_source_slices():
@@ -90,9 +120,9 @@ def test_children_orders():
 
 # --- property tests ---
 
-_symbols = st.from_regex(r"[A-Za-z][A-Za-z]{0,7}", fullmatch=True).map(Symbol)
+_symbols = st.from_regex(r"[A-Za-z][A-Za-z0-9/.-]{0,7}", fullmatch=True).map(Symbol)
 _numbers = st.integers(-10**6, 10**6).map(Number)
-_texts = st.from_regex(r"[A-Za-z0-9 ]{0,8}", fullmatch=True).map(Text)
+_texts = st.from_regex(r"[A-Za-z0-9 (){}/\n]{0,8}", fullmatch=True).map(Text)
 _atoms = st.one_of(_symbols, _numbers, _texts)
 
 
@@ -122,6 +152,36 @@ def test_parse_is_total(text):
 @given(_trees())
 def test_print_parse_round_trip(tree):
     assert parse(print_canonical(tree)) == tree
+
+
+# Layout between tokens.  A comment follows whitespace so that it never
+# extends the symbol before it.
+_TRIVIA = [" ", "\t", "\r", "\n", "\r\n", " // note\n", "\t//(x\r", " //}\"\r\n"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(), st.data())
+def test_trivia_round_trip_and_spans(tree, data):
+    def trivia(least):
+        return "".join(data.draw(st.lists(st.sampled_from(_TRIVIA), min_size=least,
+                                          max_size=3)))
+
+    def show(node):
+        if not isinstance(node, (Call, Collection)):
+            return print_canonical(node)
+        opener, closer = ("(", ")") if isinstance(node, Call) else ("{", "}")
+        body = "".join((trivia(1) if i else "") + show(part)
+                       for i, part in enumerate(children(node)))
+        return opener + trivia(0) + body + trivia(0) + closer
+
+    text = trivia(0) + show(tree) + trivia(0)
+    parsed = parse(text)
+    assert parsed == tree
+    stack = [parsed]
+    while stack:
+        node = stack.pop()
+        assert parse(text[node.span[0]:node.span[1]]) == node
+        stack.extend(children(node))
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
