@@ -34,6 +34,16 @@ carries (``MoveRule.action_types``), and advances the state.  ``_advance``
 ends in ``check_end``, called through the module global, whose no-moves
 fallback resolves the next state, so the next ply reads its count from the
 cache.
+
+A play rule that is one Add to the empty sites, as in Hex and Tic-Tac-Toe,
+fixes everything but the site, so ``random_playout`` plays it in a loop of
+its own, after the add-to-empty playouts of Soemers, Piette, Stephenson and
+Browne (ACG 2021): a ply draws an index into the empty-site list, places
+the mover's first piece on that site and deletes the index.  It resolves
+the next state as ``_resolve`` would (``_rule_groups``) and still calls
+``check_end`` through the module global.  Playouts of every other play rule
+go through ``_pick`` and ``_advance``; for every rule, ``legal_moves`` calls
+``_pick``, and ``apply_move`` and ``replay`` call ``_advance``.
 """
 
 from __future__ import annotations
@@ -259,12 +269,14 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
                         groups.append((piece_rule, name, site, sites))
                         total += len(sites)
         elif rule is not None:
-            sites = _rule_targets(spec, state, rule)
-            if sites:
-                groups.append((rule, None, None, sites))
-                total = len(sites)
+            groups, total = _rule_groups(rule, _rule_targets(spec, state, rule))
         state._groups, state._total = groups, total
     return state._total
+
+
+def _rule_groups(rule: MoveRule, sites: list[int] | tuple[int, ...]) -> tuple[list, int]:
+    """The resolved form of a (move ...) play rule with targets ``sites`` (see _resolve)."""
+    return ([(rule, None, None, sites)], len(sites)) if sites else ([], 0)
 
 
 def _step_origins(spec: GameSpec, state: GameState) -> tuple[tuple, int]:
@@ -591,14 +603,21 @@ def random_playout(spec: GameSpec, seed: int, *,
     cached when the state was resolved, before the first ply or by
     check_end's no-moves fallback after each.
 
+    A play rule that is one Add to the empty sites, with or without
+    (then (moveAgain)), plays in _add_to_empty_plies instead, to the same
+    trace; the rule alone selects it.
+
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
     """
     draw = XorShift64Star(seed).randrange
     state = initial_state(spec)
     moves: list[Move] = []
+    rule = spec.play
     if not _resolve(spec, state):  # degenerate spec with no opening move
         state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
+    elif isinstance(rule, MoveRule) and rule.kind == "Add" and rule.to.kind == ("Empty",):
+        _add_to_empty_plies(spec, state, rule, draw, moves, move_cap)
     while state.terminal is None:
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
@@ -607,6 +626,46 @@ def random_playout(spec: GameSpec, seed: int, *,
         _advance(spec, state, move)
         moves.append(move)
     return PlayoutTrace(seed, tuple(moves), state.terminal)
+
+
+def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
+                        moves: list[Move], move_cap: int) -> None:
+    """Play ``state``, already resolved, to its end under ``rule``, an Add to the empty sites.
+
+    The plies the generic loop would play, with what the rule fixes decided
+    once: a ply draws an index into the empty sites, builds the mover's
+    first piece's Add there, places it and deletes the site at that index.
+    The union-find, the owned sites and the occupancy bits stay in step where
+    built, as _advance keeps them.  Each next state is resolved in the form
+    _resolve caches before the end check, so check_end reads no stale count.
+    """
+    contents, empty = state.contents, state._empty
+    content_of, first_piece, players = spec.content_of, spec.first_piece, spec.player_count
+    rule_id, kinds, again = rule.id, rule.action_types[0], rule.again
+    while state.terminal is None:
+        if len(moves) >= move_cap:
+            raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
+        k = draw(len(empty))
+        site = empty[k]
+        mover = state.mover
+        piece = first_piece[mover]
+        placed = content_of[piece]
+        move = tuple.__new__(Move, (mover, piece, rule_id, kinds, site, site))
+        if state._uf is not None:
+            _join(spec, state._uf, contents, site, placed[1])
+        contents[site] = placed
+        del empty[k]
+        if state._owned is not None:
+            insort(state._owned[placed[1]], site)
+        if state._occupancy is not None:
+            state._occupancy[piece] |= 1 << site
+        if not again:
+            state.mover = mover % players + 1
+        state.move_count += 1
+        state.last_move = move
+        state._groups, state._total = _rule_groups(rule, empty)
+        state.terminal = check_end(spec, state, move)
+        moves.append(move)
 
 
 def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> GameState:

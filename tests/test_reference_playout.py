@@ -8,8 +8,10 @@ import oracles
 import reference_playout
 from conftest import load_spec
 from gamescribe import engine
+from gamescribe.cli import main
 from gamescribe.compiler import compile_game
-from gamescribe.engine import apply_move, initial_state, random_playout, replay, trace_to_dict
+from gamescribe.engine import (EndMatch, apply_move, initial_state, random_playout, replay,
+                               trace_to_dict)
 from gamescribe.sexpr import parse
 
 # An Add onto a fixed site set, which overwrites occupied sites.
@@ -89,8 +91,23 @@ COMB = ('(game "Comb" (players 2) (equipment {(board (hex Diamond 5)) '
         '(play (forEach Piece)) '
         '(end (if (is In Mover) (result Mover Win)))))')
 
+# Each Add moves again, so P1 places every piece and wins by connecting.
+AGAIN = ('(game "Again" (players 2) (equipment {(board (square 4)) (piece "Disc" Each) '
+         '(regions P1 {(sites Side S) (sites Side N)}) '
+         '(regions P2 {(sites Side W) (sites Side E)})}) '
+         '(rules (play (move Add (to (sites Empty)) (then (moveAgain)))) '
+         '(end (if (is Connected Mover) (result Mover Win)))))')
+
+# Three players fill the board.  The end rules read the move count and
+# whether the next mover has a move, so the state each end check sees must
+# be resolved as _resolve would resolve it.
+FILL = ('(game "Fill" (players 3) (equipment {(board (square 3)) (piece "Disc" Each)}) '
+        '(rules (play (move Add (to (sites Empty)))) '
+        '(end {(if (and (is Even (count Moves)) (is Line 3)) (result Next Win)) '
+        '(if (no Moves Next) (result Mover Loss))})))')
+
 SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT, "Drop": DROP,
-               "Trio": TRIO, "Comb": COMB}
+               "Trio": TRIO, "Comb": COMB, "Again": AGAIN, "Fill": FILL}
 
 
 def _echo(pieces: str, start: str) -> str:
@@ -194,7 +211,7 @@ def test_overwrites_and_steps_keep_state_in_step(name, monkeypatch):
 KEPT = {"Amazons": {"owned"}, "Breakthrough": {"occupancy"}, "Hex": {"empty", "uf"},
         "TicTacToe": {"empty"}, "Crown": {"uf"}, "Hybrid": {"empty", "occupancy", "uf"},
         "Blocked": {"owned"}, "Knot": {"empty", "uf"}, "Drop": {"empty", "owned"},
-        "Trio": {"owned"}, "Comb": {"occupancy"}}
+        "Trio": {"owned"}, "Comb": {"occupancy"}, "Again": {"empty", "uf"}, "Fill": {"empty"}}
 
 
 def _owned_scan(spec, contents):
@@ -347,3 +364,53 @@ def test_legal_moves_hold_no_duplicate(name):
             legal = engine.legal_moves(spec, state)
             assert len(set(legal)) == len(legal), f"{name} seed {seed} ply {state.move_count}"
             state = apply_move(state, move, spec, validate=False)
+
+
+# The games whose play rule is one Add to the empty sites.
+ADD_TO_EMPTY = ["Hex", "TicTacToe", "Knot", "Again", "Fill"]
+
+
+@pytest.mark.parametrize("name", [*ADD_TO_EMPTY, "Crown", "Hybrid", "Drop"])
+def test_add_to_empty_play_rules_take_their_own_loop(name, monkeypatch):
+    """An Add to the empty sites plays out without ``_pick`` or ``_advance``, to the same traces.
+
+    An Add onto fixed sites, an Add under an ``if`` and a piece rule's Add
+    go through both.
+    """
+    spec = _spec(name)
+    want = [random_playout(spec, seed) for seed in range(10)]
+    called = set()
+
+    def watch(fn):
+        def wrapper(*args):
+            if name in ADD_TO_EMPTY:
+                raise AssertionError(f"{name}'s playout called {fn.__name__}")
+            called.add(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_pick", watch(engine._pick))
+    monkeypatch.setattr(engine, "_advance", watch(engine._advance))
+    assert [random_playout(spec, seed) for seed in range(10)] == want
+    assert called == (set() if name in ADD_TO_EMPTY else {"_pick", "_advance"})
+
+
+# The start fills the board, so the first mover has no empty site to add to.
+FULL = ('(game "Full" (players 2) (equipment {(board (square 2)) (piece "Disc" Each)}) '
+        '(rules (start {(place "Disc1" {"A1" "B2"}) (place "Disc2" {"B1" "A2"})}) '
+        '(play (move Add (to (sites Empty)))) (end (if (is Line 2) (result Mover Win)))))')
+
+
+def test_add_to_empty_start_that_fills_the_board(tmp_path, capsys):
+    spec = compile_game(parse(FULL))
+    for seed in range(3):
+        trace = random_playout(spec, seed)
+        assert trace.moves == ()
+        assert trace.outcome == reference_playout.random_playout(spec, seed).outcome == \
+            EndMatch(None, (1, 2), "Draw", None)
+    game = tmp_path / "full.lud"
+    game.write_text(FULL)
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(game), "--playouts", "3", "--out", str(out)]) == 3
+    assert "error: no legal opening move" in capsys.readouterr().err
+    assert not out.exists()
