@@ -8,10 +8,12 @@ conditions into typed rules, and numbers the union-find anchors of
 ``(is Connected ...)``.  Only this module reads a ludeme's arguments by
 position; the engine, the translator and the taxonomy read only the typed
 rules, whose spans (left out of comparison) are the source offsets that
-later errors quote.  Rule shapes the engine cannot run, and arguments it
-would not read, are rejected here, with the offset of the offending ludeme,
-as it is decoded; only a Shoot's projectile waits until every piece is
-declared.
+later errors quote.  The registry checks the arguments of every ludeme,
+those of each ``move`` kind and ``is`` mode included; what needs context
+is checked here, with the offset of the offending ludeme, as it is decoded:
+a Step or Slide outside a piece rule, ``(no Moves ...)`` deciding a play
+rule, a line length against the board, and a Shoot's ``(piece ...)``,
+whose projectile waits until every piece is declared.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Union
 from . import boards
 from .boards import BoardGraph
 from .registry import (ArityMismatch, BadArgumentKind, CompileError, UnsupportedShape,
-                       default_registry)
+                       default_registry, describe)
 from .sexpr import Call, Collection, Number, RawNode, Symbol, children, print_canonical
 
 
@@ -120,15 +122,6 @@ class IfRule:
 
 
 PlayRule = Union[MoveRule, ForEachPiece, IfRule]
-
-
-# Arguments each move kind reads besides its kind symbol.
-_MOVE_ARGS = {
-    "Add": {"to", "then"},
-    "Step": {"directions", "then"},
-    "Slide": {"directions", "then"},
-    "Shoot": {"piece", "then"},
-}
 
 
 @dataclass(frozen=True)
@@ -278,10 +271,6 @@ def _distinct_rules(rule_texts: dict[int, set[str]], play: PlayRule) -> bool:
 
 def _player_index(sym: str) -> int:
     return int(sym[1:])
-
-
-def _describe(node: RawNode) -> str:
-    return f"({node.head.name} ...)" if isinstance(node, Call) else print_canonical(node)
 
 
 def _as_items(node: RawNode) -> tuple[RawNode, ...]:
@@ -465,22 +454,14 @@ class _Compiler:
         if kind in ("Step", "Slide") and not piece_rule:
             raise BadArgumentKind(f"(move {kind} ...) moves a piece, so it belongs in a "
                                   "piece rule reached through (forEach Piece)", node.span)
-        args: dict[str, Call] = {}
-        for arg in node.args[1:]:
-            if not (isinstance(arg, Call) and arg.head.name in _MOVE_ARGS[kind]):
-                raise BadArgumentKind(f"(move {kind} ...) cannot use {_describe(arg)}", arg.span)
-            if arg.head.name in args:
-                raise BadArgumentKind(f"(move {kind} ...) cannot use {_describe(arg)} twice",
-                                      arg.span)
-            args[arg.head.name] = arg
+        # The registry lets each argument the kind reads through, at most once.
+        args = {arg.head.name: arg for arg in node.args[1:]}
         directions: tuple[str, ...] = ()
         if kind in ("Step", "Slide"):
             dirs = args.get("directions")
             directions = tuple(s.name for s in _as_items(dirs.args[0])) if dirs else ("Adjacent",)
         to = None
         if kind == "Add":
-            if "to" not in args:
-                raise BadArgumentKind("(move Add ...) needs (to ...) naming its sites", node.span)
             to = self._compile_site_set(args["to"].args[0], board, target=True)
             # An Add places the mover's first piece.  A piece rule's mover owns the
             # piece whose rule it is; a play rule's may be any player.
@@ -493,13 +474,14 @@ class _Compiler:
             name, *rest = args["piece"].args
             if rest:  # a reference names the piece; its owner and rule are declared
                 raise BadArgumentKind(f"(move Shoot ...) names the piece it places, so its "
-                                      f"(piece ...) cannot use {_describe(rest[0])}", rest[0].span)
+                                      f"(piece ...) cannot use {describe(rest[0])}", rest[0].span)
             projectile = name.value
         return MoveRule(lid, kind, directions, to, projectile, "then" in args, node.span)
 
     def _compile_condition(self, cond: Call, *, play: bool = False) -> Condition:
         """Decode a condition ludeme; ``play`` when it decides a play rule."""
-        # The registry guarantees the head, the (is ...) mode and (no Moves Next).
+        # The registry guarantees the head, (no Moves Next), and the arguments of
+        # (is ...): Line's length, Even's (count Moves), or the role Mover.
         head = cond.head.name
         if head in ("or", "and"):
             parts = tuple(self._compile_condition(sub, play=play) for sub in cond.args)
@@ -511,28 +493,19 @@ class _Compiler:
                 raise BadArgumentKind("(no Moves ...) cannot decide a play rule: it asks for "
                                       "the moves that the rule decides", cond.span)
             return NoMovesNext()
-        mode, rest = cond.args[0].name, cond.args[1:]
-        first = rest[0] if rest else None
-        read = 1  # Line's length, Even's (count Moves), or the role Mover
+        mode = cond.args[0].name
         if mode == "Line":
-            if not isinstance(first, Number):
-                raise BadArgumentKind("(is Line ...) needs a line length", cond.span)
-            fault = line_length_fault(self.board, first.value)
+            length = cond.args[1]
+            fault = line_length_fault(self.board, length.value)
             if fault:
-                raise BadArgumentKind(f"(is Line ...) {fault}", first.span)
+                raise BadArgumentKind(f"(is Line ...) {fault}", length.span)
             ray = self.board.vectors.index
-            compiled: Condition = IsLine(first.value, tuple(
+            compiled: Condition = IsLine(length.value, tuple(
                 (ray((dr, dc)), ray((-dr, -dc))) for dr, dc in self.board.line_axes))
         elif mode == "Even":
-            if not (isinstance(first, Call) and first.head.name == "count"):
-                raise BadArgumentKind("(is Even ...) needs (count Moves)", cond.span)
             compiled = IsEven()
         else:  # Connected | In test the mover, whose role may be left out
-            read = int(isinstance(first, Symbol) and first.name == "Mover")
             compiled = IsConnected() if mode == "Connected" else IsIn(self.region_sites)
-        if len(rest) > read:
-            raise BadArgumentKind(f"(is {mode} ...) cannot use {_describe(rest[read])}",
-                                  rest[read].span)
         if isinstance(compiled, IsConnected) and \
                 not any(len(anchors) >= 2 for anchors in self.anchors.of_player):
             raise BadArgumentKind("(is Connected ...) can never hold: no player has two region "

@@ -635,9 +635,9 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     The plies the generic loop would play, with what the rule fixes decided
     once: a ply draws an index into the empty sites, builds the mover's
     first piece's Add there, places it and deletes the site at that index.
-    The union-find, the owned sites and the occupancy bits stay in step where
-    built, as _advance keeps them.  Each next state is resolved in the form
-    _resolve caches before the end check, so check_end reads no stale count.
+    The union-find stays in step where built, as _advance keeps it.  Each
+    next state is resolved in the form _resolve caches before the end check,
+    so check_end reads no stale count.
     """
     contents, empty = state.contents, state._empty
     content_of, first_piece, players = spec.content_of, spec.first_piece, spec.player_count
@@ -655,10 +655,6 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
             _join(spec, state._uf, contents, site, placed[1])
         contents[site] = placed
         del empty[k]
-        if state._owned is not None:
-            insort(state._owned[placed[1]], site)
-        if state._occupancy is not None:
-            state._occupancy[piece] |= 1 << site
         if not again:
             state.mover = mover % players + 1
         state.move_count += 1

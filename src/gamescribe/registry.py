@@ -2,17 +2,17 @@
 
 The supported subset of the game description language ships as a JSON
 table (``data/ludemes.json``): one entry per ludeme with its category and
-ordered argument slots.  Validation walks a parsed tree and checks every
-call against its descriptor.
+ordered argument slots, and the slots of each mode of ``move`` and ``is``.
+Validation walks a parsed tree and checks every call against its descriptor.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
-from .sexpr import Call, Collection, Number, RawNode, Symbol, Text, children
+from .sexpr import Call, Collection, Number, RawNode, Symbol, Text, children, print_canonical
 
 
 class CompileError(Exception):
@@ -52,6 +52,7 @@ class SlotSpec:
     required: bool = True
     variadic: bool = False
     collection_ok: bool = False
+    needs: str | None = None  # what a missing mode slot's message asks for
 
     def describe(self) -> str:
         """What the slot takes, with its article: "a number", "an item ludeme"."""
@@ -71,6 +72,14 @@ class LudemeDescriptor:
     name: str
     category: str
     slots: tuple[SlotSpec, ...] = ()
+    # First-argument symbol -> the slots of the arguments after it, each
+    # filled at most once, in any order.
+    modes: dict[str, tuple[SlotSpec, ...]] = field(default_factory=dict)
+
+
+def describe(node: RawNode) -> str:
+    """How a message names an argument: "(to ...)" for a call, else its text."""
+    return f"({node.head.name} ...)" if isinstance(node, Call) else print_canonical(node)
 
 
 def _kind_of(node: RawNode) -> str:
@@ -109,7 +118,8 @@ class Registry:
             desc = self.descriptors.get(node.head.name)
             if desc is None:
                 return False
-            return slot.category is None or desc.category in slot.category
+            return (slot.category is None or desc.category in slot.category) and \
+                (slot.values is None or desc.name in slot.values)
         return False
 
     def check_call(self, call: Call) -> None:
@@ -128,9 +138,37 @@ class Registry:
                         args[i].span)
                 raise ArityMismatch(f"'{desc.name}' is missing {slot.describe()}",
                                     call.span)
-        if i < len(args):
+        if desc.modes:
+            self._check_mode(call, desc.modes[args[0].name], args[i:])
+        elif i < len(args):
             raise ArityMismatch(f"'{desc.name}' has {len(args) - i} extra argument(s)",
                                 args[i].span)
+
+    def _check_mode(self, call: Call, slots: tuple[SlotSpec, ...],
+                    args: tuple[RawNode, ...]) -> None:
+        """Fill each of ``slots`` at most once, in any order, from ``args``.
+
+        An unknown or unsupported ludeme among ``args`` is reported first,
+        with the error validate_tree gives it; then a missing required slot,
+        at the call; then the first argument that no unfilled slot takes.
+        """
+        free, spare = list(slots), []  # slots not yet filled, arguments none of them takes
+        for arg in args:
+            if isinstance(arg, Call):
+                self.descriptor(arg.head.name, arg.head.span)
+            slot = next((s for s in free if self._matches(arg, s)), None)
+            if slot is None:
+                spare.append(arg)
+            else:
+                free.remove(slot)
+        name = f"({call.head.name} {call.args[0].name} ...)"
+        missing = next((s for s in free if s.required), None)
+        if missing is not None:
+            raise BadArgumentKind(f"{name} needs {missing.needs}", call.span)
+        if spare:
+            twice = " twice" if any(self._matches(spare[0], s) for s in slots) else ""
+            raise BadArgumentKind(f"{name} cannot use {describe(spare[0])}{twice}",
+                                  spare[0].span)
 
     def validate_tree(self, root: RawNode) -> None:
         """Check every call in the tree against its descriptor."""
@@ -144,20 +182,17 @@ class Registry:
 
 def load_registry() -> Registry:
     raw = json.loads(resources.files("gamescribe.data").joinpath("ludemes.json").read_text())
+
+    def slots(entries: list[dict]) -> tuple[SlotSpec, ...]:
+        # Each key of a slot is a SlotSpec field; its lists become tuples.
+        return tuple(SlotSpec(**{key: tuple(v) if isinstance(v, list) else v
+                                 for key, v in s.items()}) for s in entries)
+
     descriptors = {}
     for entry in raw["ludemes"]:
-        slots = tuple(
-            SlotSpec(
-                kind=s["kind"],
-                values=tuple(s["values"]) if "values" in s else None,
-                category=tuple(s["category"]) if "category" in s else None,
-                required=s.get("required", True),
-                variadic=s.get("variadic", False),
-                collection_ok=s.get("collection_ok", False),
-            )
-            for s in entry.get("slots", ())
-        )
-        descriptors[entry["name"]] = LudemeDescriptor(entry["name"], entry["category"], slots)
+        modes = {mode: slots(entries) for mode, entries in entry.get("modes", {}).items()}
+        descriptors[entry["name"]] = LudemeDescriptor(
+            entry["name"], entry["category"], slots(entry.get("slots", ())), modes)
     return Registry(descriptors, frozenset(raw.get("recognised_unsupported", ())))
 
 

@@ -354,6 +354,14 @@ UNRUNNABLE = {
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
               start='(start {(place "Disc1" {"A1"}) (place "Disc2" {"B1" "A1"})})'),
         '"A1"})})'),
+    "from-outside-the-subset": (
+        _game('(piece "Disc" Each)', "(move Add (from (sites Empty)) (to (sites Empty)))"),
+        "from (sites"),
+    "line-length-after-a-role": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line Mover 3)"),
+        "Mover 3)"),
+    "add-with-directions-only": (
+        _game('(piece "Disc" Each)', "(move Add (directions Adjacent))"), "(move Add"),
 }
 
 
@@ -376,6 +384,9 @@ def test_unrunnable_rule_exits_3_at_compile_time(tmp_path, capsys, name):
     ("shoot-without-arguments", "(move Shoot ...) needs (piece ...) naming a declared piece"),
     ("line-without-length", "(is Line ...) needs a line length"),
     ("even-without-arguments", "(is Even ...) needs (count Moves)"),
+    ("from-outside-the-subset", "ludeme 'from' is outside the supported subset"),
+    ("line-length-after-a-role", "(is Line ...) cannot use Mover"),
+    ("add-with-directions-only", "(move Add ...) needs (to ...) naming its sites"),
 ])
 def test_bare_form_gets_the_compilers_message(tmp_path, capsys, name, message):
     game = tmp_path / "bare.lud"
@@ -384,7 +395,7 @@ def test_bare_form_gets_the_compilers_message(tmp_path, capsys, name, message):
     assert f"error: compile failed: {message} (at offset" in capsys.readouterr().err
 
 
-# (corpus game, form in the file, bare form, the explicit form it stands for)
+# (corpus game, form in the file, bare or reordered form, the explicit form it stands for)
 BARE_FORMS = {
     "is-connected": ("Hex", "(is Connected Mover)", "(is Connected)", "(is Connected Mover)"),
     "is-in": ("Breakthrough", "(is In Mover)", "(is In)", "(is In Mover)"),
@@ -392,6 +403,12 @@ BARE_FORMS = {
                   "(move Step (directions Adjacent))"),
     "move-slide": ("Amazons", "(move Slide (then (moveAgain)))", "(move Slide)",
                    "(move Slide (directions Adjacent))"),
+    "move-slide-then-first": ("Amazons", "(move Slide (then (moveAgain)))",
+                              "(move Slide (then (moveAgain)) (directions Adjacent))",
+                              "(move Slide (directions Adjacent) (then (moveAgain)))"),
+    "move-shoot-then-first": ("Amazons", '(move Shoot (piece "Dot0"))',
+                              '(move Shoot (then (moveAgain)) (piece "Dot0"))',
+                              '(move Shoot (piece "Dot0") (then (moveAgain)))'),
 }
 
 

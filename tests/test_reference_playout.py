@@ -9,7 +9,7 @@ import reference_playout
 from conftest import load_spec
 from gamescribe import engine
 from gamescribe.cli import main
-from gamescribe.compiler import compile_game
+from gamescribe.compiler import MoveRule, compile_game
 from gamescribe.engine import (EndMatch, apply_move, initial_state, random_playout, replay,
                                trace_to_dict)
 from gamescribe.sexpr import parse
@@ -347,6 +347,44 @@ def test_legal_moves_match_full_list_reference(name):
             if move is not None:
                 state = apply_move(state, move, spec, validate=False)
                 ref = reference_playout.apply_move(ref, move, spec)
+
+
+# The games walked to every reachable state, with their count of non-terminal states.
+WALKED = {"TicTacToe": 4520, "Crown": 37}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_every_reachable_state_matches_the_reference(name):
+    """At every reachable state the legal list, and after each move the next state, match.
+
+    The walk is depth-first from the start.  A state is keyed by its
+    contents, its mover, the parity of its move count, which (is Even
+    (count Moves)) reads, and its last move where a Shoot reads it, so that
+    no two states a rule tells apart are merged.
+    """
+    spec = _spec(name)
+    shoots = any(isinstance(rule, MoveRule) and rule.kind == "Shoot"
+                 for rule in spec.rules.values())
+    start = initial_state(spec)
+    stack = [(start, reference_playout.State(list(start.contents), 1, 0,
+                                             oracles.preorder(spec.root)))]
+    seen = set()
+    while stack:
+        state, ref = stack.pop()
+        key = (tuple(state.contents), state.mover, state.move_count % 2,
+               state.last_move if shoots else None)
+        if state.terminal is not None or key in seen:
+            continue
+        seen.add(key)
+        legal = engine.legal_moves(spec, state)
+        assert legal == reference_playout.legal_moves(spec, ref), key
+        for move in legal:
+            after = apply_move(state, move, spec, validate=False)
+            ref_after = reference_playout.apply_move(ref, move, spec)
+            assert (after.contents, after.mover, after.terminal) == \
+                (ref_after.contents, ref_after.mover, ref_after.terminal), (key, move)
+            stack.append((after, ref_after))
+    assert len(seen) == WALKED[name]
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
