@@ -1,10 +1,10 @@
 """Compile a parsed game description into a typed GameSpec.
 
-The compiler validates the tree against the ludeme registry, numbers the
-nodes in preorder (a rule's ludeme id), builds the board graph, expands
-``Each``/``Neutral`` piece declarations, resolves region and start-placement
-sites, decodes the play rule, each piece's rule, the end rules and their
-conditions into typed rules, and numbers the union-find anchors of
+The compiler validates the tree against the ludeme registry, whose one walk
+also numbers the nodes in preorder (a rule's ludeme id), builds the board
+graph, expands ``Each``/``Neutral`` piece declarations, resolves region and
+start-placement sites, decodes the play rule, each piece's rule, the end rules
+and their conditions into typed rules, and numbers the union-find anchors of
 ``(is Connected ...)``.  Only this module reads a ludeme's arguments by
 position; the engine, the translator and the taxonomy read only the typed
 rules, whose spans (left out of comparison) are the source offsets that
@@ -26,7 +26,7 @@ from . import boards
 from .boards import BoardGraph
 from .registry import (ArityMismatch, BadArgumentKind, CompileError, UnsupportedShape,
                        default_registry, describe)
-from .sexpr import Call, Collection, Number, RawNode, Symbol, children, print_canonical
+from .sexpr import Call, Collection, Number, RawNode, Symbol, print_canonical
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,10 @@ class GameSpec:
     rules: dict[int, PlayRule] = field(default_factory=dict)
     # Whether the mover participates in move signatures; see _distinct_rules.
     distinct_rules: bool = False
-    # The first declared piece of each name, the (name, owner) site content
-    # that placing a piece of each name makes, and the name of each player's
-    # first declared piece (None if the player owns none), indexed by player.
+    # Each piece by its name (no two pieces share one), the (name, owner) site
+    # content that placing a piece of each name makes, and the name of each
+    # player's first declared piece (None if the player owns none), indexed by
+    # player.
     pieces_by_name: dict[str, PieceSpec] = field(init=False, repr=False, compare=False)
     content_of: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
     first_piece: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
@@ -215,7 +216,7 @@ class GameSpec:
     step_pieces: tuple[tuple | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.pieces_by_name = {p.name: p for p in reversed(self.pieces)}
+        self.pieces_by_name = {p.name: p for p in self.pieces}
         self.content_of = {name: (name, p.owner) for name, p in self.pieces_by_name.items()}
         players = range(self.player_count + 1)
         self.first_piece = tuple(next((p.name for p in self.pieces if p.owner == player), None)
@@ -234,19 +235,6 @@ class GameSpec:
     def move_ludeme_ids(self) -> list[int]:
         """Ids of every (move ...) call in the description (each one decoded), ascending."""
         return sorted(lid for lid, rule in self.rules.items() if isinstance(rule, MoveRule))
-
-
-def _number_tree(root: RawNode) -> dict[int, int]:
-    """id(node) -> the node's preorder index, its ludeme id, for every node of ``root``."""
-    ids: dict[int, int] = {}
-
-    def visit(node: RawNode) -> None:
-        ids[id(node)] = len(ids)
-        for child in children(node):
-            visit(child)
-
-    visit(root)
-    return ids
 
 
 def _canonical_rule(node: RawNode) -> str:
@@ -313,8 +301,8 @@ class _Compiler:
         if not (isinstance(tree, Call) and tree.head.name == "game"):
             raise CompileError("top-level form must be (game ...)",
                                getattr(tree, "span", (0, 0)))
-        default_registry().validate_tree(tree)
-        self.ids = _number_tree(tree)
+        # id(node) -> the node's preorder index, its ludeme id.
+        self.ids = {id(node): i for i, node in enumerate(default_registry().validate_tree(tree))}
         self.rules: dict[int, PlayRule] = {}
 
         name = tree.args[0].value
@@ -331,8 +319,8 @@ class _Compiler:
 
         board, piece_nodes, region_nodes = self._split_equipment(equipment_node)
         self.board = board
-        pieces = self.pieces = self._expand_pieces(piece_nodes, player_count, board)
-        regions = [self._compile_region(node, board, player_count) for node in region_nodes]
+        pieces = self.pieces = self._expand_pieces(piece_nodes)
+        regions = [self._compile_region(node) for node in region_nodes]
         # (is In Mover) reads the region sites of whoever moves.
         self.region_sites = tuple(
             frozenset(s for r in regions if r.owner == p for ss in r.site_sets for s in ss.sites)
@@ -348,9 +336,9 @@ class _Compiler:
             head = section.head.name
             if head == "start":
                 for place in _as_items(section.args[0]):
-                    start_placements.append(self._compile_place(place, board, pieces, placed))
+                    start_placements.append(self._compile_place(place, placed))
             elif head == "play":
-                play = self._compile_rule(section.args[0], board)
+                play = self._compile_rule(section.args[0])
             elif head == "end":
                 for rule in _as_items(section.args[0]):
                     end_rules.append(self._compile_end_rule(rule))
@@ -387,8 +375,7 @@ class _Compiler:
             raise CompileError("equipment has no board", equipment.span)
         return board, piece_nodes, region_nodes
 
-    def _expand_pieces(self, piece_nodes: list[Call], player_count: int,
-                       board: BoardGraph) -> list[PieceSpec]:
+    def _expand_pieces(self, piece_nodes: list[Call]) -> list[PieceSpec]:
         pieces: list[PieceSpec] = []
         declared: set[str] = set()
         for node in piece_nodes:
@@ -400,14 +387,14 @@ class _Compiler:
             owner_sym = node.args[1].name
             rule = None
             if len(node.args) > 2:
-                rule = self._compile_rule(node.args[2], board, piece_rule=True)
+                rule = self._compile_rule(node.args[2], piece_rule=True)
             if owner_sym == "Each":
-                owners = range(1, player_count + 1)
+                owners = range(1, self.player_count + 1)
             elif owner_sym == "Neutral":
                 owners = (0,)
             else:
                 owners = (_player_index(owner_sym),)
-                if owners[0] > player_count:
+                if owners[0] > self.player_count:
                     raise BadArgumentKind(
                         f"piece owner {owner_sym} exceeds player count", node.args[1].span)
             for owner in owners:
@@ -415,7 +402,7 @@ class _Compiler:
                 if rule and owner:  # neutral pieces never move
                     self.rule_texts[owner].add(_canonical_rule(node.args[2]))
                     try:
-                        rays = board.ray_indices(rule.directions, owner)
+                        rays = self.board.ray_indices(rule.directions, owner)
                     except KeyError as missing:
                         raise BadArgumentKind(f"the board has no {missing.args[0]} direction "
                                               f"for P{owner}", node.args[2].span) from None
@@ -426,8 +413,7 @@ class _Compiler:
                 pieces.append(PieceSpec(name, base, owner, rule, owner_sym == "Each", rays))
         return pieces
 
-    def _compile_rule(self, node: RawNode, board: BoardGraph, *,
-                      piece_rule: bool = False) -> PlayRule:
+    def _compile_rule(self, node: RawNode, *, piece_rule: bool = False) -> PlayRule:
         """Decode a play rule, or with ``piece_rule`` a piece's (move ...) rule."""
         if piece_rule and not (isinstance(node, Call) and node.head.name == "move"):
             raise BadArgumentKind("a piece rule must be a (move ...) ludeme", node.span)
@@ -440,16 +426,15 @@ class _Compiler:
             rule: PlayRule = ForEachPiece(lid, node.span)
         elif head == "if":
             cond = self._compile_condition(node.args[0], play=True)
-            then = self._compile_rule(node.args[1], board)
-            otherwise = self._compile_rule(node.args[2], board) if len(node.args) > 2 else None
+            then = self._compile_rule(node.args[1])
+            otherwise = self._compile_rule(node.args[2]) if len(node.args) > 2 else None
             rule = IfRule(lid, cond, then, otherwise, node.span)
         else:
-            rule = self._compile_move(node, lid, board, piece_rule)
+            rule = self._compile_move(node, lid, piece_rule)
         self.rules[lid] = rule
         return rule
 
-    def _compile_move(self, node: Call, lid: int, board: BoardGraph,
-                      piece_rule: bool) -> MoveRule:
+    def _compile_move(self, node: Call, lid: int, piece_rule: bool) -> MoveRule:
         kind = node.args[0].name
         if kind in ("Step", "Slide") and not piece_rule:
             raise BadArgumentKind(f"(move {kind} ...) moves a piece, so it belongs in a "
@@ -462,7 +447,7 @@ class _Compiler:
             directions = tuple(s.name for s in _as_items(dirs.args[0])) if dirs else ("Adjacent",)
         to = None
         if kind == "Add":
-            to = self._compile_site_set(args["to"].args[0], board, target=True)
+            to = self._compile_site_set(args["to"].args[0], target=True)
             # An Add places the mover's first piece.  A piece rule's mover owns the
             # piece whose rule it is; a play rule's may be any player.
             for player in range(1, self.player_count + 1):
@@ -514,39 +499,37 @@ class _Compiler:
             raise BadArgumentKind("(is In ...) can never hold: no player has a region", cond.span)
         return compiled
 
-    def _compile_region(self, node: Call, board: BoardGraph, player_count: int) -> RegionSpec:
+    def _compile_region(self, node: Call) -> RegionSpec:
         owner = _player_index(node.args[0].name)
-        if owner > player_count:
+        if owner > self.player_count:
             raise BadArgumentKind(f"region owner {node.args[0].name} exceeds player count",
                                   node.args[0].span)
         sets = []
         for sites_node in _as_items(node.args[1]):
-            sets.append(self._compile_site_set(sites_node, board))
+            sets.append(self._compile_site_set(sites_node))
         return RegionSpec(owner, tuple(sets))
 
-    def _compile_site_set(self, node: Call, board: BoardGraph, *,
-                          target: bool = False) -> SiteSet:
+    def _compile_site_set(self, node: Call, *, target: bool = False) -> SiteSet:
         kind = tuple(a.name for a in node.args)
         if target and kind == ("Empty",):
             return SiteSet(kind, ())
         if len(kind) == 2 and kind[0] == "Side":
             side = kind[1]
-            if side not in board.sides:
+            if side not in self.board.sides:
                 raise BadArgumentKind(f"board has no '{side}' side", node.span)
-            return SiteSet(kind, tuple(board.sides[side]))
+            return SiteSet(kind, tuple(self.board.sides[side]))
         what = "move target" if target else "static site set"
         raise BadArgumentKind(f"(sites {' '.join(kind)}) is not a {what}", node.span)
 
-    def _compile_place(self, node: Call, board: BoardGraph, pieces: list[PieceSpec],
-                       placed: set[int]) -> StartPlacement:
+    def _compile_place(self, node: Call, placed: set[int]) -> StartPlacement:
         piece_name = node.args[0].value
-        if not any(p.name == piece_name for p in pieces):
+        if not any(p.name == piece_name for p in self.pieces):
             raise BadArgumentKind(f"placement of undeclared piece '{piece_name}'",
                                   node.args[0].span)
         labels = tuple(t.value for t in _as_items(node.args[1]))
         sites = []
         for label, t in zip(labels, _as_items(node.args[1])):
-            site = board.site_by_label(label)
+            site = self.board.site_by_label(label)
             if site is None:
                 raise BadArgumentKind(f"no site labelled '{label}' on the board", t.span)
             if site in placed:

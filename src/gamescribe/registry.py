@@ -3,7 +3,12 @@
 The supported subset of the game description language ships as a JSON
 table (``data/ludemes.json``): one entry per ludeme with its category and
 ordered argument slots, and the slots of each mode of ``move`` and ``is``.
-Validation walks a parsed tree and checks every call against its descriptor.
+Validation walks a parsed tree once, in preorder, which is source order,
+and checks each call against its descriptor as it reaches it, argument by
+argument; the walk's list of nodes numbers them.  An argument call's head is
+looked up before the argument is matched to a slot, so an unknown or
+unsupported ludeme is reported as such wherever it sits, a ``{...}``
+argument included.  Of two faults, the first in the source is reported.
 """
 
 from __future__ import annotations
@@ -82,7 +87,10 @@ def describe(node: RawNode) -> str:
     return f"({node.head.name} ...)" if isinstance(node, Call) else print_canonical(node)
 
 
-def _kind_of(node: RawNode) -> str:
+def _got(node: RawNode, slot: SlotSpec) -> str:
+    """How a mismatch names ``node``: itself if it has the slot's kind, else its kind."""
+    if isinstance(node, {"symbol": Symbol, "ludeme": Call}.get(slot.kind, ())):
+        return describe(node)
     return {Symbol: "symbol", Number: "number", Text: "string",
             Call: "call", Collection: "collection"}[type(node)]
 
@@ -102,6 +110,8 @@ class Registry:
         return desc
 
     def _matches(self, node: RawNode, slot: SlotSpec, *, allow_collection: bool = True) -> bool:
+        if isinstance(node, Call):  # an unknown or unsupported head raises here
+            desc = self.descriptor(node.head.name, node.head.span)
         if slot.collection_ok and allow_collection and isinstance(node, Collection):
             return all(self._matches(i, slot, allow_collection=False) for i in node.items)
         if slot.kind == "any":
@@ -113,12 +123,8 @@ class Registry:
         if slot.kind == "symbol":
             return isinstance(node, Symbol) and (slot.values is None or node.name in slot.values)
         if slot.kind == "ludeme":
-            if not isinstance(node, Call):
-                return False
-            desc = self.descriptors.get(node.head.name)
-            if desc is None:
-                return False
-            return (slot.category is None or desc.category in slot.category) and \
+            return isinstance(node, Call) and \
+                (slot.category is None or desc.category in slot.category) and \
                 (slot.values is None or desc.name in slot.values)
         return False
 
@@ -134,13 +140,15 @@ class Registry:
             if slot.required and i == start:
                 if i < len(args):
                     raise BadArgumentKind(
-                        f"'{desc.name}' expects {slot.describe()}, got {_kind_of(args[i])}",
+                        f"'{desc.name}' expects {slot.describe()}, got {_got(args[i], slot)}",
                         args[i].span)
                 raise ArityMismatch(f"'{desc.name}' is missing {slot.describe()}",
                                     call.span)
         if desc.modes:
             self._check_mode(call, desc.modes[args[0].name], args[i:])
         elif i < len(args):
+            if isinstance(args[i], Call):  # no slot read it
+                self.descriptor(args[i].head.name, args[i].head.span)
             raise ArityMismatch(f"'{desc.name}' has {len(args) - i} extra argument(s)",
                                 args[i].span)
 
@@ -148,14 +156,12 @@ class Registry:
                     args: tuple[RawNode, ...]) -> None:
         """Fill each of ``slots`` at most once, in any order, from ``args``.
 
-        An unknown or unsupported ludeme among ``args`` is reported first,
-        with the error validate_tree gives it; then a missing required slot,
-        at the call; then the first argument that no unfilled slot takes.
+        An unknown or unsupported ludeme that a slot reads is reported
+        first; then a missing required slot, at the call; then the first
+        argument that no unfilled slot takes.
         """
         free, spare = list(slots), []  # slots not yet filled, arguments none of them takes
         for arg in args:
-            if isinstance(arg, Call):
-                self.descriptor(arg.head.name, arg.head.span)
             slot = next((s for s in free if self._matches(arg, s)), None)
             if slot is None:
                 spare.append(arg)
@@ -170,14 +176,19 @@ class Registry:
             raise BadArgumentKind(f"{name} cannot use {describe(spare[0])}{twice}",
                                   spare[0].span)
 
-    def validate_tree(self, root: RawNode) -> None:
-        """Check every call in the tree against its descriptor."""
-        stack = [root]
+    def validate_tree(self, root: RawNode) -> list[RawNode]:
+        """Check every call in the tree; return every node in preorder.
+
+        A node's index in the list is its ludeme id.
+        """
+        nodes, stack = [], [root]
         while stack:
             node = stack.pop()
+            nodes.append(node)
             if isinstance(node, Call):
                 self.check_call(node)
-            stack.extend(children(node))
+            stack.extend(reversed(children(node)))
+        return nodes
 
 
 def load_registry() -> Registry:

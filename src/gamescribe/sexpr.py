@@ -93,9 +93,10 @@ _TOKEN = re.compile(r"""(?:\s+|//[^\r\n]*)+|([({])|([)}])|("[^"]*")|(")"""
                     r"""|(-?[0-9]+)(?![^\s(){}"])|([^\s(){}"]+)""")
 
 # Deepest nesting of calls and collections the reader accepts.  The reader
-# keeps its open forms on a list, but numbering, printing, condition
-# evaluation and translation recurse once or twice per level, so this keeps
-# them well inside Python's default recursion limit of 1000.
+# and the registry's check-and-number walk keep their nodes on a list, but
+# printing, condition evaluation and translation recurse once or twice per
+# level, so this keeps them well inside Python's default recursion limit of
+# 1000.
 MAX_DEPTH = 200
 
 

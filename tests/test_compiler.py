@@ -147,6 +147,10 @@ def test_arity_errors():
      "'players' expects a number, got symbol"),
     ("(board (square 3))", "(board)", "(board)", ArityMismatch,
      "'board' is missing a shape ludeme"),
+    ("(is Line 3)", "(is Lin 3)", "Lin", BadArgumentKind,
+     "'is' expects a symbol in {Line, Connected, Even, In}, got Lin"),
+    ("(play (move Add (to (sites Empty))))", "(play (end (if (is Line 3) (result Mover Win))))",
+     "(end", BadArgumentKind, "'play' expects a move/control ludeme, got (end ...)"),
 ])
 def test_slot_errors_name_the_slot(old, new, culprit, error, message):
     source = ('(game "T" (players 2) (equipment {(board (square 3))}) '
@@ -156,6 +160,36 @@ def test_slot_errors_name_the_slot(old, new, culprit, error, message):
         compile_game(parse(source))
     assert exc.value.message == message
     assert exc.value.span[0] == source.index(culprit)
+
+
+ORDER_BASE = ('(game "T" (players 2) (equipment {(board (square 3)) (piece "Disc" Each)}) '
+              '(rules (play (move Add (to (sites Empty)))) '
+              '(end (if (is Line 3) (result Mover Win)))))')
+
+
+# (replacements, error type, message, offset): the first fault in source order
+# is reported, and a call with an unknown or unsupported head is reported as
+# such wherever it sits, inside a {...} argument too.
+@pytest.mark.parametrize("edits,error,message,offset", [
+    ({"(move Add": "(mov Add", "(is Line": "(is Lin"}, UnknownLudeme,
+     "unknown ludeme 'mov'", 89),
+    ({"(move Add": "(mov Add"}, UnknownLudeme, "unknown ludeme 'mov'", 89),
+    ({"(is Line": "(is Lin", "Mover Win": "Mover Winn"}, BadArgumentKind,
+     "'is' expects a symbol in {Line, Connected, Even, In}, got Lin", 132),
+    ({"(is Line 3)": "(or (is Line 3) (zorp))", "Mover Win": "Mover Winn"}, UnknownLudeme,
+     "unknown ludeme 'zorp'", 145),
+    ({"(is Line 3)": "(or (is Line 3) (set))"}, UnsupportedLudeme,
+     "ludeme 'set' is outside the supported subset", 145),
+    ({"(board": "(bord", '"Disc" Each': '"Disc" Eac'}, UnknownLudeme,
+     "unknown ludeme 'bord'", 35),
+])
+def test_the_first_fault_in_source_order_is_reported(edits, error, message, offset):
+    source = ORDER_BASE
+    for old, new in edits.items():
+        source = source.replace(old, new)
+    with pytest.raises(CompileError) as exc:
+        compile_game(parse(source))
+    assert (type(exc.value), exc.value.message, exc.value.span[0]) == (error, message, offset)
 
 
 def test_piece_without_owner_rejected():
