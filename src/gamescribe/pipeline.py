@@ -8,10 +8,14 @@ content hashes of move signatures.
 ``generate --format json`` exports the playouts as ``traces.json`` through
 ``_write_traces``, which builds the text from templates instead of building
 ``engine.trace_to_dict`` dicts and passing them to ``json.dumps(indent=2)``
-(the pure-Python encoder, since ``indent`` disables the C one).  Its output
-is the same bytes; ``trace_to_dict`` stays as the debug export that the
-tests hold the writer to.  A game whose first mover has no legal move
-cannot be played out, so ``generate`` and ``playout-stats`` reject it.
+(the pure-Python encoder, since ``indent`` disables the C one).  Each move
+signature gets one ``%``-template, each distinct move is filled in once per
+write through a memo, and each trace is streamed to the file as soon as it
+is formatted, so the writer's peak memory stays below the file's size.  Its
+output is the same bytes; ``trace_to_dict`` stays as the debug export that
+the tests hold the writer to.  Every file is written as UTF-8, whatever the
+locale.  A game whose first mover has no legal move cannot be played out,
+so ``generate`` and ``playout-stats`` reject it.
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
         move = trace.moves[index]
         before, after = render.render_move_pair(spec, state, move, similar, layout)
         sig_id = _signature_id(d.signature)
-        (svg_dir / f"move_{sig_id}_before.svg").write_text(before)
-        (svg_dir / f"move_{sig_id}_after.svg").write_text(after)
+        (svg_dir / f"move_{sig_id}_before.svg").write_text(before, encoding="utf-8")
+        (svg_dir / f"move_{sig_id}_after.svg").write_text(after, encoding="utf-8")
         leaves.append({
             "id": sig_id,
             "mover": d.signature.mover,
@@ -119,8 +123,8 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
         move = trace.moves[-1]
         before, after = render.render_ending_pair(spec, state, move, layout)
         end_id = _ending_id(example)
-        (svg_dir / f"end_{end_id}_before.svg").write_text(before)
-        (svg_dir / f"end_{end_id}_after.svg").write_text(after)
+        (svg_dir / f"end_{end_id}_before.svg").write_text(before, encoding="utf-8")
+        (svg_dir / f"end_{end_id}_after.svg").write_text(after, encoding="utf-8")
         outcome, players, ludeme = example.result_key
         out.append({
             "text": example.text,
@@ -136,7 +140,7 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _array(items: list[str], pad: str) -> str:
@@ -153,40 +157,57 @@ _TRACE = ('{\n    "seed": %d,\n    "moves": %s,\n    "outcome": {\n      "player
           '      "result": %s,\n      "end_ludeme": %s,\n      "winning_sites": %s\n    }\n  }')
 
 
-def _move_text(move: engine.Move, labels: list[str]) -> str:
-    piece = _quote(move.piece) if move.piece is not None else "null"
-    src = labels[move.from_site] if move.from_site is not None else "null"
-    dst = labels[move.to_site] if move.to_site is not None else "null"
-    actions = [_array([_quote(kind), *args], " " * 10)
-               for kind, *args in engine.move_actions(move, piece, src, dst)]
-    return _MOVE % (move.mover, piece, move.origin_id, src, dst, _array(actions, " " * 8))
+class _MoveTexts(dict):
+    """Move -> its JSON text; a miss fills the template of its ``move[:4]`` signature.
+
+    The template bakes in the quoted piece (``%`` doubled); the quoted
+    from/to labels fill its ``%(f)s`` and ``%(t)s`` as values.
+    """
+
+    def __init__(self, labels: dict):
+        super().__init__()
+        self.labels = labels
+        self.templates: dict[tuple, str] = {}
+
+    def __missing__(self, move: engine.Move) -> str:
+        template = self.templates.get(move[:4])
+        if template is None:
+            piece = _quote(move.piece).replace("%", "%%") if move.piece is not None else "null"
+            actions = [_array([_quote(kind), *args], " " * 10)
+                       for kind, *args in engine.move_actions(move, piece, "%(f)s", "%(t)s")]
+            template = self.templates[move[:4]] = _MOVE % (
+                move.mover, piece, move.origin_id, "%(f)s", "%(t)s", _array(actions, " " * 8))
+        labels = self.labels
+        text = self[move] = template % {"f": labels[move.from_site], "t": labels[move.to_site]}
+        return text
 
 
 def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec) -> None:
     """Write ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)`` plus a newline.
 
     The text comes from templates of that layout, with no dict per move or
-    trace.  Strings go through json's C encoder, and each distinct move (a
-    frozen value whose text depends only on its fields and the board's
-    labels) is encoded once per write.
+    trace, and strings go through json's C encoder.  Each distinct move is
+    formatted once per write, through the ``_MoveTexts`` memo, and each
+    trace is streamed to the file as soon as it is formatted.  So only one
+    trace's text and the memo are alive at a time, and the peak memory stays
+    below the size of the file.
     """
-    labels = [_quote(site.label) for site in spec.board.sites]
-    texts: dict[engine.Move, str] = {}
-    items = []
-    for trace in traces:
-        moves = []
-        for move in trace.moves:
-            text = texts.get(move)
-            if text is None:
-                text = texts[move] = _move_text(move, labels)
-            moves.append(text)
-        outcome = trace.outcome
-        sites = outcome.winning_sites
-        items.append(_TRACE % (
-            trace.seed, _array(moves, "    "), _array([str(p) for p in outcome.players], "      "),
-            _quote(outcome.outcome), "null" if outcome.end_id is None else outcome.end_id,
-            _array([labels[s] for s in sites], "      ") if sites else "null"))
-    path.write_text(_array(items, "") + "\n")
+    labels = {i: _quote(site.label) for i, site in enumerate(spec.board.sites)}
+    labels[None] = "null"
+    texts = _MoveTexts(labels)
+    with open(path, "w", encoding="utf-8") as out:
+        sep = "[\n  "
+        for trace in traces:
+            outcome = trace.outcome
+            sites = outcome.winning_sites
+            out.write(sep)
+            out.write(_TRACE % (
+                trace.seed, _array(list(map(texts.__getitem__, trace.moves)), "    "),
+                _array([str(p) for p in outcome.players], "      "), _quote(outcome.outcome),
+                "null" if outcome.end_id is None else outcome.end_id,
+                _array([labels[s] for s in sites], "      ") if sites else "null"))
+            sep = ",\n  "
+        out.write("\n]\n" if traces else "[]\n")
 
 
 def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
@@ -208,7 +229,7 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
 
     layout = render._Layout(spec)  # every image of the game shares its cells
     setup_svg = render.render_board(spec, engine.initial_state(spec), None, layout)
-    (svg_dir / "setup.svg").write_text(setup_svg)
+    (svg_dir / "setup.svg").write_text(setup_svg, encoding="utf-8")
 
     move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir, similar, layout)
     ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir, layout)
@@ -216,7 +237,7 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
     html, manifest = build_manual(spec, translation, strategy_lines,
                                   "svg/setup.svg", ending_entries, move_leaves)
     manifest["coverage"] = coverage
-    (game_dir / "manual.html").write_text(html)
+    (game_dir / "manual.html").write_text(html, encoding="utf-8")
     _write_json(game_dir / "manual.json", manifest)
     check_assets(manifest, game_dir)
 
@@ -260,4 +281,4 @@ def write_index(out_dir: Path, game_names: list[str]) -> None:
     out_dir.joinpath("index.html").write_text(
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>"
         "<title>Game manuals</title></head>\n"
-        f"<body><h1>Game manuals</h1>\n<ul>\n{items}\n</ul>\n</body></html>\n")
+        f"<body><h1>Game manuals</h1>\n<ul>\n{items}\n</ul>\n</body></html>\n", encoding="utf-8")

@@ -598,3 +598,29 @@ def test_two_games_of_one_name_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {first} and {second} both describe the game 'Tic-Tac-Toe'" in err
     assert not out.exists()
+
+
+def test_generate_writes_utf8_whatever_the_locale(tmp_path):
+    # manual.html declares charset="utf-8"; under an ASCII locale every file
+    # must still be UTF-8, byte for byte what a UTF-8 locale writes.
+    game = tmp_path / "kings.lud"
+    game.write_text('(game "Kings" (players 2) (equipment {(board (square 3)) (piece "王" P1) '
+                    '(piece "Disc" P2)}) (rules (play (move Add (to (sites Empty)))) '
+                    '(end (if (is Line 3) (result Mover Win)))))', encoding="utf-8")
+    trees = {}
+    for utf8 in ("0", "1"):
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8,
+               "PYTHONPATH": str(REPO_ROOT / "src")}
+        for fmt in ("html", "json"):
+            out = tmp_path / f"utf8-{utf8}-{fmt}"
+            proc = subprocess.run([sys.executable, "-m", "gamescribe.cli", "generate", "--game",
+                                   str(game), "--playouts", "5", "--format", fmt, "--out", str(out)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            trees[utf8, fmt] = {p.relative_to(out).as_posix(): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+    for fmt in ("html", "json"):
+        assert trees["0", fmt] == trees["1", fmt], fmt
+    assert "王".encode() in trees["1", "html"]["Kings/manual.html"]
+    assert "Kings/traces.json" in trees["1", "json"]
