@@ -1,14 +1,17 @@
 """Board graphs: site labelling, adjacency, rays and direction tables.
 
 Every board is a row-major ``rows x cols`` grid: site ``row * cols + col``,
-columns lettered A.. from the left and rows numbered 1.. from the bottom, so
-"A1" is the bottom-left corner.  Each ray along an adjacent direction
-``(dr, dc)`` is a ``range`` of site indices with step ``dr * cols + dc``, as
-long as the distance to the edge allows.  The same step, with a mask of the
-sites whose ray in that direction is non-empty, moves a set of sites held
-as the bits of one integer one step along the direction.  Rays, adjacency
-and the shifts are built on first read, so a board that is only compiled and
-translated never builds them; every later read is a plain attribute.
+columns lettered A.. from the left (Z, then AA, AB, ..) and rows numbered 1..
+from the bottom, so "A1" is the bottom-left corner.  A site is its index:
+its row and column are ``divmod(site, cols)``, and its label is
+``labels[site]``, the one stored list of labels.  Each ray along an adjacent
+direction ``(dr, dc)`` is a ``range`` of site indices with step
+``dr * cols + dc``, as long as the distance to the edge allows.  The same
+step, with a mask of the sites whose ray in that direction is non-empty,
+moves a set of sites held as the bits of one integer one step along the
+direction.  Labels, rays, adjacency and the shifts are each built on first
+read, so compiling and translating a game builds no rays, and labels only
+when a start placement names a site; every later read is a plain attribute.
 Direction names map to vectors as player 1 faces, north (increasing row);
 player 2 faces south, so Forward, FL and FR turn around for it, and no other
 player has a facing.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import string
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -29,17 +32,9 @@ HEX_NEIGHBOURS = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
 FACING = ("Forward", "FL", "FR")
 
 
-@dataclass(frozen=True)
-class Site:
-    index: int
-    label: str
-    row: int  # 0-based from the bottom
-    col: int  # 0-based from the left
-
-
 @dataclass
 class BoardGraph:
-    """A board's geometry, immutable once built; rays, adjacency and shifts come on first read."""
+    """A board's geometry, immutable once built; what derives from the grid comes on first read."""
 
     shape: str  # "square" | "rectangle" | "hexDiamond"
     rows: int
@@ -50,20 +45,36 @@ class BoardGraph:
     line_axes: tuple[tuple[int, int], ...]
     # Direction name -> vectors, as player 1 faces.
     directions: dict[str, tuple[tuple[int, int], ...]]
-    sites: list[Site] = field(default_factory=list)
-    sides: dict[str, list[int]] = field(default_factory=dict)
-    _by_label: dict[str, int] = field(default_factory=dict)
+    # Side name -> its sites, in index order.
+    sides: dict[str, list[int]]
+
+    # Per-site label, row-major like the sites; built on first read.
+    @cached_property
+    def labels(self) -> list[str]:
+        # Column letters A..Z, then AA..ZZ, AAA.., until there is one per column.
+        letters, columns = [""], []
+        while len(columns) < self.cols:
+            letters = [prefix + letter for prefix in letters for letter in string.ascii_uppercase]
+            columns += letters
+        return [f"{column}{row}" for row in range(1, self.rows + 1)
+                for column in columns[:self.cols]]
+
+    # Label -> site; built on the first ``site_by_label``.
+    @cached_property
+    def _by_label(self) -> dict[str, int]:
+        return {label: site for site, label in enumerate(self.labels)}
 
     # Per-site rays along each adjacent direction, nearest site first; built on first read.
     @cached_property
     def rays(self) -> list[list[range]]:
-        rows, cols, rays = self.rows, self.cols, [[] for _ in self.sites]
-        for s, site_rays in zip(self.sites, rays):
+        rows, cols, rays = self.rows, self.cols, [[] for _ in range(self.site_count)]
+        for site, site_rays in enumerate(rays):
+            row, col = divmod(site, cols)
             for dr, dc in self.vectors:
                 step = dr * cols + dc
-                length = min(_reach(s.row, dr, rows), _reach(s.col, dc, cols))
+                length = min(_reach(row, dr, rows), _reach(col, dc, cols))
                 # One column makes step 0 for (1, -1) and (-1, 1), whose length is 0.
-                site_rays.append(range(s.index + step, s.index + step * (length + 1), step or 1))
+                site_rays.append(range(site + step, site + step * (length + 1), step or 1))
         return rays
 
     # Per-site neighbours, the first site of each non-empty ray; built on first read.
@@ -108,17 +119,7 @@ class BoardGraph:
 
     @property
     def site_count(self) -> int:
-        return len(self.sites)
-
-
-def _column_label(col: int) -> str:
-    letters = string.ascii_uppercase
-    label = ""
-    col += 1
-    while col:
-        col, rem = divmod(col - 1, 26)
-        label = letters[rem] + label
-    return label
+        return self.rows * self.cols
 
 
 def _reach(pos: int, d: int, size: int) -> int:
@@ -131,18 +132,11 @@ def _grid(shape: str, rows: int, cols: int, vectors: tuple[tuple[int, int], ...]
           directions: dict[str, tuple[tuple[int, int], ...]],
           sides: tuple[str, str, str, str]) -> BoardGraph:
     """A ``rows x cols`` grid; ``sides`` names its top row, bottom row, left and right column."""
-    board = BoardGraph(shape, rows, cols, vectors, line_axes, directions)
     top, bottom, left, right = sides
     n = rows * cols
-    board.sides = {top: list(range(n - cols, n)), bottom: list(range(cols)),
-                   left: list(range(0, n, cols)), right: list(range(cols - 1, n, cols))}
-    for row in range(rows):
-        for col in range(cols):
-            idx = row * cols + col
-            label = f"{_column_label(col)}{row + 1}"
-            board.sites.append(Site(idx, label, row, col))
-            board._by_label[label] = idx
-    return board
+    return BoardGraph(shape, rows, cols, vectors, line_axes, directions,
+                      {top: list(range(n - cols, n)), bottom: list(range(cols)),
+                       left: list(range(0, n, cols)), right: list(range(cols - 1, n, cols))})
 
 
 def build_square(rows: int, cols: int, shape: str = "square") -> BoardGraph:

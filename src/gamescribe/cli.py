@@ -5,17 +5,20 @@ explains it for every game, before it writes anything.
 
 Exit codes: 0 success; 2 usage error (``--playouts 0``), an input file that
 is missing or cannot be read (such as a directory), a ``--out`` that is not a
-directory, or two ``generate --game`` files of the same game name; 3
+directory, two ``generate --game`` files of the same game name, or a game
+whose output directory the file-system encoding cannot name; 3
 parse/compile error (including an input that is not UTF-8, at the offset of
 its first bad byte), a malformed heuristics file or (generate,
 playout-stats) a game with no legal opening move; 4 playout move-cap exceeded.
 Every offset in a message is a character offset into the file's text as
-written, line endings included.
+written, line endings included.  Standard output is UTF-8, as every written
+file is, whatever the locale's encoding.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -71,6 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # not an in-memory stdout such as StringIO
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
         if args.command == "generate":
             # Every input is checked before anything is written; each game's
@@ -81,6 +86,12 @@ def main(argv: list[str] | None = None) -> int:
                 if spec.name in paths:
                     print(f"error: {paths[spec.name]} and {game} both describe the game "
                           f"{spec.name!r}, whose manual goes to {args.out / spec.name}",
+                          file=sys.stderr)
+                    return 2
+                try:
+                    os.fsencode(args.out / spec.name)
+                except UnicodeEncodeError:
+                    print(f"error: the file-system encoding cannot name {args.out / spec.name}",
                           file=sys.stderr)
                     return 2
                 paths[spec.name] = game

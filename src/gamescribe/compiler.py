@@ -144,7 +144,6 @@ class RegionSpec:
 @dataclass(frozen=True)
 class StartPlacement:
     piece_name: str
-    labels: tuple[str, ...]
     sites: tuple[int, ...]
 
 
@@ -526,17 +525,16 @@ class _Compiler:
         if not any(p.name == piece_name for p in self.pieces):
             raise BadArgumentKind(f"placement of undeclared piece '{piece_name}'",
                                   node.args[0].span)
-        labels = tuple(t.value for t in _as_items(node.args[1]))
         sites = []
-        for label, t in zip(labels, _as_items(node.args[1])):
-            site = self.board.site_by_label(label)
+        for t in _as_items(node.args[1]):
+            site = self.board.site_by_label(t.value)
             if site is None:
-                raise BadArgumentKind(f"no site labelled '{label}' on the board", t.span)
+                raise BadArgumentKind(f"no site labelled '{t.value}' on the board", t.span)
             if site in placed:
-                raise CompileError(f"start placement conflict at {label}", t.span)
+                raise CompileError(f"start placement conflict at {t.value}", t.span)
             placed.add(site)
             sites.append(site)
-        return StartPlacement(piece_name, labels, tuple(sites))
+        return StartPlacement(piece_name, tuple(sites))
 
     def _compile_end_rule(self, rule: Call) -> EndRule:
         # Registry guarantees the shape (if <condition> <any> [<any>]).

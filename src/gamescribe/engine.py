@@ -685,9 +685,9 @@ def move_actions(move: Move, piece, src, dst) -> list[list]:
 
 
 def _move_to_dict(move: Move, spec: GameSpec) -> dict:
-    sites = spec.board.sites
-    src = sites[move.from_site].label if move.from_site is not None else None
-    dst = sites[move.to_site].label if move.to_site is not None else None
+    labels = spec.board.labels
+    src = labels[move.from_site] if move.from_site is not None else None
+    dst = labels[move.to_site] if move.to_site is not None else None
     return {
         "mover": move.mover,
         "piece": move.piece,
@@ -712,7 +712,7 @@ def trace_to_dict(trace: PlayoutTrace, spec: GameSpec) -> dict:
             "players": list(outcome.players),
             "result": outcome.outcome,
             "end_ludeme": outcome.end_id,
-            "winning_sites": [spec.board.sites[s].label for s in outcome.winning_sites]
+            "winning_sites": [spec.board.labels[s] for s in outcome.winning_sites]
             if outcome.winning_sites else None,
         },
     }

@@ -226,7 +226,7 @@ def translate_game(spec: GameSpec) -> str:
             else:
                 owner_phrase = f" for {_player_name(piece.owner)}"
             lines.append(f"     Place a {piece.base}{owner_phrase} on sites: "
-                         f"{join_list(list(placement.labels))}.")
+                         f"{join_list([spec.board.labels[s] for s in placement.sites])}.")
 
     lines.append("Rules:")
     lines.append("     " + _sentence(_play_fragment(spec.play)))

@@ -130,7 +130,7 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
             "text": example.text,
             "result": {"outcome": outcome, "players": list(players),
                        "end_ludeme": ludeme},
-            "winning_sites": [spec.board.sites[s].label for s in example.winning_sites]
+            "winning_sites": [spec.board.labels[s] for s in example.winning_sites]
             if example.winning_sites else None,
             "exemplar_seed": example.exemplar_seed,
             "before": f"svg/end_{end_id}_before.svg",
@@ -192,7 +192,7 @@ def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec)
     trace's text and the memo are alive at a time, and the peak memory stays
     below the size of the file.
     """
-    labels = {i: _quote(site.label) for i, site in enumerate(spec.board.sites)}
+    labels = dict(enumerate(map(_quote, spec.board.labels)))
     labels[None] = "null"
     texts = _MoveTexts(labels)
     with open(path, "w", encoding="utf-8") as out:

@@ -1,7 +1,10 @@
 """SVG rendering of board states with move and ending highlights.
 
-Geometry: 48-unit square cells, pointy-top hexagons with a 28-unit
-circumradius laid out as a rhombus, 16-unit canvas padding.  Each cell is
+Geometry: 16-unit padding; site ``s`` is at ``row, col = divmod(s, cols)``,
+row 0 at the bottom.  Square cells are 48 units, centred at ``(40 + 48 col,
+40 + 48 (rows - 1 - row))``; hex cells, pointy-top hexagons of circumradius 28
+and width ``w = sqrt(3) 28`` in a rhombus, at ``(16 + w (col + row / 2 + 1 / 2),
+44 + 42 (rows - 1 - row))``.  ``_Layout.centres`` holds them.  Each cell is
 one element with class "cell", each occupied site one group with class
 "glyph"; highlights render as class "arrow" groups and "dot-red" /
 "dot-green" circles, drawn above the glyphs.
@@ -58,23 +61,21 @@ class _Layout:
     def __init__(self, spec: GameSpec):
         board = spec.board
         self.hex = board.shape == "hexDiamond"
-        self.rows, self.cols = board.rows, board.cols
+        rows, cols = board.rows, board.cols
+        # Each site's (row, col); row 0 is the bottom row, drawn lowest.
+        grid = [divmod(site, cols) for site in range(board.site_count)]
         if self.hex:
-            self.width = 2 * PAD + _HEX_WIDTH * self.cols + _HEX_WIDTH / 2 * (self.rows - 1)
-            self.height = 2 * PAD + 2 * HEX_RADIUS + _HEX_VSTEP * (self.rows - 1)
+            self.width = 2 * PAD + _HEX_WIDTH * cols + _HEX_WIDTH / 2 * (rows - 1)
+            self.height = 2 * PAD + 2 * HEX_RADIUS + _HEX_VSTEP * (rows - 1)
+            self.centres = [(PAD + _HEX_WIDTH / 2 + _HEX_WIDTH * col + _HEX_WIDTH / 2 * row,
+                             PAD + HEX_RADIUS + _HEX_VSTEP * (rows - 1 - row))
+                            for row, col in grid]
         else:
-            self.width = 2 * PAD + CELL * self.cols
-            self.height = 2 * PAD + CELL * self.rows
-        self.cells = [_cell_element(self, site.row, site.col) for site in board.sites]
-
-    def centre(self, row: int, col: int) -> tuple[float, float]:
-        if self.hex:
-            inv = self.rows - 1 - row
-            x = PAD + _HEX_WIDTH / 2 + _HEX_WIDTH * col + _HEX_WIDTH / 2 * row
-            y = PAD + HEX_RADIUS + _HEX_VSTEP * inv
-            return x, y
-        inv = self.rows - 1 - row
-        return PAD + CELL * col + CELL / 2, PAD + CELL * inv + CELL / 2
+            self.width = 2 * PAD + CELL * cols
+            self.height = 2 * PAD + CELL * rows
+            self.centres = [(PAD + CELL * col + CELL / 2, PAD + CELL * (rows - 1 - row) + CELL / 2)
+                            for row, col in grid]
+        self.cells = [_cell_element(self, site) for site in range(board.site_count)]
 
 
 def _hexagon_points(cx: float, cy: float) -> str:
@@ -86,8 +87,8 @@ def _hexagon_points(cx: float, cy: float) -> str:
     return " ".join(pts)
 
 
-def _cell_element(layout: _Layout, row: int, col: int) -> str:
-    cx, cy = layout.centre(row, col)
+def _cell_element(layout: _Layout, site: int) -> str:
+    cx, cy = layout.centres[site]
     if layout.hex:
         return (f'<polygon class="cell" points="{_hexagon_points(cx, cy)}" '
                 f'fill="#f5e9d0" stroke="#7a6a52"/>')
@@ -129,11 +130,9 @@ def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
     return f'<g class="glyph" data-piece="{escape(name, quote=False)}">{body}</g>'
 
 
-def _arrow(layout: _Layout, spec: GameSpec, from_site: int, to_site: int) -> str:
-    a = spec.board.sites[from_site]
-    b = spec.board.sites[to_site]
-    x1, y1 = layout.centre(a.row, a.col)
-    x2, y2 = layout.centre(b.row, b.col)
+def _arrow(layout: _Layout, from_site: int, to_site: int) -> str:
+    x1, y1 = layout.centres[from_site]
+    x2, y2 = layout.centres[to_site]
     dx, dy = x2 - x1, y2 - y1
     length = math.hypot(dx, dy) or 1.0
     ux, uy = dx / length, dy / length
@@ -147,9 +146,8 @@ def _arrow(layout: _Layout, spec: GameSpec, from_site: int, to_site: int) -> str
             f'{_fmt(bx - px)},{_fmt(by - py)}" fill="{RED}"/></g>')
 
 
-def _dot(layout: _Layout, spec: GameSpec, site: int, colour: str) -> str:
-    s = spec.board.sites[site]
-    cx, cy = layout.centre(s.row, s.col)
+def _dot(layout: _Layout, site: int, colour: str) -> str:
+    cx, cy = layout.centres[site]
     fill = RED if colour == "red" else GREEN
     return (f'<circle class="dot-{colour}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="7" '
             f'fill="{fill}"/>')
@@ -165,17 +163,14 @@ def render_board(spec: GameSpec, state: GameState,
         f'height="{_fmt(layout.height)}" '
         f'viewBox="0 0 {_fmt(layout.width)} {_fmt(layout.height)}">', *layout.cells
     ]
-    for index, content in enumerate(state.contents):
-        if content is None:
-            continue
-        s = spec.board.sites[index]
-        cx, cy = layout.centre(s.row, s.col)
-        parts.append(_glyph(spec, content[0], cx, cy))
+    for content, (cx, cy) in zip(state.contents, layout.centres):
+        if content is not None:
+            parts.append(_glyph(spec, content[0], cx, cy))
     if highlights is not None:
         for from_site, to_site in highlights.arrows:
-            parts.append(_arrow(layout, spec, from_site, to_site))
+            parts.append(_arrow(layout, from_site, to_site))
         for site, colour in highlights.dots:
-            parts.append(_dot(layout, spec, site, colour))
+            parts.append(_dot(layout, site, colour))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -624,3 +625,50 @@ def test_generate_writes_utf8_whatever_the_locale(tmp_path):
         assert trees["0", fmt] == trees["1", fmt], fmt
     assert "王".encode() in trees["1", "html"]["Kings/manual.html"]
     assert "Kings/traces.json" in trees["1", "json"]
+
+
+KOENIGS = ('(game "Königs" (players 2) (equipment {(board (square 3)) (piece "王" P1) '
+           '(piece "Disc" P2)}) (rules (play (move Add (to (sites Empty)))) '
+           '(end (if (is Line 3) (result Mover Win)))))')
+
+
+def _run_in_locale(utf8, *argv):
+    """Run the CLI under the ASCII C locale, in UTF-8 mode when ``utf8`` is "1"."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8,
+           "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "gamescribe.cli", *argv],
+                          capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("command", ["translate", "playout-stats"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, command):
+    game = tmp_path / "koenigs.lud"
+    game.write_text(KOENIGS, encoding="utf-8")
+    ascii_run, utf8_run = (_run_in_locale(utf8, command, "--game", str(game))
+                           for utf8 in ("0", "1"))
+    assert ascii_run.returncode == 0, ascii_run.stderr.decode(errors="replace")
+    assert utf8_run.returncode == 0
+    assert ascii_run.stdout == utf8_run.stdout
+    assert "Königs".encode() in ascii_run.stdout
+
+
+def test_main_prints_to_an_in_memory_stdout(tmp_path, monkeypatch):
+    game = tmp_path / "koenigs.lud"
+    game.write_text(KOENIGS, encoding="utf-8")
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["translate", "--game", str(game)]) == 0
+    assert "王" in out.getvalue()
+
+
+def test_out_dir_the_file_system_encoding_cannot_name_exits_2(tmp_path):
+    game = tmp_path / "koenigs.lud"
+    game.write_text(KOENIGS, encoding="utf-8")
+    out = tmp_path / "out"
+    proc = _run_in_locale("0", "generate", "--game", str(game), "--playouts", "3",
+                          "--out", str(out))
+    err = proc.stderr.decode("ascii")
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert f"cannot name {out}/K\\xf6nigs" in err
+    assert not out.exists()

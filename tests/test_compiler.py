@@ -67,7 +67,7 @@ def test_rectangle_labels_run_to_j(amazons):
     assert board.site_count == 100
     assert board.site_by_label("J4") is not None
     assert board.site_by_label("K1") is None
-    assert board.sites[0].label == "A1"
+    assert board.labels[0] == "A1"
 
 
 def test_hex_diamond_geometry(hexgame):
@@ -97,7 +97,7 @@ def test_amazons_start_placements(amazons):
     assert all(len(p.sites) == 4 for p in amazons.start_placements)
     first = amazons.start_placements[0]
     assert first.piece_name == "Queen1"
-    assert first.labels == ("A4", "D1", "G1", "J4")
+    assert [amazons.board.labels[s] for s in first.sites] == ["A4", "D1", "G1", "J4"]
 
 
 def test_hex_regions(hexgame):

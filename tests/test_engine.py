@@ -90,8 +90,8 @@ def test_step_capture_semantics(breakthrough):
     # a central pawn has three.
     froms = {}
     for m in moves:
-        froms.setdefault(board.sites[m.from_site].label, set()).add(
-            board.sites[m.to_site].label)
+        froms.setdefault(board.labels[m.from_site], set()).add(
+            board.labels[m.to_site])
     assert froms["A2"] == {"A3", "B3"}
     assert froms["D2"] == {"C3", "D3", "E3"}
     assert "A1" not in froms  # blocked by own pawn on A2
@@ -134,8 +134,8 @@ def test_slide_stops_at_occupied(amazons):
     state = initial_state(amazons)
     board = amazons.board
     moves = legal_moves(amazons, state)
-    targets = {board.sites[m.to_site].label for m in moves
-               if board.sites[m.from_site].label == "D1"}
+    targets = {board.labels[m.to_site] for m in moves
+               if board.labels[m.from_site] == "D1"}
     # D1 queen sliding west stops before A1? A1 is empty; G1 holds a queen.
     assert "E1" in targets and "F1" in targets and "G1" not in targets
     assert "A1" in targets and "B1" in targets and "C1" in targets
@@ -348,7 +348,7 @@ def test_slide_walks_only_named_directions():
         '(rules (start (place "Rook1" {"A1"})) (play (forEach Piece)) '
         '(end (if (no Moves Next) (result Mover Win)))))'))
     moves = legal_moves(spec, initial_state(spec))
-    assert {spec.board.sites[m.to_site].label for m in moves} == {"A2", "A3", "B1", "C1"}
+    assert {spec.board.labels[m.to_site] for m in moves} == {"A2", "A3", "B1", "C1"}
 
 
 def test_condition_table_covers_every_condition_class():

@@ -13,9 +13,9 @@ def test_generate_draws_each_cell_once(tmp_path, monkeypatch, hexgame):
     drawn = []
     cell_element = render._cell_element
 
-    def counted(layout, row, col):
-        drawn.append((row, col))
-        return cell_element(layout, row, col)
+    def counted(layout, site):
+        drawn.append(site)
+        return cell_element(layout, site)
 
     monkeypatch.setattr(render, "_cell_element", counted)
     generate(hexgame, seed=0, playouts=20, out_dir=tmp_path, strategy_lines=None,

@@ -1,10 +1,14 @@
+import math
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from gamescribe.compiler import compile_game
 from gamescribe.engine import apply_move, initial_state, legal_moves, random_playout, replay
 from gamescribe.render import (HighlightSpec, render_board, render_ending_pair,
                                render_move_pair)
 from gamescribe.sexpr import parse
+from test_boards import _game
 
 
 def _count(svg: str, needle: str) -> int:
@@ -122,3 +126,27 @@ def test_four_players_have_four_fills():
              for g in root.iter(f"{ns}g") if g.get("class") == "glyph"}
     assert sorted(fills) == ["Disc1", "Disc2", "Disc3", "Disc4"]
     assert len(set(fills.values())) == 4
+
+
+@pytest.mark.parametrize("board, rows, cols", [("(rectangle 5 3)", 3, 5),
+                                               ("(rectangle 3 5)", 5, 3),
+                                               ("(hex Diamond 4)", 4, 4)])
+def test_each_site_is_drawn_at_its_labels_row_and_column(board, rows, cols):
+    """Glyph centres follow the geometry in render.py's docstring, one site at a time."""
+    hexagonal = board.startswith("(hex")
+    width = math.sqrt(3.0) * 28
+    labels = [f"{chr(ord('A') + col)}{row + 1}" for row in range(rows) for col in range(cols)]
+    for label in labels:
+        spec = compile_game(parse(_game(board, f'"{label}"')))
+        assert (spec.board.rows, spec.board.cols) == (rows, cols)
+        svg = _assert_well_formed(render_board(spec, initial_state(spec)))
+        (glyph,) = svg.iter("{http://www.w3.org/2000/svg}g")
+        circle = glyph.find("{http://www.w3.org/2000/svg}circle")
+        row, col = int(label[1:]) - 1, ord(label[0]) - ord("A")  # read from the label
+        inv = rows - 1 - row
+        if hexagonal:
+            want = (16 + width * (col + row / 2 + 1 / 2), 44 + 42 * inv)
+        else:
+            want = (40 + 48 * col, 40 + 48 * inv)
+        got = (float(circle.get("cx")), float(circle.get("cy")))
+        assert got == pytest.approx(want, abs=0.006), label

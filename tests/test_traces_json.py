@@ -54,7 +54,7 @@ def _case(draw):
     trace = st.builds(PlayoutTrace, st.integers(-2**63, 2**63),
                       st.lists(st.sampled_from(pool), max_size=8).map(tuple), outcome)
     traces = draw(st.lists(trace, max_size=4))
-    spec = SimpleNamespace(board=SimpleNamespace(sites=[SimpleNamespace(label=x) for x in labels]))
+    spec = SimpleNamespace(board=SimpleNamespace(labels=labels))
     return traces, spec
 
 

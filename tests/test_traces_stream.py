@@ -24,7 +24,7 @@ _strings = st.sampled_from(_PERCENT)
 
 
 def _board(labels):
-    return SimpleNamespace(board=SimpleNamespace(sites=[SimpleNamespace(label=x) for x in labels]))
+    return SimpleNamespace(board=SimpleNamespace(labels=labels))
 
 
 @st.composite
