@@ -18,6 +18,7 @@ file is, whatever the locale's encoding.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -44,7 +45,10 @@ def playout_count(text: str) -> int:
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use: it depends on no input,
+    and ``parse_args`` keeps nothing of a call in it."""
     parser = argparse.ArgumentParser(
         prog="gamescribe",
         description="Generate illustrated manuals from board-game descriptions.")

@@ -273,7 +273,8 @@ def line_length_fault(board: BoardGraph, length: int) -> str | None:
     # The longest line on every supported board shape runs along a row or column.
     longest = max(board.rows, board.cols)
     if length > longest:
-        return f"can never hold: the board's longest line has {longest} sites"
+        return (f"can never hold: the board's longest line has {longest} "
+                f"site{'' if longest == 1 else 's'}")
     return None
 
 

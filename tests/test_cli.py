@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -231,6 +232,20 @@ def test_heuristics_file_is_read_and_parsed_once(tmp_path, monkeypatch):
             "Try to maximise the number of moves available to you (low importance)"]
 
 
+def test_line_completion_on_a_one_site_board(tmp_path, capsys):
+    game, heur = tmp_path / "dot.lud", tmp_path / "h.lud"
+    game.write_text(_game('(piece "Disc" Each)', "(move Add (to (sites Empty)))",
+                          end="(no Moves Next)").replace("(square 3)", "(square 1)"))
+    heur.write_text("(heuristics {(lineCompletion 2 0.5)})")
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(game), "--playouts", "3", "--out", str(out),
+                 "--heuristics", str(heur)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: heuristics file {heur}: (lineCompletion 2 ...) can never hold: the board's "
+        "longest line has 1 site, in the game 'Bad' (at offset 13)\n")
+    assert not out.exists()
+
+
 def _game(equipment: str, play: str, end: str = "(is Line 3)", start: str = "") -> str:
     return (f'(game "Bad" (players 2) (equipment {{(board (square 3)) {equipment}}}) '
             f'(rules {start} (play {play}) (end (if {end} (result Mover Win)))))')
@@ -318,6 +333,9 @@ UNRUNNABLE = {
         _game('(piece "Disc" Each)', "(move Add (then (moveAgain)))"), "(move Add (then"),
     "line-longer-than-board": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 4)"), "4)"),
+    "line-longer-than-one-site-board": (
+        _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))", end="(is Line 2)")
+        .replace("(square 3)", "(square 1)"), "2) (result"),
     "end-rule-else-branch": (
         _game('(piece "Disc" Each)', "(move Add (to (sites Empty)))")
         .replace("(result Mover Win)", "(result Mover Win) (result Next Win)"),
@@ -388,6 +406,8 @@ def test_unrunnable_rule_exits_3_at_compile_time(tmp_path, capsys, name):
     ("from-outside-the-subset", "ludeme 'from' is outside the supported subset"),
     ("line-length-after-a-role", "(is Line ...) cannot use Mover"),
     ("add-with-directions-only", "(move Add ...) needs (to ...) naming its sites"),
+    ("line-longer-than-one-site-board",
+     "(is Line ...) can never hold: the board's longest line has 1 site"),
 ])
 def test_bare_form_gets_the_compilers_message(tmp_path, capsys, name, message):
     game = tmp_path / "bare.lud"
@@ -527,6 +547,35 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
     differing = sorted(path for path in got.keys() | want.keys()
                        if got.get(path) != want.get(path))
     assert not differing, f"{name}: outputs differ from the recorded digests: {differing}"
+
+
+def test_main_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # One process: two games without similar highlighting, a usage error, then
+    # one game whose files must match the recorded digests.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = tmp_path / "first"
+    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"),
+                 "--game", str(CORPUS / "Hex.lud"), "--playouts", "3", "--no-similar",
+                 "--out", str(first)]) == 0
+    assert (first / "index.html").is_file()
+    after_first = len(built)
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "0",
+              "--out", str(tmp_path / "usage")])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    got = _output_digests("TicTacToe", tmp_path, capsys)
+    assert [p.name for p in (tmp_path / "TicTacToe").iterdir()] == ["Tic-Tac-Toe"]  # no index
+    assert got == OUTPUT_DIGESTS["TicTacToe"]  # similar highlighting is back on
+    assert not (tmp_path / "usage").exists()
+    assert len(built) == after_first <= 4, built  # the root parser and three subparsers
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):
