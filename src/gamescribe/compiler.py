@@ -164,23 +164,27 @@ class AnchorTable:
     """
 
     of_player: tuple[tuple[int, ...], ...]            # indexed by player; 0 has none
-    at_site: dict[tuple[int, int], tuple[int, ...]]   # (player, site) -> anchors holding it
+    at_site: tuple[tuple[tuple[int, ...], ...], ...]  # [player][site] -> anchors holding it
     size: int                                         # board sites + anchors
+    # Indexed by player: the sites of the set of each anchor in of_player, ascending.
+    site_sets: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _anchor_table(regions: list[RegionSpec], player_count: int,
                   site_count: int) -> AnchorTable:
     of_player: list[list[int]] = [[] for _ in range(player_count + 1)]
-    at_site: dict[tuple[int, int], tuple[int, ...]] = {}
+    at_site = [[()] * site_count for _ in range(player_count + 1)]
+    site_sets: list[list[tuple[int, ...]]] = [[] for _ in range(player_count + 1)]
     node = site_count
     for region in regions:
         for site_set in region.site_sets:
             of_player[region.owner].append(node)
+            site_sets[region.owner].append(tuple(sorted(site_set.sites)))
             for site in site_set.sites:
-                key = (region.owner, site)
-                at_site[key] = at_site.get(key, ()) + (node,)
+                at_site[region.owner][site] += (node,)
             node += 1
-    return AnchorTable(tuple(map(tuple, of_player)), at_site, node)
+    return AnchorTable(tuple(map(tuple, of_player)), tuple(map(tuple, at_site)), node,
+                       tuple(map(tuple, site_sets)))
 
 
 @dataclass
@@ -227,9 +231,6 @@ class GameSpec:
         self.step_pieces = tuple(
             tuple((p.name, p.rule, p.rays) for p in own)
             if all(p.rule.kind == "Step" for p in own) else None for own in ruled)
-
-    def regions_of(self, owner: int) -> list[RegionSpec]:
-        return [r for r in self.regions if r.owner == owner]
 
     def move_ludeme_ids(self) -> list[int]:
         """Ids of every (move ...) call in the description (each one decoded), ascending."""

@@ -19,7 +19,8 @@ fixed at compile time): one mask and one shift (``board.shifts``) of a
 piece name's occupancy integer per ray index give every site of the piece
 with a move that way.  ``(is Line n)`` reads its runs from the rays.
 ``(is Connected ...)`` asks an incremental union-find first and searches
-for the winning path only once that reports a connection.
+for the winning path only once that reports a connection.  Its finds use
+path halving, written inline in ``_join`` and ``_uf_connected``.
 
 ``_advance`` is the one transition: it plays a move on a state in place and
 keeps the empty sites, owned sites, occupancy bits and union-find it finds
@@ -40,10 +41,12 @@ fixes everything but the site, so ``random_playout`` plays it in a loop of
 its own, after the add-to-empty playouts of Soemers, Piette, Stephenson and
 Browne (ACG 2021): a ply draws an index into the empty-site list, places
 the mover's first piece on that site and deletes the index.  It resolves
-the next state as ``_resolve`` would (``_rule_groups``) and still calls
-``check_end`` through the module global.  Playouts of every other play rule
-go through ``_pick`` and ``_advance``; for every rule, ``legal_moves`` calls
-``_pick``, and ``apply_move`` and ``replay`` call ``_advance``.
+the next state to the one site group ``_resolve`` would cache, built once
+over the live empty-site list, and still calls ``check_end`` through the
+module global, whose no-moves fallback reads the cached count.  Playouts
+of every other play rule go through ``_pick`` and ``_advance``; for every
+rule, ``legal_moves`` calls ``_pick``, and ``apply_move`` and ``replay``
+call ``_advance``.
 """
 
 from __future__ import annotations
@@ -269,14 +272,11 @@ def _resolve(spec: GameSpec, state: GameState) -> int:
                         groups.append((piece_rule, name, site, sites))
                         total += len(sites)
         elif rule is not None:
-            groups, total = _rule_groups(rule, _rule_targets(spec, state, rule))
+            sites = _rule_targets(spec, state, rule)
+            if sites:
+                groups, total = [(rule, None, None, sites)], len(sites)
         state._groups, state._total = groups, total
     return state._total
-
-
-def _rule_groups(rule: MoveRule, sites: list[int] | tuple[int, ...]) -> tuple[list, int]:
-    """The resolved form of a (move ...) play rule with targets ``sites`` (see _resolve)."""
-    return ([(rule, None, None, sites)], len(sites)) if sites else ([], 0)
 
 
 def _step_origins(spec: GameSpec, state: GameState) -> tuple[tuple, int]:
@@ -361,7 +361,7 @@ def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
     if kinds[0] == "Add":
         placed = spec.content_of[move.piece]
         if taken is None and state._uf is not None:
-            _join(spec, state._uf, contents, site, placed[1])
+            _join(state._uf, contents, site, placed[1], spec.board.adjacent, spec.anchors.at_site)
         else:
             state._uf = None
     else:  # a Move; a capture's Remove is the overwrite of to_site
@@ -478,34 +478,45 @@ def _eval_line(spec: GameSpec, state: GameState, cond: IsLine,
 
 
 def _find(parent: list[int], x: int) -> int:
+    """The root of ``x``, halving the path to it (_join and _uf_connected inline these steps)."""
     while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
+        # Targets are assigned left to right: x's parent becomes its grandparent, then x does.
+        parent[x] = x = parent[parent[x]]
     return x
 
 
-def _join(spec: GameSpec, parent: list[int], contents: list, site: int, owner: int) -> None:
+def _join(parent: list[int], contents: list, site: int, owner: int,
+          adjacent: list, at_site: tuple) -> None:
     """Join ``owner``'s piece on ``site`` to the owner's adjacent pieces and anchors.
 
-    The root of ``site`` is found once, and the root of each adjacent piece
-    of the owner, and of each anchor holding the site, is linked under it.
+    ``adjacent`` and ``at_site`` are the board's and the anchor table's.  The
+    root of ``site`` is found once, and the root of each adjacent piece of the
+    owner, and of each anchor holding the site, is linked under it; each root
+    is found as _find finds it, inline (a piece just placed is its own root).
     """
-    root = _find(parent, site)
-    for n in spec.board.adjacent[site]:
+    root = site
+    while parent[root] != root:
+        parent[root] = root = parent[parent[root]]
+    for n in adjacent[site]:
         c = contents[n]
         if c is not None and c[1] == owner:
-            parent[_find(parent, n)] = root
-    for anchor in spec.anchors.at_site.get((owner, site), ()):
-        parent[_find(parent, anchor)] = root
+            while parent[n] != n:
+                parent[n] = n = parent[parent[n]]
+            parent[n] = root
+    for n in at_site[owner][site]:
+        while parent[n] != n:
+            parent[n] = n = parent[parent[n]]
+        parent[n] = root
 
 
 def _union_find(spec: GameSpec, state: GameState) -> list[int]:
     """Union-find parents over the sites and the anchors of ``spec.anchors``."""
     if state._uf is None:
         parent = list(range(spec.anchors.size))
-        for site, c in enumerate(state.contents):
+        contents, adjacent, at_site = state.contents, spec.board.adjacent, spec.anchors.at_site
+        for site, c in enumerate(contents):
             if c is not None:
-                _join(spec, parent, state.contents, site, c[1])
+                _join(parent, contents, site, c[1], adjacent, at_site)
         state._uf = parent
     return state._uf
 
@@ -523,9 +534,13 @@ def _uf_connected(spec: GameSpec, state: GameState, player: int) -> bool:
     parent = state._uf
     if parent is None:
         parent = _union_find(spec, state)
-    root = _find(parent, anchors[0])
-    for anchor in anchors[1:]:
-        if _find(parent, anchor) != root:
+    root = None
+    for x in anchors:  # each anchor's root, found as _find finds it
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        if root is None:
+            root = x
+        elif x != root:
             return False
     return True
 
@@ -534,28 +549,29 @@ def _eval_connected(spec: GameSpec, state: GameState, cond: IsConnected,
                     mover: int) -> tuple[bool, tuple[int, ...] | None]:
     if not _uf_connected(spec, state, mover):
         return False, None
-    site_sets = [set(ss.sites) for r in spec.regions_of(mover) for ss in r.site_sets]
-    occupied = {i for i, c in enumerate(state.contents)
-                if c is not None and c[1] == mover}
-    seeds = sorted(site_sets[0] & occupied)
+    contents, adjacent = state.contents, spec.board.adjacent
+    first, *others = spec.anchors.site_sets[mover]
     # BFS over the mover's pieces from the first region set.
-    parent: dict[int, int | None] = {s: None for s in seeds}
-    frontier = list(seeds)
+    parent: dict[int, int | None] = {}
+    for s in first:
+        c = contents[s]
+        if c is not None and c[1] == mover:
+            parent[s] = None
+    frontier = list(parent)
     while frontier:
         nxt = []
         for site in frontier:
-            for n in spec.board.adjacent[site]:
-                if n in occupied and n not in parent:
+            for n in adjacent[site]:
+                c = contents[n]
+                if c is not None and c[1] == mover and n not in parent:
                     parent[n] = site
                     nxt.append(n)
         frontier = nxt
-    reached = set(parent)
-    if not all(reached & s for s in site_sets[1:]):
+    if not all(any(s in parent for s in sites) for sites in others):
         return False, None
     # Winning sites: a shortest connecting path into the second region set.
-    goal = min(reached & site_sets[1])
+    cur: int | None = next(s for s in others[0] if s in parent)
     path = []
-    cur: int | None = goal
     while cur is not None:
         path.append(cur)
         cur = parent[cur]
@@ -587,7 +603,7 @@ def check_end(spec: GameSpec, state: GameState, move: Move) -> EndMatch | None:
         else:
             players = (subject,)
         return EndMatch(rule.end_id, players, rule.outcome, sites)
-    if not _resolve(spec, state):
+    if not (state._total if state._groups is not None else _resolve(spec, state)):
         return EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
     return None
 
@@ -636,10 +652,13 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     once: a ply draws an index into the empty sites, builds the mover's
     first piece's Add there, places it and deletes the site at that index.
     The union-find stays in step where built, as _advance keeps it.  Each
-    next state is resolved in the form _resolve caches before the end check,
-    so check_end reads no stale count.
+    next state is resolved before the end check, so check_end reads no stale
+    count: to the one group _resolve caches, built once over the live empty
+    sites, or to no group once the board is full.
     """
     contents, empty = state.contents, state._empty
+    adjacent, at_site = spec.board.adjacent, spec.anchors.at_site
+    group = [(rule, None, None, empty)]
     content_of, first_piece, players = spec.content_of, spec.first_piece, spec.player_count
     rule_id, kinds, again = rule.id, rule.action_types[0], rule.again
     while state.terminal is None:
@@ -652,14 +671,17 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
         placed = content_of[piece]
         move = tuple.__new__(Move, (mover, piece, rule_id, kinds, site, site))
         if state._uf is not None:
-            _join(spec, state._uf, contents, site, placed[1])
+            _join(state._uf, contents, site, placed[1], adjacent, at_site)
         contents[site] = placed
         del empty[k]
         if not again:
             state.mover = mover % players + 1
         state.move_count += 1
         state.last_move = move
-        state._groups, state._total = _rule_groups(rule, empty)
+        if empty:
+            state._groups, state._total = group, len(empty)
+        else:
+            state._groups, state._total = [], 0
         state.terminal = check_end(spec, state, move)
         moves.append(move)
 

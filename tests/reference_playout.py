@@ -186,7 +186,7 @@ def _eval(spec: GameSpec, state: State, cond, mover: int):
             last = state.last_move
             if last is None or last.to_site is None:
                 return False, None
-            targets = {s for r in spec.regions_of(mover) for ss in r.site_sets
+            targets = {s for r in spec.regions if r.owner == mover for ss in r.site_sets
                        for s in ss.sites}
             return last.to_site in targets, None
         raise ValueError(f"unsupported condition (is {mode} ...)")
@@ -234,7 +234,7 @@ def _eval_line(spec: GameSpec, state: State, length: int):
 
 def eval_connected(spec: GameSpec, contents: list, mover: int):
     """BFS answer to ``(is Connected ...)`` for ``mover``: (connected, winning sites)."""
-    site_sets = [set(ss.sites) for r in spec.regions_of(mover) for ss in r.site_sets]
+    site_sets = [set(ss.sites) for r in spec.regions if r.owner == mover for ss in r.site_sets]
     if len(site_sets) < 2:
         return False, None
     occupied = {i for i, c in enumerate(contents) if c is not None and c[1] == mover}

@@ -102,7 +102,7 @@ def test_amazons_start_placements(amazons):
 
 def test_hex_regions(hexgame):
     assert len(hexgame.regions) == 2
-    p1 = hexgame.regions_of(1)[0]
+    p1 = next(r for r in hexgame.regions if r.owner == 1)
     kinds = {ss.kind for ss in p1.site_sets}
     assert kinds == {("Side", "NE"), ("Side", "SW")}
     assert all(len(ss.sites) == 11 for ss in p1.site_sets)

@@ -111,6 +111,25 @@ SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNO
                "Trio": TRIO, "Comb": COMB, "Again": AGAIN, "Fill": FILL}
 
 
+def _hex(name: str, size: int, p1_sides: str = "NE SW", then: str = "") -> str:
+    sides = " ".join(f"(sites Side {side})" for side in p1_sides.split())
+    return (f'(game "{name}" (players 2) (equipment {{(board (hex Diamond {size})) '
+            f'(piece "Marker" Each) (regions P1 {{{sides}}}) '
+            '(regions P2 {(sites Side NW) (sites Side SE)})}) '
+            f'(rules (play (move Add (to (sites Empty)){then})) '
+            '(end (if (is Connected Mover) (result Mover Win)))))')
+
+
+# Hex on small boards.  On a 1x1 board the one site lies on every side, so it
+# holds every anchor.  Hex3 gives P1 three region site sets: two groups can
+# join all three anchors without one group touching every set, so the
+# union-find's answer is checked by the search, and a full board is a draw.
+# HexAgain's P1 places every stone.
+SMALL_HEX = {**{f"Hex{size}x{size}": _hex(f"Hex{size}x{size}", size) for size in range(1, 7)},
+             "Hex3": _hex("Hex3", 5, "NE SW NW"),
+             "HexAgain": _hex("HexAgain", 5, then=" (then (moveAgain))")}
+
+
 def _echo(pieces: str, start: str) -> str:
     return ('(game "Echo" (players 2) (equipment {(board (square 4)) ' + pieces +
             ' (regions P1 (sites Side N)) (regions P2 (sites Side S))}) '
@@ -132,12 +151,12 @@ REPEATED = {
 
 
 def _spec(name):
-    source = {**SMALL_GAMES, **REPEATED}.get(name)
+    source = {**SMALL_GAMES, **SMALL_HEX, **REPEATED}.get(name)
     return load_spec(name) if source is None else compile_game(parse(source))
 
 
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
-                                  *REPEATED])
+                                  *SMALL_HEX, *REPEATED])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
@@ -213,6 +232,10 @@ KEPT = {"Amazons": {"owned"}, "Breakthrough": {"occupancy"}, "Hex": {"empty", "u
         "TicTacToe": {"empty"}, "Crown": {"uf"}, "Hybrid": {"empty", "occupancy", "uf"},
         "Blocked": {"owned"}, "Knot": {"empty", "uf"}, "Drop": {"empty", "owned"},
         "Trio": {"owned"}, "Comb": {"occupancy"}, "Again": {"empty", "uf"}, "Fill": {"empty"}}
+# Hex1x1 ends on its first ply, before a union-find is carried into one.  Hex3
+# is left out: with three site sets the union-find may report a connection
+# that the search denies.
+KEPT.update({name: {"empty", "uf"} for name in SMALL_HEX if name != "Hex3"}, Hex1x1={"empty"})
 
 
 def _owned_scan(spec, contents):
@@ -258,6 +281,66 @@ def test_in_place_playout_keeps_caches_in_step(name, monkeypatch):
     for seed in range(20):
         random_playout(spec, seed)
     assert kept == KEPT[name]
+
+
+def _classes(parent):
+    """Each node's class, named by its smallest node, read from a copy of ``parent``."""
+    parent, first = parent.copy(), {}
+    return [first.setdefault(engine._find(parent, x), x) for x in range(len(parent))]
+
+
+def _linked_classes(spec, contents):
+    """Each node's class, named by its smallest node, found by search over the links.
+
+    A piece links to each adjacent piece of its owner, and an anchor to each
+    piece of its player in its site set; anchors are numbered after the
+    sites, one per region site set in order.
+    """
+    links = [[] for _ in range(spec.anchors.size)]
+    for site, c in enumerate(contents):
+        if c is not None:
+            links[site] += [n for n in spec.board.adjacent[site]
+                            if contents[n] is not None and contents[n][1] == c[1]]
+    anchor = len(contents)
+    for region in spec.regions:
+        for site_set in region.site_sets:
+            for site in site_set.sites:
+                if contents[site] is not None and contents[site][1] == region.owner:
+                    links[anchor].append(site)
+                    links[site].append(anchor)
+            anchor += 1
+    classes = [None] * len(links)
+    for x in range(len(links)):
+        if classes[x] is None:
+            classes[x], stack = x, [x]
+            while stack:
+                for n in links[stack.pop()]:
+                    if classes[n] is None:
+                        classes[n] = x
+                        stack.append(n)
+    return classes
+
+
+@pytest.mark.parametrize("name", [*(name for name, kept in KEPT.items() if "uf" in kept), "Hex3"])
+def test_in_place_union_find_partitions_as_a_fresh_one(name, monkeypatch):
+    """At every ply, the union-find a playout keeps joins the sites and anchors as one built
+    fresh does, and as a search over the pieces' and anchors' links does."""
+    spec = _spec(name)
+    checked = []
+    check_end = engine.check_end
+
+    def spy(spec, state, move):
+        if state._uf is not None:
+            fresh = engine.GameState(list(state.contents), state.mover, state.move_count)
+            assert _classes(state._uf) == _classes(engine._union_find(spec, fresh)) == \
+                _linked_classes(spec, state.contents), f"{name} ply {state.move_count}"
+            checked.append(state.move_count)
+        return check_end(spec, state, move)
+
+    monkeypatch.setattr(engine, "check_end", spy)
+    for seed in range(20):
+        random_playout(spec, seed)
+    assert checked
 
 
 @pytest.mark.parametrize("name", ["Hex", "Breakthrough", "Amazons", "Crown", "Hybrid", "Comb"])
