@@ -217,6 +217,11 @@ class GameSpec:
     # bits, of a player with None site by site (see engine._resolve).
     friend_names: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     step_pieces: tuple[tuple | None, ...] = field(init=False, repr=False, compare=False)
+    # The engine's [mover][site] table of Add moves for a play rule that is one
+    # Add to the empty sites, built by its first such playout (see
+    # engine._add_to_empty_plies); None until then.
+    add_moves: tuple[tuple, ...] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         self.pieces_by_name = {p.name: p for p in self.pieces}

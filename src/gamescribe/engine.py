@@ -40,7 +40,10 @@ A play rule that is one Add to the empty sites, as in Hex and Tic-Tac-Toe,
 fixes everything but the site, so ``random_playout`` plays it in a loop of
 its own, after the add-to-empty playouts of Soemers, Piette, Stephenson and
 Browne (ACG 2021): a ply draws an index into the empty-site list, places
-the mover's first piece on that site and deletes the index.  It resolves
+the mover's first piece on that site and deletes the index.  It builds no
+move: it plays the one from the spec's table of the rule's Add moves,
+indexed [mover][site] and built by the spec's first such playout
+(``spec.add_moves``), so the traces of a game share those moves.  It resolves
 the next state to the one site group ``_resolve`` would cache, built once
 over the live empty-site list, and still calls ``check_end`` through the
 module global, whose no-moves fallback reads the cached count.  Playouts
@@ -567,15 +570,18 @@ def _eval_connected(spec: GameSpec, state: GameState, cond: IsConnected,
                     parent[n] = site
                     nxt.append(n)
         frontier = nxt
-    if not all(any(s in parent for s in sites) for sites in others):
-        return False, None
-    # Winning sites: a shortest connecting path into the second region set.
-    cur: int | None = next(s for s in others[0] if s in parent)
-    path = []
-    while cur is not None:
-        path.append(cur)
-        cur = parent[cur]
-    return True, tuple(sorted(path))
+    # Winning sites: the union of a shortest path from the first region set
+    # into each other set, each ending on that set's lowest reached site.
+    winning: set[int] = set()
+    for sites in others:
+        cur = next((s for s in sites if s in parent), None)
+        if cur is None:
+            return False, None
+        # A site already in ``winning`` brought its whole path to the first set.
+        while cur is not None and cur not in winning:
+            winning.add(cur)
+            cur = parent[cur]
+    return True, tuple(sorted(winning))
 
 
 # Each condition type of compiler.Condition, and how to evaluate it: called
@@ -649,27 +655,27 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     """Play ``state``, already resolved, to its end under ``rule``, an Add to the empty sites.
 
     The plies the generic loop would play, with what the rule fixes decided
-    once: a ply draws an index into the empty sites, builds the mover's
-    first piece's Add there, places it and deletes the site at that index.
-    The union-find stays in step where built, as _advance keeps it.  Each
-    next state is resolved before the end check, so check_end reads no stale
-    count: to the one group _resolve caches, built once over the live empty
-    sites, or to no group once the board is full.
+    once: a ply draws an index into the empty sites, reads the mover's Add
+    onto that site from the spec's table (see _add_moves), places the piece
+    and deletes the site at that index.  The union-find stays in step where
+    built, as _advance keeps it.  Each next state is resolved before the end
+    check, so check_end reads no stale count: to the one group _resolve
+    caches, built once over the live empty sites, or to no group once the
+    board is full.
     """
     contents, empty = state.contents, state._empty
     adjacent, at_site = spec.board.adjacent, spec.anchors.at_site
     group = [(rule, None, None, empty)]
-    content_of, first_piece, players = spec.content_of, spec.first_piece, spec.player_count
-    rule_id, kinds, again = rule.id, rule.action_types[0], rule.again
+    table = spec.add_moves or _add_moves(spec, rule)
+    content_of, players, again = spec.content_of, spec.player_count, rule.again
     while state.terminal is None:
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
         k = draw(len(empty))
         site = empty[k]
         mover = state.mover
-        piece = first_piece[mover]
-        placed = content_of[piece]
-        move = tuple.__new__(Move, (mover, piece, rule_id, kinds, site, site))
+        move = table[mover][site]
+        placed = content_of[move.piece]
         if state._uf is not None:
             _join(state._uf, contents, site, placed[1], adjacent, at_site)
         contents[site] = placed
@@ -684,6 +690,20 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
             state._groups, state._total = [], 0
         state.terminal = check_end(spec, state, move)
         moves.append(move)
+
+
+def _add_moves(spec: GameSpec, rule: MoveRule) -> tuple[tuple[Move, ...], ...]:
+    """Build and keep on ``spec`` its table of ``rule``'s Add moves, indexed [mover][site].
+
+    Each entry is the move _move builds for that mover and target site; the
+    row of player 0, who never moves, is empty.  Every add-to-empty playout
+    of the spec plays these objects, so its traces share them.
+    """
+    kinds, sites = rule.action_types[0], range(spec.board.site_count)
+    spec.add_moves = ((),) + tuple(
+        tuple(Move(mover, spec.first_piece[mover], rule.id, kinds, site, site) for site in sites)
+        for mover in range(1, spec.player_count + 1))
+    return spec.add_moves
 
 
 def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> GameState:

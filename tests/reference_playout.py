@@ -254,12 +254,13 @@ def eval_connected(spec: GameSpec, contents: list, mover: int):
     reached = set(parent)
     if not all(reached & s for s in site_sets[1:]):
         return False, None
-    goal = min(reached & site_sets[1])
-    path = []
-    cur: int | None = goal
-    while cur is not None:
-        path.append(cur)
-        cur = parent[cur]
+    # The union of the paths from the first set to each other set's lowest reached site.
+    path: set[int] = set()
+    for site_set in site_sets[1:]:
+        cur: int | None = min(reached & site_set)
+        while cur is not None:
+            path.add(cur)
+            cur = parent[cur]
     return True, tuple(sorted(path))
 
 

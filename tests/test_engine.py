@@ -3,6 +3,7 @@ import inspect
 import json
 import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,22 @@ def test_move_is_a_plain_tuple_value(name):
     assert copy.moves == trace.moves
     assert all(type(m) is Move for m in copy.moves)
     assert copy.outcome == trace.outcome
+
+
+def test_hex_playouts_hold_few_bytes_per_ply():
+    """Traces share the spec's Add moves, so a Hex ply costs about its tuple slot.
+
+    A Move built per ply would cost over 100 bytes each.
+    """
+    spec = load_spec("Hex")
+    tracemalloc.start()
+    try:
+        traces = [random_playout(spec, seed) for seed in range(300)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plies = sum(len(t.moves) for t in traces)
+    assert peak < 24 * plies, f"peak {peak:,} bytes over {plies:,} plies"
 
 
 @pytest.mark.parametrize("name", ["Hex", "Amazons"])

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import load_spec
 from gamescribe import engine
 from gamescribe.cli import main
 from gamescribe.compiler import MoveRule, compile_game
-from gamescribe.engine import (EndMatch, apply_move, initial_state, random_playout, replay,
+from gamescribe.engine import (EndMatch, Move, apply_move, initial_state, random_playout, replay,
                                trace_to_dict)
 from gamescribe.sexpr import parse
 
@@ -540,3 +541,67 @@ def test_add_to_empty_start_that_fills_the_board(tmp_path, capsys):
     assert main(["generate", "--game", str(game), "--playouts", "3", "--out", str(out)]) == 3
     assert "error: no legal opening move" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_three_set_wins_touch_every_region_set():
+    """A win's winning sites reach each of the winner's region site sets, three in Hex3."""
+    spec = _spec("Hex3")
+    wins = 0
+    for seed in range(200):
+        outcome = random_playout(spec, seed).outcome
+        if outcome.outcome != "Win":
+            continue
+        winner, = outcome.players
+        winning = set(outcome.winning_sites)
+        wins += winner == 1
+        for sites in spec.anchors.site_sets[winner]:
+            assert winning & set(sites), f"seed {seed}: P{winner} misses {sorted(sites)}"
+    assert wins  # P1, with three sets, wins some of them
+
+
+# The add-to-empty games whose traces draw from the spec's table of Add moves.
+TABLED = ["Hex", "Hex3", "HexAgain", "Fill", "TicTacToe"]
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_add_move_table_holds_what_move_builds(name):
+    spec = _spec(name)
+    random_playout(spec, 0)
+    table, state = spec.add_moves, initial_state(spec)
+    assert table[0] == () and len(table) == spec.player_count + 1
+    for mover in range(1, spec.player_count + 1):
+        state.mover = mover
+        want = [engine._move(spec, state, spec.play, None, None, site)
+                for site in range(spec.board.site_count)]
+        assert list(table[mover]) == want
+        assert all(type(move) is Move for move in table[mover])
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_add_to_empty_traces_share_the_table_moves(name):
+    spec = _spec(name)
+    assert spec.add_moves is None
+    traces = [random_playout(spec, seed) for seed in range(20)]
+    table = spec.add_moves
+    assert all(move is table[move.mover][move.to_site] for t in traces for move in t.moves)
+
+
+def test_compiling_leaves_the_add_move_table_unbuilt():
+    spec = compile_game(parse(_hex("Hex19", 19)))
+    assert spec.add_moves is None
+    engine.legal_moves(spec, initial_state(spec))  # the generic path builds no table either
+    assert spec.add_moves is None
+
+
+@pytest.mark.parametrize("name", ["Hex", "Fill"])
+def test_pickled_spec_plays_the_same_with_or_without_its_table(name):
+    spec = _spec(name)
+    unbuilt = pickle.loads(pickle.dumps(spec))
+    want = [random_playout(spec, seed) for seed in range(5)]
+    built = pickle.loads(pickle.dumps(spec))
+    assert unbuilt.add_moves is None and built.add_moves == spec.add_moves
+    for clone in (unbuilt, built):
+        traces = [random_playout(clone, seed) for seed in range(5)]
+        assert traces == want
+        assert all(move is clone.add_moves[move.mover][move.to_site]
+                   for t in traces for move in t.moves)
