@@ -24,8 +24,8 @@ from typing import Union
 
 from . import boards
 from .boards import BoardGraph
-from .registry import (ArityMismatch, BadArgumentKind, CompileError, UnsupportedShape,
-                       default_registry, describe)
+from .registry import (ArityMismatch, BadArgumentKind, CompileError, default_registry,
+                       describe)
 from .sexpr import Call, Collection, Number, RawNode, Symbol, print_canonical
 
 
@@ -297,9 +297,7 @@ def build_board(board_node: Call) -> BoardGraph:
     if name == "rectangle":
         w, h = shape.args[0].value, shape.args[1].value
         return boards.build_square(h, w, shape="rectangle")
-    if name == "hex":
-        return boards.build_hex_diamond(shape.args[1].value)
-    raise UnsupportedShape(f"unsupported board shape '{name}'", shape.span)
+    return boards.build_hex_diamond(shape.args[1].value)  # the registry admits no other shape
 
 
 class _Compiler:

@@ -3,9 +3,12 @@
 Generates legal moves from the compiled play rules, applies them, evaluates
 the compiled end rules and conditions, and runs seeded random playouts.  A
 ``Move`` is a ``NamedTuple``: it compares and hashes as the plain tuple of
-its six fields.  A condition is evaluated by the function that
-``_CONDITIONS`` holds for its type, one entry per condition class of the
-compiler, each taking ``(spec, state, cond, mover)``.
+its six fields.  Every move names its piece and both its sites: an Add's
+from and to are the site it places on, and a Shoot's from is where the last
+move landed, so a Shoot is legal only after a first move.  A condition is
+evaluated by the function that ``_CONDITIONS`` holds for its type, one entry
+per condition class of the compiler, each taking ``(spec, state, cond,
+mover)``.
 
 Each state resolves its play rule once, in one of two forms, and ``_pick``
 alone reads either: the ``k``-th move in the order sites ascending, then
@@ -105,13 +108,15 @@ class XorShift64Star:
 
 class Move(NamedTuple):  # equal to, and hashed as, the plain tuple of its fields
     mover: int
-    piece: str | None
+    piece: str  # the piece placed or moved: an Add's is the mover's first piece
     origin_id: int  # ludeme id of the (move ...) node that generated it
     # ("Add",), ("Move",) or a capture's ("Remove", "Move"), followed by
     # "SetMoverAgain" when the rule moves again.
     action_types: tuple[str, ...]
-    from_site: int | None
-    to_site: int | None
+    # Where the move starts and lands: both are an Add's site, and a Shoot
+    # starts where the last move landed.
+    from_site: int
+    to_site: int
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ def _rule_targets(spec: GameSpec, state: GameState,
         empty = state._empty
         return empty if empty is not None else _empty_sites(state)
     last = state.last_move  # a Shoot starts where the last move landed, along every ray
-    if last is None or last.to_site is None:
+    if last is None:
         return []
     board = spec.board
     return _ray_walk(state.contents, board.rays[last.to_site], range(len(board.vectors)))
@@ -459,13 +464,10 @@ def eval_condition(spec: GameSpec, state: GameState, cond: Condition, mover: int
 def _eval_line(spec: GameSpec, state: GameState, cond: IsLine,
                mover: int) -> tuple[bool, tuple[int, ...] | None]:
     last = state.last_move
-    if last is None or last.to_site is None:
+    if last is None:
         return False, None
     site = last.to_site
-    content = state.contents[site]
-    if content is None:
-        return False, None
-    owner = content[1]
+    owner = state.contents[site][1]  # the piece the last move put there
     site_rays = spec.board.rays[site]
     for pair in cond.rays:
         run = [site]

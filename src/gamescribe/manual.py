@@ -46,7 +46,7 @@ def _move_groups(moves: list[dict]) -> dict:
     groups: dict = {}
     for i, leaf in enumerate(moves):
         pieces = groups.setdefault(_mover_label(leaf["mover"]), {})
-        origins = pieces.setdefault(leaf["piece"] or "No piece", {})
+        origins = pieces.setdefault(leaf["piece"], {})
         origins.setdefault(leaf["origin_ludeme"], []).append(i)
     for pieces in groups.values():
         for piece, origins in pieces.items():

@@ -45,10 +45,6 @@ class BadArgumentKind(CompileError):
     pass
 
 
-class UnsupportedShape(CompileError):
-    pass
-
-
 @dataclass(frozen=True)
 class SlotSpec:
     kind: str  # number | string | symbol | ludeme | any

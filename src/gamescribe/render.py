@@ -44,13 +44,10 @@ class HighlightSpec:
 
     def add_move(self, move: Move) -> None:
         # Arrow when the piece's location changes, red dot otherwise.
-        if move.from_site is not None and move.to_site is not None \
-                and move.from_site != move.to_site:
+        if move.from_site != move.to_site:
             self.arrows.append((move.from_site, move.to_site))
         else:
-            site = move.to_site if move.to_site is not None else move.from_site
-            if site is not None:
-                self.dots.append((site, "red"))
+            self.dots.append((move.to_site, "red"))
 
 
 def _fmt(x: float) -> str:
@@ -98,9 +95,9 @@ def _cell_element(layout: _Layout, site: int) -> str:
 
 
 def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
-    piece = spec.pieces_by_name.get(name)
-    base = piece.base if piece else name
-    owner = piece.owner if piece else 0
+    piece = spec.pieces_by_name[name]
+    base = piece.base
+    owner = piece.owner
     fill = _OWNER_FILL.get(owner, "#888888")
     stroke = _OWNER_STROKE.get(owner, "#1a1a1a")
     r = 16

@@ -21,13 +21,13 @@ from .english import draw_fallback_sentence, translate_node
 
 class MoveSignature(NamedTuple):  # equal to, and hashed as, the plain tuple of its fields
     mover: int | None       # None when players share piece rules
-    piece: str | None       # None for piece-less moves (Pass/Swap class)
+    piece: str
     origin_id: int
     action_types: tuple[str, ...]
 
     def sort_key(self):
         return (self.mover if self.mover is not None else -1,
-                self.piece or "", self.origin_id, self.action_types)
+                self.piece, self.origin_id, self.action_types)
 
 
 @dataclass(frozen=True)

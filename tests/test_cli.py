@@ -142,6 +142,22 @@ def test_playout_stats_reports_counts():
     assert "move-rule coverage: complete" in proc.stdout
 
 
+def test_playout_stats_names_unexercised_move_ludemes(tmp_path, capsys):
+    # P1's Ghost is never placed, so its Step (ludeme 22) is never played.
+    game = tmp_path / "ghosts.lud"
+    game.write_text('(game "Ghosts" (players 2) (equipment {(board (square 3)) '
+                    '(piece "Disc" Each) (piece "Ghost" P1 (move Step))}) '
+                    '(rules (play (move Add (to (sites Empty)))) '
+                    '(end (if (is Line 3) (result Mover Win)))))')
+    assert main(["playout-stats", "--game", str(game), "--playouts", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "Ghosts: 5 playouts, seeds 0..4\n"
+        "  Win P1: 4\n"
+        "  Win P2: 1\n"
+        "  distinct move signatures: 2\n"
+        "  move-rule coverage: INCOMPLETE (unexercised ludemes: 22); consider more playouts\n")
+
+
 def test_main_callable_in_process(capsys):
     rc = main(["translate", "--game", str(CORPUS / "Hex.lud")])
     assert rc == 0
@@ -178,6 +194,7 @@ BAD_HEURISTICS = {
     "line-of-one": ("(heuristics {(mobility 0.3) (lineCompletion 1 0.5)})", "(lineCompletion"),
     "line-longer-than-board": ("(heuristics {(lineCompletion 4 0.5)})", "(lineCompletion"),
     "unknown-piece-zero-weight": ('(heuristics {(material "Nope" 0)})', "(material"),
+    "weight-not-a-number": ("(heuristics {(mobility abc)})", "(mobility"),
 }
 
 

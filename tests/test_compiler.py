@@ -169,7 +169,8 @@ ORDER_BASE = ('(game "T" (players 2) (equipment {(board (square 3)) (piece "Disc
 
 # (replacements, error type, message, offset): the first fault in source order
 # is reported, and a call with an unknown or unsupported head is reported as
-# such wherever it sits, inside a {...} argument too.
+# such wherever it sits, inside a {...} argument too.  A lone fault is
+# reported at its own offset, for each check of the compiler and registry.
 @pytest.mark.parametrize("edits,error,message,offset", [
     ({"(move Add": "(mov Add", "(is Line": "(is Lin"}, UnknownLudeme,
      "unknown ludeme 'mov'", 89),
@@ -182,6 +183,19 @@ ORDER_BASE = ('(game "T" (players 2) (equipment {(board (square 3)) (piece "Disc
      "ludeme 'set' is outside the supported subset", 145),
     ({"(board": "(bord", '"Disc" Each': '"Disc" Eac'}, UnknownLudeme,
      "unknown ludeme 'bord'", 35),
+    ({"(players 2)": "(players 0)"}, BadArgumentKind, "player count must be at least 1", 10),
+    ({"(board (square 3)) ": ""}, CompileError, "equipment has no board", 22),
+    ({'"Disc" Each)': '"Disc" Each) (regions P3 (sites Side N))'}, BadArgumentKind,
+     "region owner P3 exceeds player count", 82),
+    ({'"Disc" Each)': '"Disc" Each) (regions P1 (sites Side NE))'}, BadArgumentKind,
+     "board has no 'NE' side", 85),
+    ({"(rules (play": '(rules (start (place "Ring" {"A1"})) (play'}, BadArgumentKind,
+     "placement of undeclared piece 'Ring'", 96),
+    ({"(result Mover Win)": "(move Add (to (sites Empty)))"}, BadArgumentKind,
+     "end rule branch must be a (result ...) ludeme", 140),
+    ({"(players 2)": "(players 2 (zorp))"}, UnknownLudeme, "unknown ludeme 'zorp'", 22),
+    ({"(players 2)": "(players 2 (square 3))"}, ArityMismatch,
+     "'players' has 1 extra argument(s)", 21),
 ])
 def test_the_first_fault_in_source_order_is_reported(edits, error, message, offset):
     source = ORDER_BASE
@@ -190,6 +204,22 @@ def test_the_first_fault_in_source_order_is_reported(edits, error, message, offs
     with pytest.raises(CompileError) as exc:
         compile_game(parse(source))
     assert (type(exc.value), exc.value.message, exc.value.span[0]) == (error, message, offset)
+
+
+def test_top_level_form_must_be_a_game():
+    with pytest.raises(CompileError) as exc:
+        compile_game(parse("(players 2)"))
+    assert (type(exc.value), exc.value.message, exc.value.span[0]) == \
+        (CompileError, "top-level form must be (game ...)", 0)
+
+
+def test_the_registry_admits_three_board_shapes():
+    # build_board builds each of them; a (board ...) of any other shape fails in the registry.
+    shapes = {d.name for d in default_registry().descriptors.values() if d.category == "shape"}
+    assert shapes == {"square", "rectangle", "hex"}
+    source = ORDER_BASE.replace("(square 3)", "(circle 3)")
+    with pytest.raises(UnknownLudeme):
+        compile_game(parse(source))
 
 
 def test_piece_without_owner_rejected():

@@ -81,6 +81,16 @@ def test_apply_rejects_illegal_moves(tictactoe):
         apply_move(state2, move, tictactoe)  # square already occupied
 
 
+def test_apply_move_on_a_terminal_state_is_illegal(tictactoe):
+    trace = random_playout(tictactoe, 11)
+    last = replay(tictactoe, trace, upto=len(trace.moves) - 1)
+    final = apply_move(last, trace.moves[-1], tictactoe)
+    assert final.terminal == trace.outcome
+    for validate in (True, False):  # checked before, and without, the legal list
+        with pytest.raises(IllegalMove, match="^state is terminal$"):
+            apply_move(final, trace.moves[-1], tictactoe, validate=validate)
+
+
 def test_step_capture_semantics(breakthrough):
     state = initial_state(breakthrough)
     moves = legal_moves(breakthrough, state)

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -108,8 +109,18 @@ FILL = ('(game "Fill" (players 3) (equipment {(board (square 3)) (piece "Disc" E
         '(end {(if (and (is Even (count Moves)) (is Line 3)) (result Next Win)) '
         '(if (no Moves Next) (result Mover Loss))})))')
 
+# End rules that name a player, P2 here, and that draw: a line loses for P2,
+# whoever makes it, and a full board with no line is a draw for both.  The
+# play rule reads (is Line 3) in every state, the first with no last move; a
+# line ends the game, so the Add to the N side is never played.
+VERDICT = ('(game "Verdict" (players 2) (equipment {(board (square 3)) (piece "Disc" Each)}) '
+           '(rules (play (if (is Line 3) (move Add (to (sites Side N))) '
+           '(move Add (to (sites Empty))))) '
+           '(end {(if (is Line 3) (result P2 Loss)) '
+           '(if (no Moves Next) (result Mover Draw))})))')
+
 SMALL_GAMES = {"Crown": CROWN, "Hybrid": HYBRID, "Blocked": BLOCKED, "Knot": KNOT, "Drop": DROP,
-               "Trio": TRIO, "Comb": COMB, "Again": AGAIN, "Fill": FILL}
+               "Trio": TRIO, "Comb": COMB, "Again": AGAIN, "Fill": FILL, "Verdict": VERDICT}
 
 
 def _hex(name: str, size: int, p1_sides: str = "NE SW", then: str = "") -> str:
@@ -156,12 +167,23 @@ def _spec(name):
     return load_spec(name) if source is None else compile_game(parse(source))
 
 
+def _assert_names_its_piece_and_sites(spec, move):
+    """``move`` names a declared piece and two sites of the board, as every move does."""
+    sites = range(spec.board.site_count)
+    assert move.piece in spec.pieces_by_name, move
+    assert type(move.from_site) is int and move.from_site in sites, move
+    assert type(move.to_site) is int and move.to_site in sites, move
+
+
 @pytest.mark.parametrize("name", ["Amazons", "Breakthrough", "Hex", "TicTacToe", *SMALL_GAMES,
                                   *SMALL_HEX, *REPEATED])
 def test_playouts_match_full_list_reference(name):
     spec = _spec(name)
     for seed in range(200):
-        got = trace_to_dict(random_playout(spec, seed), spec)
+        trace = random_playout(spec, seed)
+        for move in trace.moves:
+            _assert_names_its_piece_and_sites(spec, move)
+        got = trace_to_dict(trace, spec)
         want = trace_to_dict(reference_playout.random_playout(spec, seed), spec)
         assert got == want, f"{name} seed {seed}"
 
@@ -465,9 +487,12 @@ def test_every_reachable_state_matches_the_reference(name):
         if state.terminal is not None or key in seen:
             continue
         seen.add(key)
+        # Every occupied site holds a declared piece, with its owner.
+        assert all(c is None or spec.content_of.get(c[0]) == c for c in state.contents), key
         legal = engine.legal_moves(spec, state)
         assert legal == reference_playout.legal_moves(spec, ref), key
         for move in legal:
+            _assert_names_its_piece_and_sites(spec, move)
             after = apply_move(state, move, spec, validate=False)
             ref_after = reference_playout.apply_move(ref, move, spec)
             assert (after.contents, after.mover, after.terminal) == \
@@ -541,6 +566,15 @@ def test_add_to_empty_start_that_fills_the_board(tmp_path, capsys):
     assert main(["generate", "--game", str(game), "--playouts", "3", "--out", str(out)]) == 3
     assert "error: no legal opening move" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_end_rules_that_name_a_player_or_draw():
+    """Verdict's line is a loss for P2 alone, and its full board a draw for both, by rule."""
+    spec = _spec("Verdict")
+    line, full = (rule.end_id for rule in spec.end_rules)
+    outcomes = Counter((o.end_id, o.players, o.outcome)
+                       for o in (random_playout(spec, seed).outcome for seed in range(200)))
+    assert outcomes == {(line, (2,), "Loss"): 181, (full, (1, 2), "Draw"): 19}
 
 
 def test_three_set_wins_touch_every_region_set():

@@ -125,3 +125,24 @@ def test_draw_fallback_sentence():
 def test_missing_template_raises(tictactoe):
     with pytest.raises(MissingTemplate):
         translate_node(tictactoe, 0)  # the (game ...) ludeme is not a rule
+
+
+def test_if_without_else_and_a_neutral_start_placement():
+    # A play rule with no else branch reads as one clause; a neutral piece is
+    # placed for no player.
+    spec = compile_game(parse(
+        '(game "Half" (players 2) (equipment {(board (square 3)) (piece "Disc" Each) '
+        '(piece "Block" Neutral)}) (rules (start (place "Block0" {"B2"})) '
+        '(play (if (is Even (count Moves)) (move Add (to (sites Empty))))) '
+        '(end (if (is Line 3) (result Mover Win)))))'))
+    assert translate_game(spec) == (
+        'The game "Half" is played by two players on a 3x3 rectangle board with square tiling.\n'
+        "All players play with Discs. The following pieces are neutral: Blocks.\n"
+        "Players take turns moving.\n"
+        "Setup:\n"
+        "     Place a Block on sites: B2.\n"
+        "Rules:\n"
+        "     If the number of moves is even, add one of your pieces to the set of empty cells.\n"
+        "Aim:\n"
+        "     If a player places 3 of their pieces in an adjacent direction line, "
+        "the moving player wins.\n")
