@@ -38,30 +38,25 @@ def _mover_label(mover) -> str:
 
 
 def _move_groups(moves: list[dict]) -> dict:
-    """Leaf indices by mover label, piece and origin rule, each level in first-seen order.
+    """The manifest's moves tree: mover label -> piece -> origin rule -> actions -> leaf index.
 
-    An origin rule is keyed by its text, with its ludeme id appended when
-    another origin under the same piece has the same text.
+    Each level keeps first-seen order.  An origin rule is keyed by its text,
+    with its ludeme id appended when another origin under the same piece has
+    the same text; its leaves are keyed by their ``", "``-joined action types.
     """
     groups: dict = {}
     for i, leaf in enumerate(moves):
         pieces = groups.setdefault(_mover_label(leaf["mover"]), {})
         origins = pieces.setdefault(leaf["piece"], {})
-        origins.setdefault(leaf["origin_ludeme"], []).append(i)
+        rule = (leaf["origin_ludeme"], leaf["rule_text"])
+        origins.setdefault(rule, {})[", ".join(leaf["action_types"])] = i
     for pieces in groups.values():
         for piece, origins in pieces.items():
-            texts = [moves[indices[0]]["rule_text"] for indices in origins.values()]
+            texts = [text for _, text in origins]
             pieces[piece] = {
-                text if texts.count(text) == 1 else f"{text} (ludeme {origin})": indices
-                for (origin, indices), text in zip(origins.items(), texts)}
+                text if texts.count(text) == 1 else f"{text} (ludeme {origin})": leaves
+                for (origin, text), leaves in origins.items()}
     return groups
-
-
-def _moves_tree(moves: list[dict], groups: dict) -> dict:
-    return {mover: {piece: {key: {", ".join(moves[i]["action_types"]): i for i in indices}
-                            for key, indices in rules.items()}
-                    for piece, rules in pieces.items()}
-            for mover, pieces in groups.items()}
 
 
 def _moves_html(moves: list[dict], groups: dict) -> list[str]:
@@ -76,17 +71,15 @@ def _moves_html(moves: list[dict], groups: dict) -> list[str]:
             parts.append(f'<div class="piece-group" data-piece="{escape(piece)}">')
             if len(pieces) > 1:
                 parts.append(f"<h4>{escape(piece)}</h4>")
-            for indices in rules.values():
+            for leaves in rules.values():
                 parts.append('<div class="rule-group">')
-                parts.append(f"<p>{escape(moves[indices[0]]['rule_text'])}</p>")
-                for i in indices:
-                    leaf = moves[i]
-                    actions = ", ".join(leaf["action_types"])
+                parts.append(f"<p>{escape(moves[next(iter(leaves.values()))]['rule_text'])}</p>")
+                for actions, i in leaves.items():
                     parts.append('<div class="leaf">')
-                    if len(indices) > 1:
+                    if len(leaves) > 1:
                         parts.append(f'<p class="actions">Actions: {escape(actions)}</p>')
-                    parts.append(f'<img src="{escape(leaf["before"])}" alt="before"/>')
-                    parts.append(f'<img src="{escape(leaf["after"])}" alt="after"/>')
+                    parts.append(f'<img src="{escape(moves[i]["before"])}" alt="before"/>')
+                    parts.append(f'<img src="{escape(moves[i]["after"])}" alt="after"/>')
                     parts.append("</div>")
                 parts.append("</div>")
             parts.append("</div>")
@@ -101,6 +94,10 @@ def build_manual(spec, translation: str, strategy_lines: list[str] | None,
 
     ``endings`` items: {text, before, after, result}.  ``moves`` items:
     {mover, piece, origin_ludeme, rule_text, action_types, before, after, id}.
+
+    The HTML Moves section and the manifest's ``moves.tree`` are one
+    grouping.  Within one rule group the action labels are distinct, because
+    each leaf is a distinct move signature, so the tree loses no leaf.
     """
     heuristics = strategy_lines if strategy_lines else [NO_STRATEGY_PLACEHOLDER]
     groups = _move_groups(moves)
@@ -143,7 +140,7 @@ def build_manual(spec, translation: str, strategy_lines: list[str] | None,
         },
         "setup": {"image": setup_image},
         "endings": endings,
-        "moves": {"leaves": moves, "tree": _moves_tree(moves, groups)},
+        "moves": {"leaves": moves, "tree": groups},
     }
     return html, manifest
 

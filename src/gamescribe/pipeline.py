@@ -3,7 +3,7 @@
 ``generate`` takes a loaded game and plain arguments.  All stages are
 deterministic for fixed arguments: playout seeds are ``seed .. seed +
 playouts - 1``, each trace depends only on its own seed, and asset ids are
-content hashes of move signatures.
+content hashes of move signatures and ending result keys.
 
 ``generate --format json`` exports the playouts as ``traces.json`` through
 ``_write_traces``, which builds the text from templates instead of building
@@ -77,13 +77,15 @@ def run_playouts(spec: GameSpec, seed: int, count: int) -> list[engine.PlayoutTr
     return [engine.random_playout(spec, s) for s in range(seed, seed + count)]
 
 
-def _signature_id(sig: taxonomy.MoveSignature) -> str:
-    key = repr((sig.mover, sig.piece, sig.origin_id, sig.action_types))
-    return hashlib.sha1(key.encode()).hexdigest()[:10]
+def _asset_id(key: tuple) -> str:  # of a move signature or an ending's result key
+    return hashlib.sha1(repr(tuple(key)).encode()).hexdigest()[:10]
 
 
-def _ending_id(example: EndingExample) -> str:
-    return hashlib.sha1(repr(example.result_key).encode()).hexdigest()[:10]
+def _write_pair(svg_dir: Path, stem: str, pair: tuple[str, str]) -> dict:
+    """Write ``svg/<stem>_before.svg`` and ``_after.svg``; their manifest paths by side."""
+    for side, svg in zip(("before", "after"), pair):
+        (svg_dir / f"{stem}_{side}.svg").write_text(svg, encoding="utf-8")
+    return {side: f"svg/{stem}_{side}.svg" for side in ("before", "after")}
 
 
 def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
@@ -94,11 +96,8 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
         seed, index = d.exemplar
         trace = traces_by_seed[seed]
         state = engine.replay(spec, trace, upto=index)
-        move = trace.moves[index]
-        before, after = render.render_move_pair(spec, state, move, similar, layout)
-        sig_id = _signature_id(d.signature)
-        (svg_dir / f"move_{sig_id}_before.svg").write_text(before, encoding="utf-8")
-        (svg_dir / f"move_{sig_id}_after.svg").write_text(after, encoding="utf-8")
+        pair = render.render_move_pair(spec, state, trace.moves[index], similar, layout)
+        sig_id = _asset_id(d.signature)
         leaves.append({
             "id": sig_id,
             "mover": d.signature.mover,
@@ -107,8 +106,7 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
             "action_types": list(d.signature.action_types),
             "rule_text": d.rule_text,
             "exemplar": {"seed": seed, "move_index": index},
-            "before": f"svg/move_{sig_id}_before.svg",
-            "after": f"svg/move_{sig_id}_after.svg",
+            **_write_pair(svg_dir, f"move_{sig_id}", pair),
         })
     return leaves
 
@@ -120,11 +118,7 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
     for example in endings:
         trace = traces_by_seed[example.exemplar_seed]
         state = engine.replay(spec, trace, upto=len(trace.moves) - 1)
-        move = trace.moves[-1]
-        before, after = render.render_ending_pair(spec, state, move, layout)
-        end_id = _ending_id(example)
-        (svg_dir / f"end_{end_id}_before.svg").write_text(before, encoding="utf-8")
-        (svg_dir / f"end_{end_id}_after.svg").write_text(after, encoding="utf-8")
+        pair = render.render_ending_pair(spec, state, trace.moves[-1], layout)
         outcome, players, ludeme = example.result_key
         out.append({
             "text": example.text,
@@ -133,8 +127,7 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
             "winning_sites": [spec.board.labels[s] for s in example.winning_sites]
             if example.winning_sites else None,
             "exemplar_seed": example.exemplar_seed,
-            "before": f"svg/end_{end_id}_before.svg",
-            "after": f"svg/end_{end_id}_after.svg",
+            **_write_pair(svg_dir, f"end_{_asset_id(example.result_key)}", pair),
         })
     return out
 
@@ -269,8 +262,7 @@ def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
         lines.append("  move-rule coverage: complete")
     else:
         missing = ", ".join(map(str, coverage["unexercised"]))
-        lines.append(f"  move-rule coverage: INCOMPLETE (unexercised ludemes: {missing}); "
-                     "consider more playouts")
+        lines.append(f"  move-rule coverage: INCOMPLETE (unexercised ludemes: {missing})")
     return "\n".join(lines)
 
 

@@ -5,8 +5,9 @@ action types).  The mover component only participates for games whose
 players have different piece rules or a conditional play rule; the compiler
 decides this once, in ``GameSpec.distinct_rules``.
 
-``collect_distinct`` classifies a playout batch in one pass over the traces
-in ascending seed order, keyed by the plain signature tuple.
+``collect_distinct`` and ``collect_endings`` each make one pass over a playout
+batch in ascending seed order, keyed by the plain signature tuple or the result
+key, and keep a key's first occurrence as its exemplar.
 """
 
 from __future__ import annotations
@@ -75,16 +76,14 @@ def similar_legal_moves(state: GameState, selected: Move, spec: GameSpec) -> lis
 
 
 def collect_endings(traces: list[PlayoutTrace], spec: GameSpec) -> list[EndingExample]:
-    """One example per distinct (outcome, players, end ludeme) result key."""
-    best: dict[tuple, PlayoutTrace] = {}
-    for trace in traces:
+    """One example per distinct (outcome, players, end ludeme) key, exemplar at lowest seed."""
+    first: dict[tuple, PlayoutTrace] = {}
+    for trace in sorted(traces, key=lambda t: t.seed):
         outcome = trace.outcome
-        key = (outcome.outcome, outcome.players, outcome.end_id)
-        if key not in best or trace.seed < best[key].seed:
-            best[key] = trace
+        first.setdefault((outcome.outcome, outcome.players, outcome.end_id), trace)
     out = []
-    for key in sorted(best, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])):
-        trace = best[key]
+    for key in sorted(first, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])):
+        trace = first[key]
         if key[2] is None:
             text = draw_fallback_sentence()
         else:

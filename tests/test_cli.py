@@ -12,7 +12,7 @@ import pytest
 
 import goldens
 from conftest import CORPUS, REPO_ROOT, normalise
-from gamescribe import cli
+from gamescribe import cli, engine
 from gamescribe.cli import main
 
 
@@ -65,6 +65,37 @@ def test_endless_game_exits_4(tmp_path):
                 "--out", str(tmp_path / "out"))
     assert proc.returncode == 4
     assert "no terminal state" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_capped_playout_writes_nothing_of_its_game(tmp_path, monkeypatch, capsys):
+    # Tic-Tac-Toe is written in full; Breakthrough's third playout hits the
+    # cap after two have finished, so none of Breakthrough is written and
+    # no index.html is either.
+    playout, played = engine.random_playout, []
+
+    def capped(spec, seed, **kwargs):
+        played.append((spec.name, seed))
+        if spec.name == "Breakthrough" and seed == 2:
+            raise engine.PlayoutLimitExceeded("no terminal state after 10000 moves")
+        return playout(spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "random_playout", capped)
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"),
+                 "--game", str(CORPUS / "Breakthrough.lud"), "--playouts", "5",
+                 "--format", "json", "--out", str(out)]) == 4
+    assert "no terminal state" in capsys.readouterr().err
+    assert played[-3:] == [("Breakthrough", 0), ("Breakthrough", 1), ("Breakthrough", 2)]
+    assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
+    alone = tmp_path / "alone"
+    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "5",
+                 "--format", "json", "--out", str(alone)]) == 0
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert files(out) == files(alone)
 
 
 def test_generate_writes_expected_tree(tmp_path):
@@ -155,7 +186,7 @@ def test_playout_stats_names_unexercised_move_ludemes(tmp_path, capsys):
         "  Win P1: 4\n"
         "  Win P2: 1\n"
         "  distinct move signatures: 2\n"
-        "  move-rule coverage: INCOMPLETE (unexercised ludemes: 22); consider more playouts\n")
+        "  move-rule coverage: INCOMPLETE (unexercised ludemes: 22)\n")
 
 
 def test_main_callable_in_process(capsys):

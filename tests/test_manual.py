@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -146,6 +147,12 @@ def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
                 collect(v)
 
     collect(manifest["moves"]["tree"])
-    assert len(manifest["moves"]["leaves"]) == 6
+    leaves = manifest["moves"]["leaves"]
+    assert len(leaves) == 6
     assert sorted(indices) == list(range(6))
-    assert (game_dir / "manual.html").read_text().count('<div class="leaf">') == 6
+    html = (game_dir / "manual.html").read_text()
+    assert html.count('<div class="leaf">') == 6
+    # The HTML Moves section lists the leaves in the tree's depth-first order.
+    moves_html = html[html.index("<h2>Moves</h2>"):]
+    shown = re.findall(r'<img src="([^"]+)" alt="before"/>', moves_html)
+    assert shown == [leaves[i]["before"] for i in indices]

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 from hypothesis import given, settings
@@ -114,6 +115,16 @@ def test_ending_exemplar_is_lowest_seed(tictactoe):
                        if (t.outcome.outcome, t.outcome.players, t.outcome.end_id)
                        == e.result_key)
         assert e.exemplar_seed == earliest
+
+
+def test_collect_endings_is_batch_order_invariant(tictactoe):
+    traces = _traces(tictactoe, 50)
+    forward = collect_endings(traces, tictactoe)
+    shuffled = list(traces)
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != traces
+    assert collect_endings(list(reversed(traces)), tictactoe) == forward
+    assert collect_endings(shuffled, tictactoe) == forward
 
 
 def test_coverage_report(tictactoe, amazons):
