@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import PlayoutLimitExceeded
+from .compiler import PlayoutLimitExceeded
 from .english import translate_game
 from .pipeline import (NoOpeningMove, generate, load_game, load_playable, playout_stats,
                        read_source, write_index)

@@ -29,6 +29,20 @@ from .registry import (ArityMismatch, BadArgumentKind, CompileError, default_reg
 from .sexpr import Call, Collection, Number, RawNode, Symbol, print_canonical
 
 
+# The engine raises these; they live here so that the CLI can catch them
+# without importing the engine, which ``translate`` never runs.
+class EngineError(Exception):
+    pass
+
+
+class IllegalMove(EngineError):
+    pass
+
+
+class PlayoutLimitExceeded(EngineError):
+    pass
+
+
 @dataclass(frozen=True)
 class SiteSet:
     kind: tuple[str, ...]      # e.g. ("Side", "NE"), or ("Empty",) for a move target
@@ -284,6 +298,12 @@ def line_length_fault(board: BoardGraph, length: int) -> str | None:
     return None
 
 
+# Limits checked before anything is built for them: Ludii's most players,
+# and the longest board side (64 columns are labelled A..BL).
+MAX_PLAYERS = 16
+MAX_BOARD_SIDE = 64
+
+
 def build_board(board_node: Call) -> BoardGraph:
     """Construct the board graph for a ``(board <shape>)`` ludeme."""
     shape = board_node.args[0]
@@ -291,6 +311,10 @@ def build_board(board_node: Call) -> BoardGraph:
     name = shape.head.name
     if any(isinstance(a, Number) and a.value < 1 for a in shape.args):
         raise BadArgumentKind("a board needs at least one row and one column", shape.span)
+    for arg in shape.args:
+        if isinstance(arg, Number) and arg.value > MAX_BOARD_SIDE:
+            raise BadArgumentKind(f"a board side has at most {MAX_BOARD_SIDE} sites, "
+                                  f"got {arg.value}", arg.span)
     if name == "square":
         n = shape.args[0].value
         return boards.build_square(n, n)
@@ -318,6 +342,9 @@ class _Compiler:
         player_count = self.player_count = players_node.args[0].value
         if player_count < 1:
             raise BadArgumentKind("player count must be at least 1", players_node.span)
+        if player_count > MAX_PLAYERS:
+            raise BadArgumentKind(f"player count must be at most {MAX_PLAYERS}",
+                                  players_node.args[0].span)
         # The canonical text of each player's piece rules; see _distinct_rules.
         self.rule_texts: dict[int, set[str]] = {p: set() for p in range(1, player_count + 1)}
 

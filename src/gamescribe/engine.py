@@ -61,20 +61,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .compiler import (AllOf, AnyOf, Condition, ForEachPiece, GameSpec, IfRule, IsConnected,
-                       IsEven, IsIn, IsLine, MoveRule, NoMovesNext)
-
-
-class EngineError(Exception):
-    pass
-
-
-class IllegalMove(EngineError):
-    pass
-
-
-class PlayoutLimitExceeded(EngineError):
-    pass
+# The error classes are the compiler's, so that the CLI catches them without this module.
+from .compiler import (AllOf, AnyOf, Condition, EngineError, ForEachPiece, GameSpec, IfRule,
+                       IllegalMove, IsConnected, IsEven, IsIn, IsLine, MoveRule, NoMovesNext,
+                       PlayoutLimitExceeded)
 
 
 PLAYOUT_MOVE_CAP = 10_000

@@ -16,24 +16,30 @@ output is the same bytes; ``trace_to_dict`` stays as the debug export that
 the tests hold the writer to.  Every file is written as UTF-8, whatever the
 locale.  A game whose first mover has no legal move cannot be played out,
 so ``generate`` and ``playout-stats`` reject it.
+
+The engine, render, taxonomy and ``hashlib`` are imported by the functions
+that run them, once per call, so that ``translate``, which reads only
+``load_game``, loads none of them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import quote
 
-from . import engine, render, taxonomy
 from .compiler import GameSpec, compile_game
 from .english import translate_game
 from .manual import build_manual, check_assets
 from .registry import CompileError
 from .sexpr import ParseError, parse
-from .taxonomy import DistinctMove, EndingExample
+
+if TYPE_CHECKING:
+    from . import engine, render
+    from .taxonomy import DistinctMove, EndingExample
 
 
 def read_source(path: Path) -> str:
@@ -64,6 +70,7 @@ def load_playable(path: Path) -> GameSpec:
     Every playout of such a game would be a draw before the first move, so
     its manual would show no move and no ending.
     """
+    from . import engine
     spec = load_game(path)
     if not engine.legal_moves(spec, engine.initial_state(spec)):
         raise NoOpeningMove("no legal opening move: every playout would end before its "
@@ -74,10 +81,12 @@ def load_playable(path: Path) -> GameSpec:
 def run_playouts(spec: GameSpec, seed: int, count: int) -> list[engine.PlayoutTrace]:
     if count < 1:  # no playout, no move or ending to show
         raise ValueError("playout count must be at least 1")
+    from . import engine
     return [engine.random_playout(spec, s) for s in range(seed, seed + count)]
 
 
 def _asset_id(key: tuple) -> str:  # of a move signature or an ending's result key
+    import hashlib  # once per image pair, not per move
     return hashlib.sha1(repr(tuple(key)).encode()).hexdigest()[:10]
 
 
@@ -91,6 +100,7 @@ def _write_pair(svg_dir: Path, stem: str, pair: tuple[str, str]) -> dict:
 def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
                         traces_by_seed: dict, svg_dir: Path,
                         similar: bool, layout: render._Layout) -> list[dict]:
+    from . import engine, render
     leaves = []
     for d in distinct:
         seed, index = d.exemplar
@@ -114,6 +124,7 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
 def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
                           traces_by_seed: dict, svg_dir: Path,
                           layout: render._Layout) -> list[dict]:
+    from . import engine, render
     out = []
     for example in endings:
         trace = traces_by_seed[example.exemplar_seed]
@@ -158,8 +169,10 @@ class _MoveTexts(dict):
     """
 
     def __init__(self, labels: dict):
+        from .engine import move_actions
         super().__init__()
         self.labels = labels
+        self.move_actions = move_actions
         self.templates: dict[tuple, str] = {}
 
     def __missing__(self, move: engine.Move) -> str:
@@ -167,7 +180,7 @@ class _MoveTexts(dict):
         if template is None:
             piece = _quote(move.piece).replace("%", "%%") if move.piece is not None else "null"
             actions = [_array([_quote(kind), *args], " " * 10)
-                       for kind, *args in engine.move_actions(move, piece, "%(f)s", "%(t)s")]
+                       for kind, *args in self.move_actions(move, piece, "%(f)s", "%(t)s")]
             template = self.templates[move[:4]] = _MOVE % (
                 move.mover, piece, move.origin_id, "%(f)s", "%(t)s", _array(actions, " " * 8))
         labels = self.labels
@@ -209,6 +222,7 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
 
     With ``strategy_lines`` None the Heuristics section shows its placeholder.
     """
+    from . import engine, render, taxonomy
     traces = run_playouts(spec, seed, playouts)
     traces_by_seed = {t.seed: t for t in traces}
     distinct = taxonomy.collect_distinct(traces, spec)
@@ -243,6 +257,7 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
 
 def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
     """Outcome frequencies and move-ludeme coverage for a playout batch of a loaded game."""
+    from . import taxonomy
     traces = run_playouts(spec, seed, playouts)
     distinct = taxonomy.collect_distinct(traces, spec)
     coverage = taxonomy.coverage_report(distinct, spec)

@@ -99,6 +99,11 @@ _TOKEN = re.compile(r"""(?:\s+|//[^\r\n]*)+|([({])|([)}])|("[^"]*")|(")"""
 # 1000.
 MAX_DEPTH = 200
 
+# Longest integer the reader accepts, sign included.  Every number of a game
+# is a count, a size or a weight, so this is far above any that means
+# something, and far below the length at which ``int`` refuses a string.
+MAX_NUMBER_LENGTH = 100
+
 
 def parse(text: str) -> RawNode:
     """Parse exactly one top-level form out of ``text``.
@@ -131,6 +136,8 @@ def parse(text: str) -> RawNode:
         elif kind == 3:
             node = Text(m.group(3)[1:-1], m.span())
         elif kind == 5:
+            if m.end() - m.start() > MAX_NUMBER_LENGTH:
+                raise ParseError(f"number longer than {MAX_NUMBER_LENGTH} characters", m.start())
             node = Number(int(m.group(5)), m.span())
         else:
             raise UnterminatedString("unterminated string", m.start())

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import goldens
 from conftest import CORPUS, REPO_ROOT, normalise
-from gamescribe import cli, engine
+from gamescribe import cli, engine, pipeline
 from gamescribe.cli import main
 
 
@@ -570,6 +571,84 @@ def test_cli_import_stays_light():
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+BACK_END = ("gamescribe.engine", "gamescribe.render", "gamescribe.taxonomy", "hashlib")
+
+
+def test_translate_loads_only_the_front_end():
+    # Without site, so that no .pth file of the interpreter imports hashlib first.
+    code = f"""if True:
+        import contextlib, io, json, pathlib, sys
+        loaded = {{}}
+        def back_end(step):
+            loaded[step] = [m for m in {BACK_END!r} if m in sys.modules]
+        back_end("start")
+        import gamescribe
+        back_end("import gamescribe")
+        import gamescribe.cli
+        back_end("import gamescribe.cli")
+        games = sorted(pathlib.Path(sys.argv[1]).glob("*.lud"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [gamescribe.cli.main(["translate", "--game", str(g)]) for g in games]
+        back_end("translate")
+        print(json.dumps([len(games), codes, loaded]))
+        """
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(CORPUS)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    count, codes, loaded = json.loads(proc.stdout)
+    assert count >= 4 and codes == [0] * count
+    assert loaded == {step: [] for step in ("start", "import gamescribe",
+                                            "import gamescribe.cli", "translate")}
+
+
+# The names that the benchmark's tracer (bench/tracer.py) wraps in cli and
+# pipeline at install time: each must be looked up at every call, so a lazy
+# import may not bind one of them inside a function.
+TRACED_NAMES = [(cli, "main"), (cli, "generate"), (cli, "load_game"), (cli, "write_index"),
+                (cli, "translate_game"), (pipeline, "parse"), (pipeline, "compile_game"),
+                (pipeline, "translate_game"), (pipeline, "build_manual"),
+                (pipeline, "check_assets")]
+
+
+def test_traced_names_are_looked_up_per_call(tmp_path, monkeypatch, capsys):
+    calls = collections.Counter()
+    for owner, name in TRACED_NAMES:
+        def counted(*args, _fn=getattr(owner, name), _key=(owner, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    assert cli.main(["generate", "--game", str(CORPUS / "TicTacToe.lud"),
+                     "--game", str(CORPUS / "Hex.lud"), "--playouts", "2",
+                     "--out", str(tmp_path)]) == 0
+    assert cli.main(["translate", "--game", str(CORPUS / "Hex.lud")]) == 0
+    assert [key for key in TRACED_NAMES if not calls[key]] == []
+
+
+def test_package_api_resolves_every_name():
+    import gamescribe
+    from gamescribe import compiler, english, sexpr
+    homes = {"GameSpec": compiler, "compile_game": compiler, "translate_game": english,
+             "parse": sexpr, "print_canonical": sexpr}  # every other name is the engine's
+    for name in gamescribe.__all__:
+        assert getattr(gamescribe, name) is getattr(homes.get(name, engine), name), name
+    assert set(gamescribe.__all__) <= set(dir(gamescribe))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gamescribe.no_such_name
+
+
+def test_oversized_board_exits_3(tmp_path, capsys):
+    # Unchecked, the side reaches boards._grid and ends in an OverflowError traceback.
+    text = ('(game "Big" (players 2) (equipment {(board (square 99999999999999999999)) '
+            '(piece "Disc" Each)}) (rules (play (move Add (to (sites Empty)))) '
+            '(end (if (is Line 3) (result Mover Win)))))')
+    game = tmp_path / "big.lud"
+    game.write_text(text)
+    assert main(["translate", "--game", str(game)]) == 3
+    assert capsys.readouterr().err == (
+        "error: compile failed: a board side has at most 64 sites, got 99999999999999999999 "
+        f"(at offset {text.index('9')})\n")
 
 
 def _output_digests(name, tmp_path, capsys):

@@ -206,6 +206,25 @@ def test_the_first_fault_in_source_order_is_reported(edits, error, message, offs
     assert (type(exc.value), exc.value.message, exc.value.span[0]) == (error, message, offset)
 
 
+# (old, new, culprit, message): a board side or player count above its limit
+# is refused at the number, before anything is built for it.
+@pytest.mark.parametrize("old,new,culprit,message", [
+    ("(square 3)", "(square 99999999999999999999)", "9999",
+     "a board side has at most 64 sites, got 99999999999999999999"),
+    ("(square 3)", "(square 65)", "65", "a board side has at most 64 sites, got 65"),
+    ("(square 3)", "(rectangle 65 2)", "65", "a board side has at most 64 sites, got 65"),
+    ("(square 3)", "(rectangle 2 65)", "65", "a board side has at most 64 sites, got 65"),
+    ("(square 3)", "(hex Diamond 65)", "65", "a board side has at most 64 sites, got 65"),
+    ("(players 2)", "(players 17)", "17", "player count must be at most 16"),
+    ("(players 2)", "(players 99999999999999999999)", "9999", "player count must be at most 16"),
+])
+def test_board_side_and_player_count_above_the_limit(old, new, culprit, message):
+    source = ORDER_BASE.replace(old, new)
+    with pytest.raises(BadArgumentKind) as exc:
+        compile_game(parse(source))
+    assert (exc.value.message, exc.value.span[0]) == (message, source.index(culprit))
+
+
 def test_top_level_form_must_be_a_game():
     with pytest.raises(CompileError) as exc:
         compile_game(parse("(players 2)"))

@@ -65,6 +65,11 @@ READER_ERRORS = {
     "depth-201-paren": ("(a " * 201 + ")" * 201, ParseError,
                         "nesting deeper than 200 levels", 600),
     "depth-3000": ("(a " * 3000 + ")" * 3000, ParseError, "nesting deeper than 200 levels", 600),
+    # int() refuses a string of more than 4,300 digits with a ValueError.
+    "number-101-chars": ("(a 1 -" + "9" * 100 + ")", ParseError,
+                         "number longer than 100 characters", 5),
+    "number-5000-digits": ("(a " + "9" * 5000 + ")", ParseError,
+                           "number longer than 100 characters", 3),
 }
 
 
@@ -76,6 +81,10 @@ def test_reader_error_table(name):
     assert type(exc.value) is err
     assert (exc.value.message, exc.value.position) == (message, offset)
     assert str(exc.value) == f"{message} (at offset {offset})"
+
+
+def test_number_of_100_characters_parses():
+    assert parse("(a -" + "9" * 99 + ")").args[0] == Number(-int("9" * 99))
 
 
 def test_nesting_200_deep_parses():
