@@ -255,10 +255,47 @@ KEPT = {"Amazons": {"owned"}, "Breakthrough": {"occupancy"}, "Hex": {"empty", "u
         "TicTacToe": {"empty"}, "Crown": {"uf"}, "Hybrid": {"empty", "occupancy", "uf"},
         "Blocked": {"owned"}, "Knot": {"empty", "uf"}, "Drop": {"empty", "owned"},
         "Trio": {"owned"}, "Comb": {"occupancy"}, "Again": {"empty", "uf"}, "Fill": {"empty"}}
-# Hex1x1 ends on its first ply, before a union-find is carried into one.  Hex3
-# is left out: with three site sets the union-find may report a connection
-# that the search denies.
-KEPT.update({name: {"empty", "uf"} for name in SMALL_HEX if name != "Hex3"}, Hex1x1={"empty"})
+# Hex3 is left out: with three site sets the union-find may report a
+# connection that the search denies.
+KEPT.update({name: {"empty", "uf"} for name in SMALL_HEX if name != "Hex3"})
+
+
+def _check_every_ply(spec, check, monkeypatch, seeds=range(20)):
+    """Play ``seeds``, calling ``check`` on the state that each ply reaches; return
+    (states checked, plies played).
+
+    ``random_playout`` looks ``initial_state`` and ``XorShift64Star`` up as
+    module globals and draws once per ply, so the state it advances is caught
+    when it is made and checked at each draw after the first, once the ply
+    before it has ended, and at the end of the playout.  A playout run
+    without this pays nothing for it.
+    """
+    states, checked = [], []
+    make_state = engine.initial_state
+
+    def caught(spec):
+        states.append(make_state(spec))
+        return states[-1]
+
+    def run_check(state):
+        check(state)
+        checked.append(state.move_count)
+
+    class Checked(engine.XorShift64Star):
+        def randrange(self, n):
+            if states[-1].move_count:
+                run_check(states[-1])
+            return super().randrange(n)
+
+    monkeypatch.setattr(engine, "initial_state", caught)
+    monkeypatch.setattr(engine, "XorShift64Star", Checked)
+    plies = 0
+    for seed in seeds:
+        plies += len(random_playout(spec, seed).moves)
+        if states[-1].move_count:
+            run_check(states[-1])
+    monkeypatch.undo()
+    return len(checked), plies
 
 
 def _owned_scan(spec, contents):
@@ -277,12 +314,11 @@ def _occupancy_scan(spec, contents):
 
 @pytest.mark.parametrize("name", KEPT)
 def test_in_place_playout_keeps_caches_in_step(name, monkeypatch):
-    """At every ply of random_playout, the caches the move updated match contents."""
+    """At every ply of random_playout, the caches the state keeps match contents."""
     spec = _spec(name)
     kept = set()
-    check_end = engine.check_end
 
-    def spy(spec, state, move):
+    def check(state):
         contents = state.contents
         if state._owned is not None:
             kept.add("owned")
@@ -298,11 +334,9 @@ def test_in_place_playout_keeps_caches_in_step(name, monkeypatch):
         for player in range(1, spec.player_count + 1):
             want = reference_playout.eval_connected(spec, contents, player)[0]
             assert engine._uf_connected(spec, state, player) == want
-        return check_end(spec, state, move)
 
-    monkeypatch.setattr(engine, "check_end", spy)
-    for seed in range(20):
-        random_playout(spec, seed)
+    checked, plies = _check_every_ply(spec, check, monkeypatch)
+    assert checked == plies > 0
     assert kept == KEPT[name]
 
 
@@ -349,21 +383,15 @@ def test_in_place_union_find_partitions_as_a_fresh_one(name, monkeypatch):
     """At every ply, the union-find a playout keeps joins the sites and anchors as one built
     fresh does, and as a search over the pieces' and anchors' links does."""
     spec = _spec(name)
-    checked = []
-    check_end = engine.check_end
 
-    def spy(spec, state, move):
-        if state._uf is not None:
-            fresh = engine.GameState(list(state.contents), state.mover, state.move_count)
-            assert _classes(state._uf) == _classes(engine._union_find(spec, fresh)) == \
-                _linked_classes(spec, state.contents), f"{name} ply {state.move_count}"
-            checked.append(state.move_count)
-        return check_end(spec, state, move)
+    def check(state):
+        assert state._uf is not None, f"{name} ply {state.move_count}"
+        fresh = engine.GameState(list(state.contents), state.mover, state.move_count)
+        assert _classes(state._uf) == _classes(engine._union_find(spec, fresh)) == \
+            _linked_classes(spec, state.contents), f"{name} ply {state.move_count}"
 
-    monkeypatch.setattr(engine, "check_end", spy)
-    for seed in range(20):
-        random_playout(spec, seed)
-    assert checked
+    checked, plies = _check_every_ply(spec, check, monkeypatch)
+    assert checked == plies > 0
 
 
 @pytest.mark.parametrize("name", ["Hex", "Breakthrough", "Amazons", "Crown", "Hybrid", "Comb"])
