@@ -23,7 +23,8 @@ piece name's occupancy integer per ray index give every site of the piece
 with a move that way.  ``(is Line n)`` reads its runs from the rays.
 ``(is Connected ...)`` asks an incremental union-find first and searches
 for the winning path only once that reports a connection.  Its finds use
-path halving, written inline in ``_join`` and ``_uf_connected``.
+path halving, written inline in ``_join``, ``_uf_connected`` and the
+add-to-empty loop.
 
 ``_advance`` is the one transition: it plays a move on a state in place and
 keeps the empty sites, owned sites, occupancy bits and union-find it finds
@@ -48,9 +49,12 @@ move: it plays the one from the spec's table of the rule's Add moves,
 indexed [mover][site] and built by the spec's first such playout
 (``spec.add_moves``), so the traces of a game share those moves.  It resolves
 the next state to the one site group ``_resolve`` would cache, built once
-over the live empty-site list, and still calls ``check_end`` through the
-module global, whose no-moves fallback reads the cached count.  Playouts
-of every other play rule go through ``_pick`` and ``_advance``; for every
+over the live empty-site list, and calls ``check_end`` through the module
+global, whose no-moves fallback reads the cached count.  When every end
+rule is ``(is Connected ...)``, it makes that call only after a ply that
+leaves the mover's anchors under one union-find root, or the board full:
+no end rule can hold after any other ply.  Playouts of every other play
+rule go through ``_pick`` and ``_advance``; for every
 rule, ``legal_moves`` calls ``_pick``, and ``apply_move`` and ``replay``
 call ``_advance``.
 """
@@ -473,7 +477,8 @@ def _eval_line(spec: GameSpec, state: GameState, cond: IsLine,
 
 
 def _find(parent: list[int], x: int) -> int:
-    """The root of ``x``, halving the path to it (_join and _uf_connected inline these steps)."""
+    """The root of ``x``, halving the path to it (_join, _uf_connected and
+    _add_to_empty_plies inline these steps)."""
     while parent[x] != x:
         # Targets are assigned left to right: x's parent becomes its grandparent, then x does.
         parent[x] = x = parent[parent[x]]
@@ -619,7 +624,8 @@ def random_playout(spec: GameSpec, seed: int, *,
 
     A play rule that is one Add to the empty sites, with or without
     (then (moveAgain)), plays in _add_to_empty_plies instead, to the same
-    trace; the rule alone selects it.
+    trace; the rule alone selects it.  There, end rules that are all
+    (is Connected ...) are checked only on the plies that can end the game.
 
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
@@ -654,12 +660,22 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     check, so check_end reads no stale count: to the one group _resolve
     caches, built once over the live empty sites, or to no group once the
     board is full.
+
+    When every end rule is (is Connected ...), the union-find is built
+    before the first ply, and check_end runs only once the mover's anchors
+    share one root, or the board is full.  After any other ply each rule's
+    _uf_connected is False and the next state has a move, so check_end
+    would return None.  It stays the one evaluator of the plies it sees: the
+    search, the three-set denial and the draw fallback are its.
     """
     contents, empty = state.contents, state._empty
     adjacent, at_site = spec.board.adjacent, spec.anchors.at_site
     group = [(rule, None, None, empty)]
     table = spec.add_moves or _add_moves(spec, rule)
     content_of, players, again = spec.content_of, spec.player_count, rule.again
+    # Connected ends hold only once the mover's anchors share a root.
+    gated = all(type(end.cond) is IsConnected for end in spec.end_rules)
+    parent, anchors = _union_find(spec, state) if gated else None, spec.anchors.of_player
     while state.terminal is None:
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
@@ -680,7 +696,19 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
             state._groups, state._total = group, len(empty)
         else:
             state._groups, state._total = [], 0
-        state.terminal = check_end(spec, state, move)
+        if gated and empty:
+            root = None
+            for x in anchors[mover]:  # each anchor's root, found as _find finds it
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if root is None:
+                    root = x
+                elif x != root:
+                    break
+            else:
+                state.terminal = check_end(spec, state, move)
+        else:
+            state.terminal = check_end(spec, state, move)
         moves.append(move)
 
 

@@ -409,13 +409,14 @@ def test_hex_playouts_hold_few_bytes_per_ply():
     assert peak < 24 * plies, f"peak {peak:,} bytes over {plies:,} plies"
 
 
-@pytest.mark.parametrize("name", ["Hex", "Amazons"])
+@pytest.mark.parametrize("name", ["Amazons"])
 def test_playouts_call_check_end_once_per_ply_through_the_module_global(name, monkeypatch):
-    """A playout looks ``check_end`` up as a module global once per ply.
+    """A playout of a piece game looks ``check_end`` up as a module global once per ply.
 
     Timing tools wrap ``engine.check_end`` (and the other names below) from
     outside; a ply that inlined the call, or bound it once, would hide the
-    time spent in it.
+    time spent in it.  Hex's plies call it only where the game can end: see
+    the next test.
     """
     spec = load_spec(name)
     want = random_playout(spec, 3)
@@ -428,6 +429,34 @@ def test_playouts_call_check_end_once_per_ply_through_the_module_global(name, mo
     monkeypatch.setattr(engine, "check_end", counting)
     assert random_playout(spec, 3) == want
     assert calls == list(want.moves)
+
+
+def test_hex_playouts_call_check_end_where_the_anchors_join(hexgame, monkeypatch):
+    """A Hex playout looks ``check_end`` up as a module global on the plies that can end it.
+
+    Those are the plies after which the mover's anchors share one union-find
+    root, found here by replaying the trace, and the last ply.  On the others
+    no Connected end rule holds and the board is not full, so the
+    add-to-empty loop skips the call.
+    """
+    want = [random_playout(hexgame, seed) for seed in range(10)]
+    ending = []
+    for trace in want:
+        state = initial_state(hexgame)
+        for ply, move in enumerate(trace.moves, 1):
+            state = apply_move(state, move, hexgame, validate=False)
+            if engine._uf_connected(hexgame, state, move.mover) or ply == len(trace.moves):
+                ending.append(move)
+    calls = []
+
+    def counting(spec, state, move):
+        calls.append(move)
+        return check_end(spec, state, move)
+
+    monkeypatch.setattr(engine, "check_end", counting)
+    assert [random_playout(hexgame, seed) for seed in range(10)] == want
+    assert calls == ending
+    assert len(calls) < sum(len(trace.moves) for trace in want) // 10
 
 
 def test_pipeline_and_taxonomy_call_the_engine_by_its_names(monkeypatch):

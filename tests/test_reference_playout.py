@@ -575,6 +575,53 @@ def test_add_to_empty_play_rules_take_their_own_loop(name, monkeypatch):
     assert called == (set() if name in ADD_TO_EMPTY else {"_pick", "_advance"})
 
 
+# Add-to-empty games, and whether all their end rules are (is Connected ...):
+# if so, the loop builds the union-find before the first ply and calls
+# check_end only on the plies after which the mover's anchors share one root,
+# or the board is full.  Knot has a second rule, (and (is Line 3) ...).
+GATED = {"Hex3": True, "HexAgain": True, "Hex1x1": True, "Knot": False, "TicTacToe": False}
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_connected_ends_are_checked_where_the_anchors_join(name, monkeypatch):
+    spec = _spec(name)
+    want = [trace_to_dict(reference_playout.random_playout(spec, seed), spec)
+            for seed in range(200)]
+    traces = [random_playout(spec, seed) for seed in range(200)]
+    ending, denied = [], 0  # denied: plies that join the anchors but do not connect
+    for trace in traces:
+        state = initial_state(spec)
+        for ply, move in enumerate(trace.moves, 1):
+            state = apply_move(state, move, spec, validate=False)
+            joined = engine._uf_connected(spec, state, move.mover)
+            if joined or ply == len(trace.moves):
+                ending.append(move)
+            denied += joined and ply < len(trace.moves) and \
+                not reference_playout.eval_connected(spec, state.contents, move.mover)[0]
+    calls, built = [], []
+    check_end, union_find = engine.check_end, engine._union_find
+
+    def counting(spec, state, move):
+        calls.append(move)
+        return check_end(spec, state, move)
+
+    def building(spec, state):
+        if state._uf is None:
+            built.append(state.move_count)
+        return union_find(spec, state)
+
+    monkeypatch.setattr(engine, "check_end", counting)
+    monkeypatch.setattr(engine, "_union_find", building)
+    assert [trace_to_dict(random_playout(spec, seed), spec) for seed in range(200)] == want
+    if GATED[name]:
+        assert built == [0] * 200 and calls == ending
+    else:
+        assert calls == [move for trace in traces for move in trace.moves]
+        assert built == ([1] * 200 if name == "Knot" else [])
+    # Only Hex3's three site sets let the anchors join before the search connects them.
+    assert (denied > 0) == (name == "Hex3")
+
+
 # The start fills the board, so the first mover has no empty site to add to.
 FULL = ('(game "Full" (players 2) (equipment {(board (square 2)) (piece "Disc" Each)}) '
         '(rules (start {(place "Disc1" {"A1" "B2"}) (place "Disc2" {"B1" "A2"})}) '
