@@ -675,7 +675,8 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     content_of, players, again = spec.content_of, spec.player_count, rule.again
     # Connected ends hold only once the mover's anchors share a root.
     gated = all(type(end.cond) is IsConnected for end in spec.end_rules)
-    parent, anchors = _union_find(spec, state) if gated else None, spec.anchors.of_player
+    parent = _union_find(spec, state) if gated else None
+    anchors = spec.anchors.of_player
     while state.terminal is None:
         if len(moves) >= move_cap:
             raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
