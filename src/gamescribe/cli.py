@@ -5,8 +5,9 @@ explains it for every game, before it writes anything.
 
 Exit codes: 0 success; 2 usage error (``--playouts 0``), an input file that
 is missing or cannot be read (such as a directory), a ``--out`` that is not a
-directory, two ``generate --game`` files of the same game name, or a game
-whose output directory the file-system encoding cannot name; 3
+directory, two ``generate --game`` files of the same game name, a game named
+``index.html`` among several (its manual would take the index's path), or a
+game whose output directory the file-system encoding cannot name; 3
 parse/compile error (including an input that is not UTF-8, at the offset of
 its first bad byte), a malformed heuristics file or (generate,
 playout-stats) a game with no legal opening move; 4 playout move-cap exceeded.
@@ -91,6 +92,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"error: {paths[spec.name]} and {game} both describe the game "
                           f"{spec.name!r}, whose manual goes to {args.out / spec.name}",
                           file=sys.stderr)
+                    return 2
+                if spec.name == "index.html" and len(args.game) > 1:
+                    print(f"error: {game} describes the game 'index.html', whose manual would "
+                          f"go to {args.out / spec.name}, the index's path", file=sys.stderr)
                     return 2
                 try:
                     os.fsencode(args.out / spec.name)

@@ -47,10 +47,10 @@ Browne (ACG 2021): a ply draws an index into the empty-site list, places
 the mover's first piece on that site and deletes the index.  It builds no
 move: it plays the one from the spec's table of the rule's Add moves,
 indexed [mover][site] and built by the spec's first such playout
-(``spec.add_moves``), so the traces of a game share those moves.  It resolves
-the next state to the one site group ``_resolve`` would cache, built once
-over the live empty-site list, and calls ``check_end`` through the module
-global, whose no-moves fallback reads the cached count.  When every end
+(``spec.add_moves``), so the traces of a game share those moves.  It ends
+a ply as ``_advance`` does: it clears the resolved play rule, which
+``_resolve`` alone fills, and calls ``check_end`` through the module global,
+whose no-moves fallback resolves the next state.  When every end
 rule is ``(is Connected ...)``, it makes that call only after a ply that
 leaves the mover's anchors under one union-find root, or the board full:
 no end rule can hold after any other ply.  Playouts of every other play
@@ -132,8 +132,9 @@ class GameState:
     # empty sites (ascending), the owned sites (ascending, indexed by owner),
     # the occupancy of each piece name (bit s set when site s holds it) and
     # the union-find parents (see _union_find) in place, or drops the
-    # union-find; it clears _groups and _total, the resolved play rule (see
-    # _resolve).
+    # union-find; it clears _groups, the resolved play rule, as the add-to-empty
+    # loop does.  Only _resolve fills _groups and its move count _total, which
+    # is read only while _groups is set.
     _groups: "list[tuple] | tuple[int, dict] | None" = field(default=None, repr=False,
                                                              compare=False)
     _total: int = field(default=0, repr=False, compare=False)
@@ -396,7 +397,6 @@ def _advance(spec: GameSpec, state: GameState, move: Move) -> None:
     state.move_count += 1
     state.last_move = move
     state._groups = None
-    state._total = 0
     state.terminal = check_end(spec, state, move)
 
 
@@ -656,10 +656,9 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     once: a ply draws an index into the empty sites, reads the mover's Add
     onto that site from the spec's table (see _add_moves), places the piece
     and deletes the site at that index.  The union-find stays in step where
-    built, as _advance keeps it.  Each next state is resolved before the end
-    check, so check_end reads no stale count: to the one group _resolve
-    caches, built once over the live empty sites, or to no group once the
-    board is full.
+    built, as _advance keeps it.  Each ply clears the resolved play rule, as
+    _advance does, so check_end's no-moves fallback resolves the next state
+    through _resolve, the one code that fills it.
 
     When every end rule is (is Connected ...), the union-find is built
     before the first ply, and check_end runs only once the mover's anchors
@@ -670,7 +669,6 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     """
     contents, empty = state.contents, state._empty
     adjacent, at_site = spec.board.adjacent, spec.anchors.at_site
-    group = [(rule, None, None, empty)]
     table = spec.add_moves or _add_moves(spec, rule)
     content_of, players, again = spec.content_of, spec.player_count, rule.again
     # Connected ends hold only once the mover's anchors share a root.
@@ -693,10 +691,7 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
             state.mover = mover % players + 1
         state.move_count += 1
         state.last_move = move
-        if empty:
-            state._groups, state._total = group, len(empty)
-        else:
-            state._groups, state._total = [], 0
+        state._groups = None
         if gated and empty:
             root = None
             for x in anchors[mover]:  # each anchor's root, found as _find finds it

@@ -7,14 +7,16 @@ is ``-?[0-9]+`` is an integer.  Strings run to the next ``"``, with no
 escapes.  A ``//`` where a token could start begins a comment that runs to
 the end of its line (``\n``, ``\r\n`` or ``\r``); inside a symbol it is part
 of the symbol.  Whitespace is what ``str.isspace()`` accepts, which is what
-the regex ``\\s`` matches.
+the regex ``\\s`` matches.  One byte-order mark (U+FEFF) at the start of
+the text, as some editors write it, is skipped.
 
 ``parse`` reads the text with one token pattern in one loop, keeping the
 calls and collections still open on a stack, so it does not recurse.
 
 Every offset, in a ParseError or a span, is a character offset into the
-text as given: ``text[start:end]`` is the node's source, and a file read
-without newline translation keeps its offsets.
+text as given, a leading byte-order mark included: ``text[start:end]`` is
+the node's source, and a file read without newline translation keeps its
+offsets.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def parse(text: str) -> RawNode:
     TrailingContent when a second top-level form follows the first.
     """
     stack: list[tuple[str, int, list[RawNode]]] = []  # open forms: (opener, start, items)
-    tokens = _TOKEN.finditer(text)
+    tokens = _TOKEN.finditer(text, 1 if text.startswith("\ufeff") else 0)
     for m in tokens:
         kind = m.lastindex
         if kind is None:

@@ -84,6 +84,16 @@ python -c "print('(a ' * 201 + ')' * 201)" > "$tmp/deep.lud"
 rc=0; "${gs[@]}" translate --game "$tmp/deep.lud" 2> "$tmp/deep.err" || rc=$?
 test "$rc" -eq 3
 grep -qF "error: parse failed: nesting deeper than 200 levels (at offset 600)" "$tmp/deep.err"
+# A UTF-8 byte-order mark, as some editors write it, is skipped.
+printf '\357\273\277' | cat - corpus/Hex.lud > "$tmp/bom.lud"
+cmp <("${gs[@]}" translate --game corpus/Hex.lud) <("${gs[@]}" translate --game "$tmp/bom.lud")
+# A game named index.html among several would put its manual where the index
+# goes: exit 2, and nothing is written.
+sed 's/(game "Tic-Tac-Toe"/(game "index.html"/' corpus/TicTacToe.lud > "$tmp/index.lud"
+rc=0; "${gs[@]}" generate --game "$tmp/index.lud" --game corpus/TicTacToe.lud --playouts 5 --out "$tmp/gs-index" 2> "$tmp/index.err" || rc=$?
+test "$rc" -eq 2
+grep -qF "whose manual would go to $tmp/gs-index/index.html" "$tmp/index.err"
+test ! -e "$tmp/gs-index"
 # The registry checks the arguments of each move kind: an Add needs its target.
 sed 's/(move Add (to (sites Empty)))/(move Add (then (moveAgain)))/' corpus/TicTacToe.lud > "$tmp/add.lud"
 rc=0; "${gs[@]}" translate --game "$tmp/add.lud" 2> "$tmp/add.err" || rc=$?

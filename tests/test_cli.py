@@ -777,6 +777,45 @@ def test_two_games_of_one_name_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_game_named_index_html_among_several_exits_2(tmp_path, capsys):
+    # Its manual directory would be <out>/index.html, the path of the index.
+    game = tmp_path / "index.lud"
+    game.write_text((CORPUS / "TicTacToe.lud").read_text()
+                    .replace('(game "Tic-Tac-Toe"', '(game "index.html"'))
+    out = tmp_path / "out"
+    for games in ([game, CORPUS / "TicTacToe.lud"], [CORPUS / "TicTacToe.lud", game]):
+        argv = ["generate", "--playouts", "3", "--out", str(out)]
+        assert main(argv + [arg for g in games for arg in ("--game", str(g))]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {game} describes the game 'index.html', whose manual would go "
+                       f"to {out / 'index.html'}, the index's path\n"), err
+        assert not out.exists()
+    # Alone, it writes no index, so its manual may take that path.
+    assert main(["generate", "--game", str(game), "--playouts", "3", "--out", str(out)]) == 0
+    assert (out / "index.html" / "manual.html").is_file()
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # As some editors write UTF-8: the mark, then the text.
+    for path in sorted(CORPUS.glob("*.lud")):
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["translate", "--game", str(path)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["translate", "--game", str(marked)]) == 0
+        assert capsys.readouterr().out == plain
+    heuristics = tmp_path / "h.lud"
+    heuristics.write_bytes(b"\xef\xbb\xbf(heuristics {(lineCompletion 3 0.7)})")
+    out = tmp_path / "out"
+    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "3",
+                 "--heuristics", str(heuristics), "--out", str(out)]) == 0
+    assert "completing lines of 3" in (out / "Tic-Tac-Toe" / "manual.html").read_text("utf-8")
+    # The mark counts as one character of an offset.
+    (tmp_path / "cut.lud").write_bytes(b"\xef\xbb\xbf" + (CORPUS / "Hex.lud").read_bytes()[:60])
+    assert main(["translate", "--game", str(tmp_path / "cut.lud")]) == 3
+    assert capsys.readouterr().err.endswith("unclosed '(' (at offset 54)\n")
+
+
 def test_generate_writes_utf8_whatever_the_locale(tmp_path):
     # manual.html declares charset="utf-8"; under an ASCII locale every file
     # must still be UTF-8, byte for byte what a UTF-8 locale writes.

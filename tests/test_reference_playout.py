@@ -486,8 +486,10 @@ def test_legal_moves_match_full_list_reference(name):
 
 # The games walked to every reachable state, with their count of non-terminal
 # states.  Every other small game has more than CAPPED of them, and is walked
-# to its first CAPPED in walk order.
-WALKED = {"TicTacToe": 4520, "Crown": 37}
+# to its first CAPPED in walk order.  The two Hex boards check (is Connected
+# ...) and the no-moves draw fallback, which Hex never reaches, at every state
+# of a board.
+WALKED = {"TicTacToe": 4520, "Crown": 37, "Hex2x2": 23, "Hex3x3": 4520}
 CAPPED = 2000
 
 

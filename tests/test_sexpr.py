@@ -41,6 +41,12 @@ READER_ERRORS = {
     "empty": ("", EmptyInput, "empty input", 0),
     "comment-only": ("  // only a comment\r\n\t// another", EmptyInput, "empty input", 0),
     "trailing-form": ("(a) (b)", TrailingContent, "trailing content after top-level form", 4),
+    # One leading byte-order mark is skipped, and offsets still count it.
+    "bom-only": ("\ufeff", EmptyInput, "empty input", 0),
+    "bom-trailing-form": ("\ufeff(a) (b)", TrailingContent,
+                          "trailing content after top-level form", 5),
+    "bom-unclosed": ("\ufeff (a", UnbalancedParen, "unclosed '('", 2),
+    "bom-twice": ("\ufeff\ufeff(a)", TrailingContent, "trailing content after top-level form", 2),
     "trailing-closer": ("(a) )", TrailingContent, "trailing content after top-level form", 4),
     "trailing-quote": ('(a) "b', TrailingContent, "trailing content after top-level form", 4),
     "unterminated-string": ('(a "b c)', UnterminatedString, "unterminated string", 3),
@@ -103,6 +109,12 @@ def test_spans_cover_source_slices():
     assert source[name.span[0]:name.span[1]] == '"Hex"'
     players = node.args[1]
     assert source[players.span[0]:players.span[1]] == "(players 2)"
+
+
+def test_leading_byte_order_mark_is_skipped():
+    node = parse("\ufeff(game \"Hex\")")
+    assert node == parse('(game "Hex")')
+    assert node.span == (1, 13)
 
 
 def test_structural_equality_ignores_spans():
