@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import string
 import sys
-from dataclasses import dataclass
 from functools import cached_property
+
+from .record import Record
 
 
 # (dr, dc) offsets, rows growing northward.
@@ -32,21 +33,28 @@ HEX_NEIGHBOURS = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1))
 FACING = ("Forward", "FL", "FR")
 
 
-@dataclass
-class BoardGraph:
+class BoardGraph(Record):
     """A board's geometry, immutable once built; what derives from the grid comes on first read."""
 
-    shape: str  # "square" | "rectangle" | "hexDiamond"
-    rows: int
-    cols: int
-    # The adjacent directions, in the order of each site's rays.
-    vectors: tuple[tuple[int, int], ...]
-    # Axes for line detection: one vector per undirected direction.
-    line_axes: tuple[tuple[int, int], ...]
-    # Direction name -> vectors, as player 1 faces.
-    directions: dict[str, tuple[tuple[int, int], ...]]
-    # Side name -> its sites, in index order.
-    sides: dict[str, list[int]]
+    # No __slots__: the cached properties below are stored in the instance's __dict__.
+    _compared = ("shape", "rows", "cols", "vectors", "line_axes", "directions", "sides")
+    __hash__ = None
+
+    def __init__(self, shape: str, rows: int, cols: int,
+                 vectors: tuple[tuple[int, int], ...], line_axes: tuple[tuple[int, int], ...],
+                 directions: dict[str, tuple[tuple[int, int], ...]],
+                 sides: dict[str, list[int]]):
+        self.shape = shape  # "square" | "rectangle" | "hexDiamond"
+        self.rows = rows
+        self.cols = cols
+        # The adjacent directions, in the order of each site's rays.
+        self.vectors = vectors
+        # Axes for line detection: one vector per undirected direction.
+        self.line_axes = line_axes
+        # Direction name -> vectors, as player 1 faces.
+        self.directions = directions
+        # Side name -> its sites, in index order.
+        self.sides = sides
 
     # Per-site label, row-major like the sites; built on first read.
     @cached_property

@@ -19,11 +19,11 @@ whose projectile waits until every piece is declared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Union
 
 from . import boards
 from .boards import BoardGraph
+from .record import Record
 from .registry import (ArityMismatch, BadArgumentKind, CompileError, default_registry,
                        describe)
 from .sexpr import Call, Collection, Number, RawNode, Symbol, print_canonical
@@ -43,145 +43,178 @@ class PlayoutLimitExceeded(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class SiteSet:
-    kind: tuple[str, ...]      # e.g. ("Side", "NE"), or ("Empty",) for a move target
-    sites: tuple[int, ...]     # empty for ("Empty",), which depends on the state
+class SiteSet(Record):
+    __slots__ = _compared = ("kind", "sites")
+
+    def __init__(self, kind: tuple[str, ...], sites: tuple[int, ...]):
+        self.kind = kind    # e.g. ("Side", "NE"), or ("Empty",) for a move target
+        self.sites = sites  # empty for ("Empty",), which depends on the state
 
 
-@dataclass(frozen=True)
-class IsLine:
+class IsLine(Record):
     """``(is Line n)``: the last move's piece is in a line of at least ``length``."""
 
-    length: int
-    # One (forward, backward) pair of indices into board.rays[site] per line axis.
-    rays: tuple[tuple[int, int], ...]
+    __slots__ = _compared = ("length", "rays")
+
+    def __init__(self, length: int, rays: tuple[tuple[int, int], ...]):
+        self.length = length
+        # One (forward, backward) pair of indices into board.rays[site] per line axis.
+        self.rays = rays
 
 
-@dataclass(frozen=True)
-class IsConnected:
+class IsConnected(Record):
     """``(is Connected Mover)``: the mover's pieces join all the mover's region site sets."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class IsIn:
+
+class IsIn(Record):
     """``(is In Mover)``: the last move landed in one of the mover's regions."""
 
-    sites: tuple[frozenset[int], ...]   # indexed by player; region sites, empty for 0
+    __slots__ = _compared = ("sites",)
+
+    def __init__(self, sites: tuple[frozenset[int], ...]):
+        self.sites = sites  # indexed by player; region sites, empty for 0
 
 
-@dataclass(frozen=True)
-class IsEven:
+class IsEven(Record):
     """``(is Even (count Moves))``: an even number of moves has been played."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NoMovesNext:
+
+class NoMovesNext(Record):
     """``(no Moves Next)``: the player due to move has no legal move."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class AnyOf:
+
+class AnyOf(Record):
     """``(or ...)`` of two or more conditions; the first that holds decides."""
 
-    parts: tuple["Condition", ...]
+    __slots__ = _compared = ("parts",)
+
+    def __init__(self, parts: tuple[Condition, ...]):
+        self.parts = parts
 
 
-@dataclass(frozen=True)
-class AllOf:
+class AllOf(Record):
     """``(and ...)`` of two or more conditions; the winning sites of all of them."""
 
-    parts: tuple["Condition", ...]
+    __slots__ = _compared = ("parts",)
+
+    def __init__(self, parts: tuple[Condition, ...]):
+        self.parts = parts
 
 
 Condition = Union[IsLine, IsConnected, IsIn, IsEven, NoMovesNext, AnyOf, AllOf]
 
 
-@dataclass(frozen=True)
-class MoveRule:
+class MoveRule(Record):
     """A decoded ``(move <kind> ...)`` ludeme."""
 
-    id: int                        # ludeme id of the (move ...) node
-    kind: str                      # Add | Step | Slide | Shoot
-    directions: tuple[str, ...]    # Step/Slide direction names, ("Adjacent",) by default
-    to: SiteSet | None             # Add target, None for the other kinds
-    projectile: str | None         # Shoot: name of the piece placed
-    again: bool                    # (then (moveAgain))
-    span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
-    # The action types of the rule's moves: an Add's or a Shoot's, a Move's and
-    # a capture's, each followed by "SetMoverAgain" when the rule moves again.
-    action_types: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("id", "kind", "directions", "to", "projectile", "again", "span", "action_types")
+    _compared = ("id", "kind", "directions", "to", "projectile", "again")
 
-    def __post_init__(self) -> None:
-        again = ("SetMoverAgain",) if self.again else ()
-        object.__setattr__(self, "action_types",
-                           (("Add",) + again, ("Move",) + again, ("Remove", "Move") + again))
+    def __init__(self, id: int, kind: str, directions: tuple[str, ...], to: SiteSet | None,
+                 projectile: str | None, again: bool, span: tuple[int, int]):
+        self.id = id                  # ludeme id of the (move ...) node
+        self.kind = kind              # Add | Step | Slide | Shoot
+        self.directions = directions  # Step/Slide direction names, ("Adjacent",) by default
+        self.to = to                  # Add target, None for the other kinds
+        self.projectile = projectile  # Shoot: name of the piece placed
+        self.again = again            # (then (moveAgain))
+        self.span = span              # source offsets of the node
+        # The action types of the rule's moves: an Add's or a Shoot's, a Move's and
+        # a capture's, each followed by "SetMoverAgain" when the rule moves again.
+        tail = ("SetMoverAgain",) if again else ()
+        self.action_types = (("Add",) + tail, ("Move",) + tail, ("Remove", "Move") + tail)
 
 
-@dataclass(frozen=True)
-class ForEachPiece:
+class ForEachPiece(Record):
     """``(forEach Piece)``: every piece of the mover moves by its own rule."""
 
-    id: int
-    span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
+    __slots__ = ("id", "span")
+    _compared = ("id",)
+
+    def __init__(self, id: int, span: tuple[int, int]):
+        self.id = id
+        self.span = span  # source offsets of the node
 
 
-@dataclass(frozen=True)
-class IfRule:
-    id: int
-    cond: Condition
-    then: "PlayRule"
-    otherwise: "PlayRule | None"
-    span: tuple[int, int] = field(compare=False, repr=False)  # source offsets of the node
+class IfRule(Record):
+    __slots__ = ("id", "cond", "then", "otherwise", "span")
+    _compared = ("id", "cond", "then", "otherwise")
+
+    def __init__(self, id: int, cond: Condition, then: PlayRule, otherwise: PlayRule | None,
+                 span: tuple[int, int]):
+        self.id = id
+        self.cond = cond
+        self.then = then
+        self.otherwise = otherwise
+        self.span = span  # source offsets of the node
 
 
 PlayRule = Union[MoveRule, ForEachPiece, IfRule]
 
 
-@dataclass(frozen=True)
-class PieceSpec:
-    name: str          # full name, e.g. "Disc", "Queen1", "Dot0"
-    base: str          # declared name, e.g. "Queen"
-    owner: int         # 0 = neutral
-    rule: MoveRule | None = None
-    from_each: bool = False
-    # Indices into board.rays[site] that the Step or Slide rule moves along.
-    rays: tuple[int, ...] = ()
+class PieceSpec(Record):
+    __slots__ = _compared = ("name", "base", "owner", "rule", "from_each", "rays")
+
+    def __init__(self, name: str, base: str, owner: int, rule: MoveRule | None = None,
+                 from_each: bool = False, rays: tuple[int, ...] = ()):
+        self.name = name    # full name, e.g. "Disc", "Queen1", "Dot0"
+        self.base = base    # declared name, e.g. "Queen"
+        self.owner = owner  # 0 = neutral
+        self.rule = rule
+        self.from_each = from_each
+        # Indices into board.rays[site] that the Step or Slide rule moves along.
+        self.rays = rays
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    owner: int
-    site_sets: tuple[SiteSet, ...]
+class RegionSpec(Record):
+    __slots__ = _compared = ("owner", "site_sets")
+
+    def __init__(self, owner: int, site_sets: tuple[SiteSet, ...]):
+        self.owner = owner
+        self.site_sets = site_sets
 
 
-@dataclass(frozen=True)
-class StartPlacement:
-    piece_name: str
-    sites: tuple[int, ...]
+class StartPlacement(Record):
+    __slots__ = _compared = ("piece_name", "sites")
+
+    def __init__(self, piece_name: str, sites: tuple[int, ...]):
+        self.piece_name = piece_name
+        self.sites = sites
 
 
-@dataclass(frozen=True)
-class EndRule:
-    end_id: int      # id of the (if ...) node under (end ...)
-    cond: Condition
-    who: str         # Mover | Next | P1..P4
-    outcome: str     # Win | Loss | Draw
+class EndRule(Record):
+    __slots__ = _compared = ("end_id", "cond", "who", "outcome")
+
+    def __init__(self, end_id: int, cond: Condition, who: str, outcome: str):
+        self.end_id = end_id    # id of the (if ...) node under (end ...)
+        self.cond = cond
+        self.who = who          # Mover | Next | P1..P4
+        self.outcome = outcome  # Win | Loss | Draw
 
 
-@dataclass(frozen=True)
-class AnchorTable:
+class AnchorTable(Record):
     """Union-find anchors for ``(is Connected ...)``.
 
     One anchor node per (player, region site set), numbered after the board's
     sites; an anchor is joined to each of its player's pieces in its set.
     """
 
-    of_player: tuple[tuple[int, ...], ...]            # indexed by player; 0 has none
-    at_site: tuple[tuple[tuple[int, ...], ...], ...]  # [player][site] -> anchors holding it
-    size: int                                         # board sites + anchors
-    # Indexed by player: the sites of the set of each anchor in of_player, ascending.
-    site_sets: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = _compared = ("of_player", "at_site", "size", "site_sets")
+
+    def __init__(self, of_player: tuple[tuple[int, ...], ...],
+                 at_site: tuple[tuple[tuple[int, ...], ...], ...], size: int,
+                 site_sets: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.of_player = of_player  # indexed by player; 0 has none
+        self.at_site = at_site      # [player][site] -> anchors holding it
+        self.size = size            # board sites + anchors
+        # Indexed by player: the sites of the set of each anchor in of_player, ascending.
+        self.site_sets = site_sets
 
 
 def _anchor_table(regions: list[RegionSpec], player_count: int,
@@ -201,48 +234,44 @@ def _anchor_table(regions: list[RegionSpec], player_count: int,
                        tuple(map(tuple, site_sets)))
 
 
-@dataclass
-class GameSpec:
-    name: str
-    player_count: int
-    board: BoardGraph
-    pieces: list[PieceSpec]
-    regions: list[RegionSpec]
-    start_placements: list[StartPlacement]
-    play: PlayRule
-    end_rules: list[EndRule]
-    anchors: AnchorTable
-    root: RawNode  # the parsed tree, for references that check the compiler from outside
-    # Every decoded play and piece rule by ludeme id.
-    rules: dict[int, PlayRule] = field(default_factory=dict)
-    # Whether the mover participates in move signatures; see _distinct_rules.
-    distinct_rules: bool = False
-    # Each piece by its name (no two pieces share one), the (name, owner) site
-    # content that placing a piece of each name makes, and the name of each
-    # player's first declared piece (None if the player owns none), indexed by
-    # player.
-    pieces_by_name: dict[str, PieceSpec] = field(init=False, repr=False, compare=False)
-    content_of: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
-    first_piece: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
-    # Indexed by player: the names of the player's own and the neutral pieces,
-    # which its Steps cannot land on; and, when every piece of the player that
-    # has a rule Steps, the (name, rule, ray indices) of each such piece, else
-    # None.  A (forEach Piece) of a player with a tuple resolves over occupancy
-    # bits, of a player with None site by site (see engine._resolve).
-    friend_names: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    step_pieces: tuple[tuple | None, ...] = field(init=False, repr=False, compare=False)
-    # The engine's [mover][site] table of Add moves for a play rule that is one
-    # Add to the empty sites, built by its first such playout (see
-    # engine._add_to_empty_plies); None until then.
-    add_moves: tuple[tuple, ...] | None = field(default=None, init=False, repr=False,
-                                                compare=False)
+class GameSpec(Record):
+    # No __slots__: the spec keeps a __dict__, which pickling and tests read.
+    _compared = ("name", "player_count", "board", "pieces", "regions", "start_placements",
+                 "play", "end_rules", "anchors", "root", "rules", "distinct_rules")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        self.pieces_by_name = {p.name: p for p in self.pieces}
+    def __init__(self, name: str, player_count: int, board: BoardGraph, pieces: list[PieceSpec],
+                 regions: list[RegionSpec], start_placements: list[StartPlacement],
+                 play: PlayRule, end_rules: list[EndRule], anchors: AnchorTable, root: RawNode,
+                 rules: dict[int, PlayRule] | None = None, distinct_rules: bool = False):
+        self.name = name
+        self.player_count = player_count
+        self.board = board
+        self.pieces = pieces
+        self.regions = regions
+        self.start_placements = start_placements
+        self.play = play
+        self.end_rules = end_rules
+        self.anchors = anchors
+        self.root = root  # the parsed tree, for references that check the compiler from outside
+        # Every decoded play and piece rule by ludeme id.
+        self.rules = {} if rules is None else rules
+        # Whether the mover participates in move signatures; see _distinct_rules.
+        self.distinct_rules = distinct_rules
+        # Each piece by its name (no two pieces share one), the (name, owner) site
+        # content that placing a piece of each name makes, and the name of each
+        # player's first declared piece (None if the player owns none), indexed by
+        # player.
+        self.pieces_by_name = {p.name: p for p in pieces}
         self.content_of = {name: (name, p.owner) for name, p in self.pieces_by_name.items()}
-        players = range(self.player_count + 1)
-        self.first_piece = tuple(next((p.name for p in self.pieces if p.owner == player), None)
+        players = range(player_count + 1)
+        self.first_piece = tuple(next((p.name for p in pieces if p.owner == player), None)
                                  for player in players)
+        # Indexed by player: the names of the player's own and the neutral pieces,
+        # which its Steps cannot land on; and, when every piece of the player that
+        # has a rule Steps, the (name, rule, ray indices) of each such piece, else
+        # None.  A (forEach Piece) of a player with a tuple resolves over occupancy
+        # bits, of a player with None site by site (see engine._resolve).
         self.friend_names = tuple(tuple(name for name, p in self.pieces_by_name.items()
                                         if p.owner in (player, 0)) for player in players)
         ruled = [[p for p in self.pieces_by_name.values() if p.owner == player and p.rule]
@@ -250,6 +279,10 @@ class GameSpec:
         self.step_pieces = tuple(
             tuple((p.name, p.rule, p.rays) for p in own)
             if all(p.rule.kind == "Step" for p in own) else None for own in ruled)
+        # The engine's [mover][site] table of Add moves for a play rule that is one
+        # Add to the empty sites, built by its first such playout (see
+        # engine._add_to_empty_plies); None until then.
+        self.add_moves = None
 
     def move_ludeme_ids(self) -> list[int]:
         """Ids of every (move ...) call in the description (each one decoded), ascending."""

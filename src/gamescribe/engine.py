@@ -62,13 +62,13 @@ call ``_advance``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # The error classes are the compiler's, so that the CLI catches them without this module.
 from .compiler import (AllOf, AnyOf, Condition, EngineError, ForEachPiece, GameSpec, IfRule,
                        IllegalMove, IsConnected, IsEven, IsIn, IsLine, MoveRule, NoMovesNext,
                        PlayoutLimitExceeded)
+from .record import Record
 
 
 PLAYOUT_MOVE_CAP = 10_000
@@ -113,42 +113,55 @@ class Move(NamedTuple):  # equal to, and hashed as, the plain tuple of its field
     to_site: int
 
 
-@dataclass(frozen=True)
-class EndMatch:
-    end_id: int | None  # None for the implicit draw-by-no-moves fallback
-    players: tuple[int, ...]
-    outcome: str  # Win | Loss | Draw
-    winning_sites: tuple[int, ...] | None = None
+class EndMatch(Record):
+    __slots__ = _compared = ("end_id", "players", "outcome", "winning_sites")
+
+    def __init__(self, end_id: int | None, players: tuple[int, ...], outcome: str,
+                 winning_sites: tuple[int, ...] | None = None):
+        self.end_id = end_id  # None for the implicit draw-by-no-moves fallback
+        self.players = players
+        self.outcome = outcome  # Win | Loss | Draw
+        self.winning_sites = winning_sites
 
 
-@dataclass(slots=True)
-class GameState:
-    contents: list  # per-site (piece name, owner) or None
-    mover: int
-    move_count: int
-    terminal: EndMatch | None = None
-    last_move: Move | None = None
-    # Caches of what ``contents`` implies, built lazily.  _advance updates the
-    # empty sites (ascending), the owned sites (ascending, indexed by owner),
-    # the occupancy of each piece name (bit s set when site s holds it) and
-    # the union-find parents (see _union_find) in place, or drops the
-    # union-find; it clears _groups, the resolved play rule, as the add-to-empty
-    # loop does.  Only _resolve fills _groups and its move count _total, which
-    # is read only while _groups is set.
-    _groups: "list[tuple] | tuple[int, dict] | None" = field(default=None, repr=False,
-                                                             compare=False)
-    _total: int = field(default=0, repr=False, compare=False)
-    _empty: "list[int] | None" = field(default=None, repr=False, compare=False)
-    _owned: "list[list[int]] | None" = field(default=None, repr=False, compare=False)
-    _occupancy: "dict[str, int] | None" = field(default=None, repr=False, compare=False)
-    _uf: "list[int] | None" = field(default=None, repr=False, compare=False)
+class GameState(Record):
+    __slots__ = ("contents", "mover", "move_count", "terminal", "last_move",
+                 "_groups", "_total", "_empty", "_owned", "_occupancy", "_uf")
+    _compared = ("contents", "mover", "move_count", "terminal", "last_move")
+    __hash__ = None
+
+    def __init__(self, contents: list, mover: int, move_count: int,
+                 terminal: EndMatch | None = None, last_move: Move | None = None,
+                 _groups: list[tuple] | tuple[int, dict] | None = None, _total: int = 0,
+                 _empty: list[int] | None = None, _owned: list[list[int]] | None = None,
+                 _occupancy: dict[str, int] | None = None, _uf: list[int] | None = None):
+        self.contents = contents  # per-site (piece name, owner) or None
+        self.mover = mover
+        self.move_count = move_count
+        self.terminal = terminal
+        self.last_move = last_move
+        # Caches of what ``contents`` implies, built lazily.  _advance updates the
+        # empty sites (ascending), the owned sites (ascending, indexed by owner),
+        # the occupancy of each piece name (bit s set when site s holds it) and
+        # the union-find parents (see _union_find) in place, or drops the
+        # union-find; it clears _groups, the resolved play rule, as the add-to-empty
+        # loop does.  Only _resolve fills _groups and its move count _total, which
+        # is read only while _groups is set.
+        self._groups = _groups
+        self._total = _total
+        self._empty = _empty
+        self._owned = _owned
+        self._occupancy = _occupancy
+        self._uf = _uf
 
 
-@dataclass(frozen=True)
-class PlayoutTrace:
-    seed: int
-    moves: tuple[Move, ...]
-    outcome: EndMatch
+class PlayoutTrace(Record):
+    __slots__ = _compared = ("seed", "moves", "outcome")
+
+    def __init__(self, seed: int, moves: tuple[Move, ...], outcome: EndMatch):
+        self.seed = seed
+        self.moves = moves
+        self.outcome = outcome
 
 
 def initial_state(spec: GameSpec) -> GameState:
@@ -744,8 +757,7 @@ def move_actions(move: Move, piece, src, dst) -> list[list]:
 
 def _move_to_dict(move: Move, spec: GameSpec) -> dict:
     labels = spec.board.labels
-    src = labels[move.from_site] if move.from_site is not None else None
-    dst = labels[move.to_site] if move.to_site is not None else None
+    src, dst = labels[move.from_site], labels[move.to_site]
     return {
         "mover": move.mover,
         "piece": move.piece,

@@ -168,7 +168,7 @@ class _MoveTexts(dict):
     from/to labels fill its ``%(f)s`` and ``%(t)s`` as values.
     """
 
-    def __init__(self, labels: dict):
+    def __init__(self, labels: list[str]):
         from .engine import move_actions
         super().__init__()
         self.labels = labels
@@ -198,8 +198,7 @@ def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec)
     trace's text and the memo are alive at a time, and the peak memory stays
     below the size of the file.
     """
-    labels = dict(enumerate(map(_quote, spec.board.labels)))
-    labels[None] = "null"
+    labels = list(map(_quote, spec.board.labels))
     texts = _MoveTexts(labels)
     with open(path, "w", encoding="utf-8") as out:
         sep = "[\n  "

@@ -14,9 +14,9 @@ argument included.  Of two faults, the first in the source is reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+import pkgutil
 
+from .record import Record
 from .sexpr import Call, Collection, Number, RawNode, Symbol, Text, children, print_canonical
 
 
@@ -45,15 +45,20 @@ class BadArgumentKind(CompileError):
     pass
 
 
-@dataclass(frozen=True)
-class SlotSpec:
-    kind: str  # number | string | symbol | ludeme | any
-    values: tuple[str, ...] | None = None
-    category: tuple[str, ...] | None = None
-    required: bool = True
-    variadic: bool = False
-    collection_ok: bool = False
-    needs: str | None = None  # what a missing mode slot's message asks for
+class SlotSpec(Record):
+    __slots__ = _compared = ("kind", "values", "category", "required", "variadic",
+                             "collection_ok", "needs")
+
+    def __init__(self, kind: str, values: tuple[str, ...] | None = None,
+                 category: tuple[str, ...] | None = None, required: bool = True,
+                 variadic: bool = False, collection_ok: bool = False, needs: str | None = None):
+        self.kind = kind  # number | string | symbol | ludeme | any
+        self.values = values
+        self.category = category
+        self.required = required
+        self.variadic = variadic
+        self.collection_ok = collection_ok
+        self.needs = needs  # what a missing mode slot's message asks for
 
     def describe(self) -> str:
         """What the slot takes, with its article: "a number", "an item ludeme"."""
@@ -68,14 +73,17 @@ class SlotSpec:
         return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
 
 
-@dataclass(frozen=True)
-class LudemeDescriptor:
-    name: str
-    category: str
-    slots: tuple[SlotSpec, ...] = ()
-    # First-argument symbol -> the slots of the arguments after it, each
-    # filled at most once, in any order.
-    modes: dict[str, tuple[SlotSpec, ...]] = field(default_factory=dict)
+class LudemeDescriptor(Record):
+    __slots__ = _compared = ("name", "category", "slots", "modes")
+
+    def __init__(self, name: str, category: str, slots: tuple[SlotSpec, ...] = (),
+                 modes: dict[str, tuple[SlotSpec, ...]] | None = None):
+        self.name = name
+        self.category = category
+        self.slots = slots
+        # First-argument symbol -> the slots of the arguments after it, each
+        # filled at most once, in any order.
+        self.modes = {} if modes is None else modes
 
 
 def describe(node: RawNode) -> str:
@@ -188,7 +196,8 @@ class Registry:
 
 
 def load_registry() -> Registry:
-    raw = json.loads(resources.files("gamescribe.data").joinpath("ludemes.json").read_text())
+    # pkgutil, not importlib.resources, which imports inspect on Python 3.12 and later.
+    raw = json.loads(pkgutil.get_data(__package__, "data/ludemes.json"))
 
     def slots(entries: list[dict]) -> tuple[SlotSpec, ...]:
         # Each key of a slot is a SlotSpec field; its lists become tuples.

@@ -16,11 +16,11 @@ Every image of a game has the same cells, built once per ``_Layout``;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from html import escape
 
 from .compiler import GameSpec
 from .engine import GameState, Move, apply_move
+from .record import Record
 from .taxonomy import similar_legal_moves
 
 CELL = 48
@@ -37,10 +37,14 @@ RED = "#d62828"
 GREEN = "#2a9d2a"
 
 
-@dataclass
-class HighlightSpec:
-    arrows: list[tuple[int, int]] = field(default_factory=list)  # (from, to)
-    dots: list[tuple[int, str]] = field(default_factory=list)    # (site, "red"|"green")
+class HighlightSpec(Record):
+    __slots__ = _compared = ("arrows", "dots")
+    __hash__ = None
+
+    def __init__(self, arrows: list[tuple[int, int]] | None = None,
+                 dots: list[tuple[int, str]] | None = None):
+        self.arrows = [] if arrows is None else arrows  # (from, to)
+        self.dots = [] if dots is None else dots        # (site, "red"|"green")
 
     def add_move(self, move: Move) -> None:
         # Arrow when the piece's location changes, red dot otherwise.

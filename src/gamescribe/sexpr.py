@@ -22,8 +22,9 @@ offsets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Union
+
+from .record import Record
 
 
 class ParseError(Exception):
@@ -55,35 +56,50 @@ class TrailingContent(ParseError):
 # Spans are (start, end) character offsets into the source text.  They are
 # excluded from equality so that structural comparison ignores layout.
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Symbol(Record):
+    __slots__ = ("name", "span")
+    _compared = ("name",)
+
+    def __init__(self, name: str, span: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.span = span
 
 
-@dataclass(frozen=True)
-class Number:
-    value: int
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Number(Record):
+    __slots__ = ("value", "span")
+    _compared = ("value",)
+
+    def __init__(self, value: int, span: tuple[int, int] = (0, 0)):
+        self.value = value
+        self.span = span
 
 
-@dataclass(frozen=True)
-class Text:
-    value: str
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Text(Record):
+    __slots__ = ("value", "span")
+    _compared = ("value",)
+
+    def __init__(self, value: str, span: tuple[int, int] = (0, 0)):
+        self.value = value
+        self.span = span
 
 
-@dataclass(frozen=True)
-class Call:
-    head: Symbol
-    args: tuple["RawNode", ...]
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Call(Record):
+    __slots__ = ("head", "args", "span")
+    _compared = ("head", "args")
+
+    def __init__(self, head: Symbol, args: tuple[RawNode, ...], span: tuple[int, int] = (0, 0)):
+        self.head = head
+        self.args = args
+        self.span = span
 
 
-@dataclass(frozen=True)
-class Collection:
-    items: tuple["RawNode", ...]
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Collection(Record):
+    __slots__ = ("items", "span")
+    _compared = ("items",)
+
+    def __init__(self, items: tuple[RawNode, ...], span: tuple[int, int] = (0, 0)):
+        self.items = items
+        self.span = span
 
 
 RawNode = Union[Symbol, Number, Text, Call, Collection]

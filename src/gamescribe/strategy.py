@@ -17,9 +17,9 @@ entry, raises ``HeuristicsError`` at its offset in the document.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .compiler import GameSpec, line_length_fault
+from .record import Record
 from .registry import CompileError
 from .sexpr import (Call, Collection, Number, ParseError, RawNode, Symbol, Text, parse,
                     print_canonical)
@@ -33,13 +33,17 @@ class UnknownPieceName(HeuristicsError):
     pass
 
 
-@dataclass(frozen=True)
-class HeuristicEntry:
-    kind: str                  # Material | Mobility | LineCompletion
-    weight: float
-    piece: str | None = None   # Material only
-    target_length: int | None = None  # LineCompletion only
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class HeuristicEntry(Record):
+    __slots__ = ("kind", "weight", "piece", "target_length", "span")
+    _compared = ("kind", "weight", "piece", "target_length")
+
+    def __init__(self, kind: str, weight: float, piece: str | None = None,
+                 target_length: int | None = None, span: tuple[int, int] = (0, 0)):
+        self.kind = kind                    # Material | Mobility | LineCompletion
+        self.weight = weight
+        self.piece = piece                  # Material only
+        self.target_length = target_length  # LineCompletion only
+        self.span = span
 
 
 _BUCKETS = [

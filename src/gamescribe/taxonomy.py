@@ -12,12 +12,12 @@ key, and keep a key's first occurrence as its exemplar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .compiler import GameSpec
 from .engine import GameState, Move, PlayoutTrace, legal_moves
 from .english import draw_fallback_sentence, translate_node
+from .record import Record
 
 
 class MoveSignature(NamedTuple):  # equal to, and hashed as, the plain tuple of its fields
@@ -31,19 +31,24 @@ class MoveSignature(NamedTuple):  # equal to, and hashed as, the plain tuple of 
                 self.piece, self.origin_id, self.action_types)
 
 
-@dataclass(frozen=True)
-class DistinctMove:
-    signature: MoveSignature
-    exemplar: tuple[int, int]  # (playout seed, move index) of first occurrence
-    rule_text: str
+class DistinctMove(Record):
+    __slots__ = _compared = ("signature", "exemplar", "rule_text")
+
+    def __init__(self, signature: MoveSignature, exemplar: tuple[int, int], rule_text: str):
+        self.signature = signature
+        self.exemplar = exemplar  # (playout seed, move index) of first occurrence
+        self.rule_text = rule_text
 
 
-@dataclass(frozen=True)
-class EndingExample:
-    result_key: tuple[str, tuple[int, ...], int | None]  # (outcome, players, end id)
-    exemplar_seed: int
-    text: str
-    winning_sites: tuple[int, ...] | None
+class EndingExample(Record):
+    __slots__ = _compared = ("result_key", "exemplar_seed", "text", "winning_sites")
+
+    def __init__(self, result_key: tuple[str, tuple[int, ...], int | None], exemplar_seed: int,
+                 text: str, winning_sites: tuple[int, ...] | None):
+        self.result_key = result_key  # (outcome, players, end id)
+        self.exemplar_seed = exemplar_seed
+        self.text = text
+        self.winning_sites = winning_sites
 
 
 def move_signature(move: Move, spec: GameSpec) -> MoveSignature:

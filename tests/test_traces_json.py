@@ -43,7 +43,7 @@ def _case(draw):
         lambda mover, piece, origin, kinds, src, dst:
             Move(mover, piece, origin, kinds[0] + ("SetMoverAgain",) * kinds[1], src, dst),
         st.integers(0, 4), st.none() | _strings, st.integers(0, 10**6), kinds,
-        st.none() | site, st.none() | site)
+        site, site)
     # Moves drawn from a small pool repeat, as they do in real playouts.
     pool = draw(st.lists(move, min_size=1, max_size=4))
     outcome = st.builds(

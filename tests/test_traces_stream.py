@@ -36,7 +36,7 @@ def _case(draw):
         lambda mover, piece, origin, kinds, src, dst:
             Move(mover, piece, origin, kinds[0] + ("SetMoverAgain",) * kinds[1], src, dst),
         st.integers(0, 4), st.none() | _strings, st.integers(0, 10**6), kinds,
-        st.none() | site, st.none() | site)
+        site, site)
     pool = draw(st.lists(move, min_size=1, max_size=4))
     outcome = st.builds(
         EndMatch, st.none() | st.integers(0, 10**6),
@@ -57,7 +57,7 @@ def test_writer_matches_json_dumps_with_percent_in_names(case):
 @pytest.mark.parametrize("traces", [
     [],
     [PlayoutTrace(3, (), EndMatch(None, (1, 2), "Draw"))],
-    [PlayoutTrace(0, (Move(1, "%(f)s", 5, ("Add",), None, 0),), EndMatch(7, (1,), "Win", (0,))),
+    [PlayoutTrace(0, (Move(1, "%(f)s", 5, ("Add",), 0, 0),), EndMatch(7, (1,), "Win", (0,))),
      PlayoutTrace(1, (), EndMatch(7, (2,), "100%", ()))],
 ], ids=["no-traces", "zero-move-trace", "percent-move-then-zero-moves"])
 def test_writer_matches_json_dumps_on_edge_traces(traces):
