@@ -235,7 +235,7 @@ def _anchor_table(regions: list[RegionSpec], player_count: int,
 
 
 class GameSpec(Record):
-    # No __slots__: the spec keeps a __dict__, which pickling and tests read.
+    # No __slots__: one spec is built per game, so slots would save nothing that shows.
     _compared = ("name", "player_count", "board", "pieces", "regions", "start_placements",
                  "play", "end_rules", "anchors", "root", "rules", "distinct_rules")
     __hash__ = None
