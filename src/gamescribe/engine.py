@@ -23,8 +23,8 @@ piece name's occupancy integer per ray index give every site of the piece
 with a move that way.  ``(is Line n)`` reads its runs from the rays.
 ``(is Connected ...)`` asks an incremental union-find first and searches
 for the winning path only once that reports a connection.  Its finds use
-path halving, written inline in ``_join``, ``_uf_connected`` and the
-add-to-empty loop.
+path halving: ``_find``, written inline in ``_join`` and the add-to-empty
+loop, which run once per placement.
 
 ``_advance`` is the one transition: it plays a move on a state in place and
 keeps the empty sites, owned sites, occupancy bits and union-find it finds
@@ -131,28 +131,21 @@ class GameState(Record):
     __hash__ = None
 
     def __init__(self, contents: list, mover: int, move_count: int,
-                 terminal: EndMatch | None = None, last_move: Move | None = None,
-                 _groups: list[tuple] | tuple[int, dict] | None = None, _total: int = 0,
-                 _empty: list[int] | None = None, _owned: list[list[int]] | None = None,
-                 _occupancy: dict[str, int] | None = None, _uf: list[int] | None = None):
+                 terminal: EndMatch | None = None, last_move: Move | None = None):
         self.contents = contents  # per-site (piece name, owner) or None
         self.mover = mover
         self.move_count = move_count
         self.terminal = terminal
         self.last_move = last_move
-        # Caches of what ``contents`` implies, built lazily.  _advance updates the
-        # empty sites (ascending), the owned sites (ascending, indexed by owner),
-        # the occupancy of each piece name (bit s set when site s holds it) and
-        # the union-find parents (see _union_find) in place, or drops the
-        # union-find; it clears _groups, the resolved play rule, as the add-to-empty
-        # loop does.  Only _resolve fills _groups and its move count _total, which
-        # is read only while _groups is set.
-        self._groups = _groups
-        self._total = _total
-        self._empty = _empty
-        self._owned = _owned
-        self._occupancy = _occupancy
-        self._uf = _uf
+        # Caches of what ``contents`` implies, built lazily; a new state has none.
+        # _advance updates the empty sites (ascending), the owned sites (ascending,
+        # indexed by owner), the occupancy of each piece name (bit s set when site
+        # s holds it) and the union-find parents (see _union_find) in place, or
+        # drops the union-find; it clears _groups, the resolved play rule, as the
+        # add-to-empty loop does.  Only _resolve fills _groups and its move count
+        # _total, which is read only while _groups is set.
+        self._groups = self._empty = self._owned = self._occupancy = self._uf = None
+        self._total = 0
 
 
 class PlayoutTrace(Record):
@@ -420,13 +413,13 @@ def apply_move(state: GameState, move: Move, spec: GameSpec, *,
         raise IllegalMove("state is terminal")
     if validate and move not in legal_moves(spec, state):
         raise IllegalMove(f"move not legal in this state: {move}")
+    new_state = GameState(list(state.contents), state.mover, state.move_count,
+                          last_move=state.last_move)
     empty, owned, occupancy, uf = state._empty, state._owned, state._occupancy, state._uf
-    new_state = GameState(
-        list(state.contents), state.mover, state.move_count, last_move=state.last_move,
-        _empty=None if empty is None else empty.copy(),
-        _owned=None if owned is None else [sites.copy() for sites in owned],
-        _occupancy=None if occupancy is None else occupancy.copy(),
-        _uf=None if uf is None else uf.copy())
+    new_state._empty = None if empty is None else empty.copy()
+    new_state._owned = None if owned is None else [sites.copy() for sites in owned]
+    new_state._occupancy = None if occupancy is None else occupancy.copy()
+    new_state._uf = None if uf is None else uf.copy()
     _advance(spec, new_state, move)
     return new_state
 
@@ -490,8 +483,8 @@ def _eval_line(spec: GameSpec, state: GameState, cond: IsLine,
 
 
 def _find(parent: list[int], x: int) -> int:
-    """The root of ``x``, halving the path to it (_join, _uf_connected and
-    _add_to_empty_plies inline these steps)."""
+    """The root of ``x``, halving the path to it (_join and _add_to_empty_plies,
+    which run once per placement, inline these steps)."""
     while parent[x] != x:
         # Targets are assigned left to right: x's parent becomes its grandparent, then x does.
         parent[x] = x = parent[parent[x]]
@@ -505,7 +498,8 @@ def _join(parent: list[int], contents: list, site: int, owner: int,
     ``adjacent`` and ``at_site`` are the board's and the anchor table's.  The
     root of ``site`` is found once, and the root of each adjacent piece of the
     owner, and of each anchor holding the site, is linked under it; each root
-    is found as _find finds it, inline (a piece just placed is its own root).
+    is found as _find finds it, inline, since this runs once per placement (a
+    piece just placed is its own root).
     """
     root = site
     while parent[root] != root:
@@ -547,15 +541,8 @@ def _uf_connected(spec: GameSpec, state: GameState, player: int) -> bool:
     parent = state._uf
     if parent is None:
         parent = _union_find(spec, state)
-    root = None
-    for x in anchors:  # each anchor's root, found as _find finds it
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        if root is None:
-            root = x
-        elif x != root:
-            return False
-    return True
+    root = _find(parent, anchors[0])
+    return all(_find(parent, x) == root for x in anchors[1:])
 
 
 def _eval_connected(spec: GameSpec, state: GameState, cond: IsConnected,

@@ -178,7 +178,7 @@ class _MoveTexts(dict):
     def __missing__(self, move: engine.Move) -> str:
         template = self.templates.get(move[:4])
         if template is None:
-            piece = _quote(move.piece).replace("%", "%%") if move.piece is not None else "null"
+            piece = _quote(move.piece).replace("%", "%%")
             actions = [_array([_quote(kind), *args], " " * 10)
                        for kind, *args in self.move_actions(move, piece, "%(f)s", "%(t)s")]
             template = self.templates[move[:4]] = _MOVE % (
@@ -234,7 +234,7 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
     svg_dir.mkdir(parents=True, exist_ok=True)
 
     layout = render._Layout(spec)  # every image of the game shares its cells
-    setup_svg = render.render_board(spec, engine.initial_state(spec), None, layout)
+    setup_svg = render.render_board(spec, engine.initial_state(spec), layout=layout)
     (svg_dir / "setup.svg").write_text(setup_svg, encoding="utf-8")
 
     move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir, similar, layout)

@@ -1,4 +1,4 @@
-"""SVG rendering of board states with move and ending highlights.
+"""SVG rendering of board states with marked moves and winning sites.
 
 Geometry: 16-unit padding; site ``s`` is at ``row, col = divmod(s, cols)``,
 row 0 at the bottom.  Square cells are 48 units, centred at ``(40 + 48 col,
@@ -6,8 +6,10 @@ row 0 at the bottom.  Square cells are 48 units, centred at ``(40 + 48 col,
 and width ``w = sqrt(3) 28`` in a rhombus, at ``(16 + w (col + row / 2 + 1 / 2),
 44 + 42 (rows - 1 - row))``.  ``_Layout.centres`` holds them.  Each cell is
 one element with class "cell", each occupied site one group with class
-"glyph"; highlights render as class "arrow" groups and "dot-red" /
-"dot-green" circles, drawn above the glyphs.
+"glyph".  ``render_board`` draws the marks above the glyphs, from the moves
+and sites it is given: a class "arrow" group for each marked move that
+changes site, then a "dot-red" circle for each other marked move, then a
+"dot-green" circle for each winning site.
 
 Every image of a game has the same cells, built once per ``_Layout``;
 ``pipeline.generate`` passes one ``_Layout`` to all of the game's images.
@@ -20,7 +22,6 @@ from html import escape
 
 from .compiler import GameSpec
 from .engine import GameState, Move, apply_move
-from .record import Record
 from .taxonomy import similar_legal_moves
 
 CELL = 48
@@ -30,28 +31,14 @@ PAD = 16
 _HEX_WIDTH = math.sqrt(3.0) * HEX_RADIUS
 _HEX_VSTEP = 1.5 * HEX_RADIUS
 
-_OWNER_FILL = {0: "#9e9e9e", 1: "#ffffff", 2: "#1a1a1a", 3: "#3a6fb0", 4: "#e0a526"}
+# Indexed by owner: the neutral grey, then players 1 to compiler.MAX_PLAYERS, each its own.
+_OWNER_FILL = ("#9e9e9e", "#ffffff", "#1a1a1a", "#3a6fb0", "#e0a526", "#9467bd", "#17becf",
+               "#8c564b", "#e377c2", "#bcbd22", "#ff7f0e", "#aec7e8", "#98df8a", "#ff9896",
+               "#c5b0d5", "#f7b6d2", "#9edae5")
 _OWNER_STROKE = {0: "#555555", 1: "#1a1a1a", 2: "#1a1a1a"}
 
 RED = "#d62828"
 GREEN = "#2a9d2a"
-
-
-class HighlightSpec(Record):
-    __slots__ = _compared = ("arrows", "dots")
-    __hash__ = None
-
-    def __init__(self, arrows: list[tuple[int, int]] | None = None,
-                 dots: list[tuple[int, str]] | None = None):
-        self.arrows = [] if arrows is None else arrows  # (from, to)
-        self.dots = [] if dots is None else dots        # (site, "red"|"green")
-
-    def add_move(self, move: Move) -> None:
-        # Arrow when the piece's location changes, red dot otherwise.
-        if move.from_site != move.to_site:
-            self.arrows.append((move.from_site, move.to_site))
-        else:
-            self.dots.append((move.to_site, "red"))
 
 
 def _fmt(x: float) -> str:
@@ -102,7 +89,7 @@ def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
     piece = spec.pieces_by_name[name]
     base = piece.base
     owner = piece.owner
-    fill = _OWNER_FILL.get(owner, "#888888")
+    fill = _OWNER_FILL[owner]
     stroke = _OWNER_STROKE.get(owner, "#1a1a1a")
     r = 16
     if base == "Dot":
@@ -154,9 +141,14 @@ def _dot(layout: _Layout, site: int, colour: str) -> str:
             f'fill="{fill}"/>')
 
 
-def render_board(spec: GameSpec, state: GameState,
-                 highlights: HighlightSpec | None = None, layout: _Layout | None = None) -> str:
-    """Render one state as a standalone SVG document, on a new ``_Layout`` unless given one."""
+def render_board(spec: GameSpec, state: GameState, marked: list[Move] | tuple[Move, ...] = (),
+                 winning: tuple[int, ...] = (), layout: _Layout | None = None) -> str:
+    """Render one state as a standalone SVG document, on a new ``_Layout`` unless given one.
+
+    Above the glyphs, each ``marked`` move that changes site draws a red
+    arrow, then each other marked move a red dot on its site, then each
+    ``winning`` site a green dot.
+    """
     if layout is None:
         layout = _Layout(spec)
     parts = [
@@ -167,26 +159,20 @@ def render_board(spec: GameSpec, state: GameState,
     for content, (cx, cy) in zip(state.contents, layout.centres):
         if content is not None:
             parts.append(_glyph(spec, content[0], cx, cy))
-    if highlights is not None:
-        for from_site, to_site in highlights.arrows:
-            parts.append(_arrow(layout, from_site, to_site))
-        for site, colour in highlights.dots:
-            parts.append(_dot(layout, site, colour))
+    parts += [_arrow(layout, m.from_site, m.to_site) for m in marked if m.from_site != m.to_site]
+    parts += [_dot(layout, m.to_site, "red") for m in marked if m.from_site == m.to_site]
+    parts += [_dot(layout, site, "green") for site in winning]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def render_move_pair(spec: GameSpec, state: GameState, move: Move, similar: bool,
                      layout: _Layout | None = None) -> tuple[str, str]:
-    """Before/after images for a move; before highlights it in red, and with
+    """Before/after images for a move; before marks it in red, and with
     ``similar`` every similar legal move too."""
-    highlighted = similar_legal_moves(state, move, spec) if similar else [move]
-    spec_hl = HighlightSpec()
-    for m in highlighted:
-        spec_hl.add_move(m)
-    before = render_board(spec, state, spec_hl, layout)
-    after_state = apply_move(state, move, spec)
-    after = render_board(spec, after_state, None, layout)
+    marked = similar_legal_moves(state, move, spec) if similar else [move]
+    before = render_board(spec, state, marked, layout=layout)
+    after = render_board(spec, apply_move(state, move, spec), layout=layout)
     return before, after
 
 
@@ -194,16 +180,10 @@ def render_ending_pair(spec: GameSpec, state: GameState, move: Move,
                        layout: _Layout | None = None) -> tuple[str, str]:
     """Before/after images for a game-ending move.
 
-    The before image highlights the final move in red; the after image
-    marks the winning sites (when any) with green dots.
+    The before image marks the final move in red; the after image marks
+    the winning sites (when any) with green dots.
     """
-    spec_hl = HighlightSpec()
-    spec_hl.add_move(move)
-    before = render_board(spec, state, spec_hl, layout)
+    before = render_board(spec, state, [move], layout=layout)
     after_state = apply_move(state, move, spec)
-    after_hl = None
-    if after_state.terminal is not None and after_state.terminal.winning_sites:
-        after_hl = HighlightSpec()
-        after_hl.dots = [(s, "green") for s in after_state.terminal.winning_sites]
-    after = render_board(spec, after_state, after_hl, layout)
+    after = render_board(spec, after_state, (), after_state.terminal.winning_sites or (), layout)
     return before, after

@@ -4,8 +4,8 @@ Every record class of ``src/`` is listed once, with a factory, a second
 instance that differs from the first only in fields left out of comparison
 (source spans and caches), the names of its compared fields in order, and
 the repr of the first instance.  Equality and hashing use exactly those
-fields, a record of another class is never equal, and the four mutable
-records (a board, a spec, a state and a highlight list) are unhashable.
+fields, a record of another class is never equal, and the three mutable
+records (a board, a spec and a state) are unhashable.
 """
 
 import pickle
@@ -20,7 +20,6 @@ from gamescribe.compiler import (AllOf, AnchorTable, AnyOf, EndRule, ForEachPiec
 from gamescribe.engine import EndMatch, GameState, Move, PlayoutTrace, random_playout
 from gamescribe.english import translate_game
 from gamescribe.registry import LudemeDescriptor, SlotSpec
-from gamescribe.render import HighlightSpec
 from gamescribe.sexpr import Call, Collection, Number, Symbol, Text
 from gamescribe.strategy import HeuristicEntry
 from gamescribe.taxonomy import DistinctMove, EndingExample, MoveSignature
@@ -52,6 +51,14 @@ def _board_with_rays():
 
 _MOVE = Move(1, "Disc", 4, ("Add",), 0, 0)
 _END = EndMatch(9, (1,), "Win", (0, 1))
+
+
+def _state_with_caches():
+    state = GameState([None, ("Disc", 1)], 2, 1, None, _MOVE)
+    state._groups, state._total, state._empty = [], 3, [0]
+    state._owned, state._occupancy, state._uf = [[], [1]], {"Disc": 2}, [0, 1]
+    return state
+
 
 # (factory, a factory of an instance equal to it, compared fields, repr)
 RECORDS = {
@@ -163,9 +170,7 @@ RECORDS = {
     "EndMatch": (lambda: _END, lambda: EndMatch(9, (1,), "Win", (0, 1)),
                  ("end_id", "players", "outcome", "winning_sites"),
                  "EndMatch(end_id=9, players=(1,), outcome='Win', winning_sites=(0, 1))"),
-    "GameState": (lambda: GameState([None, ("Disc", 1)], 2, 1, None, _MOVE),
-                  lambda: GameState([None, ("Disc", 1)], 2, 1, None, _MOVE, [], 3, [0],
-                                    [[], [1]], {"Disc": 2}, [0, 1]),
+    "GameState": (lambda: GameState([None, ("Disc", 1)], 2, 1, None, _MOVE), _state_with_caches,
                   ("contents", "mover", "move_count", "terminal", "last_move"),
                   "GameState(contents=[None, ('Disc', 1)], mover=2, move_count=1, "
                   "terminal=None, last_move=Move(mover=1, piece='Disc', origin_id=4, "
@@ -176,9 +181,6 @@ RECORDS = {
                      "action_types=('Add',), from_site=0, to_site=0),), "
                      "outcome=EndMatch(end_id=9, players=(1,), outcome='Win', "
                      "winning_sites=(0, 1)))"),
-    "HighlightSpec": (lambda: HighlightSpec([(0, 1)], [(2, "red")]),
-                      lambda: HighlightSpec([(0, 1)], [(2, "red")]), ("arrows", "dots"),
-                      "HighlightSpec(arrows=[(0, 1)], dots=[(2, 'red')])"),
     "DistinctMove": (lambda: DistinctMove(MoveSignature(None, "Disc", 4, ("Add",)), (0, 1), "x"),
                      lambda: DistinctMove(MoveSignature(None, "Disc", 4, ("Add",)), (0, 1), "x"),
                      ("signature", "exemplar", "rule_text"),
@@ -192,11 +194,11 @@ RECORDS = {
 }
 
 # The records that may change after construction, so hash nothing.
-UNHASHABLE = {"BoardGraph", "GameSpec", "GameState", "HighlightSpec"}
+UNHASHABLE = {"BoardGraph", "GameSpec", "GameState"}
 
 
 def test_every_record_class_is_listed():
-    assert len(RECORDS) == 32
+    assert len(RECORDS) == 31
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -254,14 +256,9 @@ def test_records_differ_in_a_compared_field():
     assert _add() != MoveRule(4, "Add", ("Adjacent",), SiteSet(("Empty",), ()), None, False,
                               (20, 48))
     assert GameState([None], 1, 0) != GameState([None], 2, 0)
-    assert HighlightSpec() != HighlightSpec([(0, 1)])
 
 
 def test_mutable_defaults_are_not_shared():
-    first, second = HighlightSpec(), HighlightSpec()
-    first.arrows.append((0, 1))
-    first.dots.append((0, "red"))
-    assert second.arrows == [] and second.dots == []
     assert LudemeDescriptor("a", "b").modes is not LudemeDescriptor("a", "b").modes
     assert _spec().rules is not _spec().rules
 

@@ -6,7 +6,7 @@ from conftest import CORPUS, load_spec
 from gamescribe import render
 from gamescribe.engine import apply_move, initial_state, random_playout
 from gamescribe.pipeline import generate
-from gamescribe.render import HighlightSpec, _Layout, render_board
+from gamescribe.render import _Layout, render_board
 
 
 def test_generate_draws_each_cell_once(tmp_path, monkeypatch, hexgame):
@@ -31,10 +31,8 @@ def test_shared_layout_renders_the_same_boards(name):
     layout = _Layout(spec)
     state = initial_state(spec)
     for move in random_playout(spec, 0).moves:
-        highlights = HighlightSpec()
-        highlights.add_move(move)
-        highlights.dots.append((move.to_site, "green"))
-        for hl in (None, highlights):
-            assert render_board(spec, state, hl, layout) == render_board(spec, state, hl)
+        for marked, winning in (((), ()), ([move], (move.to_site,))):
+            assert (render_board(spec, state, marked, winning, layout)
+                    == render_board(spec, state, marked, winning))
         state = apply_move(state, move, spec, validate=False)
-    assert render_board(spec, state, None, layout) == render_board(spec, state)
+    assert render_board(spec, state, layout=layout) == render_board(spec, state)

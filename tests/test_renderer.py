@@ -3,10 +3,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from gamescribe.compiler import compile_game
+from gamescribe.compiler import MAX_PLAYERS, compile_game
 from gamescribe.engine import apply_move, initial_state, legal_moves, random_playout, replay
-from gamescribe.render import (HighlightSpec, render_board, render_ending_pair,
-                               render_move_pair)
+from gamescribe.render import render_board, render_ending_pair, render_move_pair
 from gamescribe.sexpr import parse
 from test_boards import _game
 
@@ -93,15 +92,23 @@ def test_ending_pair_highlights(tictactoe):
     assert _count(after, 'class="dot-red"') == 0
 
 
-def test_highlightspec_add_move_classification(breakthrough, tictactoe):
-    hs = HighlightSpec()
+def test_marks_draw_arrows_then_red_dots_then_green_dots(breakthrough, tictactoe):
+    """A marked move that changes site draws an arrow, one that stays a red dot on its
+    site; each winning site draws a green dot."""
     step = legal_moves(breakthrough, initial_state(breakthrough))[0]
-    hs.add_move(step)
-    assert hs.arrows and not hs.dots
-    hs2 = HighlightSpec()
-    add = legal_moves(tictactoe, initial_state(tictactoe))[0]
-    hs2.add_move(add)
-    assert hs2.dots == [(add.to_site, "red")] and not hs2.arrows
+    svg = render_board(breakthrough, initial_state(breakthrough), [step])
+    assert _count(svg, 'class="arrow"') == 1 and _count(svg, 'class="dot-red"') == 0
+    state = initial_state(tictactoe)
+    add = legal_moves(tictactoe, state)[0]
+    assert add.from_site == add.to_site
+    root = _assert_well_formed(render_board(tictactoe, state, [add, add._replace(to_site=8)],
+                                            (0, 4)))
+    marks = [(e.get("class"), e.get("cx"), e.get("cy")) for e in root
+             if e.get("class") in ("arrow", "dot-red", "dot-green")]
+    cells = [root[site] for site in (add.to_site, 0, 4)]  # the cells, in site order
+    centres = [(str(int(c.get("x")) + 24), str(int(c.get("y")) + 24)) for c in cells]
+    assert marks == [("arrow", None, None), ("dot-red", *centres[0]),
+                     ("dot-green", *centres[1]), ("dot-green", *centres[2])]
 
 
 def test_glyphs_survive_capture_render(breakthrough):
@@ -114,18 +121,25 @@ def test_glyphs_survive_capture_render(breakthrough):
     assert _count(svg, 'class="glyph"') == pieces
 
 
-def test_four_players_have_four_fills():
+@pytest.mark.parametrize("players", [4, MAX_PLAYERS])
+def test_each_player_has_a_fill_of_its_own(players):
+    """Players 1 to 4 keep white, black, blue and amber; no two players, and no player
+    and a neutral piece, share a fill."""
+    labels = [f"{'ABCDE'[i % 5]}{i // 5 + 1}" for i in range(players + 1)]
+    places = " ".join(f'(place "Disc{p}" {{"{labels[p - 1]}"}})' for p in range(1, players + 1))
     spec = compile_game(parse(
-        '(game "Four" (players 4) (equipment {(board (square 4)) (piece "Disc" Each)}) '
-        '(rules (start {(place "Disc1" {"A1"}) (place "Disc2" {"B1"}) (place "Disc3" {"C1"}) '
-        '(place "Disc4" {"D1"})}) (play (move Add (to (sites Empty)))) '
+        f'(game "Many" (players {players}) (equipment {{(board (square 5)) (piece "Disc" Each) '
+        f'(piece "Marker" Neutral)}}) (rules (start {{{places} (place "Marker0" '
+        f'{{"{labels[players]}"}})}}) (play (move Add (to (sites Empty)))) '
         '(end (if (is Line 3) (result Mover Win)))))'))
     root = _assert_well_formed(render_board(spec, initial_state(spec)))
     ns = "{http://www.w3.org/2000/svg}"
     fills = {g.get("data-piece"): g.find(f"{ns}circle").get("fill")
              for g in root.iter(f"{ns}g") if g.get("class") == "glyph"}
-    assert sorted(fills) == ["Disc1", "Disc2", "Disc3", "Disc4"]
-    assert len(set(fills.values())) == 4
+    assert len(fills) == players + 1
+    first_four = [fills[f"Disc{p}"] for p in range(1, 5)]
+    assert first_four == ["#ffffff", "#1a1a1a", "#3a6fb0", "#e0a526"]
+    assert len(set(fills.values())) == players + 1
 
 
 @pytest.mark.parametrize("board, rows, cols", [("(rectangle 5 3)", 3, 5),

@@ -42,7 +42,7 @@ def _case(draw):
     move = st.builds(
         lambda mover, piece, origin, kinds, src, dst:
             Move(mover, piece, origin, kinds[0] + ("SetMoverAgain",) * kinds[1], src, dst),
-        st.integers(0, 4), st.none() | _strings, st.integers(0, 10**6), kinds,
+        st.integers(0, 4), _strings, st.integers(0, 10**6), kinds,
         site, site)
     # Moves drawn from a small pool repeat, as they do in real playouts.
     pool = draw(st.lists(move, min_size=1, max_size=4))
