@@ -73,6 +73,28 @@ def test_apply_move_flips_mover(tictactoe):
     assert all(m.piece == "Cross" for m in legal_moves(tictactoe, after))
 
 
+
+def test_a_new_state_has_no_caches():
+    state = GameState([None, ("Disc", 1)], 2, 1)
+    assert (state._groups, state._total, state._empty, state._owned, state._occupancy,
+            state._uf) == (None, 0, None, None, None, None)
+
+
+def test_apply_move_gives_the_new_state_copies_of_the_caches(hexgame):
+    """The carried caches equal the parent's, but editing them leaves the parent's alone."""
+    state = initial_state(hexgame)
+    engine._empty_sites(state)
+    engine._owned_sites(hexgame, state)
+    engine._occupancy_of(hexgame, state)
+    engine._union_find(hexgame, state)
+    child = apply_move(state, legal_moves(hexgame, state)[0], hexgame)
+    for name in ("_empty", "_owned", "_occupancy", "_uf"):
+        carried = getattr(child, name)
+        assert carried is not None and carried is not getattr(state, name)
+    saved = (list(state._empty), [list(s) for s in state._owned], list(state._uf))
+    child._empty.clear(), child._owned[1].append(0), child._uf.append(0)
+    assert (state._empty, state._owned, state._uf) == saved
+
 def test_apply_rejects_illegal_moves(tictactoe):
     state = initial_state(tictactoe)
     move = legal_moves(tictactoe, state)[0]

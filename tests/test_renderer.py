@@ -92,6 +92,19 @@ def test_ending_pair_highlights(tictactoe):
     assert _count(after, 'class="dot-red"') == 0
 
 
+
+def test_ending_pair_of_a_draw_has_no_green_dot(tictactoe):
+    for seed in range(100):
+        trace = random_playout(tictactoe, seed)
+        if trace.outcome.outcome == "Draw":
+            break
+    assert trace.outcome.winning_sites is None
+    state = replay(tictactoe, trace, upto=len(trace.moves) - 1)
+    before, after = render_ending_pair(tictactoe, state, trace.moves[-1])
+    assert _count(before, 'class="dot-red"') == 1
+    assert after == render_board(tictactoe, apply_move(state, trace.moves[-1], tictactoe))
+    assert _count(after, 'class="dot-green"') == 0
+
 def test_marks_draw_arrows_then_red_dots_then_green_dots(breakthrough, tictactoe):
     """A marked move that changes site draws an arrow, one that stays a red dot on its
     site; each winning site draws a green dot."""
