@@ -14,6 +14,14 @@ playout-stats) a game with no legal opening move; 4 playout move-cap exceeded.
 Every offset in a message is a character offset into the file's text as
 written, line endings included.  Standard output is UTF-8, as every written
 file is, whatever the locale's encoding.
+
+With more than one game, more than one CPU in ``os.sched_getaffinity`` and
+one thread, ``generate`` plays the first game here while forked children play
+later ones, at most one fewer than the CPUs at once (``parallel``).
+The games are still written, and their ``wrote`` lines printed, in game
+order, with ``index.html`` last; exit 2 or 4 in one game leaves the games
+before it written and nothing of it or of any later game, as the serial loop
+does.
 """
 
 from __future__ import annotations
@@ -108,10 +116,22 @@ def main(argv: list[str] | None = None) -> int:
             entries = parse_heuristics(read_source(args.heuristics)) if args.heuristics else None
             strategies = [None if entries is None else explain_heuristics(entries, spec)
                           for spec in specs]
-            for spec, lines in zip(specs, strategies):
-                game_dir = generate(spec, args.seed, args.playouts, args.out, lines,
-                                    similar=not args.no_similar, dump_json=args.format == "json")
+
+            def run(game: int, before_write=None) -> Path:
+                return generate(specs[game], args.seed, args.playouts, args.out,
+                                strategies[game], similar=not args.no_similar,
+                                dump_json=args.format == "json", before_write=before_write)
+
+            def wrote(game_dir: Path) -> None:
                 print(f"wrote {game_dir / 'manual.html'}")
+
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            if len(specs) > 1 and cpus > 1:
+                from .parallel import run_in_order
+                run_in_order(run, len(specs), cpus - 1, wrote)
+            else:
+                for game in range(len(specs)):
+                    wrote(run(game))
             if len(specs) > 1:
                 write_index(args.out, list(paths))
         elif args.command == "translate":

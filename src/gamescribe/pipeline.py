@@ -38,6 +38,8 @@ from .registry import CompileError
 from .sexpr import ParseError, parse
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from . import engine, render
     from .taxonomy import DistinctMove, EndingExample
 
@@ -216,10 +218,13 @@ def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec)
 
 
 def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
-             strategy_lines: list[str] | None, similar: bool, dump_json: bool) -> Path:
+             strategy_lines: list[str] | None, similar: bool, dump_json: bool,
+             before_write: Callable[[], object] | None = None) -> Path:
     """Run the whole pipeline for one ``load_playable`` game; returns its output dir.
 
     With ``strategy_lines`` None the Heuristics section shows its placeholder.
+    ``before_write``, if given, is called once the playouts and the taxonomy are
+    done, before the game's first write.
     """
     from . import engine, render, taxonomy
     traces = run_playouts(spec, seed, playouts)
@@ -228,6 +233,8 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
     endings = taxonomy.collect_endings(traces, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
     translation = translate_game(spec)
+    if before_write is not None:
+        before_write()
 
     game_dir = Path(out_dir) / spec.name
     svg_dir = game_dir / "svg"

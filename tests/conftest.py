@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -10,6 +11,15 @@ from gamescribe.sexpr import parse
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "corpus"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A test may start processes (``generate`` forks for several games), but it
+    must leave none behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def normalise(text: str) -> str:

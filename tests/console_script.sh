@@ -67,6 +67,22 @@ printf '%s' '(game "Wander" (players 1) (equipment {(board (square 3)) (piece "M
 rc=0; "${gs[@]}" generate --game "$tmp/wander.lud" --playouts 1 --out "$tmp/gs-wander" || rc=$?
 test "$rc" -eq 4
 test ! -e "$tmp/gs-wander"
+# Among several games, a child process may play each game after the first.
+# Wander's cap is exit 4: the game before it is written, Wander and Hex are
+# not, nor index.html, and no process of the run is left in its process group.
+python -c "import os, pathlib, subprocess, sys
+out = pathlib.Path(sys.argv[1], 'gs-three')
+proc = subprocess.Popen([*sys.argv[3:], 'generate', '--game', 'corpus/TicTacToe.lud', '--game', sys.argv[2],
+                         '--game', 'corpus/Hex.lud', '--playouts', '1', '--out', str(out)],
+                        stderr=subprocess.DEVNULL, start_new_session=True)
+assert proc.wait() == 4, proc.returncode
+assert [p.name for p in out.iterdir()] == ['Tic-Tac-Toe'], list(out.iterdir())
+try:
+    os.killpg(proc.pid, 0)
+except ProcessLookupError:
+    print('exit 4 with Tic-Tac-Toe alone written, and no process of the run left')
+else:
+    raise AssertionError('a process of the run is still running')" "$tmp" "$tmp/wander.lud" "${gs[@]}"
 # Under the ASCII C locale stdout is still UTF-8, and an output directory the
 # file-system encoding cannot name is exit 2, with nothing written.
 printf '%s' '(game "Königs" (players 2) (equipment {(board (square 3)) (piece "王" P1) (piece "Disc" P2)}) (rules (play (move Add (to (sites Empty)))) (end (if (is Line 3) (result Mover Win)))))' > "$tmp/koenigs.lud"

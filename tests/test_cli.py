@@ -1,9 +1,12 @@
 import argparse
 import collections
+import errno
 import hashlib
 import io
 import json
 import os
+import pickle
+import shutil
 import subprocess
 import sys
 import urllib.parse
@@ -69,34 +72,64 @@ def test_endless_game_exits_4(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_capped_playout_writes_nothing_of_its_game(tmp_path, monkeypatch, capsys):
+def _generate_argv(out, games, *options):
+    argv = ["generate", "--out", str(out), *options]
+    for game in games:
+        argv += ["--game", str(CORPUS / f"{game}.lud")]
+    return argv
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
     # Tic-Tac-Toe is written in full; Breakthrough's third playout hits the
-    # cap after two have finished, so none of Breakthrough is written and
-    # no index.html is either.
-    playout, played = engine.random_playout, []
+    # cap after two have finished, so none of Breakthrough is written, no
+    # later game and no index.html either.  A forked child may play a game,
+    # so each call is recorded in a file per game, where this process reads it.
+    playout = engine.random_playout
 
     def capped(spec, seed, **kwargs):
-        played.append((spec.name, seed))
+        with open(tmp_path / f"{spec.name}.played", "a") as log:
+            log.write(f"{seed}\n")
         if spec.name == "Breakthrough" and seed == 2:
             raise engine.PlayoutLimitExceeded("no terminal state after 10000 moves")
         return playout(spec, seed, **kwargs)
 
     monkeypatch.setattr(engine, "random_playout", capped)
     out = tmp_path / "out"
-    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"),
-                 "--game", str(CORPUS / "Breakthrough.lud"), "--playouts", "5",
-                 "--format", "json", "--out", str(out)]) == 4
+    assert main(_generate_argv(out, ["TicTacToe", "Breakthrough", *later],
+                               "--playouts", "5", "--format", "json")) == 4
     assert "no terminal state" in capsys.readouterr().err
+    played = [(name, int(seed)) for name in ("Tic-Tac-Toe", "Breakthrough")
+              for seed in (tmp_path / f"{name}.played").read_text().split()]
     assert played[-3:] == [("Breakthrough", 0), ("Breakthrough", 1), ("Breakthrough", 2)]
     assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
+    _assert_no_child_left()
     alone = tmp_path / "alone"
-    assert main(["generate", "--game", str(CORPUS / "TicTacToe.lud"), "--playouts", "5",
-                 "--format", "json", "--out", str(alone)]) == 0
+    assert main(_generate_argv(alone, ["TicTacToe"], "--playouts", "5", "--format", "json")) == 0
+    assert _files(out) == _files(alone)
 
-    def files(root):
-        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-    assert files(out) == files(alone)
+def test_capped_playout_writes_nothing_of_its_game(tmp_path, monkeypatch, capsys):
+    _capped_breakthrough(tmp_path, monkeypatch, capsys, [])
+
+
+def test_capped_playout_writes_no_later_game(tmp_path, monkeypatch, capsys):
+    # With three CPUs a child plays Hex while Tic-Tac-Toe runs here, and is
+    # killed before it writes.
+    _cpus(monkeypatch, 3)
+    _capped_breakthrough(tmp_path, monkeypatch, capsys, ["Hex"])
 
 
 def test_generate_writes_expected_tree(tmp_path):
@@ -573,9 +606,10 @@ def test_cli_import_stays_light():
     assert proc.stdout.strip() == "[]"
 
 
-# The back end, and what creating a dataclass imports: translate loads none of them.
+# The back end, the fork code of a multi-game generate, and what creating a
+# dataclass imports: translate loads none of them.
 NOT_LOADED = ("gamescribe.engine", "gamescribe.render", "gamescribe.taxonomy", "hashlib",
-              "dataclasses", "inspect")
+              "gamescribe.parallel", "pickle", "dataclasses", "inspect")
 
 
 def test_translate_loads_only_the_front_end():
@@ -676,6 +710,80 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
     differing = sorted(path for path in got.keys() | want.keys()
                        if got.get(path) != want.get(path))
     assert not differing, f"{name}: outputs differ from the recorded digests: {differing}"
+
+
+def test_forked_and_serial_generate_give_the_recorded_bytes(tmp_path, monkeypatch, capsys):
+    # One run of the four corpus games, first with two CPUs, where children
+    # play Amazons and Hex while this process plays the others, then with one,
+    # where nothing forks.
+    names = {"Breakthrough": "Breakthrough", "Amazons": "Amazons",
+             "TicTacToe": "Tic-Tac-Toe", "Hex": "Hex"}
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(cpus)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(_generate_argv(out, names, "--playouts", "100", "--seed", "0",
+                                   "--format", "json")) == 0
+        assert capsys.readouterr().out == "".join(
+            f"wrote {out / name / 'manual.html'}\n" for name in names.values())
+        assert (out / "index.html").is_file()
+        for game, name in names.items():
+            got = {f"{name}/{path.as_posix()}": hashlib.sha256(data).hexdigest()
+                   for path, data in _files(out / name).items()}
+            want = {path: digest for path, digest in OUTPUT_DIGESTS[game].items()
+                    if path != "<translate stdout>"}
+            assert got == want, (cpus, game)
+        _assert_no_child_left()
+    assert forks == [2, 2]
+
+
+def test_failed_write_in_a_forked_game_exits_2_as_serial(tmp_path, monkeypatch, capsys):
+    # Hex's output path is a regular file: Tic-Tac-Toe is written, Hex fails,
+    # Amazons is never written, and there is no index.html.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "Hex").write_text("not a directory")
+    argv = _generate_argv(out, ["TicTacToe", "Hex", "Amazons"], "--playouts", "5")
+    errors = []
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+        assert sorted(p.name for p in out.iterdir()) == ["Hex", "Tic-Tac-Toe"]
+        assert (out / "Tic-Tac-Toe" / "manual.html").is_file()
+        _assert_no_child_left()
+        shutil.rmtree(out / "Tic-Tac-Toe")
+    assert errors[0] == errors[1] == f"error: {out / 'Hex' / 'svg'}: Not a directory\n"
+
+
+@pytest.mark.parametrize("owner, name", [(pickle, "dumps"), (os, "fork")])
+def test_a_game_no_child_reports_on_is_generated_here(tmp_path, monkeypatch, capsys, owner,
+                                                      name):
+    # Only a child pickles, so refusing pickle.dumps ends Hex's child before
+    # its report; refusing os.fork leaves no child at all.  Either way this
+    # process generates Hex itself, to the same bytes and lines as the serial
+    # loop, and closes every pipe it opened.
+    def refuse(*args):
+        raise OSError(errno.EAGAIN, "refused")
+
+    monkeypatch.setattr(owner, name, refuse)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    runs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / "out"
+        assert main(_generate_argv(out, ["TicTacToe", "Hex"], "--playouts", "5")) == 0
+        runs.append((capsys.readouterr().out, _files(out)))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def test_main_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
