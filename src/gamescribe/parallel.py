@@ -52,7 +52,7 @@ def run_in_order(job: Callable[[int, Callable[[], object] | None], object], coun
             os.close(report_w)
             return pid, go_w, report_r
         try:  # in the child
-            for fd in (go_w, report_r, *(fd for _, *fds in children.values() for fd in fds)):
+            for fd in (go_w, report_r, *(fd for _, *pipes in children.values() for fd in pipes)):
                 os.close(fd)
             try:  # an empty read: the go pipe was closed unsent, so write nothing
                 report = ("ok", job(i, lambda: os.read(go_r, 1) or os._exit(0)))
@@ -98,8 +98,8 @@ def run_in_order(job: Callable[[int, Callable[[], object] | None], object], coun
                     slots = 0
                     break
                 later += 1
-            report = collect(i) if i in children else None
-            finished(job(i, None) if report is None else report[1])
+            result = collect(i) if i in children else None
+            finished(job(i, None) if result is None else result[1])
     finally:
         for i in list(children):
             reap(i, kill=True)
