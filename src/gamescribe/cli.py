@@ -125,13 +125,10 @@ def main(argv: list[str] | None = None) -> int:
             def wrote(game_dir: Path) -> None:
                 print(f"wrote {game_dir / 'manual.html'}")
 
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            if len(specs) > 1 and cpus > 1:
-                from .parallel import run_in_order
-                run_in_order(run, len(specs), cpus - 1, wrote)
-            else:
-                for game in range(len(specs)):
-                    wrote(run(game))
+            from .parallel import run_in_order
+            # A child reports the errors below that generating a game can raise;
+            # any other error is raised again here, with its own traceback.
+            run_in_order(run, len(specs), wrote, (OSError, PlayoutLimitExceeded))
             if len(specs) > 1:
                 write_index(args.out, list(paths))
         elif args.command == "translate":

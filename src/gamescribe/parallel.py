@@ -1,15 +1,15 @@
 """Jobs run in forked child processes and finished in order.
 
-``generate`` with several games (see ``cli``) plays later games in children
-while this process plays the first.  Only such a call imports this module, and
-``pickle`` with it, so that ``translate`` and a one-game ``generate`` load
-neither.
+``generate`` (see ``cli``) runs its games through ``run_in_order``: with
+several games it plays later ones in children while this process plays the
+first.  Only ``generate`` imports this module, so that ``translate`` does not,
+and ``pickle`` is imported only where a child is forked, so that a one-game
+``generate`` does not load it either.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -17,24 +17,30 @@ from collections.abc import Callable
 
 
 def run_in_order(job: Callable[[int, Callable[[], object] | None], object], count: int,
-                 slots: int, finished: Callable[[object], object]) -> None:
+                 finished: Callable[[object], object],
+                 reported: tuple[type[BaseException], ...]) -> None:
     """Call ``finished(job(i, before_write))`` for ``i`` in ``range(count)``, in
-    order, as a plain loop would, while up to ``slots`` forked children run
-    later jobs.
+    order, as a plain loop would, while forked children run later jobs: at most
+    one fewer than the CPUs in ``os.sched_getaffinity`` at once, and none in a
+    process that runs more than one thread or has no ``sched_getaffinity``.
 
     ``job`` calls ``before_write``, if not None, before its first write.  A
     child runs its job up to that call, then waits for a "go" byte, sent once
-    every earlier job is finished; it writes and reports ``("ok", result)``
-    or the exception it raised, pickled, for this process to re-raise.  A job
-    no child reports on runs here.  Children print nothing and leave through
-    ``os._exit``.  Every child is reaped on every path, and one never told to
-    write is killed first.
+    every earlier job is finished; it writes and reports ``("ok", result)``,
+    or an exception of a ``reported`` type that it raised, pickled, for this
+    process to re-raise.  A job no child reports on, such as one whose child
+    raised anything else, runs here, so that such an error is raised with its
+    own traceback.  Children print nothing and leave through ``os._exit``.
+    Every child is reaped on every path, and one never told to write is
+    killed first.
     """
-    if threading.active_count() > 1:  # a forked child would hold only this thread
-        slots = 0
+    slots = 0  # a forked child would hold only this thread: fork none beside others
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        slots = len(os.sched_getaffinity(0)) - 1
     children: dict[int, tuple[int, int, int]] = {}  # job -> (pid, go fd, report fd)
 
     def fork(i: int) -> tuple[int, int, int]:
+        import pickle
         sys.stdout.flush()
         sys.stderr.flush()
         fds: list[int] = []
@@ -56,7 +62,7 @@ def run_in_order(job: Callable[[int, Callable[[], object] | None], object], coun
                 os.close(fd)
             try:  # an empty read: the go pipe was closed unsent, so write nothing
                 report = ("ok", job(i, lambda: os.read(go_r, 1) or os._exit(0)))
-            except Exception as exc:
+            except reported as exc:
                 report = exc
             with open(report_w, "wb") as pipe:
                 pipe.write(pickle.dumps(report))
@@ -82,6 +88,7 @@ def run_in_order(job: Callable[[int, Callable[[], object] | None], object], coun
         reap(i, kill=False)
         if not data:
             return None
+        import pickle
         result = pickle.loads(data)  # bytes the child wrote
         if isinstance(result, BaseException):
             raise result

@@ -639,6 +639,22 @@ def test_translate_loads_only_the_front_end():
                                             "import gamescribe.cli", "translate")}
 
 
+def test_one_game_generate_loads_no_pickle(tmp_path):
+    # Only a forked child's report needs pickle; a one-game generate forks none.
+    code = """if True:
+        import contextlib, io, sys, gamescribe.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gamescribe.cli.main(["generate", "--game", sys.argv[1], "--playouts", "2",
+                                        "--out", sys.argv[2]])
+        print(code, "pickle" in sys.modules)
+        """
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(CORPUS / "TicTacToe.lud"),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 # The names that the benchmark's tracer (bench/tracer.py) wraps in cli and
 # pipeline at install time: each must be looked up at every call, so a lazy
 # import may not bind one of them inside a function.
@@ -784,6 +800,31 @@ def test_a_game_no_child_reports_on_is_generated_here(tmp_path, monkeypatch, cap
         shutil.rmtree(out)
     assert runs[0] == runs[1]
     assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_an_error_no_exit_code_covers_keeps_its_traceback_from_a_child(tmp_path, monkeypatch,
+                                                                       capsys):
+    # A bug in a game a child plays is not reported up the pipe: this process
+    # plays the game again and raises the error from the frame that failed.
+    translate = pipeline.translate_game
+
+    def broken_translate(spec):
+        if spec.name == "Hex":
+            raise KeyError("broken")
+        return translate(spec)
+
+    monkeypatch.setattr(pipeline, "translate_game", broken_translate)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    with pytest.raises(KeyError) as raised:
+        main(_generate_argv(out, ["TicTacToe", "Hex"], "--playouts", "5"))
+    assert forks == [1]
+    assert raised.traceback[-1].name == "broken_translate"
+    assert capsys.readouterr().out == f"wrote {out / 'Tic-Tac-Toe' / 'manual.html'}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["Tic-Tac-Toe"]
 
 
 def test_main_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
