@@ -21,7 +21,11 @@ later ones, at most one fewer than the CPUs at once (``parallel``).
 The games are still written, and their ``wrote`` lines printed, in game
 order, with ``index.html`` last; exit 2 or 4 in one game leaves the games
 before it written and nothing of it or of any later game, as the serial loop
-does.
+does.  Each game's seeds are cut into ``max(1, min(playouts, CPUs // games))``
+ranges, played at once by the game's process and forked children
+(``parallel.ways``, ``pipeline.play``): so only a call with at least twice as
+many CPUs as games splits a game.  ``playout-stats`` splits its one game
+alike.  The files and the output are the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from pathlib import Path
 
 from .compiler import PlayoutLimitExceeded
 from .english import translate_game
-from .pipeline import (NoOpeningMove, generate, load_game, load_playable, playout_stats,
-                       read_source, write_index)
+from .pipeline import (REPORTED, NoOpeningMove, generate, load_game, load_playable,
+                       playout_stats, read_source, write_index)
 from .registry import CompileError
 from .sexpr import ParseError
 from .strategy import HeuristicsError, explain_heuristics, parse_heuristics
@@ -117,18 +121,19 @@ def main(argv: list[str] | None = None) -> int:
             strategies = [None if entries is None else explain_heuristics(entries, spec)
                           for spec in specs]
 
+            from . import parallel
+            ways = parallel.ways(len(specs), args.playouts)
+
             def run(game: int, before_write=None) -> Path:
                 return generate(specs[game], args.seed, args.playouts, args.out,
                                 strategies[game], similar=not args.no_similar,
-                                dump_json=args.format == "json", before_write=before_write)
+                                dump_json=args.format == "json", before_write=before_write,
+                                ways=ways)
 
             def wrote(game_dir: Path) -> None:
                 print(f"wrote {game_dir / 'manual.html'}")
 
-            from .parallel import run_in_order
-            # A child reports the errors below that generating a game can raise;
-            # any other error is raised again here, with its own traceback.
-            run_in_order(run, len(specs), wrote, (OSError, PlayoutLimitExceeded))
+            parallel.run_in_order(run, len(specs), wrote, REPORTED)
             if len(specs) > 1:
                 write_index(args.out, list(paths))
         elif args.command == "translate":

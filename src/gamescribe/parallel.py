@@ -1,14 +1,24 @@
-"""Jobs run in forked child processes and finished in order.
+"""Jobs run in forked child processes and finished in order, and how many.
 
 ``generate`` (see ``cli``) runs its games through ``run_in_order``: with
 several games it plays later ones in children while this process plays the
-first.  Only ``generate`` imports this module, so that ``translate`` does not,
-and ``pickle`` is imported only where a child is forked, so that a one-game
-``generate`` does not load it either.
+first.  ``pipeline.play`` runs the seed ranges of one game's playouts through
+it too, the lowest range here and the others in children.  ``ways`` is the
+rule for how many ranges a game is split into: ``max(1, min(playouts, CPUs
+// games))``.  So a game is split only where there are at least twice as many
+CPUs as games in the call, and with one CPU nothing forks.  The CPUs are
+those of ``os.sched_getaffinity``; a process that runs more than one thread,
+or has no ``sched_getaffinity``, counts one.
+
+A child reports its result through a pipe by ``marshal`` where marshal takes
+it, such as a fold of plain tuples, and otherwise by ``pickle``, imported only
+then, so that a one-game ``generate`` does not load it.  Only ``generate`` and
+``playout-stats`` import this module, so that ``translate`` does not.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import signal
 import sys
@@ -16,31 +26,40 @@ import threading
 from collections.abc import Callable
 
 
+def cpus() -> int:
+    """The CPUs this process may fork onto: 1 where a forked child would hold only
+    this thread of several, or where ``os.sched_getaffinity`` does not exist."""
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def ways(games: int, playouts: int) -> int:
+    """How many seed ranges each of ``games`` games of ``playouts`` playouts is split into."""
+    return max(1, min(playouts, cpus() // games))
+
+
 def run_in_order(job: Callable[[int, Callable[[], object] | None], object], count: int,
                  finished: Callable[[object], object],
                  reported: tuple[type[BaseException], ...]) -> None:
     """Call ``finished(job(i, before_write))`` for ``i`` in ``range(count)``, in
     order, as a plain loop would, while forked children run later jobs: at most
-    one fewer than the CPUs in ``os.sched_getaffinity`` at once, and none in a
-    process that runs more than one thread or has no ``sched_getaffinity``.
+    one fewer than ``cpus()`` at once.
 
     ``job`` calls ``before_write``, if not None, before its first write.  A
     child runs its job up to that call, then waits for a "go" byte, sent once
     every earlier job is finished; it writes and reports ``("ok", result)``,
-    or an exception of a ``reported`` type that it raised, pickled, for this
-    process to re-raise.  A job no child reports on, such as one whose child
-    raised anything else, runs here, so that such an error is raised with its
-    own traceback.  Children print nothing and leave through ``os._exit``.
+    or an exception of a ``reported`` type that it raised, for this process
+    to re-raise.  A job no child reports on, such as one whose child raised
+    anything else, runs here, so that such an error is raised with its own
+    traceback.  Children print nothing and leave through ``os._exit``.
     Every child is reaped on every path, and one never told to write is
     killed first.
     """
-    slots = 0  # a forked child would hold only this thread: fork none beside others
-    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        slots = len(os.sched_getaffinity(0)) - 1
+    slots = cpus() - 1
     children: dict[int, tuple[int, int, int]] = {}  # job -> (pid, go fd, report fd)
 
     def fork(i: int) -> tuple[int, int, int]:
-        import pickle
         sys.stdout.flush()
         sys.stderr.flush()
         fds: list[int] = []
@@ -64,8 +83,13 @@ def run_in_order(job: Callable[[int, Callable[[], object] | None], object], coun
                 report = ("ok", job(i, lambda: os.read(go_r, 1) or os._exit(0)))
             except reported as exc:
                 report = exc
+            try:
+                data = b"m" + marshal.dumps(report)
+            except ValueError:  # not plain data, such as a path or an exception
+                import pickle
+                data = b"p" + pickle.dumps(report)
             with open(report_w, "wb") as pipe:
-                pipe.write(pickle.dumps(report))
+                pipe.write(data)
         finally:
             os._exit(0)
 
@@ -88,8 +112,10 @@ def run_in_order(job: Callable[[int, Callable[[], object] | None], object], coun
         reap(i, kill=False)
         if not data:
             return None
+        if data[:1] == b"m":  # bytes the child wrote
+            return marshal.loads(data[1:])
         import pickle
-        result = pickle.loads(data)  # bytes the child wrote
+        result = pickle.loads(data[1:])
         if isinstance(result, BaseException):
             raise result
         return result

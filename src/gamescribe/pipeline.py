@@ -5,13 +5,20 @@ deterministic for fixed arguments: playout seeds are ``seed .. seed +
 playouts - 1``, each trace depends only on its own seed, and asset ids are
 content hashes of move signatures and ending result keys.
 
+``play`` cuts the seeds into ``ways`` contiguous ranges, one per process, and
+merges the processes' folds, so the output does not depend on ``ways``.
+``cli`` takes ``max(1, min(playouts, CPUs // games))`` from ``parallel.ways``:
+with one CPU, or at least as many games as CPUs, nothing forks.
+
 ``generate --format json`` exports the playouts as ``traces.json`` through
 ``_write_traces``, which builds the text from templates instead of building
 ``engine.trace_to_dict`` dicts and passing them to ``json.dumps(indent=2)``
 (the pure-Python encoder, since ``indent`` disables the C one).  Each move
 signature gets one ``%``-template, each distinct move is filled in once per
 write through a memo, and each trace is streamed to the file as soon as it
-is formatted, so the writer's peak memory stays below the file's size.  Its
+is formatted, so the writer's peak memory stays below the file's size.  A
+child streams its range's text into an anonymous temporary file opened before
+the fork, which the writer copies after this process's own traces.  The
 output is the same bytes; ``trace_to_dict`` stays as the debug export that
 the tests hold the writer to.  Every file is written as UTF-8, whatever the
 locale.  A game whose first mover has no legal move cannot be played out,
@@ -27,18 +34,19 @@ from __future__ import annotations
 import json
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 from urllib.parse import quote
 
-from .compiler import GameSpec, compile_game
+from .compiler import GameSpec, PlayoutLimitExceeded, compile_game
 from .english import translate_game
 from .manual import build_manual, check_assets
 from .registry import CompileError
 from .sexpr import ParseError, parse
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterable
 
     from . import engine, render
     from .taxonomy import DistinctMove, EndingExample
@@ -78,13 +86,6 @@ def load_playable(path: Path) -> GameSpec:
         raise NoOpeningMove("no legal opening move: every playout would end before its "
                             "first move", spec.play.span)
     return spec
-
-
-def run_playouts(spec: GameSpec, seed: int, count: int) -> list[engine.PlayoutTrace]:
-    if count < 1:  # no playout, no move or ending to show
-        raise ValueError("playout count must be at least 1")
-    from . import engine
-    return [engine.random_playout(spec, s) for s in range(seed, seed + count)]
 
 
 def _asset_id(key: tuple) -> str:  # of a move signature or an ending's result key
@@ -190,92 +191,211 @@ class _MoveTexts(dict):
         return text
 
 
-def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec) -> None:
-    """Write ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)`` plus a newline.
+def _trace_text(spec: GameSpec) -> Callable[[engine.PlayoutTrace], str]:
+    """A trace -> its text in ``traces.json``, at the layout of ``json.dumps(indent=2)``.
 
     The text comes from templates of that layout, with no dict per move or
     trace, and strings go through json's C encoder.  Each distinct move is
-    formatted once per write, through the ``_MoveTexts`` memo, and each
-    trace is streamed to the file as soon as it is formatted.  So only one
-    trace's text and the memo are alive at a time, and the peak memory stays
-    below the size of the file.
+    formatted once per function returned, through its ``_MoveTexts`` memo.
     """
     labels = list(map(_quote, spec.board.labels))
     texts = _MoveTexts(labels)
+
+    def text(trace: engine.PlayoutTrace) -> str:
+        outcome = trace.outcome
+        sites = outcome.winning_sites
+        return _TRACE % (
+            trace.seed, _array(list(map(texts.__getitem__, trace.moves)), "    "),
+            _array([str(p) for p in outcome.players], "      "), _quote(outcome.outcome),
+            "null" if outcome.end_id is None else outcome.end_id,
+            _array([labels[s] for s in sites], "      ") if sites else "null")
+    return text
+
+
+def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec,
+                  parts: Iterable[BinaryIO] = ()) -> None:
+    """Write ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)`` plus a newline.
+
+    Each trace is streamed to the file as soon as it is formatted (see
+    ``_trace_text``), so only one trace's text and the move memo are alive at
+    a time, and the peak memory stays below the size of the file.  ``parts``
+    are the files of ``play``, each holding later traces' text, every trace
+    preceded by its separator; they are copied after ``traces`` in chunks.
+    """
+    text = _trace_text(spec)
     with open(path, "w", encoding="utf-8") as out:
         sep = "[\n  "
         for trace in traces:
-            outcome = trace.outcome
-            sites = outcome.winning_sites
             out.write(sep)
-            out.write(_TRACE % (
-                trace.seed, _array(list(map(texts.__getitem__, trace.moves)), "    "),
-                _array([str(p) for p in outcome.players], "      "), _quote(outcome.outcome),
-                "null" if outcome.end_id is None else outcome.end_id,
-                _array([labels[s] for s in sites], "      ") if sites else "null"))
+            out.write(text(trace))
             sep = ",\n  "
+        out.flush()
+        for part in parts:
+            part.seek(0)
+            while chunk := part.read(1 << 16):
+                out.buffer.write(chunk)
         out.write("\n]\n" if traces else "[]\n")
+
+
+# The errors of generating a game that cli.main turns into exit codes: a child
+# reports them back (see parallel.run_in_order), and the job of a child that
+# raised any other error runs again here, so that it keeps its traceback.
+REPORTED = (OSError, PlayoutLimitExceeded)
+
+
+def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = False
+         ) -> tuple[list[engine.PlayoutTrace], dict, list[engine.PlayoutTrace], list[BinaryIO]]:
+    """Play seeds ``seed .. seed + playouts - 1`` in ``ways`` processes and merge their folds.
+
+    The seeds are cut into ``ways`` contiguous ranges; ``parallel.run_in_order``
+    plays the lowest here and the others in forked children, all at once, and
+    each process folds its range (see ``_fold``).  Returns ``(kept, counts,
+    traces, parts)``: the folds' kept traces, joined in seed order, and the
+    playouts of each (outcome, players).  A key's first occurrence over all
+    the seeds is kept by the first range that holds it, so the taxonomy of
+    ``kept`` is that of every trace.  With ``dump``, ``traces`` holds the
+    lowest range's traces, and ``parts`` an anonymous temporary file for each
+    other range, opened before the fork, into which that range streams its
+    text for ``traces.json``; the caller closes them.  Without, both are empty.
+    """
+    if playouts < 1:  # no playout, no move or ending to show
+        raise ValueError("playout count must be at least 1")
+    from . import engine, parallel
+    ways = min(ways, playouts)  # no range is empty
+    bounds = [seed + playouts * k // ways for k in range(ways + 1)]
+    traces: list[engine.PlayoutTrace] = []
+    parts: list[BinaryIO] = []
+    if dump and ways > 1:
+        import tempfile
+        parts = [tempfile.TemporaryFile() for _ in range(1, ways)]
+
+    def job(k: int, _before_write) -> tuple[list, dict]:
+        if k == 0 or not parts:  # the lowest range keeps its traces; the others stream theirs
+            return _fold(spec, bounds[k], bounds[k + 1], traces.append if dump else None)
+        with open(parts[k - 1].fileno(), "w", encoding="utf-8", closefd=False) as out:
+            out.seek(0)  # the range may be played here again after its child failed
+            out.truncate()
+            text = _trace_text(spec)
+            return _fold(spec, bounds[k], bounds[k + 1],
+                         lambda trace: out.write(",\n  " + text(trace)))
+
+    folds: list[tuple[list, dict]] = []
+    try:
+        parallel.run_in_order(job, ways, folds.append, REPORTED)
+    except BaseException:
+        for part in parts:
+            part.close()
+        raise
+    kept, counts = [], {}
+    for fold_kept, fold_counts in folds:
+        kept += [engine.PlayoutTrace(seed, tuple(map(engine.Move._make, moves)),
+                                     engine.EndMatch(*outcome))
+                 for seed, moves, outcome in fold_kept]
+        for key, count in fold_counts.items():
+            counts[key] = counts.get(key, 0) + count
+    return kept, counts, traces, parts
+
+
+def _fold(spec: GameSpec, start: int, stop: int,
+          sink: Callable[[engine.PlayoutTrace], object] | None) -> tuple[list, dict]:
+    """Play seeds ``start .. stop - 1`` in order, each trace passed to ``sink`` if given,
+    and fold them into plain tuples, which ``marshal`` takes.
+
+    A trace is kept, as ``(seed, moves, (end_id, players, outcome,
+    winning_sites))`` with each move a plain tuple, when it holds the first
+    occurrence among these seeds of a move key (as ``taxonomy.collect_distinct``
+    tells moves apart) or of an ending key (as ``collect_endings`` does).  The
+    playouts of each (outcome, players) are counted.
+    """
+    from . import engine
+    playout = engine.random_playout
+    move_key = itemgetter(0, 1, 2, 3) if spec.distinct_rules else itemgetter(1, 2, 3)
+    moves_seen: set[tuple] = set()
+    endings_seen: set[tuple] = set()
+    kept: list[tuple] = []
+    counts: dict[tuple, int] = {}
+    for seed in range(start, stop):
+        trace = playout(spec, seed)
+        if sink is not None:
+            sink(trace)
+        outcome = trace.outcome
+        ending = (outcome.outcome, outcome.players, outcome.end_id)
+        keys = set(map(move_key, trace.moves))
+        if ending not in endings_seen or not keys <= moves_seen:
+            endings_seen.add(ending)
+            moves_seen |= keys
+            kept.append((seed, tuple(map(tuple, trace.moves)), (
+                outcome.end_id, outcome.players, outcome.outcome, outcome.winning_sites)))
+        counts[ending[:2]] = counts.get(ending[:2], 0) + 1
+    return kept, counts
 
 
 def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
              strategy_lines: list[str] | None, similar: bool, dump_json: bool,
-             before_write: Callable[[], object] | None = None) -> Path:
+             before_write: Callable[[], object] | None = None, ways: int = 1) -> Path:
     """Run the whole pipeline for one ``load_playable`` game; returns its output dir.
 
     With ``strategy_lines`` None the Heuristics section shows its placeholder.
-    ``before_write``, if given, is called once the playouts and the taxonomy are
-    done, before the game's first write.
+    The playouts are split over ``ways`` processes (see ``play``; ``cli`` takes
+    ``ways`` from ``parallel.ways``); the files are the same bytes for any
+    ``ways``.  ``before_write``, if given, is called once the playouts and the
+    taxonomy are done, before the game's first write.
     """
     from . import engine, render, taxonomy
-    traces = run_playouts(spec, seed, playouts)
-    traces_by_seed = {t.seed: t for t in traces}
-    distinct = taxonomy.collect_distinct(traces, spec)
-    endings = taxonomy.collect_endings(traces, spec)
-    coverage = taxonomy.coverage_report(distinct, spec)
-    translation = translate_game(spec)
-    if before_write is not None:
-        before_write()
+    kept, _, traces, parts = play(spec, seed, playouts, ways, dump_json)
+    try:
+        traces_by_seed = {t.seed: t for t in kept}
+        distinct = taxonomy.collect_distinct(kept, spec)
+        endings = taxonomy.collect_endings(kept, spec)
+        coverage = taxonomy.coverage_report(distinct, spec)
+        translation = translate_game(spec)
+        if before_write is not None:
+            before_write()
 
-    game_dir = Path(out_dir) / spec.name
-    svg_dir = game_dir / "svg"
-    svg_dir.mkdir(parents=True, exist_ok=True)
+        game_dir = Path(out_dir) / spec.name
+        svg_dir = game_dir / "svg"
+        svg_dir.mkdir(parents=True, exist_ok=True)
 
-    layout = render._Layout(spec)  # every image of the game shares its cells
-    setup_svg = render.render_board(spec, engine.initial_state(spec), layout=layout)
-    (svg_dir / "setup.svg").write_text(setup_svg, encoding="utf-8")
+        layout = render._Layout(spec)  # every image of the game shares its cells
+        setup_svg = render.render_board(spec, engine.initial_state(spec), layout=layout)
+        (svg_dir / "setup.svg").write_text(setup_svg, encoding="utf-8")
 
-    move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir, similar, layout)
-    ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir, layout)
+        move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir, similar,
+                                          layout)
+        ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir, layout)
 
-    html, manifest = build_manual(spec, translation, strategy_lines,
-                                  "svg/setup.svg", ending_entries, move_leaves)
-    manifest["coverage"] = coverage
-    (game_dir / "manual.html").write_text(html, encoding="utf-8")
-    _write_json(game_dir / "manual.json", manifest)
-    check_assets(manifest, game_dir)
+        html, manifest = build_manual(spec, translation, strategy_lines,
+                                      "svg/setup.svg", ending_entries, move_leaves)
+        manifest["coverage"] = coverage
+        (game_dir / "manual.html").write_text(html, encoding="utf-8")
+        _write_json(game_dir / "manual.json", manifest)
+        check_assets(manifest, game_dir)
 
-    if dump_json:
-        _write_traces(game_dir / "traces.json", traces, spec)
-        _write_json(game_dir / "taxonomy.json",
-                    {"distinct_moves": move_leaves, "coverage": coverage})
-    return game_dir
+        if dump_json:
+            _write_traces(game_dir / "traces.json", traces, spec, parts)
+            _write_json(game_dir / "taxonomy.json",
+                        {"distinct_moves": move_leaves, "coverage": coverage})
+        return game_dir
+    finally:
+        for part in parts:
+            part.close()
 
 
 def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
-    """Outcome frequencies and move-ludeme coverage for a playout batch of a loaded game."""
-    from . import taxonomy
-    traces = run_playouts(spec, seed, playouts)
-    distinct = taxonomy.collect_distinct(traces, spec)
+    """Outcome frequencies and move-ludeme coverage for a playout batch of a loaded game.
+
+    The playouts are split as one game's in ``generate`` (``parallel.ways``).
+    """
+    from . import parallel, taxonomy
+    kept, outcomes, _, _ = play(spec, seed, playouts, parallel.ways(1, playouts))
+    distinct = taxonomy.collect_distinct(kept, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
 
     counts: dict[str, int] = {}
-    for trace in traces:
-        outcome = trace.outcome
-        label = outcome.outcome if outcome.outcome == "Draw" else \
-            f"{outcome.outcome} P{'/P'.join(map(str, outcome.players))}"
-        counts[label] = counts.get(label, 0) + 1
-    lines = [f"{spec.name}: {len(traces)} playouts, seeds "
-             f"{seed}..{seed + playouts - 1}"]
+    for (outcome, players), count in outcomes.items():
+        label = outcome if outcome == "Draw" else f"{outcome} P{'/P'.join(map(str, players))}"
+        counts[label] = counts.get(label, 0) + count
+    lines = [f"{spec.name}: {playouts} playouts, seeds {seed}..{seed + playouts - 1}"]
     for label in sorted(counts):
         lines.append(f"  {label}: {counts[label]}")
     lines.append(f"  distinct move signatures: {len(distinct)}")

@@ -53,6 +53,13 @@ print(f'peak RSS {small:.1f} MB at 100 Hex playouts, {large:.1f} MB at 2000')" "
 # both playout loops (Hex adds to empty sites).
 "${gs[@]}" generate --game corpus/Amazons.lud --game corpus/Breakthrough.lud --game corpus/Hex.lud --playouts 5 --format json --out "$tmp/gs-json"
 python -c "import json, sys; seeds = [[t['seed'] for t in json.load(open(f'{sys.argv[1]}/{g}/traces.json', encoding='utf-8'))] for g in ('Amazons', 'Breakthrough', 'Hex')]; assert seeds == [[0, 1, 2, 3, 4]] * 3, seeds; print('traces.json holds seeds 0-4 for all three games')" "$tmp/gs-json"
+# One game's seeds split over every CPU give the bytes of one CPU: the first
+# run pins its own process to one CPU, then execs the command.
+python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); os.execvp(sys.argv[1], sys.argv[1:])" \
+  "${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-one-cpu" > /dev/null
+"${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-all-cpus" > /dev/null
+diff -r "$tmp/gs-one-cpu" "$tmp/gs-all-cpus"
+echo "one Hex generate --format json writes the same files on one CPU and on $(nproc)"
 printf '(heuristics {(lineCompletion 3 0.7)})' > "$tmp/h.lud"
 "${gs[@]}" generate --game corpus/TicTacToe.lud --playouts 5 --heuristics "$tmp/h.lud" --out "$tmp/gs-tips"
 grep -q "Try to work towards completing lines of 3 of your pieces" "$tmp/gs-tips/Tic-Tac-Toe/manual.html"

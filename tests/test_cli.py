@@ -122,6 +122,8 @@ def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
 
 
 def test_capped_playout_writes_nothing_of_its_game(tmp_path, monkeypatch, capsys):
+    # Two CPUs, so that a child plays Breakthrough's seeds in order, unsplit.
+    _cpus(monkeypatch, 2)
     _capped_breakthrough(tmp_path, monkeypatch, capsys, [])
 
 
@@ -825,6 +827,155 @@ def test_an_error_no_exit_code_covers_keeps_its_traceback_from_a_child(tmp_path,
     assert raised.traceback[-1].name == "broken_translate"
     assert capsys.readouterr().out == f"wrote {out / 'Tic-Tac-Toe' / 'manual.html'}\n"
     assert sorted(p.name for p in out.iterdir()) == ["Tic-Tac-Toe"]
+
+
+# With n CPUs a one-game generate cuts its seeds into n ranges: it plays the
+# lowest here while n - 1 forked children play the others, and merges their folds.
+
+def _counted_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("game", sorted(OUTPUT_DIGESTS))
+def test_a_split_game_gives_the_recorded_bytes(game, tmp_path, monkeypatch, capsys):
+    # html writes the recorded files but the two dumps of --format json.
+    want = {path: digest for path, digest in OUTPUT_DIGESTS[game].items()
+            if path != "<translate stdout>"}
+    forks = _counted_forks(monkeypatch)
+    open_fds = _open_fds()
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        for form in ("html", "json"):
+            out = tmp_path / f"{form}{cpus}"
+            before = len(forks)
+            assert main(_generate_argv(out, [game], "--playouts", "100", "--seed", "0",
+                                       "--format", form)) == 0
+            assert len(forks) - before == cpus - 1, (cpus, form)
+            got = {path.as_posix(): hashlib.sha256(data).hexdigest()
+                   for path, data in _files(out).items()}
+            assert got == {path: digest for path, digest in want.items()
+                           if form == "json" or path.split("/")[-1] not in
+                           ("traces.json", "taxonomy.json")}, (cpus, form)
+            _assert_no_child_left()
+    assert capsys.readouterr().err == ""
+    assert _open_fds() == open_fds
+
+
+def test_one_playout_forks_nothing(tmp_path, monkeypatch, capsys):
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 4)
+    assert main(_generate_argv(tmp_path, ["Hex"], "--playouts", "1", "--format", "json")) == 0
+    assert main(["playout-stats", "--game", str(CORPUS / "Hex.lud"), "--playouts", "1"]) == 0
+    assert forks == []
+
+
+@pytest.mark.parametrize("cpus, capped", [(2, {3}), (2, {1}), (2, {1, 3}), (4, {2, 4})],
+                         ids=["upper", "lower", "both", "two-children"])
+def test_a_capped_seed_in_any_range_exits_4_as_serial(cpus, capped, tmp_path, monkeypatch,
+                                                     capsys):
+    # Five playouts: seeds 0-1 here and 2-4 in a child with two CPUs; 0, 1, 2 and
+    # 3-4 with four.  The error names the lowest capped seed, as the serial
+    # loop's does, and nothing of the game is written.
+    playout = engine.random_playout
+
+    def capped_playout(spec, seed, **kwargs):
+        if seed in capped:
+            raise engine.PlayoutLimitExceeded(f"seed {seed}: no terminal state after 10000 moves")
+        return playout(spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "random_playout", capped_playout)
+    forks = _counted_forks(monkeypatch)
+    open_fds = _open_fds()
+    errors = []
+    for count in (1, cpus):
+        _cpus(monkeypatch, count)
+        out = tmp_path / f"cpus{count}"
+        assert main(_generate_argv(out, ["Hex"], "--playouts", "5", "--format", "json")) == 4
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+        _assert_no_child_left()
+    assert errors == [f"error: seed {min(capped)}: no terminal state after 10000 moves\n"] * 2
+    assert len(forks) == cpus - 1
+    assert _open_fds() == open_fds
+
+
+def test_an_error_no_exit_code_covers_in_a_childs_range_keeps_its_traceback(tmp_path,
+                                                                           monkeypatch, capsys):
+    # Seed 3 lies in the child's range: the child ends unreported, and this
+    # process plays the range again and raises from the frame that failed.
+    playout = engine.random_playout
+
+    def broken_playout(spec, seed, **kwargs):
+        if seed == 3:
+            raise KeyError("broken")
+        return playout(spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "random_playout", broken_playout)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    with pytest.raises(KeyError) as raised:
+        main(_generate_argv(out, ["Hex"], "--playouts", "5"))
+    assert forks == [1]
+    assert raised.traceback[-1].name == "broken_playout"
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_a_range_played_again_here_rewrites_its_part_of_the_traces(tmp_path, monkeypatch,
+                                                                  capsys):
+    # The child streams seeds 50-98 to its part of traces.json and fails at 99
+    # with an error no exit code covers; this process plays seeds 50-99 again,
+    # over what the child wrote, and every file is the recorded bytes.
+    here = os.getpid()
+    playout = engine.random_playout
+
+    def failing_in_a_child(spec, seed, **kwargs):
+        if seed == 99 and os.getpid() != here:
+            raise KeyError("in a child only")
+        return playout(spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "random_playout", failing_in_a_child)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    assert main(_generate_argv(tmp_path, ["Hex"], "--playouts", "100", "--seed", "0",
+                               "--format", "json")) == 0
+    assert forks == [1]
+    got = {path.as_posix(): hashlib.sha256(data).hexdigest()
+           for path, data in _files(tmp_path).items()}
+    assert got == {path: digest for path, digest in OUTPUT_DIGESTS["Hex"].items()
+                   if path != "<translate stdout>"}
+
+
+@pytest.mark.parametrize("game", sorted(OUTPUT_DIGESTS))
+def test_playout_stats_reads_the_same_split(game, monkeypatch, capsys):
+    # The outcome counts and the signatures of every trace, on 1, 2 and 4 CPUs.
+    spec = pipeline.load_playable(CORPUS / f"{game}.lud")
+    traces = [engine.random_playout(spec, seed) for seed in range(7, 57)]
+    labels = collections.Counter(
+        o.outcome if o.outcome == "Draw" else f"{o.outcome} P{'/P'.join(map(str, o.players))}"
+        for o in (trace.outcome for trace in traces))
+    signatures = {(m.mover if spec.distinct_rules else None, m.piece, m.origin_id,
+                   m.action_types) for trace in traces for m in trace.moves}
+    forks = _counted_forks(monkeypatch)
+    texts = []
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        assert main(["playout-stats", "--game", str(CORPUS / f"{game}.lud"), "--playouts", "50",
+                     "--seed", "7"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert len(forks) == 1 + 3
+    assert texts[1] == texts[2] == texts[0]
+    assert texts[0].splitlines()[1:-2] == [f"  {label}: {labels[label]}"
+                                           for label in sorted(labels)]
+    assert f"  distinct move signatures: {len(signatures)}\n" in texts[0]
 
 
 def test_main_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):

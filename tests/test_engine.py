@@ -499,8 +499,8 @@ def test_pipeline_and_taxonomy_call_the_engine_by_its_names(monkeypatch):
     counting(taxonomy, "legal_moves")
     spec = pipeline.load_playable(CORPUS / "Hex.lud")
     assert called == ["legal_moves"]
-    traces = pipeline.run_playouts(spec, 0, 3)
+    kept = pipeline.play(spec, 0, 3)[0]
     assert called == ["legal_moves"] + ["random_playout"] * 3
-    state = replay(spec, traces[0], 1)
-    taxonomy.similar_legal_moves(state, traces[0].moves[1], spec)
+    state = replay(spec, kept[0], 1)
+    taxonomy.similar_legal_moves(state, kept[0].moves[1], spec)
     assert called[-1] == "legal_moves" and len(called) == 5

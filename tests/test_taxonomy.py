@@ -1,11 +1,16 @@
+import os
 import random
+from collections import Counter
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gamescribe.engine import initial_state, legal_moves, random_playout
+from gamescribe import engine, pipeline
+from gamescribe.engine import (EndMatch, Move, PlayoutTrace, initial_state, legal_moves,
+                               random_playout)
 from gamescribe.english import translate_node
 from gamescribe.taxonomy import (MoveSignature, collect_distinct, collect_endings,
                                  coverage_report, move_signature, similar_legal_moves)
@@ -168,3 +173,44 @@ def test_collect_distinct_keeps_lowest_occurrence(name, data):
     assert {d.signature: d.exemplar for d in got} == want
     assert [d.signature for d in got] == sorted(want, key=MoveSignature.sort_key)
     assert all(d.rule_text == translate_node(spec, d.signature.origin_id) for d in got)
+
+
+@pytest.mark.parametrize("ways", [1, 2, 3, 7])
+def test_merged_folds_of_any_split_give_the_taxonomy_of_every_trace(
+        ways, monkeypatch, tmp_path, tictactoe, hexgame, amazons, breakthrough):
+    # With one CPU, pipeline.play runs every range here, one after another.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for spec in (tictactoe, hexgame, amazons, breakthrough):
+        traces = _traces(spec, 7, seed=13)
+        kept, counts, own, parts = pipeline.play(spec, 13, 7, ways, dump=True)
+        assert kept == [traces[t.seed - 13] for t in kept]
+        assert [t.seed for t in kept] == sorted({t.seed for t in kept})
+        assert collect_distinct(kept, spec) == collect_distinct(traces, spec)
+        assert collect_endings(kept, spec) == collect_endings(traces, spec)
+        assert counts == Counter((t.outcome.outcome, t.outcome.players) for t in traces)
+        assert own == traces[:7 // ways] and len(parts) == ways - 1
+        pipeline._write_traces(tmp_path / "split.json", own, spec, parts)
+        for part in parts:
+            part.close()
+        pipeline._write_traces(tmp_path / "all.json", traces, spec)
+        assert (tmp_path / "split.json").read_bytes() == (tmp_path / "all.json").read_bytes()
+
+
+@pytest.mark.parametrize("ways, kept_seeds", [(1, [0, 2]), (2, [0, 2, 3])])
+@pytest.mark.parametrize("spec_name", ["tictactoe", "amazons"])
+def test_a_fold_keeps_each_trace_with_a_first_move_key(ways, kept_seeds, spec_name, request,
+                                                      monkeypatch):
+    # Every fake playout ends alike.  Seed 2 alone places another piece, and
+    # seed 4 alone is played by player 2, which a move key holds only where
+    # the players' rules differ (Amazons).  Seeds 0-2 and 3-5 with two ways.
+    spec = request.getfixturevalue(spec_name)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def fake_playout(spec, seed):
+        move = Move(2 if seed == 4 else 1, "Other" if seed == 2 else "Disc", 3, ("Add",),
+                    seed, seed)
+        return PlayoutTrace(seed, (move,), EndMatch(5, (1,), "Win", (0,)))
+
+    monkeypatch.setattr(engine, "random_playout", fake_playout)
+    kept = pipeline.play(spec, 0, 6, ways)[0]
+    assert [t.seed for t in kept] == kept_seeds + [4] * spec.distinct_rules

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import load_spec
 from gamescribe.compiler import compile_game
 from gamescribe.engine import EndMatch, Move, PlayoutTrace, random_playout
-from gamescribe.pipeline import _write_traces, run_playouts
+from gamescribe.pipeline import _write_traces
 from gamescribe.sexpr import parse
 from test_traces_json import _oracle, _written
 
@@ -87,7 +87,7 @@ def test_writer_matches_json_dumps_on_percent_named_pieces():
 
 def test_writer_peak_memory_stays_below_file_size(tmp_path):
     spec = load_spec("Amazons")
-    traces = run_playouts(spec, 0, 100)
+    traces = [random_playout(spec, seed) for seed in range(100)]
     path = tmp_path / "traces.json"
     tracemalloc.start()
     try:
