@@ -21,11 +21,11 @@ later ones, at most one fewer than the CPUs at once (``parallel``).
 The games are still written, and their ``wrote`` lines printed, in game
 order, with ``index.html`` last; exit 2 or 4 in one game leaves the games
 before it written and nothing of it or of any later game, as the serial loop
-does.  Each game's seeds are cut into ``max(1, min(playouts, CPUs // games))``
-ranges, played at once by the game's process and forked children
-(``parallel.ways``, ``pipeline.play``): so only a call with at least twice as
-many CPUs as games splits a game.  ``playout-stats`` splits its one game
-alike.  The files and the output are the same bytes for any number of CPUs.
+does.  A one-game call cuts the game's seeds into as many ranges as there
+are CPUs, played at once by this process and forked children
+(``pipeline.play``); a call of several games plays each game unsplit.
+``playout-stats`` splits its one game alike.  The files and the output are
+the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
                           for spec in specs]
 
             from . import parallel
-            ways = parallel.ways(len(specs), args.playouts)
+            ways = parallel.cpus() if len(specs) == 1 else 1  # play clamps it to playouts
 
             def run(game: int, before_write=None) -> Path:
                 return generate(specs[game], args.seed, args.playouts, args.out,

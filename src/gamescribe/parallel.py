@@ -3,12 +3,12 @@
 ``generate`` (see ``cli``) runs its games through ``run_in_order``: with
 several games it plays later ones in children while this process plays the
 first.  ``pipeline.play`` runs the seed ranges of one game's playouts through
-it too, the lowest range here and the others in children.  ``ways`` is the
-rule for how many ranges a game is split into: ``max(1, min(playouts, CPUs
-// games))``.  So a game is split only where there are at least twice as many
-CPUs as games in the call, and with one CPU nothing forks.  The CPUs are
-those of ``os.sched_getaffinity``; a process that runs more than one thread,
-or has no ``sched_getaffinity``, counts one.
+it too, the lowest range here and the others in children.  Only a one-game
+call splits its game, into ``cpus()`` ranges; a call of several games plays
+each unsplit, so no child of ``run_in_order`` forks children of its own.
+With one CPU nothing forks.  The CPUs are those of ``os.sched_getaffinity``;
+a process that runs more than one thread, or has no ``sched_getaffinity``,
+counts one.
 
 A child reports its result through a pipe by ``marshal`` where marshal takes
 it, such as a fold of plain tuples, and otherwise by ``pickle``, imported only
@@ -32,11 +32,6 @@ def cpus() -> int:
     if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         return len(os.sched_getaffinity(0))
     return 1
-
-
-def ways(games: int, playouts: int) -> int:
-    """How many seed ranges each of ``games`` games of ``playouts`` playouts is split into."""
-    return max(1, min(playouts, cpus() // games))
 
 
 def run_in_order(job: Callable[[int, Callable[[], object] | None], object], count: int,

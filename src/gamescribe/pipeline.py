@@ -7,8 +7,8 @@ content hashes of move signatures and ending result keys.
 
 ``play`` cuts the seeds into ``ways`` contiguous ranges, one per process, and
 merges the processes' folds, so the output does not depend on ``ways``.
-``cli`` takes ``max(1, min(playouts, CPUs // games))`` from ``parallel.ways``:
-with one CPU, or at least as many games as CPUs, nothing forks.
+``cli`` splits only a one-game call, into as many ranges as ``parallel.cpus``
+counts: with one CPU, or with several games, no game's seeds are split.
 
 ``generate --format json`` exports the playouts as ``traces.json`` through
 ``_write_traces``, which builds the text from templates instead of building
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
 from urllib.parse import quote
@@ -247,16 +246,18 @@ def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = F
          ) -> tuple[list[engine.PlayoutTrace], dict, list[engine.PlayoutTrace], list[BinaryIO]]:
     """Play seeds ``seed .. seed + playouts - 1`` in ``ways`` processes and merge their folds.
 
-    The seeds are cut into ``ways`` contiguous ranges; ``parallel.run_in_order``
-    plays the lowest here and the others in forked children, all at once, and
-    each process folds its range (see ``_fold``).  Returns ``(kept, counts,
-    traces, parts)``: the folds' kept traces, joined in seed order, and the
-    playouts of each (outcome, players).  A key's first occurrence over all
-    the seeds is kept by the first range that holds it, so the taxonomy of
-    ``kept`` is that of every trace.  With ``dump``, ``traces`` holds the
-    lowest range's traces, and ``parts`` an anonymous temporary file for each
-    other range, opened before the fork, into which that range streams its
-    text for ``traces.json``; the caller closes them.  Without, both are empty.
+    The seeds are cut into ``ways`` contiguous ranges (at most ``playouts``);
+    ``parallel.run_in_order`` plays the lowest here and the others in forked
+    children, all at once, and each process folds its range (see ``_fold``).
+    A child sends its fold back as plain tuples, which this process makes
+    traces again.  Returns ``(kept, counts, traces, parts)``: the folds' kept
+    traces, joined in seed order, and the playouts of each (outcome, players).
+    A key's first occurrence over all the seeds is kept by the first range
+    that holds it, so the taxonomy of ``kept`` is that of every trace.  With
+    ``dump``, ``traces`` holds the lowest range's traces, and ``parts`` an
+    anonymous temporary file for each other range, opened before the fork,
+    into which that range streams its text for ``traces.json``; the caller
+    closes them.  Without, both are empty.
     """
     if playouts < 1:  # no playout, no move or ending to show
         raise ValueError("playout count must be at least 1")
@@ -270,14 +271,16 @@ def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = F
         parts = [tempfile.TemporaryFile() for _ in range(1, ways)]
 
     def job(k: int, _before_write) -> tuple[list, dict]:
-        if k == 0 or not parts:  # the lowest range keeps its traces; the others stream theirs
-            return _fold(spec, bounds[k], bounds[k + 1], traces.append if dump else None)
+        if k == 0:  # the lowest range keeps its traces; the others stream theirs
+            return _fold(spec, bounds[0], bounds[1], traces.append if dump else None)
+        if not parts:
+            return _flat(*_fold(spec, bounds[k], bounds[k + 1], None))
         with open(parts[k - 1].fileno(), "w", encoding="utf-8", closefd=False) as out:
             out.seek(0)  # the range may be played here again after its child failed
             out.truncate()
             text = _trace_text(spec)
-            return _fold(spec, bounds[k], bounds[k + 1],
-                         lambda trace: out.write(",\n  " + text(trace)))
+            return _flat(*_fold(spec, bounds[k], bounds[k + 1],
+                                lambda trace: out.write(",\n  " + text(trace))))
 
     folds: list[tuple[list, dict]] = []
     try:
@@ -286,8 +289,8 @@ def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = F
         for part in parts:
             part.close()
         raise
-    kept, counts = [], {}
-    for fold_kept, fold_counts in folds:
+    kept, counts = folds[0]
+    for fold_kept, fold_counts in folds[1:]:
         kept += [engine.PlayoutTrace(seed, tuple(map(engine.Move._make, moves)),
                                      engine.EndMatch(*outcome))
                  for seed, moves, outcome in fold_kept]
@@ -297,37 +300,43 @@ def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = F
 
 
 def _fold(spec: GameSpec, start: int, stop: int,
-          sink: Callable[[engine.PlayoutTrace], object] | None) -> tuple[list, dict]:
+          sink: Callable[[engine.PlayoutTrace], object] | None
+          ) -> tuple[list[engine.PlayoutTrace], dict]:
     """Play seeds ``start .. stop - 1`` in order, each trace passed to ``sink`` if given,
-    and fold them into plain tuples, which ``marshal`` takes.
+    and fold them: ``(kept, counts)``.
 
-    A trace is kept, as ``(seed, moves, (end_id, players, outcome,
-    winning_sites))`` with each move a plain tuple, when it holds the first
-    occurrence among these seeds of a move key (as ``taxonomy.collect_distinct``
-    tells moves apart) or of an ending key (as ``collect_endings`` does).  The
-    playouts of each (outcome, players) are counted.
+    A trace is kept when it holds the first occurrence among these seeds of a
+    ``taxonomy.move_key`` or of a ``taxonomy.ending_key``, the keys by which
+    ``collect_distinct`` and ``collect_endings`` tell moves and endings apart.
+    ``counts`` maps each (outcome, players) to its playouts.
     """
-    from . import engine
+    from . import engine, taxonomy
     playout = engine.random_playout
-    move_key = itemgetter(0, 1, 2, 3) if spec.distinct_rules else itemgetter(1, 2, 3)
+    move_key, ending_key = taxonomy.move_key(spec), taxonomy.ending_key
     moves_seen: set[tuple] = set()
     endings_seen: set[tuple] = set()
-    kept: list[tuple] = []
+    kept: list[engine.PlayoutTrace] = []
     counts: dict[tuple, int] = {}
     for seed in range(start, stop):
         trace = playout(spec, seed)
         if sink is not None:
             sink(trace)
-        outcome = trace.outcome
-        ending = (outcome.outcome, outcome.players, outcome.end_id)
+        ending = ending_key(trace.outcome)  # (outcome, players, end id)
         keys = set(map(move_key, trace.moves))
         if ending not in endings_seen or not keys <= moves_seen:
             endings_seen.add(ending)
             moves_seen |= keys
-            kept.append((seed, tuple(map(tuple, trace.moves)), (
-                outcome.end_id, outcome.players, outcome.outcome, outcome.winning_sites)))
+            kept.append(trace)
         counts[ending[:2]] = counts.get(ending[:2], 0) + 1
     return kept, counts
+
+
+def _flat(kept: list[engine.PlayoutTrace], counts: dict) -> tuple[list, dict]:
+    """A fold as plain tuples, which ``marshal`` takes: each trace as ``(seed,
+    moves, (end_id, players, outcome, winning_sites))``, each move a tuple."""
+    return [(t.seed, tuple(map(tuple, t.moves)), (t.outcome.end_id, t.outcome.players,
+                                                  t.outcome.outcome, t.outcome.winning_sites))
+            for t in kept], counts
 
 
 def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
@@ -336,10 +345,10 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
     """Run the whole pipeline for one ``load_playable`` game; returns its output dir.
 
     With ``strategy_lines`` None the Heuristics section shows its placeholder.
-    The playouts are split over ``ways`` processes (see ``play``; ``cli`` takes
-    ``ways`` from ``parallel.ways``); the files are the same bytes for any
-    ``ways``.  ``before_write``, if given, is called once the playouts and the
-    taxonomy are done, before the game's first write.
+    The playouts are split over ``ways`` processes (see ``play``); the files
+    are the same bytes for any ``ways``.  ``before_write``, if given, is
+    called once the playouts and the taxonomy are done, before the game's
+    first write.
     """
     from . import engine, render, taxonomy
     kept, _, traces, parts = play(spec, seed, playouts, ways, dump_json)
@@ -384,10 +393,10 @@ def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
 def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
     """Outcome frequencies and move-ludeme coverage for a playout batch of a loaded game.
 
-    The playouts are split as one game's in ``generate`` (``parallel.ways``).
+    The playouts are split as a one-game ``generate``'s, over ``parallel.cpus()``.
     """
     from . import parallel, taxonomy
-    kept, outcomes, _, _ = play(spec, seed, playouts, parallel.ways(1, playouts))
+    kept, outcomes, _, _ = play(spec, seed, playouts, parallel.cpus())
     distinct = taxonomy.collect_distinct(kept, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
 

@@ -6,16 +6,19 @@ players have different piece rules or a conditional play rule; the compiler
 decides this once, in ``GameSpec.distinct_rules``.
 
 ``collect_distinct`` and ``collect_endings`` each make one pass over a playout
-batch in ascending seed order, keyed by the plain signature tuple or the result
-key, and keep a key's first occurrence as its exemplar.
+batch in ascending seed order, keyed by ``move_key`` or ``ending_key``, and
+keep a key's first occurrence as its exemplar.  ``pipeline``'s fold of a seed
+range keys its traces by the same two.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from operator import itemgetter
 from typing import NamedTuple
 
 from .compiler import GameSpec
-from .engine import GameState, Move, PlayoutTrace, legal_moves
+from .engine import EndMatch, GameState, Move, PlayoutTrace, legal_moves
 from .english import draw_fallback_sentence, translate_node
 from .record import Record
 
@@ -56,36 +59,46 @@ def move_signature(move: Move, spec: GameSpec) -> MoveSignature:
     return MoveSignature(mover, move.piece, move.origin_id, move.action_types)
 
 
+def move_key(spec: GameSpec) -> Callable[[Move], tuple]:
+    """A move, or its signature, -> the plain tuple that tells moves apart: the
+    signature's fields, without the mover unless ``spec.distinct_rules``."""
+    return itemgetter(0, 1, 2, 3) if spec.distinct_rules else itemgetter(1, 2, 3)
+
+
 def collect_distinct(traces: list[PlayoutTrace], spec: GameSpec) -> list[DistinctMove]:
     """One DistinctMove per unique signature, exemplar at lowest (seed, index)."""
-    by_mover = spec.distinct_rules
+    key_of = move_key(spec)
     first: dict[tuple, tuple[int, int]] = {}
     # In seed order (a stable sort), a key's first occurrence is its lowest (seed, index).
     for trace in sorted(traces, key=lambda t: t.seed):
-        for index, m in enumerate(trace.moves):
-            key = (m.mover if by_mover else None, m.piece, m.origin_id, m.action_types)
+        for index, key in enumerate(map(key_of, trace.moves)):
             if key not in first:
                 first[key] = (trace.seed, index)
-    out = [DistinctMove(MoveSignature(*key), exemplar, translate_node(spec, key[2]))
-           for key, exemplar in first.items()]
+    out = []
+    for key, exemplar in first.items():
+        signature = MoveSignature(*key) if spec.distinct_rules else MoveSignature(None, *key)
+        out.append(DistinctMove(signature, exemplar, translate_node(spec, signature.origin_id)))
     out.sort(key=lambda d: d.signature.sort_key())
     return out
 
 
 def similar_legal_moves(state: GameState, selected: Move, spec: GameSpec) -> list[Move]:
     """Every legal move sharing the selected move's signature (inclusive)."""
-    target = move_signature(selected, spec)
-    by_mover = spec.distinct_rules
-    return [m for m in legal_moves(spec, state)
-            if (m.mover if by_mover else None, m.piece, m.origin_id, m.action_types) == target]
+    key_of = move_key(spec)
+    target = key_of(move_signature(selected, spec))
+    return [m for m in legal_moves(spec, state) if key_of(m) == target]
+
+
+def ending_key(outcome: EndMatch) -> tuple[str, tuple[int, ...], int | None]:
+    """The result key that tells endings apart: (outcome, players, end ludeme id)."""
+    return (outcome.outcome, outcome.players, outcome.end_id)
 
 
 def collect_endings(traces: list[PlayoutTrace], spec: GameSpec) -> list[EndingExample]:
     """One example per distinct (outcome, players, end ludeme) key, exemplar at lowest seed."""
     first: dict[tuple, PlayoutTrace] = {}
     for trace in sorted(traces, key=lambda t: t.seed):
-        outcome = trace.outcome
-        first.setdefault((outcome.outcome, outcome.players, outcome.end_id), trace)
+        first.setdefault(ending_key(trace.outcome), trace)
     out = []
     for key in sorted(first, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])):
         trace = first[key]

@@ -97,7 +97,17 @@ def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
     # cap after two have finished, so none of Breakthrough is written, no
     # later game and no index.html either.  A forked child may play a game,
     # so each call is recorded in a file per game, where this process reads it.
+    # Each fork is recorded likewise: only this process forks, since a game of
+    # a call of several is not split, so killing a child leaves nothing running.
     playout = engine.random_playout
+    fork = os.fork
+
+    def logged_fork():
+        with open(tmp_path / "forks", "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
 
     def capped(spec, seed, **kwargs):
         with open(tmp_path / f"{spec.name}.played", "a") as log:
@@ -116,21 +126,25 @@ def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
     assert played[-3:] == [("Breakthrough", 0), ("Breakthrough", 1), ("Breakthrough", 2)]
     assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
     _assert_no_child_left()
+    assert set((tmp_path / "forks").read_text().split()) == {str(os.getpid())}
     alone = tmp_path / "alone"
     assert main(_generate_argv(alone, ["TicTacToe"], "--playouts", "5", "--format", "json")) == 0
     assert _files(out) == _files(alone)
 
 
-def test_capped_playout_writes_nothing_of_its_game(tmp_path, monkeypatch, capsys):
-    # Two CPUs, so that a child plays Breakthrough's seeds in order, unsplit.
-    _cpus(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_capped_playout_writes_nothing_of_its_game(cpus, tmp_path, monkeypatch, capsys):
+    # A child plays Breakthrough's seeds in order: a game of a call of
+    # several is not split, however many CPUs are spare.
+    _cpus(monkeypatch, cpus)
     _capped_breakthrough(tmp_path, monkeypatch, capsys, [])
 
 
-def test_capped_playout_writes_no_later_game(tmp_path, monkeypatch, capsys):
-    # With three CPUs a child plays Hex while Tic-Tac-Toe runs here, and is
-    # killed before it writes.
-    _cpus(monkeypatch, 3)
+@pytest.mark.parametrize("cpus", [3, 6])
+def test_capped_playout_writes_no_later_game(cpus, tmp_path, monkeypatch, capsys):
+    # With three CPUs or more a child plays Hex while Tic-Tac-Toe runs here,
+    # and is killed before it writes.
+    _cpus(monkeypatch, cpus)
     _capped_breakthrough(tmp_path, monkeypatch, capsys, ["Hex"])
 
 
@@ -731,9 +745,10 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
 
 
 def test_forked_and_serial_generate_give_the_recorded_bytes(tmp_path, monkeypatch, capsys):
-    # One run of the four corpus games, first with two CPUs, where children
-    # play Amazons and Hex while this process plays the others, then with one,
-    # where nothing forks.
+    # One run of the four corpus games, first with eight CPUs, where children
+    # play the three later games, each unsplit; then with two, where children
+    # play Amazons and Hex while this process plays the others; then with
+    # one, where nothing forks.
     names = {"Breakthrough": "Breakthrough", "Amazons": "Amazons",
              "TicTacToe": "Tic-Tac-Toe", "Hex": "Hex"}
     forks = []
@@ -744,7 +759,7 @@ def test_forked_and_serial_generate_give_the_recorded_bytes(tmp_path, monkeypatc
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    for cpus in (2, 1):
+    for cpus in (8, 2, 1):
         _cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(_generate_argv(out, names, "--playouts", "100", "--seed", "0",
@@ -759,7 +774,7 @@ def test_forked_and_serial_generate_give_the_recorded_bytes(tmp_path, monkeypatc
                     if path != "<translate stdout>"}
             assert got == want, (cpus, game)
         _assert_no_child_left()
-    assert forks == [2, 2]
+    assert forks == [8, 8, 8, 2, 2]
 
 
 def test_failed_write_in_a_forked_game_exits_2_as_serial(tmp_path, monkeypatch, capsys):
