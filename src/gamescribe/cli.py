@@ -16,16 +16,17 @@ written, line endings included.  Standard output is UTF-8, as every written
 file is, whatever the locale's encoding.
 
 With more than one game, more than one CPU in ``os.sched_getaffinity`` and
-one thread, ``generate`` plays the first game here while forked children play
-later ones, at most one fewer than the CPUs at once (``parallel``).
-The games are still written, and their ``wrote`` lines printed, in game
-order, with ``index.html`` last; exit 2 or 4 in one game leaves the games
-before it written and nothing of it or of any later game, as the serial loop
-does.  A one-game call cuts the game's seeds into as many ranges as there
-are CPUs, played at once by this process and forked children
-(``pipeline.play``); a call of several games plays each game unsplit.
-``playout-stats`` splits its one game alike.  The files and the output are
-the same bytes for any number of CPUs.
+one thread, ``generate`` builds the first game here while forked children
+build later ones, at most one fewer than the CPUs at once (``parallel``).
+A child only builds its game's files (``pipeline.generate``) and reports
+them; this process writes every game (``pipeline.write_game``), and prints
+its ``wrote`` line, in game order, with ``index.html`` last.  So exit 2 or 4
+in one game leaves the games before it written and nothing of it or of any
+later game, as the serial loop does.  A one-game call cuts the game's seeds
+into as many ranges as there are CPUs, played at once by this process and
+forked children (``pipeline.play``); a call of several games plays each game
+unsplit.  ``playout-stats`` splits its one game alike.  The files and the
+output are the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 from .compiler import PlayoutLimitExceeded
 from .english import translate_game
 from .pipeline import (REPORTED, NoOpeningMove, generate, load_game, load_playable,
-                       playout_stats, read_source, write_index)
+                       playout_stats, read_source, write_game, write_index)
 from .registry import CompileError
 from .sexpr import ParseError
 from .strategy import HeuristicsError, explain_heuristics, parse_heuristics
@@ -123,17 +124,18 @@ def main(argv: list[str] | None = None) -> int:
 
             from . import parallel
             ways = parallel.cpus() if len(specs) == 1 else 1  # play clamps it to playouts
+            dump = args.format == "json"  # then each game's traces go to its job's file
+            game_dirs = iter([args.out / spec.name for spec in specs])
 
-            def run(game: int, before_write=None) -> Path:
-                return generate(specs[game], args.seed, args.playouts, args.out,
-                                strategies[game], similar=not args.no_similar,
-                                dump_json=args.format == "json", before_write=before_write,
-                                ways=ways)
+            def build(game: int, traces) -> dict[str, str]:
+                return generate(specs[game], args.seed, args.playouts, strategies[game],
+                                similar=not args.no_similar, traces=traces, ways=ways)
 
-            def wrote(game_dir: Path) -> None:
+            def write(files: dict[str, str], traces) -> None:  # called in game order
+                game_dir = write_game(next(game_dirs), files, traces)
                 print(f"wrote {game_dir / 'manual.html'}")
 
-            parallel.run_in_order(run, len(specs), wrote, REPORTED)
+            parallel.run_in_order(build, len(specs), write, REPORTED, files=dump)
             if len(specs) > 1:
                 write_index(args.out, list(paths))
         elif args.command == "translate":

@@ -10,7 +10,6 @@ action types.
 from __future__ import annotations
 
 from html import escape as _escape
-from pathlib import Path
 
 SECTIONS = ["Rules", "Heuristics", "Setup", "Endings", "Moves"]
 NO_STRATEGY_PLACEHOLDER = "No strategy information available."
@@ -145,11 +144,12 @@ def build_manual(spec, translation: str, strategy_lines: list[str] | None,
     return html, manifest
 
 
-def check_assets(manifest: dict, game_dir: Path) -> None:
-    """Verify that every image referenced by the manifest exists on disk."""
+def check_assets(manifest: dict, files: dict[str, str]) -> None:
+    """Verify that every image the manifest references is among ``files``, the
+    game's files by path (see ``pipeline.generate``), before any is written."""
     refs = [manifest["setup"]["image"]]
     refs += [e[k] for e in manifest["endings"] for k in ("before", "after")]
     refs += [m[k] for m in manifest["moves"]["leaves"] for k in ("before", "after")]
     for ref in refs:
-        if not (game_dir / ref).is_file():
+        if ref not in files:
             raise MissingAsset(f"manual references missing asset '{ref}'")

@@ -10,19 +10,22 @@ merges the processes' folds, so the output does not depend on ``ways``.
 ``cli`` splits only a one-game call, into as many ranges as ``parallel.cpus``
 counts: with one CPU, or with several games, no game's seeds are split.
 
-``generate --format json`` exports the playouts as ``traces.json`` through
-``_write_traces``, which builds the text from templates instead of building
-``engine.trace_to_dict`` dicts and passing them to ``json.dumps(indent=2)``
-(the pure-Python encoder, since ``indent`` disables the C one).  Each move
-signature gets one ``%``-template, each distinct move is filled in once per
-write through a memo, and each trace is streamed to the file as soon as it
-is formatted, so the writer's peak memory stays below the file's size.  A
-child streams its range's text into an anonymous temporary file opened before
-the fork, which the writer copies after this process's own traces.  The
-output is the same bytes; ``trace_to_dict`` stays as the debug export that
-the tests hold the writer to.  Every file is written as UTF-8, whatever the
-locale.  A game whose first mover has no legal move cannot be played out,
-so ``generate`` and ``playout-stats`` reject it.
+``generate`` builds a game's files as plain data, which a forked child can
+report, and ``write_game`` writes them.  Only the process that runs
+``cli.main`` calls ``write_game``, so no child writes under ``--out``.
+
+``generate --format json`` exports the playouts as ``traces.json``.  Each
+range streams every trace's text, as it is played, into an anonymous
+temporary file (see ``_trace_sink``), and ``_write_traces`` copies the
+joined text.  The text comes from templates instead of
+``engine.trace_to_dict`` dicts passed to ``json.dumps(indent=2)`` (the
+pure-Python encoder, since ``indent`` disables the C one).  Each move
+signature gets one ``%``-template and each distinct move is filled in once
+per range through a memo, so no process holds more than one trace's text.
+The output is the same bytes; ``trace_to_dict`` stays as the debug export
+that the tests hold the writer to.  Every file is written as UTF-8, whatever
+the locale.  A game whose first mover has no legal move cannot be played
+out, so ``generate`` and ``playout-stats`` reject it.
 
 The engine, render, taxonomy and ``hashlib`` are imported by the functions
 that run them, once per call, so that ``translate``, which reads only
@@ -45,7 +48,7 @@ from .registry import CompileError
 from .sexpr import ParseError, parse
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable
+    from collections.abc import Callable
 
     from . import engine, render
     from .taxonomy import DistinctMove, EndingExample
@@ -92,15 +95,15 @@ def _asset_id(key: tuple) -> str:  # of a move signature or an ending's result k
     return hashlib.sha1(repr(tuple(key)).encode()).hexdigest()[:10]
 
 
-def _write_pair(svg_dir: Path, stem: str, pair: tuple[str, str]) -> dict:
-    """Write ``svg/<stem>_before.svg`` and ``_after.svg``; their manifest paths by side."""
-    for side, svg in zip(("before", "after"), pair):
-        (svg_dir / f"{stem}_{side}.svg").write_text(svg, encoding="utf-8")
-    return {side: f"svg/{stem}_{side}.svg" for side in ("before", "after")}
+def _add_pair(files: dict[str, str], stem: str, pair: tuple[str, str]) -> dict:
+    """Add ``svg/<stem>_before.svg`` and ``_after.svg`` to ``files``; their paths by side."""
+    paths = {side: f"svg/{stem}_{side}.svg" for side in ("before", "after")}
+    files[paths["before"]], files[paths["after"]] = pair
+    return paths
 
 
 def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
-                        traces_by_seed: dict, svg_dir: Path,
+                        traces_by_seed: dict, files: dict[str, str],
                         similar: bool, layout: render._Layout) -> list[dict]:
     from . import engine, render
     leaves = []
@@ -118,13 +121,13 @@ def _render_move_assets(spec: GameSpec, distinct: list[DistinctMove],
             "action_types": list(d.signature.action_types),
             "rule_text": d.rule_text,
             "exemplar": {"seed": seed, "move_index": index},
-            **_write_pair(svg_dir, f"move_{sig_id}", pair),
+            **_add_pair(files, f"move_{sig_id}", pair),
         })
     return leaves
 
 
 def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
-                          traces_by_seed: dict, svg_dir: Path,
+                          traces_by_seed: dict, files: dict[str, str],
                           layout: render._Layout) -> list[dict]:
     from . import engine, render
     out = []
@@ -140,13 +143,13 @@ def _render_ending_assets(spec: GameSpec, endings: list[EndingExample],
             "winning_sites": [spec.board.labels[s] for s in example.winning_sites]
             if example.winning_sites else None,
             "exemplar_seed": example.exemplar_seed,
-            **_write_pair(svg_dir, f"end_{_asset_id(example.result_key)}", pair),
+            **_add_pair(files, f"end_{_asset_id(example.result_key)}", pair),
         })
     return out
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _array(items: list[str], pad: str) -> str:
@@ -159,7 +162,7 @@ def _array(items: list[str], pad: str) -> str:
 
 _MOVE = ('{\n        "mover": %d,\n        "piece": %s,\n        "origin_ludeme": %d,\n'
          '        "from": %s,\n        "to": %s,\n        "actions": %s\n      }')
-_TRACE = ('{\n    "seed": %d,\n    "moves": %s,\n    "outcome": {\n      "players": %s,\n'
+_TRACE = (',\n  {\n    "seed": %d,\n    "moves": %s,\n    "outcome": {\n      "players": %s,\n'
           '      "result": %s,\n      "end_ludeme": %s,\n      "winning_sites": %s\n    }\n  }')
 
 
@@ -190,50 +193,42 @@ class _MoveTexts(dict):
         return text
 
 
-def _trace_text(spec: GameSpec) -> Callable[[engine.PlayoutTrace], str]:
-    """A trace -> its text in ``traces.json``, at the layout of ``json.dumps(indent=2)``.
+def _trace_sink(spec: GameSpec, out: BinaryIO) -> Callable[[engine.PlayoutTrace], object]:
+    """A function that writes a trace's text in ``traces.json``, after ``,\\n  ``, to ``out``.
 
-    The text comes from templates of that layout, with no dict per move or
-    trace, and strings go through json's C encoder.  Each distinct move is
-    formatted once per function returned, through its ``_MoveTexts`` memo.
+    The text has the layout of ``json.dumps(indent=2)``, from templates of
+    that layout, with no dict per move or trace, and strings go through
+    json's C encoder, so it is ASCII.  Each distinct move is formatted once
+    per function returned, through its ``_MoveTexts`` memo.
     """
     labels = list(map(_quote, spec.board.labels))
     texts = _MoveTexts(labels)
+    write = out.write
 
-    def text(trace: engine.PlayoutTrace) -> str:
+    def sink(trace: engine.PlayoutTrace) -> object:
         outcome = trace.outcome
         sites = outcome.winning_sites
-        return _TRACE % (
+        return write((_TRACE % (
             trace.seed, _array(list(map(texts.__getitem__, trace.moves)), "    "),
             _array([str(p) for p in outcome.players], "      "), _quote(outcome.outcome),
             "null" if outcome.end_id is None else outcome.end_id,
-            _array([labels[s] for s in sites], "      ") if sites else "null")
-    return text
+            _array([labels[s] for s in sites], "      ") if sites else "null")).encode())
+    return sink
 
 
-def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec,
-                  parts: Iterable[BinaryIO] = ()) -> None:
-    """Write ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)`` plus a newline.
-
-    Each trace is streamed to the file as soon as it is formatted (see
-    ``_trace_text``), so only one trace's text and the move memo are alive at
-    a time, and the peak memory stays below the size of the file.  ``parts``
-    are the files of ``play``, each holding later traces' text, every trace
-    preceded by its separator; they are copied after ``traces`` in chunks.
-    """
-    text = _trace_text(spec)
-    with open(path, "w", encoding="utf-8") as out:
-        sep = "[\n  "
-        for trace in traces:
-            out.write(sep)
-            out.write(text(trace))
-            sep = ",\n  "
-        out.flush()
-        for part in parts:
-            part.seek(0)
-            while chunk := part.read(1 << 16):
-                out.buffer.write(chunk)
-        out.write("\n]\n" if traces else "[]\n")
+def _write_traces(path: Path, traces: BinaryIO) -> None:
+    """Write ``traces.json`` from ``traces``, the text of ``_trace_sink`` for every
+    playout, in chunks: ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)``
+    plus a newline."""
+    import shutil
+    traces.seek(0)
+    with open(path, "wb") as out:
+        if traces.read(1):  # the first trace's comma
+            out.write(b"[")
+            shutil.copyfileobj(traces, out)
+            out.write(b"\n]\n")
+        else:
+            out.write(b"[]\n")
 
 
 # The errors of generating a game that cli.main turns into exit codes: a child
@@ -242,53 +237,43 @@ def _write_traces(path: Path, traces: list[engine.PlayoutTrace], spec: GameSpec,
 REPORTED = (OSError, PlayoutLimitExceeded)
 
 
-def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = False
-         ) -> tuple[list[engine.PlayoutTrace], dict, list[engine.PlayoutTrace], list[BinaryIO]]:
+def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1,
+         traces: BinaryIO | None = None) -> tuple[list[engine.PlayoutTrace], dict]:
     """Play seeds ``seed .. seed + playouts - 1`` in ``ways`` processes and merge their folds.
 
     The seeds are cut into ``ways`` contiguous ranges (at most ``playouts``);
     ``parallel.run_in_order`` plays the lowest here and the others in forked
     children, all at once, and each process folds its range (see ``_fold``).
     A child sends its fold back as plain tuples, which this process makes
-    traces again.  Returns ``(kept, counts, traces, parts)``: the folds' kept
-    traces, joined in seed order, and the playouts of each (outcome, players).
-    A key's first occurrence over all the seeds is kept by the first range
-    that holds it, so the taxonomy of ``kept`` is that of every trace.  With
-    ``dump``, ``traces`` holds the lowest range's traces, and ``parts`` an
-    anonymous temporary file for each other range, opened before the fork,
-    into which that range streams its text for ``traces.json``; the caller
-    closes them.  Without, both are empty.
+    traces again.  Returns ``(kept, counts)``: the folds' kept traces, joined
+    in seed order, and the playouts of each (outcome, players).  A key's
+    first occurrence over all the seeds is kept by the first range that holds
+    it, so the taxonomy of ``kept`` is that of every trace.  With ``traces``,
+    every trace's text is streamed there in seed order (see ``_trace_sink``):
+    the lowest range's as it is played, and each other range's from the file
+    ``run_in_order`` opened for it.
     """
     if playouts < 1:  # no playout, no move or ending to show
         raise ValueError("playout count must be at least 1")
     from . import engine, parallel
     ways = min(ways, playouts)  # no range is empty
     bounds = [seed + playouts * k // ways for k in range(ways + 1)]
-    traces: list[engine.PlayoutTrace] = []
-    parts: list[BinaryIO] = []
-    if dump and ways > 1:
-        import tempfile
-        parts = [tempfile.TemporaryFile() for _ in range(1, ways)]
 
-    def job(k: int, _before_write) -> tuple[list, dict]:
-        if k == 0:  # the lowest range keeps its traces; the others stream theirs
-            return _fold(spec, bounds[0], bounds[1], traces.append if dump else None)
-        if not parts:
-            return _flat(*_fold(spec, bounds[k], bounds[k + 1], None))
-        with open(parts[k - 1].fileno(), "w", encoding="utf-8", closefd=False) as out:
-            out.seek(0)  # the range may be played here again after its child failed
-            out.truncate()
-            text = _trace_text(spec)
-            return _flat(*_fold(spec, bounds[k], bounds[k + 1],
-                                lambda trace: out.write(",\n  " + text(trace))))
+    def job(k: int, part: BinaryIO | None) -> tuple[list, dict]:
+        sink = None if traces is None else _trace_sink(spec, traces if k == 0 else part)
+        fold = _fold(spec, bounds[k], bounds[k + 1], sink)
+        return fold if k == 0 else _flat(*fold)  # the lowest range keeps its objects
 
     folds: list[tuple[list, dict]] = []
-    try:
-        parallel.run_in_order(job, ways, folds.append, REPORTED)
-    except BaseException:
-        for part in parts:
-            part.close()
-        raise
+
+    def merge(fold: tuple[list, dict], part: BinaryIO | None) -> None:
+        folds.append(fold)
+        if traces is not None:
+            import shutil
+            part.seek(0)
+            shutil.copyfileobj(part, traces)
+
+    parallel.run_in_order(job, ways, merge, REPORTED, files=traces is not None)
     kept, counts = folds[0]
     for fold_kept, fold_counts in folds[1:]:
         kept += [engine.PlayoutTrace(seed, tuple(map(engine.Move._make, moves)),
@@ -296,7 +281,7 @@ def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1, dump: bool = F
                  for seed, moves, outcome in fold_kept]
         for key, count in fold_counts.items():
             counts[key] = counts.get(key, 0) + count
-    return kept, counts, traces, parts
+    return kept, counts
 
 
 def _fold(spec: GameSpec, start: int, stop: int,
@@ -339,55 +324,51 @@ def _flat(kept: list[engine.PlayoutTrace], counts: dict) -> tuple[list, dict]:
             for t in kept], counts
 
 
-def generate(spec: GameSpec, seed: int, playouts: int, out_dir: Path,
-             strategy_lines: list[str] | None, similar: bool, dump_json: bool,
-             before_write: Callable[[], object] | None = None, ways: int = 1) -> Path:
-    """Run the whole pipeline for one ``load_playable`` game; returns its output dir.
+def generate(spec: GameSpec, seed: int, playouts: int, strategy_lines: list[str] | None,
+             similar: bool, traces: BinaryIO | None = None, ways: int = 1) -> dict[str, str]:
+    """Build the files of one ``load_playable`` game's manual, for ``write_game``.
 
-    With ``strategy_lines`` None the Heuristics section shows its placeholder.
-    The playouts are split over ``ways`` processes (see ``play``); the files
-    are the same bytes for any ``ways``.  ``before_write``, if given, is
-    called once the playouts and the taxonomy are done, before the game's
-    first write.
+    Returns ``{path relative to the game directory: text}``: the SVGs,
+    ``manual.html`` and ``manual.json``, and with ``traces`` also
+    ``taxonomy.json``, while every playout's text for ``traces.json`` is
+    streamed into ``traces`` (see ``play``).  With ``strategy_lines`` None the
+    Heuristics section shows its placeholder.  The playouts are split over
+    ``ways`` processes; the files are the same for any ``ways``.
     """
     from . import engine, render, taxonomy
-    kept, _, traces, parts = play(spec, seed, playouts, ways, dump_json)
-    try:
-        traces_by_seed = {t.seed: t for t in kept}
-        distinct = taxonomy.collect_distinct(kept, spec)
-        endings = taxonomy.collect_endings(kept, spec)
-        coverage = taxonomy.coverage_report(distinct, spec)
-        translation = translate_game(spec)
-        if before_write is not None:
-            before_write()
+    kept, _ = play(spec, seed, playouts, ways, traces)
+    traces_by_seed = {t.seed: t for t in kept}
+    distinct = taxonomy.collect_distinct(kept, spec)
+    endings = taxonomy.collect_endings(kept, spec)
+    coverage = taxonomy.coverage_report(distinct, spec)
+    translation = translate_game(spec)
 
-        game_dir = Path(out_dir) / spec.name
-        svg_dir = game_dir / "svg"
-        svg_dir.mkdir(parents=True, exist_ok=True)
+    layout = render._Layout(spec)  # every image of the game shares its cells
+    files = {"svg/setup.svg": render.render_board(spec, engine.initial_state(spec),
+                                                  layout=layout)}
+    move_leaves = _render_move_assets(spec, distinct, traces_by_seed, files, similar, layout)
+    ending_entries = _render_ending_assets(spec, endings, traces_by_seed, files, layout)
 
-        layout = render._Layout(spec)  # every image of the game shares its cells
-        setup_svg = render.render_board(spec, engine.initial_state(spec), layout=layout)
-        (svg_dir / "setup.svg").write_text(setup_svg, encoding="utf-8")
+    html, manifest = build_manual(spec, translation, strategy_lines,
+                                  "svg/setup.svg", ending_entries, move_leaves)
+    manifest["coverage"] = coverage
+    check_assets(manifest, files)
+    files["manual.html"] = html
+    files["manual.json"] = _json(manifest)
+    if traces is not None:
+        files["taxonomy.json"] = _json({"distinct_moves": move_leaves, "coverage": coverage})
+    return files
 
-        move_leaves = _render_move_assets(spec, distinct, traces_by_seed, svg_dir, similar,
-                                          layout)
-        ending_entries = _render_ending_assets(spec, endings, traces_by_seed, svg_dir, layout)
 
-        html, manifest = build_manual(spec, translation, strategy_lines,
-                                      "svg/setup.svg", ending_entries, move_leaves)
-        manifest["coverage"] = coverage
-        (game_dir / "manual.html").write_text(html, encoding="utf-8")
-        _write_json(game_dir / "manual.json", manifest)
-        check_assets(manifest, game_dir)
-
-        if dump_json:
-            _write_traces(game_dir / "traces.json", traces, spec, parts)
-            _write_json(game_dir / "taxonomy.json",
-                        {"distinct_moves": move_leaves, "coverage": coverage})
-        return game_dir
-    finally:
-        for part in parts:
-            part.close()
+def write_game(game_dir: Path, files: dict[str, str], traces: BinaryIO | None = None) -> Path:
+    """Write ``files`` (see ``generate``) under ``game_dir``, creating it, and
+    ``traces.json`` from ``traces`` if given; returns ``game_dir``."""
+    (game_dir / "svg").mkdir(parents=True, exist_ok=True)
+    for path, text in files.items():
+        (game_dir / path).write_text(text, encoding="utf-8")
+    if traces is not None:
+        _write_traces(game_dir / "traces.json", traces)
+    return game_dir
 
 
 def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
@@ -396,7 +377,7 @@ def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
     The playouts are split as a one-game ``generate``'s, over ``parallel.cpus()``.
     """
     from . import parallel, taxonomy
-    kept, outcomes, _, _ = play(spec, seed, playouts, parallel.cpus())
+    kept, outcomes = play(spec, seed, playouts, parallel.cpus())
     distinct = taxonomy.collect_distinct(kept, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
 

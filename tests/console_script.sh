@@ -60,6 +60,13 @@ python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))
 "${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-all-cpus" > /dev/null
 diff -r "$tmp/gs-one-cpu" "$tmp/gs-all-cpus"
 echo "one Hex generate --format json writes the same files on one CPU and on $(nproc)"
+# So do several games, which children build while this process writes them all.
+three=(--game corpus/TicTacToe.lud --game corpus/Breakthrough.lud --game corpus/Hex.lud --playouts 20 --format json)
+python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); os.execvp(sys.argv[1], sys.argv[1:])" \
+  "${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-one-cpu" > /dev/null
+"${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-all-cpus" > /dev/null
+diff -r "$tmp/gs-three-one-cpu" "$tmp/gs-three-all-cpus"
+echo "three games of generate --format json write the same files on one CPU and on $(nproc)"
 printf '(heuristics {(lineCompletion 3 0.7)})' > "$tmp/h.lud"
 "${gs[@]}" generate --game corpus/TicTacToe.lud --playouts 5 --heuristics "$tmp/h.lud" --out "$tmp/gs-tips"
 grep -q "Try to work towards completing lines of 3 of your pieces" "$tmp/gs-tips/Tic-Tac-Toe/manual.html"

@@ -4,11 +4,12 @@ import errno
 import hashlib
 import io
 import json
+import marshal
 import os
-import pickle
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import urllib.parse
 import xml.dom.minidom
 
@@ -18,6 +19,7 @@ import goldens
 from conftest import CORPUS, REPO_ROOT, normalise
 from gamescribe import cli, engine, pipeline
 from gamescribe.cli import main
+from gamescribe.manual import MissingAsset
 
 
 def _run(*argv, cwd=None):
@@ -142,8 +144,8 @@ def test_capped_playout_writes_nothing_of_its_game(cpus, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("cpus", [3, 6])
 def test_capped_playout_writes_no_later_game(cpus, tmp_path, monkeypatch, capsys):
-    # With three CPUs or more a child plays Hex while Tic-Tac-Toe runs here,
-    # and is killed before it writes.
+    # With three CPUs or more a child builds Hex while Tic-Tac-Toe runs here,
+    # and is killed, having written nothing.
     _cpus(monkeypatch, cpus)
     _capped_breakthrough(tmp_path, monkeypatch, capsys, ["Hex"])
 
@@ -656,19 +658,26 @@ def test_translate_loads_only_the_front_end():
 
 
 def test_one_game_generate_loads_no_pickle(tmp_path):
-    # Only a forked child's report needs pickle; a one-game generate forks none.
+    # Only a child's reported error needs pickle: a one-game generate on one
+    # CPU forks none, and a two-game one on two CPUs builds Hex in a child that
+    # reports its files by marshal.
     code = """if True:
-        import contextlib, io, sys, gamescribe.cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = gamescribe.cli.main(["generate", "--game", sys.argv[1], "--playouts", "2",
-                                        "--out", sys.argv[2]])
-        print(code, "pickle" in sys.modules)
+        import contextlib, io, os, sys, gamescribe.cli
+        forks = []
+        fork = os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        for cpus, games in ((1, sys.argv[1:2]), (2, sys.argv[1:3])):
+            os.sched_getaffinity = lambda pid: set(range(cpus))
+            argv = ["generate", "--playouts", "2", "--out", f"{sys.argv[3]}/{cpus}"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = gamescribe.cli.main(argv + [a for g in games for a in ("--game", g)])
+            print(code, len(forks), "pickle" in sys.modules)
         """
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(CORPUS / "TicTacToe.lud"),
-                           str(tmp_path)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+                           str(CORPUS / "Hex.lud"), str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["0", "0", "False", "0", "1", "False"]
 
 
 # The names that the benchmark's tracer (bench/tracer.py) wraps in cli and
@@ -796,27 +805,131 @@ def test_failed_write_in_a_forked_game_exits_2_as_serial(tmp_path, monkeypatch, 
     assert errors[0] == errors[1] == f"error: {out / 'Hex' / 'svg'}: Not a directory\n"
 
 
-@pytest.mark.parametrize("owner, name", [(pickle, "dumps"), (os, "fork")])
-def test_a_game_no_child_reports_on_is_generated_here(tmp_path, monkeypatch, capsys, owner,
-                                                      name):
-    # Only a child pickles, so refusing pickle.dumps ends Hex's child before
-    # its report; refusing os.fork leaves no child at all.  Either way this
-    # process generates Hex itself, to the same bytes and lines as the serial
-    # loop, and closes every pipe it opened.
+@pytest.mark.parametrize("refused", ["report", "fork"])
+def test_a_game_no_child_reports_on_is_generated_here(tmp_path, monkeypatch, capsys, refused):
+    # A marshal.dumps that refuses, as on data it cannot take, in any process
+    # but this one ends Hex's child with no report; refusing os.fork leaves no
+    # child at all.  Either way this process builds Hex itself, to the same
+    # bytes and lines as the serial loop, and closes every pipe and file it
+    # opened.
+    here = os.getpid()
+    dumps = marshal.dumps
+
+    def refuse_in_a_child(*args):
+        if os.getpid() != here:
+            raise ValueError("refused")
+        return dumps(*args)
+
     def refuse(*args):
         raise OSError(errno.EAGAIN, "refused")
 
-    monkeypatch.setattr(owner, name, refuse)
-    open_fds = len(os.listdir("/proc/self/fd"))
+    if refused == "report":
+        monkeypatch.setattr(marshal, "dumps", refuse_in_a_child)
+    else:
+        monkeypatch.setattr(os, "fork", refuse)
+    built = tmp_path / "built"
+    generate = cli.generate
+
+    def logged(spec, *args, **kwargs):
+        with open(built, "a") as log:
+            log.write(f"{spec.name} {os.getpid()}\n")
+        return generate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate", logged)
+    open_fds = _open_fds()
     runs = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         out = tmp_path / "out"
-        assert main(_generate_argv(out, ["TicTacToe", "Hex"], "--playouts", "5")) == 0
+        assert main(_generate_argv(out, ["TicTacToe", "Hex"], "--playouts", "5",
+                                   "--format", "json")) == 0
         runs.append((capsys.readouterr().out, _files(out)))
         shutil.rmtree(out)
     assert runs[0] == runs[1]
-    assert len(os.listdir("/proc/self/fd")) == open_fds
+    hex_builds = [int(pid) for name, pid in map(str.split, built.read_text().splitlines())
+                  if name == "Hex"]
+    assert hex_builds[0] == hex_builds[-1] == here
+    assert len(hex_builds) == (3 if refused == "report" else 2)
+    assert _open_fds() == open_fds
+
+
+def test_a_missing_image_writes_nothing_of_its_game(tmp_path, monkeypatch):
+    # Hex's manifest names an image its build did not draw: check_assets fails
+    # on the built files, before any is written, here or in a child alike.
+    build_manual = pipeline.build_manual
+
+    def naming_a_missing_image(spec, *args):
+        html, manifest = build_manual(spec, *args)
+        if spec.name == "Hex":
+            manifest["setup"]["image"] = "svg/missing.svg"
+        return html, manifest
+
+    monkeypatch.setattr(pipeline, "build_manual", naming_a_missing_image)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        with pytest.raises(MissingAsset, match="'svg/missing.svg'"):
+            main(_generate_argv(out, ["TicTacToe", "Hex"], "--playouts", "5"))
+        assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
+        _assert_no_child_left()
+
+
+def test_children_never_touch_out(tmp_path):
+    # Children build Breakthrough and Hex, but every file opened for writing
+    # and every directory made under --out, as an audit hook logs them, is
+    # this process's.
+    code = """if True:
+        import contextlib, io, os, sys
+        out, log = sys.argv[1], os.open(sys.argv[2], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT
+        def logged(event, args):
+            if (event == "open" and not isinstance(args[0], int) and args[2] & writes
+                    or event == "os.mkdir") and os.fsdecode(args[0]).startswith(out):
+                os.write(log, f"{os.getpid()} {event} {os.fsdecode(args[0])}\\n".encode())
+        sys.addaudithook(logged)
+        os.sched_getaffinity = lambda pid: {0, 1, 2}
+        import gamescribe.cli
+        forks = []
+        fork = os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gamescribe.cli.main(["generate", "--format", "json", "--playouts", "20",
+                                        "--out", out, *sys.argv[3:]])
+        print(code, len(forks), os.getpid())
+        """
+    games = [arg for game in ("TicTacToe", "Breakthrough", "Hex")
+             for arg in ("--game", str(CORPUS / f"{game}.lud"))]
+    out, log = tmp_path / "out", tmp_path / "log"
+    proc = subprocess.run([sys.executable, "-c", code, str(out), str(log), *games],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    code, forks, pid = proc.stdout.split()
+    assert (code, forks) == ("0", "2")
+    events = [line.split(" ", 2) for line in log.read_text().splitlines()]
+    assert {name for _, event, name in events if event == "open"} >= {
+        str(out / game / "traces.json") for game in ("Tic-Tac-Toe", "Breakthrough", "Hex")}
+    assert {event_pid for event_pid, _, _ in events} == {pid}
+
+
+def test_json_generate_memory_does_not_grow_with_the_playouts(tmp_path, monkeypatch, capsys):
+    # Every range streams its traces' text to a file as it plays them, and
+    # keeps only the traces that give a move or an ending its first
+    # occurrence: ten times the Hex playouts leave the peak where it was.
+    _cpus(monkeypatch, 1)
+
+    def peak(playouts, out):
+        tracemalloc.start()
+        try:
+            assert main(_generate_argv(tmp_path / out, ["Hex"], "--playouts", str(playouts),
+                                       "--format", "json")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100, "warm-up")  # imports the back end
+    small, large = peak(100, "small"), peak(1000, "large")
+    assert large < small + 64 * 1024, f"peak {small:,} bytes at 100 playouts, {large:,} at 1,000"
 
 
 def test_an_error_no_exit_code_covers_keeps_its_traceback_from_a_child(tmp_path, monkeypatch,

@@ -113,18 +113,17 @@ def test_build_is_deterministic(tictactoe):
     assert build_manual(tictactoe, *args) == build_manual(tictactoe, *args)
 
 
-def test_check_assets(tmp_path, built):
+def test_check_assets(built):
     _, manifest = built
-    with pytest.raises(MissingAsset):
-        check_assets(manifest, tmp_path)
-    svg = tmp_path / "svg"
-    svg.mkdir()
     names = ["setup.svg"]
     names += [f"move_{i}_{w}.svg" for i in range(2) for w in ("before", "after")]
     names += ["end_0_before.svg", "end_0_after.svg"]
+    files = {f"svg/{name}": "<svg/>" for name in names}
+    check_assets(manifest, files)  # no exception
     for name in names:
-        (svg / name).write_text("<svg/>")
-    check_assets(manifest, tmp_path)  # no exception
+        with pytest.raises(MissingAsset, match=f"'svg/{name}'"):
+            check_assets(manifest, {path: svg for path, svg in files.items()
+                                    if path != f"svg/{name}"})
 
 
 def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
@@ -134,9 +133,9 @@ def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
     game.write_text('(game "Twin" (players 3) (equipment {(board (square 3)) (piece "Disc" Each)}) '
                     '(rules (play (if (is Even (count Moves)) (move Add (to (sites Empty))) '
                     '(move Add (to (sites Empty))))) (end (if (is Line 3) (result Mover Win)))))')
-    game_dir = generate(load_playable(game), seed=0, playouts=20, out_dir=tmp_path / "out",
-                        strategy_lines=None, similar=True, dump_json=False)
-    manifest = json.loads((game_dir / "manual.json").read_text())
+    files = generate(load_playable(game), seed=0, playouts=20, strategy_lines=None,
+                     similar=True)
+    manifest = json.loads(files["manual.json"])
     indices = []
 
     def collect(node):
@@ -150,7 +149,7 @@ def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
     leaves = manifest["moves"]["leaves"]
     assert len(leaves) == 6
     assert sorted(indices) == list(range(6))
-    html = (game_dir / "manual.html").read_text()
+    html = files["manual.html"]
     assert html.count('<div class="leaf">') == 6
     # The HTML Moves section lists the leaves in the tree's depth-first order.
     moves_html = html[html.index("<h2>Moves</h2>"):]

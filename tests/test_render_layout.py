@@ -9,7 +9,7 @@ from gamescribe.pipeline import generate
 from gamescribe.render import _Layout, render_board
 
 
-def test_generate_draws_each_cell_once(tmp_path, monkeypatch, hexgame):
+def test_generate_draws_each_cell_once(monkeypatch, hexgame):
     drawn = []
     cell_element = render._cell_element
 
@@ -18,10 +18,9 @@ def test_generate_draws_each_cell_once(tmp_path, monkeypatch, hexgame):
         return cell_element(layout, site)
 
     monkeypatch.setattr(render, "_cell_element", counted)
-    generate(hexgame, seed=0, playouts=20, out_dir=tmp_path, strategy_lines=None,
-             similar=True, dump_json=False)
+    files = generate(hexgame, seed=0, playouts=20, strategy_lines=None, similar=True)
     # A setup image, a before/after pair per move signature and per ending.
-    assert len(list((tmp_path / "Hex" / "svg").glob("*.svg"))) >= 5
+    assert len([path for path in files if path.startswith("svg/")]) >= 5
     assert len(drawn) == hexgame.board.site_count
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+import tempfile
 from collections import Counter
 from functools import lru_cache
 
@@ -182,17 +183,18 @@ def test_merged_folds_of_any_split_give_the_taxonomy_of_every_trace(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for spec in (tictactoe, hexgame, amazons, breakthrough):
         traces = _traces(spec, 7, seed=13)
-        kept, counts, own, parts = pipeline.play(spec, 13, 7, ways, dump=True)
+        with tempfile.TemporaryFile() as split, tempfile.TemporaryFile() as whole:
+            kept, counts = pipeline.play(spec, 13, 7, ways, split)
+            sink = pipeline._trace_sink(spec, whole)
+            for trace in traces:
+                sink(trace)
+            pipeline._write_traces(tmp_path / "split.json", split)
+            pipeline._write_traces(tmp_path / "all.json", whole)
         assert kept == [traces[t.seed - 13] for t in kept]
         assert [t.seed for t in kept] == sorted({t.seed for t in kept})
         assert collect_distinct(kept, spec) == collect_distinct(traces, spec)
         assert collect_endings(kept, spec) == collect_endings(traces, spec)
         assert counts == Counter((t.outcome.outcome, t.outcome.players) for t in traces)
-        assert own == traces[:7 // ways] and len(parts) == ways - 1
-        pipeline._write_traces(tmp_path / "split.json", own, spec, parts)
-        for part in parts:
-            part.close()
-        pipeline._write_traces(tmp_path / "all.json", traces, spec)
         assert (tmp_path / "split.json").read_bytes() == (tmp_path / "all.json").read_bytes()
 
 

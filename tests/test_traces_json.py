@@ -1,4 +1,5 @@
-"""traces.json from pipeline._write_traces against json.dumps of engine.trace_to_dict."""
+"""traces.json from pipeline._trace_sink and _write_traces against json.dumps of
+engine.trace_to_dict."""
 
 import json
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import load_spec
 from gamescribe.compiler import compile_game
 from gamescribe.engine import EndMatch, Move, PlayoutTrace, random_playout, trace_to_dict
-from gamescribe.pipeline import _write_traces
+from gamescribe.pipeline import _trace_sink, _write_traces
 from gamescribe.sexpr import parse
 from test_reference_playout import SMALL_GAMES
 
@@ -22,9 +23,14 @@ def _oracle(traces, spec) -> bytes:
 
 
 def _written(traces, spec) -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
+    """``traces`` streamed through ``_trace_sink`` into one file, as a range of
+    ``pipeline.play`` streams them, then written by ``_write_traces``."""
+    with tempfile.TemporaryFile() as part, tempfile.TemporaryDirectory() as tmp:
+        sink = _trace_sink(spec, part)
+        for trace in traces:
+            sink(trace)
         path = Path(tmp) / "traces.json"
-        _write_traces(path, traces, spec)
+        _write_traces(path, part)
         return path.read_bytes()
 
 

@@ -1,10 +1,13 @@
-"""traces.json from pipeline._write_traces: `%` in names, and the writer's peak memory.
+"""traces.json from pipeline._trace_sink and _write_traces: `%` in names, and the
+writer's peak memory.
 
-The writer fills one `%`-template per move signature, so a `%` in a piece
+The sink fills one `%`-template per move signature, so a `%` in a piece
 name, a site label or an outcome must come out as written.  It streams the
-file trace by trace, so its peak memory stays below the file's size.
+text trace by trace, and the writer copies it in chunks, so their peak
+memory stays below the file's size.
 """
 
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
 
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import load_spec
 from gamescribe.compiler import compile_game
 from gamescribe.engine import EndMatch, Move, PlayoutTrace, random_playout
-from gamescribe.pipeline import _write_traces
+from gamescribe.pipeline import _trace_sink, _write_traces
 from gamescribe.sexpr import parse
 from test_traces_json import _oracle, _written
 
@@ -89,11 +92,15 @@ def test_writer_peak_memory_stays_below_file_size(tmp_path):
     spec = load_spec("Amazons")
     traces = [random_playout(spec, seed) for seed in range(100)]
     path = tmp_path / "traces.json"
-    tracemalloc.start()
-    try:
-        _write_traces(path, traces, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with tempfile.TemporaryFile() as part:
+        tracemalloc.start()
+        try:
+            sink = _trace_sink(spec, part)
+            for trace in traces:
+                sink(trace)
+            _write_traces(path, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size, f"writer peak {peak:,} bytes for a {size:,}-byte file"
