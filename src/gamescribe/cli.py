@@ -15,18 +15,17 @@ Every offset in a message is a character offset into the file's text as
 written, line endings included.  Standard output is UTF-8, as every written
 file is, whatever the locale's encoding.
 
-With more than one game, more than one CPU in ``os.sched_getaffinity`` and
-one thread, ``generate`` builds the first game here while forked children
-build later ones, at most one fewer than the CPUs at once (``parallel``).
-A child only builds its game's files (``pipeline.generate``) and reports
-them; this process writes every game (``pipeline.write_game``), and prints
-its ``wrote`` line, in game order, with ``index.html`` last.  So exit 2 or 4
-in one game leaves the games before it written and nothing of it or of any
-later game, as the serial loop does.  A one-game call cuts the game's seeds
-into as many ranges as there are CPUs, played at once by this process and
-forked children (``pipeline.play``); a call of several games plays each game
-unsplit.  ``playout-stats`` splits its one game alike.  The files and the
-output are the same bytes for any number of CPUs.
+``generate`` is a plain loop over the games: ``pipeline.played`` plays
+each game's seeds, ``pipeline.generate`` builds its files and
+``pipeline.write_game`` writes them, and the ``wrote`` line is printed, in
+game order, with ``index.html`` last.  With more than one CPU in
+``os.sched_getaffinity`` and one thread, ``played`` forks one worker per
+spare CPU once per call, and worker k plays seed range k of every game
+while this process plays range 0 and builds and writes each game in turn
+(``parallel``).  Only this process writes, so exit 2 or 4 in one game
+leaves the games before it written and nothing of it or of any later game,
+as with one CPU.  ``playout-stats`` splits its one game alike.  The files
+and the output are the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from pathlib import Path
 
 from .compiler import PlayoutLimitExceeded
 from .english import translate_game
-from .pipeline import (REPORTED, NoOpeningMove, generate, load_game, load_playable,
+from .pipeline import (NoOpeningMove, generate, load_game, load_playable, played,
                        playout_stats, read_source, write_game, write_index)
 from .registry import CompileError
 from .sexpr import ParseError
@@ -123,19 +122,13 @@ def main(argv: list[str] | None = None) -> int:
                           for spec in specs]
 
             from . import parallel
-            ways = parallel.cpus() if len(specs) == 1 else 1  # play clamps it to playouts
-            dump = args.format == "json"  # then each game's traces go to its job's file
-            game_dirs = iter([args.out / spec.name for spec in specs])
-
-            def build(game: int, traces) -> dict[str, str]:
-                return generate(specs[game], args.seed, args.playouts, strategies[game],
-                                similar=not args.no_similar, traces=traces, ways=ways)
-
-            def write(files: dict[str, str], traces) -> None:  # called in game order
-                game_dir = write_game(next(game_dirs), files, traces)
-                print(f"wrote {game_dir / 'manual.html'}")
-
-            parallel.run_in_order(build, len(specs), write, REPORTED, files=dump)
+            dump = args.format == "json"  # then the playouts go to traces.json too
+            with played(specs, args.seed, args.playouts, parallel.cpus(), dump) as games:
+                for spec, strategy, (kept, _, spans) in zip(specs, strategies, games):
+                    files = generate(spec, kept, strategy, similar=not args.no_similar,
+                                     dump=dump)
+                    game_dir = write_game(args.out / spec.name, files, spans)
+                    print(f"wrote {game_dir / 'manual.html'}")
             if len(specs) > 1:
                 write_index(args.out, list(paths))
         elif args.command == "translate":

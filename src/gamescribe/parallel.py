@@ -1,15 +1,15 @@
-"""Jobs run in forked child processes and finished in order, and how many.
+"""A pool of forked workers, one per spare CPU, each running one stripe of jobs.
 
-``generate`` (see ``cli``) builds its games through ``run_in_order``: with
-several games, forked children build later ones while this process builds
-the first.  ``pipeline.play`` runs the seed ranges of one game's playouts
-through it too.  Only a one-game call splits its game, so no child of
-``run_in_order`` forks children of its own.  With one CPU nothing forks.
+``pipeline.played`` cuts every game's seeds into the same contiguous ranges
+and runs them through a ``Pool``: worker ``k`` plays range ``k`` of every
+game, in game order, while this process plays range 0 of each game and then
+builds and writes it (see ``cli``).  The pool is forked once per ``generate``
+or ``playout-stats`` call; with one CPU nothing forks, and no worker forks.
 
-A child only computes.  It reports its result by ``marshal``, or a reported
-error by ``pickle``, imported only then, and streams any long text into a
-temporary file opened for its job.  It never writes under ``--out``: this
-process does all of that, in ``finished``, so a child may be killed at any
+A worker only computes.  It reports each result by ``marshal``, or a
+reported error by ``pickle``, imported only then, and streams any long text
+into its one temporary file, opened before the fork.  It never writes under
+``--out``: this process does all of that, so a worker may be killed at any
 time.  Only ``generate`` and ``playout-stats`` import this module.
 """
 
@@ -32,27 +32,43 @@ def cpus() -> int:
     return 1
 
 
-def run_in_order(job: Callable[[int, BinaryIO | None], object], count: int,
-                 finished: Callable[[object, BinaryIO | None], object],
-                 reported: tuple[type[BaseException], ...], files: bool = False) -> None:
-    """Call ``finished(job(i, file), file)`` for ``i`` in ``range(count)``, in
-    order, as a plain loop would, while forked children run later jobs: at most
-    one fewer than ``cpus()`` at once.
+class Pool:
+    """Run ``job(k, g, files[k])`` for every stripe ``k < ways`` of every game
+    ``g < games``: stripe 0 here, and at most one fewer than ``cpus()`` of the
+    others in forked workers, one stripe each, which run their jobs in game
+    order while this process goes on.
 
-    With ``files``, ``file`` is an anonymous temporary file opened just before
-    job ``i`` starts, emptied if the job runs here again, and closed once
-    ``finished`` returns; without, None.  A child's error of a ``reported``
-    type is raised here.  A job no child reports on, such as one whose child
-    raised anything else, runs here, so that such an error keeps its own
-    traceback.  Every child is reaped on every path, killed if still running.
+    ``files`` holds one anonymous temporary file per stripe with ``files``,
+    opened before any fork, else Nones; a worker shares its file's offset with
+    this process, which reads it only by ``os.pread`` while the worker runs.  ``results(g)`` returns
+    game ``g``'s results in stripe order.  A worker's error of a ``reported``
+    type is raised there.  A worker that ends with no report, such as one that
+    raised anything else, is reaped, and its stripe of that game and of every
+    later game runs here, so that such an error keeps its own traceback.
+    Leaving the ``with`` block kills and reaps every worker and closes every
+    pipe and file.
     """
-    if files:
-        import tempfile
-    slots = cpus() - 1
-    opened: dict[int, BinaryIO] = {}  # job -> its file, with ``files``
-    children: dict[int, tuple[int, int]] = {}  # job -> (pid, report fd)
 
-    def fork(i: int) -> tuple[int, int]:
+    def __init__(self, job: Callable[[int, int, BinaryIO | None], object], ways: int,
+                 games: int, reported: tuple[type[BaseException], ...], files: bool = False):
+        self.job = job
+        self.workers: dict[int, tuple[int, BinaryIO]] = {}  # stripe -> (pid, report pipe)
+        self.files: list[BinaryIO | None] = [None] * ways
+        try:
+            if files:
+                import tempfile
+                for k in range(ways):
+                    self.files[k] = tempfile.TemporaryFile()
+            for k in range(1, min(ways, cpus())):
+                try:
+                    self._fork(k, games, reported)
+                except OSError:  # no pipe or process to be had: the rest run here
+                    break
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, k: int, games: int, reported: tuple[type[BaseException], ...]) -> None:
         sys.stdout.flush()
         sys.stderr.flush()
         report_r, report_w = os.pipe()
@@ -64,66 +80,63 @@ def run_in_order(job: Callable[[int, BinaryIO | None], object], count: int,
             raise
         if pid:
             os.close(report_w)
-            return pid, report_r
-        try:  # in the child, which prints nothing and leaves through os._exit
-            for fd in (report_r, *(fd for _, fd in children.values())):
-                os.close(fd)
-            try:
-                result = job(i, opened.get(i))
-                if files:
-                    opened[i].flush()
-                data = b"m" + marshal.dumps((result,))  # a ValueError: no report
-            except reported as exc:
-                import pickle
-                data = b"p" + pickle.dumps(exc)
+            self.workers[k] = pid, open(report_r, "rb")
+            return
+        try:  # in the worker, which prints nothing and leaves through os._exit
+            os.close(report_r)
+            for _, pipe in self.workers.values():
+                os.close(pipe.fileno())
             with open(report_w, "wb") as pipe:
-                pipe.write(data)
+                for g in range(games):
+                    try:  # a ValueError of marshal: no report, on this game or later
+                        data = b"m" + marshal.dumps(self.job(k, g, self.files[k]))
+                    except reported as exc:
+                        import pickle
+                        data = b"p" + pickle.dumps(exc)
+                    pipe.write(len(data).to_bytes(8, "little") + data)
+                    pipe.flush()
+                    if data[:1] == b"p":
+                        break
         finally:
             os._exit(0)
 
-    def reap(i: int, kill: bool) -> None:
-        pid, report = children.pop(i)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        os.close(report)
-
-    def collect(i: int) -> tuple[object] | None:
-        with open(children[i][1], "rb", closefd=False) as pipe:
-            data = pipe.read()  # until the child's end closes
-        reap(i, kill=False)
+    def _report(self, k: int) -> object:
+        """Worker ``k``'s next result; ``None`` once the worker is reaped unreported."""
+        pipe = self.workers[k][1]
+        head = pipe.read(8)
+        data = pipe.read(int.from_bytes(head, "little")) if len(head) == 8 else b""
+        if not data or len(data) < int.from_bytes(head, "little"):
+            self._reap(k)
+            return None
         if data[:1] == b"p":
             import pickle
             raise pickle.loads(data[1:])
-        return marshal.loads(data[1:]) if data else None
+        return marshal.loads(data[1:])
 
-    later = 1  # the next job a child may run
-    try:
-        for i in range(count):
-            later = max(later, i + 1)
-            while later < count and len(children) < slots:
-                try:
-                    if files and later not in opened:
-                        opened[later] = tempfile.TemporaryFile()
-                    children[later] = fork(later)
-                except OSError:  # no file, process or pipe to be had: the rest run here
-                    slots = 0
-                    break
-                later += 1
-            if files and i not in opened:
-                opened[i] = tempfile.TemporaryFile()
-            file = opened.get(i)
-            result = collect(i) if i in children else None
-            if result is None:
-                if files:  # empty what a failed child wrote
-                    file.seek(0)
-                    file.truncate()
-                result = (job(i, file),)
-            finished(result[0], file)
-            if files:
-                opened.pop(i).close()
-    finally:
-        for i in list(children):
-            reap(i, kill=True)
-        for file in opened.values():
-            file.close()
+    def _reap(self, k: int) -> None:
+        pid, pipe = self.workers.pop(k)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
+
+    def results(self, g: int) -> list:
+        """``job(k, g, files[k])`` for every stripe ``k``, in order: stripe 0 runs
+        here first, then each worker's report is read, or its stripe runs here."""
+        results = []
+        for k, file in enumerate(self.files):
+            report = self._report(k) if k in self.workers else None
+            results.append(self.job(k, g, file) if report is None else report)
+        return results
+
+    def close(self) -> None:
+        for k in list(self.workers):
+            self._reap(k)
+        for file in self.files:
+            if file is not None:
+                file.close()
+
+    def __enter__(self) -> Pool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

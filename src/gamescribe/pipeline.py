@@ -1,27 +1,26 @@
 """End-to-end manual generation: parse, compile, play out, render, write.
 
-``generate`` takes a loaded game and plain arguments.  All stages are
-deterministic for fixed arguments: playout seeds are ``seed .. seed +
-playouts - 1``, each trace depends only on its own seed, and asset ids are
-content hashes of move signatures and ending result keys.
+``played`` and ``generate`` take loaded games and plain arguments.  All
+stages are deterministic for fixed arguments: playout seeds are ``seed ..
+seed + playouts - 1``, each trace depends only on its own seed, and asset
+ids are content hashes of move signatures and ending result keys.
 
-``play`` cuts the seeds into ``ways`` contiguous ranges, one per process, and
-merges the processes' folds, so the output does not depend on ``ways``.
-``cli`` splits only a one-game call, into as many ranges as ``parallel.cpus``
-counts: with one CPU, or with several games, no game's seeds are split.
-
-``generate`` builds a game's files as plain data, which a forked child can
-report, and ``write_game`` writes them.  Only the process that runs
-``cli.main`` calls ``write_game``, so no child writes under ``--out``.
+``played`` cuts every game's seeds into the same ``ways`` contiguous
+ranges, one per process, and merges the processes' folds, so the output
+does not depend on ``ways``; ``cli`` passes as many as ``parallel.cpus``
+counts.  ``generate`` builds a game's files from the merged folds as plain
+data, and ``write_game`` writes them.  Only the process that runs
+``cli.main`` does either, so no worker writes under ``--out``.
 
 ``generate --format json`` exports the playouts as ``traces.json``.  Each
-range streams every trace's text, as it is played, into an anonymous
-temporary file (see ``_trace_sink``), and ``_write_traces`` copies the
-joined text.  The text comes from templates instead of
-``engine.trace_to_dict`` dicts passed to ``json.dumps(indent=2)`` (the
-pure-Python encoder, since ``indent`` disables the C one).  Each move
-signature gets one ``%``-template and each distinct move is filled in once
-per range through a memo, so no process holds more than one trace's text.
+range streams every trace's text, as it is played, into its process's
+anonymous temporary file (see ``_trace_sink``), and ``_write_traces`` copies
+each range's span of those files in seed order.  The text comes from
+templates instead of ``engine.trace_to_dict`` dicts passed to
+``json.dumps(indent=2)`` (the pure-Python encoder, since ``indent`` disables
+the C one).  Each move signature gets one ``%``-template and each distinct
+move is filled in once per range through a memo, so no process holds more
+than one trace's text.
 The output is the same bytes; ``trace_to_dict`` stays as the debug export
 that the tests hold the writer to.  Every file is written as UTF-8, whatever
 the locale.  A game whose first mover has no legal move cannot be played
@@ -35,6 +34,8 @@ that run them, once per call, so that ``translate``, which reads only
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -48,7 +49,7 @@ from .registry import CompileError
 from .sexpr import ParseError, parse
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     from . import engine, render
     from .taxonomy import DistinctMove, EndingExample
@@ -216,42 +217,60 @@ def _trace_sink(spec: GameSpec, out: BinaryIO) -> Callable[[engine.PlayoutTrace]
     return sink
 
 
-def _write_traces(path: Path, traces: BinaryIO) -> None:
-    """Write ``traces.json`` from ``traces``, the text of ``_trace_sink`` for every
-    playout, in chunks: ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)``
-    plus a newline."""
-    import shutil
-    traces.seek(0)
+def _copy(spans: list[tuple[BinaryIO, int, int]], out: BinaryIO) -> None:
+    """Copy each ``(file, start, stop)`` byte span to ``out``, in order, in chunks
+    of at most 64 KiB, by ``os.pread``, which leaves the file's offset alone."""
+    for file, start, stop in spans:
+        file.flush()
+        fd = file.fileno()
+        while start < stop:
+            chunk = os.pread(fd, min(stop - start, 1 << 16), start)
+            if not chunk:
+                raise OSError(f"{file} ends before byte {stop}")
+            out.write(chunk)
+            start += len(chunk)
+
+
+def _write_traces(path: Path, spans: list[tuple[BinaryIO, int, int]]) -> None:
+    """Write ``traces.json`` from ``spans``, the text of ``_trace_sink`` for every
+    playout in seed order, as ``(file, start, stop)`` byte spans (see ``_copy``):
+    ``json.dumps([engine.trace_to_dict(t, spec) ...], indent=2)`` plus a newline."""
+    spans = [span for span in spans if span[1] < span[2]]
     with open(path, "wb") as out:
-        if traces.read(1):  # the first trace's comma
+        if spans:
+            file, start, stop = spans[0]
             out.write(b"[")
-            shutil.copyfileobj(traces, out)
+            _copy([(file, start + 1, stop), *spans[1:]], out)  # less the first comma
             out.write(b"\n]\n")
         else:
             out.write(b"[]\n")
 
 
-# The errors of generating a game that cli.main turns into exit codes: a child
-# reports them back (see parallel.run_in_order), and the job of a child that
-# raised any other error runs again here, so that it keeps its traceback.
+# The errors of generating a game that cli.main turns into exit codes: a worker
+# reports them back (see parallel.Pool), and the range of a worker that raised
+# any other error is played again here, so that the error keeps its traceback.
 REPORTED = (OSError, PlayoutLimitExceeded)
 
 
-def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1,
-         traces: BinaryIO | None = None) -> tuple[list[engine.PlayoutTrace], dict]:
-    """Play seeds ``seed .. seed + playouts - 1`` in ``ways`` processes and merge their folds.
+@contextmanager
+def played(specs: list[GameSpec], seed: int, playouts: int, ways: int = 1,
+           traces: bool = False) -> Iterator[Iterator[tuple[list, dict, list | None]]]:
+    """Play seeds ``seed .. seed + playouts - 1`` of each of ``specs`` in ``ways``
+    processes; yields an iterator of each game's merged folds, in game order.
 
-    The seeds are cut into ``ways`` contiguous ranges (at most ``playouts``);
-    ``parallel.run_in_order`` plays the lowest here and the others in forked
-    children, all at once, and each process folds its range (see ``_fold``).
-    A child sends its fold back as plain tuples, which this process makes
-    traces again.  Returns ``(kept, counts)``: the folds' kept traces, joined
-    in seed order, and the playouts of each (outcome, players).  A key's
-    first occurrence over all the seeds is kept by the first range that holds
-    it, so the taxonomy of ``kept`` is that of every trace.  With ``traces``,
-    every trace's text is streamed there in seed order (see ``_trace_sink``):
-    the lowest range's as it is played, and each other range's from the file
-    ``run_in_order`` opened for it.
+    The seeds are cut into ``ways`` contiguous ranges (at most ``playouts``),
+    the same for every game, and a ``parallel.Pool`` plays them: range 0 here,
+    the others in forked workers, each of which plays its range of every game
+    while this process uses the games before.  Each process folds its range
+    (see ``_fold``); a worker sends its fold back as plain tuples, which this
+    process makes traces again.  A game's item is ``(kept, counts, spans)``:
+    the folds' kept traces, joined in seed order, and the playouts of each
+    (outcome, players).  A key's first occurrence over all the seeds is kept
+    by the first range that holds it, so the taxonomy of ``kept`` is that of
+    every trace.  With ``traces``, every range streams the text of each of its
+    traces (see ``_trace_sink``) into its process's temporary file, and
+    ``spans`` gives each range's ``(file, start, stop)`` in seed order, for
+    ``_write_traces``, until the next game's item is read; else None.
     """
     if playouts < 1:  # no playout, no move or ending to show
         raise ValueError("playout count must be at least 1")
@@ -259,28 +278,42 @@ def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1,
     ways = min(ways, playouts)  # no range is empty
     bounds = [seed + playouts * k // ways for k in range(ways + 1)]
 
-    def job(k: int, part: BinaryIO | None) -> tuple[list, dict]:
-        sink = None if traces is None else _trace_sink(spec, traces if k == 0 else part)
-        fold = _fold(spec, bounds[k], bounds[k + 1], sink)
-        return fold if k == 0 else _flat(*fold)  # the lowest range keeps its objects
+    def job(k: int, game: int, out: BinaryIO | None) -> tuple[tuple[list, dict], int, int]:
+        spec, sink, start = specs[game], None, 0
+        if out is not None:
+            if k == 0:  # this process's own file holds one game's range 0 at a time
+                out.truncate(0)
+            start = out.seek(0, os.SEEK_END)  # past what a dead worker left
+            sink = _trace_sink(spec, out)
+        fold, stop = _fold(spec, bounds[k], bounds[k + 1], sink), 0
+        if out is not None:
+            out.flush()
+            stop = out.tell()
+        return (fold if k == 0 else _flat(*fold)), start, stop  # range 0 keeps its objects
 
-    folds: list[tuple[list, dict]] = []
+    def merged(results: list, files: list) -> tuple[list, dict, list | None]:
+        ((kept, counts), _, _), *others = results
+        for (fold_kept, fold_counts), _, _ in others:
+            kept += [engine.PlayoutTrace(seed, tuple(map(engine.Move._make, moves)),
+                                         engine.EndMatch(*outcome))
+                     for seed, moves, outcome in fold_kept]
+            for key, count in fold_counts.items():
+                counts[key] = counts.get(key, 0) + count
+        spans = [(file, start, stop) for file, (_, start, stop) in zip(files, results)]
+        return kept, counts, spans if traces else None
 
-    def merge(fold: tuple[list, dict], part: BinaryIO | None) -> None:
-        folds.append(fold)
+    with parallel.Pool(job, ways, len(specs), REPORTED, files=traces) as pool:
+        yield (merged(pool.results(game), pool.files) for game in range(len(specs)))
+
+
+def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1,
+         traces: BinaryIO | None = None) -> tuple[list[engine.PlayoutTrace], dict]:
+    """One game's ``(kept, counts)`` of ``played``, on ``ways`` processes: with
+    ``traces``, every trace's text is copied there in seed order."""
+    with played([spec], seed, playouts, ways, traces is not None) as games:
+        kept, counts, spans = next(games)
         if traces is not None:
-            import shutil
-            part.seek(0)
-            shutil.copyfileobj(part, traces)
-
-    parallel.run_in_order(job, ways, merge, REPORTED, files=traces is not None)
-    kept, counts = folds[0]
-    for fold_kept, fold_counts in folds[1:]:
-        kept += [engine.PlayoutTrace(seed, tuple(map(engine.Move._make, moves)),
-                                     engine.EndMatch(*outcome))
-                 for seed, moves, outcome in fold_kept]
-        for key, count in fold_counts.items():
-            counts[key] = counts.get(key, 0) + count
+            _copy(spans, traces)
     return kept, counts
 
 
@@ -324,19 +357,17 @@ def _flat(kept: list[engine.PlayoutTrace], counts: dict) -> tuple[list, dict]:
             for t in kept], counts
 
 
-def generate(spec: GameSpec, seed: int, playouts: int, strategy_lines: list[str] | None,
-             similar: bool, traces: BinaryIO | None = None, ways: int = 1) -> dict[str, str]:
-    """Build the files of one ``load_playable`` game's manual, for ``write_game``.
+def generate(spec: GameSpec, kept: list[engine.PlayoutTrace], strategy_lines: list[str] | None,
+             similar: bool, dump: bool = False) -> dict[str, str]:
+    """Build the files of one ``load_playable`` game's manual from ``kept``, the
+    traces of its playouts that ``played`` keeps, for ``write_game``.
 
     Returns ``{path relative to the game directory: text}``: the SVGs,
-    ``manual.html`` and ``manual.json``, and with ``traces`` also
-    ``taxonomy.json``, while every playout's text for ``traces.json`` is
-    streamed into ``traces`` (see ``play``).  With ``strategy_lines`` None the
-    Heuristics section shows its placeholder.  The playouts are split over
-    ``ways`` processes; the files are the same for any ``ways``.
+    ``manual.html`` and ``manual.json``, and with ``dump`` also
+    ``taxonomy.json``.  With ``strategy_lines`` None the Heuristics section
+    shows its placeholder.
     """
     from . import engine, render, taxonomy
-    kept, _ = play(spec, seed, playouts, ways, traces)
     traces_by_seed = {t.seed: t for t in kept}
     distinct = taxonomy.collect_distinct(kept, spec)
     endings = taxonomy.collect_endings(kept, spec)
@@ -355,19 +386,20 @@ def generate(spec: GameSpec, seed: int, playouts: int, strategy_lines: list[str]
     check_assets(manifest, files)
     files["manual.html"] = html
     files["manual.json"] = _json(manifest)
-    if traces is not None:
+    if dump:
         files["taxonomy.json"] = _json({"distinct_moves": move_leaves, "coverage": coverage})
     return files
 
 
-def write_game(game_dir: Path, files: dict[str, str], traces: BinaryIO | None = None) -> Path:
+def write_game(game_dir: Path, files: dict[str, str],
+               spans: list[tuple[BinaryIO, int, int]] | None = None) -> Path:
     """Write ``files`` (see ``generate``) under ``game_dir``, creating it, and
-    ``traces.json`` from ``traces`` if given; returns ``game_dir``."""
+    ``traces.json`` from ``spans`` (see ``played``) if given; returns ``game_dir``."""
     (game_dir / "svg").mkdir(parents=True, exist_ok=True)
     for path, text in files.items():
         (game_dir / path).write_text(text, encoding="utf-8")
-    if traces is not None:
-        _write_traces(game_dir / "traces.json", traces)
+    if spans is not None:
+        _write_traces(game_dir / "traces.json", spans)
     return game_dir
 
 

@@ -60,7 +60,8 @@ python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))
 "${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-all-cpus" > /dev/null
 diff -r "$tmp/gs-one-cpu" "$tmp/gs-all-cpus"
 echo "one Hex generate --format json writes the same files on one CPU and on $(nproc)"
-# So do several games, which children build while this process writes them all.
+# So do several games, whose seeds every worker shares while this process
+# builds and writes them all.
 three=(--game corpus/TicTacToe.lud --game corpus/Breakthrough.lud --game corpus/Hex.lud --playouts 20 --format json)
 python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); os.execvp(sys.argv[1], sys.argv[1:])" \
   "${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-one-cpu" > /dev/null
@@ -81,9 +82,9 @@ printf '%s' '(game "Wander" (players 1) (equipment {(board (square 3)) (piece "M
 rc=0; "${gs[@]}" generate --game "$tmp/wander.lud" --playouts 1 --out "$tmp/gs-wander" || rc=$?
 test "$rc" -eq 4
 test ! -e "$tmp/gs-wander"
-# Among several games, a child process may play each game after the first.
-# Wander's cap is exit 4: the game before it is written, Wander and Hex are
-# not, nor index.html, and no process of the run is left in its process group.
+# Among several games, Wander's cap is exit 4: the game before it is written,
+# Wander and Hex are not, nor index.html, and no process of the run is left
+# in its process group.
 python -c "import os, pathlib, subprocess, sys
 out = pathlib.Path(sys.argv[1], 'gs-three')
 proc = subprocess.Popen([*sys.argv[3:], 'generate', '--game', 'corpus/TicTacToe.lud', '--game', sys.argv[2],
@@ -97,6 +98,18 @@ except ProcessLookupError:
     print('exit 4 with Tic-Tac-Toe alone written, and no process of the run left')
 else:
     raise AssertionError('a process of the run is still running')" "$tmp" "$tmp/wander.lud" "${gs[@]}"
+# So on every CPU, where workers play a range of each game: once the command
+# has exited, no process that names its --out is left running.
+rc=0; "${gs[@]}" generate --game corpus/TicTacToe.lud --game "$tmp/wander.lud" --game corpus/Hex.lud \
+  --playouts 4 --out "$tmp/gs-capped" 2> /dev/null || rc=$?
+test "$rc" -eq 4
+test "$(ls "$tmp/gs-capped")" = "Tic-Tac-Toe"
+test ! -e "$tmp/gs-capped/index.html"
+if command -v pgrep > /dev/null && pgrep -f -- "$tmp/gs-capped" > /dev/null; then
+  echo "a process of the capped run is still running" >&2
+  exit 1
+fi
+echo "exit 4 on $(nproc) CPUs with Tic-Tac-Toe alone written, and no worker left"
 # Under the ASCII C locale stdout is still UTF-8, and an output directory the
 # file-system encoding cannot name is exit 2, with nothing written.
 printf '%s' '(game "Königs" (players 2) (equipment {(board (square 3)) (piece "王" P1) (piece "Disc" P2)}) (rules (play (move Add (to (sites Empty)))) (end (if (is Line 3) (result Mover Win)))))' > "$tmp/koenigs.lud"

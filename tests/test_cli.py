@@ -94,13 +94,13 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
-    # Tic-Tac-Toe is written in full; Breakthrough's third playout hits the
-    # cap after two have finished, so none of Breakthrough is written, no
-    # later game and no index.html either.  A forked child may play a game,
-    # so each call is recorded in a file per game, where this process reads it.
-    # Each fork is recorded likewise: only this process forks, since a game of
-    # a call of several is not split, so killing a child leaves nothing running.
+def _capped_breakthrough(tmp_path, monkeypatch, capsys, cpus, later):
+    # Tic-Tac-Toe is written in full; Breakthrough's seed 2 hits the cap, so
+    # none of Breakthrough is written, no later game and no index.html either.
+    # A forked worker may play a range of any game, so each call is recorded
+    # in a file per game, where this process reads it.  Each fork is recorded
+    # likewise: only this process forks, so killing a worker leaves nothing
+    # running.
     playout = engine.random_playout
     fork = os.fork
 
@@ -123,9 +123,15 @@ def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
     assert main(_generate_argv(out, ["TicTacToe", "Breakthrough", *later],
                                "--playouts", "5", "--format", "json")) == 4
     assert "no terminal state" in capsys.readouterr().err
-    played = [(name, int(seed)) for name in ("Tic-Tac-Toe", "Breakthrough")
-              for seed in (tmp_path / f"{name}.played").read_text().split()]
-    assert played[-3:] == [("Breakthrough", 0), ("Breakthrough", 1), ("Breakthrough", 2)]
+    # Seed 2's range stops at it, no seed is played twice, and the ranges
+    # above it may have been played before their workers were killed.
+    ways = min(cpus, 5)
+    stop = min(b for b in (5 * k // ways for k in range(ways + 1)) if b > 2)
+    played = {name: [int(seed) for seed in (tmp_path / f"{name}.played").read_text().split()]
+              for name in ("Tic-Tac-Toe", "Breakthrough")}
+    assert sorted(played["Tic-Tac-Toe"]) == [0, 1, 2, 3, 4]
+    assert len(played["Breakthrough"]) == len(set(played["Breakthrough"]))
+    assert {0, 1, 2} <= set(played["Breakthrough"]) <= {0, 1, 2, *range(stop, 5)}
     assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
     _assert_no_child_left()
     assert set((tmp_path / "forks").read_text().split()) == {str(os.getpid())}
@@ -136,18 +142,17 @@ def _capped_breakthrough(tmp_path, monkeypatch, capsys, later):
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_capped_playout_writes_nothing_of_its_game(cpus, tmp_path, monkeypatch, capsys):
-    # A child plays Breakthrough's seeds in order: a game of a call of
-    # several is not split, however many CPUs are spare.
+    # A worker plays seed 2 of Breakthrough, in the range after this process's.
     _cpus(monkeypatch, cpus)
-    _capped_breakthrough(tmp_path, monkeypatch, capsys, [])
+    _capped_breakthrough(tmp_path, monkeypatch, capsys, cpus, [])
 
 
 @pytest.mark.parametrize("cpus", [3, 6])
 def test_capped_playout_writes_no_later_game(cpus, tmp_path, monkeypatch, capsys):
-    # With three CPUs or more a child builds Hex while Tic-Tac-Toe runs here,
-    # and is killed, having written nothing.
+    # The workers may play their ranges of Hex while this process plays and
+    # writes Tic-Tac-Toe, and are killed, having written nothing.
     _cpus(monkeypatch, cpus)
-    _capped_breakthrough(tmp_path, monkeypatch, capsys, ["Hex"])
+    _capped_breakthrough(tmp_path, monkeypatch, capsys, cpus, ["Hex"])
 
 
 def test_generate_writes_expected_tree(tmp_path):
@@ -658,9 +663,9 @@ def test_translate_loads_only_the_front_end():
 
 
 def test_one_game_generate_loads_no_pickle(tmp_path):
-    # Only a child's reported error needs pickle: a one-game generate on one
-    # CPU forks none, and a two-game one on two CPUs builds Hex in a child that
-    # reports its files by marshal.
+    # Only a worker's reported error needs pickle: a one-game generate on one
+    # CPU forks none, and a two-game one on two CPUs forks one worker, which
+    # reports its folds of both games by marshal.
     code = """if True:
         import contextlib, io, os, sys, gamescribe.cli
         forks = []
@@ -754,9 +759,9 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
 
 
 def test_forked_and_serial_generate_give_the_recorded_bytes(tmp_path, monkeypatch, capsys):
-    # One run of the four corpus games, first with eight CPUs, where children
-    # play the three later games, each unsplit; then with two, where children
-    # play Amazons and Hex while this process plays the others; then with
+    # One run of the four corpus games, first with eight CPUs, where seven
+    # workers play seven of the eight ranges of every game; then with two,
+    # where one worker plays the upper half of every game's seeds; then with
     # one, where nothing forks.
     names = {"Breakthrough": "Breakthrough", "Amazons": "Amazons",
              "TicTacToe": "Tic-Tac-Toe", "Hex": "Hex"}
@@ -783,7 +788,7 @@ def test_forked_and_serial_generate_give_the_recorded_bytes(tmp_path, monkeypatc
                     if path != "<translate stdout>"}
             assert got == want, (cpus, game)
         _assert_no_child_left()
-    assert forks == [8, 8, 8, 2, 2]
+    assert forks == [8] * 7 + [2]
 
 
 def test_failed_write_in_a_forked_game_exits_2_as_serial(tmp_path, monkeypatch, capsys):
@@ -808,10 +813,10 @@ def test_failed_write_in_a_forked_game_exits_2_as_serial(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("refused", ["report", "fork"])
 def test_a_game_no_child_reports_on_is_generated_here(tmp_path, monkeypatch, capsys, refused):
     # A marshal.dumps that refuses, as on data it cannot take, in any process
-    # but this one ends Hex's child with no report; refusing os.fork leaves no
-    # child at all.  Either way this process builds Hex itself, to the same
-    # bytes and lines as the serial loop, and closes every pipe and file it
-    # opened.
+    # but this one ends the worker at its first report; refusing os.fork
+    # leaves no worker at all.  Either way this process plays the worker's
+    # range of both games itself, to the same bytes and lines as the serial
+    # loop, builds every game, and closes every pipe and file it opened.
     here = os.getpid()
     dumps = marshal.dumps
 
@@ -846,16 +851,14 @@ def test_a_game_no_child_reports_on_is_generated_here(tmp_path, monkeypatch, cap
         runs.append((capsys.readouterr().out, _files(out)))
         shutil.rmtree(out)
     assert runs[0] == runs[1]
-    hex_builds = [int(pid) for name, pid in map(str.split, built.read_text().splitlines())
-                  if name == "Hex"]
-    assert hex_builds[0] == hex_builds[-1] == here
-    assert len(hex_builds) == (3 if refused == "report" else 2)
+    builds = [(name, int(pid)) for name, pid in map(str.split, built.read_text().splitlines())]
+    assert builds == [("Tic-Tac-Toe", here), ("Hex", here)] * 2
     assert _open_fds() == open_fds
 
 
 def test_a_missing_image_writes_nothing_of_its_game(tmp_path, monkeypatch):
     # Hex's manifest names an image its build did not draw: check_assets fails
-    # on the built files, before any is written, here or in a child alike.
+    # on the built files, before any is written, whatever the workers play.
     build_manual = pipeline.build_manual
 
     def naming_a_missing_image(spec, *args):
@@ -875,9 +878,9 @@ def test_a_missing_image_writes_nothing_of_its_game(tmp_path, monkeypatch):
 
 
 def test_children_never_touch_out(tmp_path):
-    # Children build Breakthrough and Hex, but every file opened for writing
-    # and every directory made under --out, as an audit hook logs them, is
-    # this process's.
+    # Two workers play two thirds of every game's seeds, but every file opened
+    # for writing and every directory made under --out, as an audit hook logs
+    # them, is this process's.
     code = """if True:
         import contextlib, io, os, sys
         out, log = sys.argv[1], os.open(sys.argv[2], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -912,16 +915,20 @@ def test_children_never_touch_out(tmp_path):
     assert {event_pid for event_pid, _, _ in events} == {pid}
 
 
-def test_json_generate_memory_does_not_grow_with_the_playouts(tmp_path, monkeypatch, capsys):
-    # Every range streams its traces' text to a file as it plays them, and
-    # keeps only the traces that give a move or an ending its first
-    # occurrence: ten times the Hex playouts leave the peak where it was.
-    _cpus(monkeypatch, 1)
+@pytest.mark.parametrize("games", [["Hex"], ["Hex", "TicTacToe"]], ids=["one", "two"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_json_generate_memory_does_not_grow_with_the_playouts(cpus, games, tmp_path,
+                                                              monkeypatch, capsys):
+    # Every range streams its traces' text to a file as it plays them, keeps
+    # only the traces that give a move or an ending its first occurrence, and
+    # this process copies a worker's text into traces.json in bounded chunks:
+    # ten times the playouts leave the peak where it was.
+    _cpus(monkeypatch, cpus)
 
     def peak(playouts, out):
         tracemalloc.start()
         try:
-            assert main(_generate_argv(tmp_path / out, ["Hex"], "--playouts", str(playouts),
+            assert main(_generate_argv(tmp_path / out, games, "--playouts", str(playouts),
                                        "--format", "json")) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -934,8 +941,8 @@ def test_json_generate_memory_does_not_grow_with_the_playouts(tmp_path, monkeypa
 
 def test_an_error_no_exit_code_covers_keeps_its_traceback_from_a_child(tmp_path, monkeypatch,
                                                                        capsys):
-    # A bug in a game a child plays is not reported up the pipe: this process
-    # plays the game again and raises the error from the frame that failed.
+    # A bug in building a game, which this process does while a worker plays,
+    # raises from the frame that failed, and nothing of the game is written.
     translate = pipeline.translate_game
 
     def broken_translate(spec):
@@ -957,8 +964,8 @@ def test_an_error_no_exit_code_covers_keeps_its_traceback_from_a_child(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["Tic-Tac-Toe"]
 
 
-# With n CPUs a one-game generate cuts its seeds into n ranges: it plays the
-# lowest here while n - 1 forked children play the others, and merges their folds.
+# With n CPUs generate cuts each game's seeds into n ranges: it plays the
+# lowest here while n - 1 forked workers play the others, and merges their folds.
 
 def _counted_forks(monkeypatch):
     forks = []
@@ -996,6 +1003,114 @@ def test_a_split_game_gives_the_recorded_bytes(game, tmp_path, monkeypatch, caps
     assert _open_fds() == open_fds
 
 
+def test_a_call_forks_one_worker_per_spare_cpu(tmp_path, monkeypatch, capsys):
+    # However many games, a call forks its workers once: two on three CPUs,
+    # none on one.
+    forks = _counted_forks(monkeypatch)
+    games = ["TicTacToe", "Hex", "Breakthrough", "Amazons"]
+    for cpus, count in ((3, 2), (1, 0)):
+        _cpus(monkeypatch, cpus)
+        before = len(forks)
+        assert main(_generate_argv(tmp_path / f"cpus{cpus}", games, "--playouts", "5",
+                                   "--format", "json")) == 0
+        assert len(forks) - before == count, cpus
+        _assert_no_child_left()
+    assert _files(tmp_path / "cpus3") == _files(tmp_path / "cpus1")
+
+
+def _logged_playouts(monkeypatch, log, wrap=None):
+    """Log each playout's process, game and seed to ``log``, one line each."""
+    playout = engine.random_playout
+
+    def logged(spec, seed, **kwargs):
+        with open(log, "a") as file:
+            file.write(f"{os.getpid()} {spec.name} {seed}\n")
+        if wrap is not None:
+            wrap(spec, seed)
+        return playout(spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "random_playout", logged)
+
+
+def _players(log):
+    """Who played each (game, seed): ``{(game, seed): [pid, ...]}``."""
+    players = collections.defaultdict(list)
+    for pid, game, seed in map(str.split, log.read_text().splitlines()):
+        players[game, int(seed)].append(int(pid))
+    return players
+
+
+def test_a_worker_refused_at_a_later_game_has_its_range_played_here(tmp_path, monkeypatch,
+                                                                    capsys):
+    # The worker reports its fold of the first game, and marshal refuses its
+    # second: this process plays seeds 50-99 of the second and third games
+    # itself, and every file is the recorded bytes.
+    here = os.getpid()
+    dumps = marshal.dumps
+    calls = []
+
+    def refuse_the_second(*args):
+        calls.append(1)
+        if os.getpid() != here and len(calls) == 2:
+            raise ValueError("refused")
+        return dumps(*args)
+
+    monkeypatch.setattr(marshal, "dumps", refuse_the_second)
+    log = tmp_path / "played"
+    _logged_playouts(monkeypatch, log)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    open_fds = _open_fds()
+    names = {"TicTacToe": "Tic-Tac-Toe", "Hex": "Hex", "Breakthrough": "Breakthrough"}
+    out = tmp_path / "out"
+    assert main(_generate_argv(out, names, "--playouts", "100", "--seed", "0",
+                               "--format", "json")) == 0
+    assert forks == [1]
+    players = _players(log)
+    worker = players["Tic-Tac-Toe", 50][0]
+    assert worker != here
+    for number, (game, name) in enumerate(names.items()):
+        assert [players[name, seed][-1] for seed in range(100)] == (
+            [here] * 50 + [worker if number == 0 else here] * 50), name
+        if number == 2:  # the worker was gone before it
+            assert all(players[name, seed] == [here] for seed in range(100))
+        got = {f"{name}/{path.as_posix()}": hashlib.sha256(data).hexdigest()
+               for path, data in _files(out / name).items()}
+        assert got == {path: digest for path, digest in OUTPUT_DIGESTS[game].items()
+                       if path != "<translate stdout>"}, name
+    _assert_no_child_left()
+    assert _open_fds() == open_fds
+
+
+def test_a_capped_seed_in_a_workers_range_of_a_later_game_exits_4(tmp_path, monkeypatch,
+                                                                 capsys):
+    # Seed 4 of Breakthrough, the second of three games, lies in the worker's
+    # range: the worker reports the cap, Tic-Tac-Toe alone is written, and
+    # the worker is reaped.
+    here = os.getpid()
+
+    def cap(spec, seed):
+        if spec.name == "Breakthrough" and seed == 4:
+            raise engine.PlayoutLimitExceeded("seed 4: no terminal state after 10000 moves")
+
+    log = tmp_path / "played"
+    _logged_playouts(monkeypatch, log, cap)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    open_fds = _open_fds()
+    out = tmp_path / "out"
+    assert main(_generate_argv(out, ["TicTacToe", "Breakthrough", "Hex"], "--playouts", "5",
+                               "--format", "json")) == 4
+    assert capsys.readouterr().err == "error: seed 4: no terminal state after 10000 moves\n"
+    assert forks == [1]
+    [player] = _players(log)["Breakthrough", 4]  # reported, not played again here
+    assert player != here
+    assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
+    assert (out / "Tic-Tac-Toe" / "traces.json").is_file()
+    _assert_no_child_left()
+    assert _open_fds() == open_fds
+
+
 def test_one_playout_forks_nothing(tmp_path, monkeypatch, capsys):
     forks = _counted_forks(monkeypatch)
     _cpus(monkeypatch, 4)
@@ -1008,7 +1123,7 @@ def test_one_playout_forks_nothing(tmp_path, monkeypatch, capsys):
                          ids=["upper", "lower", "both", "two-children"])
 def test_a_capped_seed_in_any_range_exits_4_as_serial(cpus, capped, tmp_path, monkeypatch,
                                                      capsys):
-    # Five playouts: seeds 0-1 here and 2-4 in a child with two CPUs; 0, 1, 2 and
+    # Five playouts: seeds 0-1 here and 2-4 in a worker with two CPUs; 0, 1, 2 and
     # 3-4 with four.  The error names the lowest capped seed, as the serial
     # loop's does, and nothing of the game is written.
     playout = engine.random_playout
@@ -1036,7 +1151,7 @@ def test_a_capped_seed_in_any_range_exits_4_as_serial(cpus, capped, tmp_path, mo
 
 def test_an_error_no_exit_code_covers_in_a_childs_range_keeps_its_traceback(tmp_path,
                                                                            monkeypatch, capsys):
-    # Seed 3 lies in the child's range: the child ends unreported, and this
+    # Seed 3 lies in the worker's range: the worker ends unreported, and this
     # process plays the range again and raises from the frame that failed.
     playout = engine.random_playout
 
@@ -1059,9 +1174,9 @@ def test_an_error_no_exit_code_covers_in_a_childs_range_keeps_its_traceback(tmp_
 
 def test_a_range_played_again_here_rewrites_its_part_of_the_traces(tmp_path, monkeypatch,
                                                                   capsys):
-    # The child streams seeds 50-98 to its part of traces.json and fails at 99
-    # with an error no exit code covers; this process plays seeds 50-99 again,
-    # over what the child wrote, and every file is the recorded bytes.
+    # The worker streams seeds 50-98 to its file and fails at 99 with an error
+    # no exit code covers; this process plays seeds 50-99 again, after what
+    # the worker wrote, and every file is the recorded bytes.
     here = os.getpid()
     playout = engine.random_playout
 

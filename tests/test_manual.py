@@ -7,7 +7,7 @@ import pytest
 
 from gamescribe.manual import (NO_STRATEGY_PLACEHOLDER, SECTIONS, MissingAsset, build_manual,
                                check_assets)
-from gamescribe.pipeline import generate, load_playable
+from gamescribe.pipeline import generate, load_playable, play
 
 
 def _leaf(i, mover=None, piece="Disc", rule="Add a piece.", actions=("Add",)):
@@ -133,8 +133,8 @@ def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
     game.write_text('(game "Twin" (players 3) (equipment {(board (square 3)) (piece "Disc" Each)}) '
                     '(rules (play (if (is Even (count Moves)) (move Add (to (sites Empty))) '
                     '(move Add (to (sites Empty))))) (end (if (is Line 3) (result Mover Win)))))')
-    files = generate(load_playable(game), seed=0, playouts=20, strategy_lines=None,
-                     similar=True)
+    spec = load_playable(game)
+    files = generate(spec, play(spec, 0, 20)[0], strategy_lines=None, similar=True)
     manifest = json.loads(files["manual.json"])
     indices = []
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import CORPUS, load_spec
 from gamescribe import render
 from gamescribe.engine import apply_move, initial_state, random_playout
-from gamescribe.pipeline import generate
+from gamescribe.pipeline import generate, play
 from gamescribe.render import _Layout, render_board
 
 
@@ -18,7 +18,7 @@ def test_generate_draws_each_cell_once(monkeypatch, hexgame):
         return cell_element(layout, site)
 
     monkeypatch.setattr(render, "_cell_element", counted)
-    files = generate(hexgame, seed=0, playouts=20, strategy_lines=None, similar=True)
+    files = generate(hexgame, play(hexgame, 0, 20)[0], strategy_lines=None, similar=True)
     # A setup image, a before/after pair per move signature and per ending.
     assert len([path for path in files if path.startswith("svg/")]) >= 5
     assert len(drawn) == hexgame.board.site_count

@@ -188,8 +188,8 @@ def test_merged_folds_of_any_split_give_the_taxonomy_of_every_trace(
             sink = pipeline._trace_sink(spec, whole)
             for trace in traces:
                 sink(trace)
-            pipeline._write_traces(tmp_path / "split.json", split)
-            pipeline._write_traces(tmp_path / "all.json", whole)
+            pipeline._write_traces(tmp_path / "split.json", [(split, 0, split.tell())])
+            pipeline._write_traces(tmp_path / "all.json", [(whole, 0, whole.tell())])
         assert kept == [traces[t.seed - 13] for t in kept]
         assert [t.seed for t in kept] == sorted({t.seed for t in kept})
         assert collect_distinct(kept, spec) == collect_distinct(traces, spec)

@@ -30,7 +30,7 @@ def _written(traces, spec) -> bytes:
         for trace in traces:
             sink(trace)
         path = Path(tmp) / "traces.json"
-        _write_traces(path, part)
+        _write_traces(path, [(part, 0, part.tell())])
         return path.read_bytes()
 
 

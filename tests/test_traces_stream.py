@@ -98,7 +98,7 @@ def test_writer_peak_memory_stays_below_file_size(tmp_path):
             sink = _trace_sink(spec, part)
             for trace in traces:
                 sink(trace)
-            _write_traces(path, part)
+            _write_traces(path, [(part, 0, part.tell())])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
