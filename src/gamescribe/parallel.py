@@ -104,8 +104,9 @@ class Pool:
         """Worker ``k``'s next result; ``None`` once the worker is reaped unreported."""
         pipe = self.workers[k][1]
         head = pipe.read(8)
-        data = pipe.read(int.from_bytes(head, "little")) if len(head) == 8 else b""
-        if not data or len(data) < int.from_bytes(head, "little"):
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size) if len(head) == 8 else b""
+        if not data or len(data) < size:
             self._reap(k)
             return None
         if data[:1] == b"p":
