@@ -22,7 +22,9 @@ game order, with ``index.html`` last.  With more than one CPU in
 ``os.sched_getaffinity`` and one thread, ``played`` forks one worker per
 spare CPU once per call, and worker k plays seed range k of every game
 while this process plays range 0 and builds and writes each game in turn
-(``parallel``).  Only this process writes, so exit 2 or 4 in one game
+(``parallel``).  A worker that fails, for any reason, has its ranges played
+again here, so every error, exit 4's move cap too, is raised in this
+process.  Only this process writes, so exit 2 or 4 in one game
 leaves the games before it written and nothing of it or of any later game,
 as with one CPU.  ``playout-stats`` splits its one game alike.  The files
 and the output are the same bytes for any number of CPUs.
@@ -121,9 +123,8 @@ def main(argv: list[str] | None = None) -> int:
             strategies = [None if entries is None else explain_heuristics(entries, spec)
                           for spec in specs]
 
-            from . import parallel
             dump = args.format == "json"  # then the playouts go to traces.json too
-            with played(specs, args.seed, args.playouts, parallel.cpus(), dump) as games:
+            with played(specs, args.seed, args.playouts, dump) as games:
                 for spec, strategy, (kept, _, spans) in zip(specs, strategies, games):
                     files = generate(spec, kept, strategy, similar=not args.no_similar,
                                      dump=dump)

@@ -5,12 +5,12 @@ stages are deterministic for fixed arguments: playout seeds are ``seed ..
 seed + playouts - 1``, each trace depends only on its own seed, and asset
 ids are content hashes of move signatures and ending result keys.
 
-``played`` cuts every game's seeds into the same ``ways`` contiguous
-ranges, one per process, and merges the processes' folds, so the output
-does not depend on ``ways``; ``cli`` passes as many as ``parallel.cpus``
-counts.  ``generate`` builds a game's files from the merged folds as plain
-data, and ``write_game`` writes them.  Only the process that runs
-``cli.main`` does either, so no worker writes under ``--out``.
+``played`` cuts every game's seeds into the same contiguous ranges, one
+per CPU that ``parallel.cpus`` counts, and merges the processes' folds, so
+the output does not depend on the number of CPUs.  ``generate`` builds a
+game's files from the merged folds as plain data, and ``write_game``
+writes them.  Only the process that runs ``cli.main`` does either, so no
+worker writes under ``--out``.
 
 ``generate --format json`` exports the playouts as ``traces.json``.  Each
 range streams every trace's text, as it is played, into its process's
@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
 from urllib.parse import quote
 
-from .compiler import GameSpec, PlayoutLimitExceeded, compile_game
+from .compiler import GameSpec, compile_game
 from .english import translate_game
 from .manual import build_manual, check_assets
 from .registry import CompileError
@@ -246,40 +246,35 @@ def _write_traces(path: Path, spans: list[tuple[BinaryIO, int, int]]) -> None:
             out.write(b"[]\n")
 
 
-# The errors of generating a game that cli.main turns into exit codes: a worker
-# reports them back (see parallel.Pool), and the range of a worker that raised
-# any other error is played again here, so that the error keeps its traceback.
-REPORTED = (OSError, PlayoutLimitExceeded)
-
-
 @contextmanager
-def played(specs: list[GameSpec], seed: int, playouts: int, ways: int = 1,
+def played(specs: list[GameSpec], seed: int, playouts: int,
            traces: bool = False) -> Iterator[Iterator[tuple[list, dict, list | None]]]:
-    """Play seeds ``seed .. seed + playouts - 1`` of each of ``specs`` in ``ways``
-    processes; yields an iterator of each game's merged folds, in game order.
+    """Play seeds ``seed .. seed + playouts - 1`` of each of ``specs`` in one
+    process per CPU; yields an iterator of each game's merged folds, in game order.
 
-    The seeds are cut into ``ways`` contiguous ranges (at most ``playouts``),
-    the same for every game, and a ``parallel.Pool`` plays them: range 0 here,
-    the others in forked workers, each of which plays its range of every game
-    while this process uses the games before.  Each process folds its range
-    (see ``_fold``); a worker sends its fold back as plain tuples, which this
-    process makes traces again.  A game's item is ``(kept, counts, spans)``:
-    the folds' kept traces, joined in seed order, and the playouts of each
-    (outcome, players).  A key's first occurrence over all the seeds is kept
-    by the first range that holds it, so the taxonomy of ``kept`` is that of
-    every trace.  With ``traces``, every range streams the text of each of its
-    traces (see ``_trace_sink``) into its process's temporary file, and
+    The seeds are cut into one contiguous range per ``parallel.cpus()`` (at
+    most ``playouts``), the same for every game, and a ``parallel.Pool``
+    plays them: range 0 here, the others in forked workers, each of which
+    plays its range of every game while this process uses the games before.
+    Each process folds its range (see ``_fold``); a worker sends its fold
+    back as plain tuples, which this process makes traces again.  A game's
+    item is ``(kept, counts, spans)``: the folds' kept traces, joined in seed
+    order, and the playouts of each (outcome, players).  A key's first
+    occurrence over all the seeds is kept by the first range that holds it,
+    so the taxonomy of ``kept`` is that of every trace.  With ``traces``,
+    every range streams the text of each of its traces (see ``_trace_sink``)
+    into its own anonymous temporary file, opened before the fork, and
     ``spans`` gives each range's ``(file, start, stop)`` in seed order, for
     ``_write_traces``, until the next game's item is read; else None.
     """
     if playouts < 1:  # no playout, no move or ending to show
         raise ValueError("playout count must be at least 1")
     from . import engine, parallel
-    ways = min(ways, playouts)  # no range is empty
+    ways = min(parallel.cpus(), playouts)  # no range is empty
     bounds = [seed + playouts * k // ways for k in range(ways + 1)]
 
-    def job(k: int, game: int, out: BinaryIO | None) -> tuple[tuple[list, dict], int, int]:
-        spec, sink, start = specs[game], None, 0
+    def job(k: int, game: int) -> tuple[tuple[list, dict], int, int]:
+        spec, out, sink, start = specs[game], files[k], None, 0
         if out is not None:
             if k == 0:  # this process's own file holds one game's range 0 at a time
                 out.truncate(0)
@@ -291,7 +286,7 @@ def played(specs: list[GameSpec], seed: int, playouts: int, ways: int = 1,
             stop = out.tell()
         return (fold if k == 0 else _flat(*fold)), start, stop  # range 0 keeps its objects
 
-    def merged(results: list, files: list) -> tuple[list, dict, list | None]:
+    def merged(results: list) -> tuple[list, dict, list | None]:
         ((kept, counts), _, _), *others = results
         for (fold_kept, fold_counts), _, _ in others:
             kept += [engine.PlayoutTrace(seed, tuple(map(engine.Move._make, moves)),
@@ -302,18 +297,19 @@ def played(specs: list[GameSpec], seed: int, playouts: int, ways: int = 1,
         spans = [(file, start, stop) for file, (_, start, stop) in zip(files, results)]
         return kept, counts, spans if traces else None
 
-    with parallel.Pool(job, ways, len(specs), REPORTED, files=traces) as pool:
-        yield (merged(pool.results(game), pool.files) for game in range(len(specs)))
+    with ExitStack() as stack:  # the pool is reaped before the files close
+        files: list[BinaryIO | None] = [None] * ways
+        if traces:
+            import tempfile
+            files = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(ways)]
+        pool = stack.enter_context(parallel.Pool(job, ways, len(specs)))
+        yield (merged(pool.results(game)) for game in range(len(specs)))
 
 
-def play(spec: GameSpec, seed: int, playouts: int, ways: int = 1,
-         traces: BinaryIO | None = None) -> tuple[list[engine.PlayoutTrace], dict]:
-    """One game's ``(kept, counts)`` of ``played``, on ``ways`` processes: with
-    ``traces``, every trace's text is copied there in seed order."""
-    with played([spec], seed, playouts, ways, traces is not None) as games:
-        kept, counts, spans = next(games)
-        if traces is not None:
-            _copy(spans, traces)
+def play(spec: GameSpec, seed: int, playouts: int) -> tuple[list[engine.PlayoutTrace], dict]:
+    """One game's ``(kept, counts)`` of ``played``."""
+    with played([spec], seed, playouts) as games:
+        kept, counts, _ = next(games)
     return kept, counts
 
 
@@ -406,10 +402,10 @@ def write_game(game_dir: Path, files: dict[str, str],
 def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
     """Outcome frequencies and move-ludeme coverage for a playout batch of a loaded game.
 
-    The playouts are split as a one-game ``generate``'s, over ``parallel.cpus()``.
+    The playouts are split as a one-game ``generate``'s.
     """
-    from . import parallel, taxonomy
-    kept, outcomes = play(spec, seed, playouts, parallel.cpus())
+    from . import taxonomy
+    kept, outcomes = play(spec, seed, playouts)
     distinct = taxonomy.collect_distinct(kept, spec)
     coverage = taxonomy.coverage_report(distinct, spec)
 

@@ -17,11 +17,17 @@ gs=("$@")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# Runs the command after it, pinned to one CPU: the process pins itself,
+# then execs the command.
+one_cpu=(python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); os.execvp(sys.argv[1], sys.argv[1:])")
 # playout-stats runs both playout loops: Hex and Tic-Tac-Toe add to
-# empty sites, Amazons and Breakthrough move pieces.
+# empty sites, Amazons and Breakthrough move pieces.  Its seeds split over
+# every CPU print the same text as on one.
 for game in corpus/*.lud; do
   "${gs[@]}" translate --game "$game" > /dev/null
-  "${gs[@]}" playout-stats --game "$game" --playouts 20
+  "${gs[@]}" playout-stats --game "$game" --playouts 20 | tee "$tmp/stats-all-cpus"
+  "${one_cpu[@]}" "${gs[@]}" playout-stats --game "$game" --playouts 20 > "$tmp/stats-one-cpu"
+  diff "$tmp/stats-one-cpu" "$tmp/stats-all-cpus"
 done
 # cli.main, called twice over the corpus in one process, returns 0 and
 # prints the same text both times, and never imports the engine.
@@ -53,18 +59,15 @@ print(f'peak RSS {small:.1f} MB at 100 Hex playouts, {large:.1f} MB at 2000')" "
 # both playout loops (Hex adds to empty sites).
 "${gs[@]}" generate --game corpus/Amazons.lud --game corpus/Breakthrough.lud --game corpus/Hex.lud --playouts 5 --format json --out "$tmp/gs-json"
 python -c "import json, sys; seeds = [[t['seed'] for t in json.load(open(f'{sys.argv[1]}/{g}/traces.json', encoding='utf-8'))] for g in ('Amazons', 'Breakthrough', 'Hex')]; assert seeds == [[0, 1, 2, 3, 4]] * 3, seeds; print('traces.json holds seeds 0-4 for all three games')" "$tmp/gs-json"
-# One game's seeds split over every CPU give the bytes of one CPU: the first
-# run pins its own process to one CPU, then execs the command.
-python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); os.execvp(sys.argv[1], sys.argv[1:])" \
-  "${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-one-cpu" > /dev/null
+# One game's seeds split over every CPU give the bytes of one CPU.
+"${one_cpu[@]}" "${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-one-cpu" > /dev/null
 "${gs[@]}" generate --game corpus/Hex.lud --format json --out "$tmp/gs-all-cpus" > /dev/null
 diff -r "$tmp/gs-one-cpu" "$tmp/gs-all-cpus"
 echo "one Hex generate --format json writes the same files on one CPU and on $(nproc)"
 # So do several games, whose seeds every worker shares while this process
 # builds and writes them all.
 three=(--game corpus/TicTacToe.lud --game corpus/Breakthrough.lud --game corpus/Hex.lud --playouts 20 --format json)
-python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); os.execvp(sys.argv[1], sys.argv[1:])" \
-  "${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-one-cpu" > /dev/null
+"${one_cpu[@]}" "${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-one-cpu" > /dev/null
 "${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-all-cpus" > /dev/null
 diff -r "$tmp/gs-three-one-cpu" "$tmp/gs-three-all-cpus"
 echo "three games of generate --format json write the same files on one CPU and on $(nproc)"
@@ -99,9 +102,10 @@ except ProcessLookupError:
 else:
     raise AssertionError('a process of the run is still running')" "$tmp" "$tmp/wander.lud" "${gs[@]}"
 # So on every CPU, where workers play a range of each game: once the command
-# has exited, no process that names its --out is left running.
-rc=0; "${gs[@]}" generate --game corpus/TicTacToe.lud --game "$tmp/wander.lud" --game corpus/Hex.lud \
-  --playouts 4 --out "$tmp/gs-capped" 2> /dev/null || rc=$?
+# has exited, no process that names its --out is left running, and the
+# error is the one printed on one CPU.
+capped=(generate --game corpus/TicTacToe.lud --game "$tmp/wander.lud" --game corpus/Hex.lud --playouts 4)
+rc=0; "${gs[@]}" "${capped[@]}" --out "$tmp/gs-capped" 2> "$tmp/capped-all-cpus.err" || rc=$?
 test "$rc" -eq 4
 test "$(ls "$tmp/gs-capped")" = "Tic-Tac-Toe"
 test ! -e "$tmp/gs-capped/index.html"
@@ -109,7 +113,10 @@ if command -v pgrep > /dev/null && pgrep -f -- "$tmp/gs-capped" > /dev/null; the
   echo "a process of the capped run is still running" >&2
   exit 1
 fi
-echo "exit 4 on $(nproc) CPUs with Tic-Tac-Toe alone written, and no worker left"
+rc=0; "${one_cpu[@]}" "${gs[@]}" "${capped[@]}" --out "$tmp/gs-capped-one-cpu" 2> "$tmp/capped-one-cpu.err" || rc=$?
+test "$rc" -eq 4
+diff "$tmp/capped-one-cpu.err" "$tmp/capped-all-cpus.err"
+echo "exit 4 on $(nproc) CPUs with Tic-Tac-Toe alone written, the error of one CPU, and no worker left"
 # Under the ASCII C locale stdout is still UTF-8, and an output directory the
 # file-system encoding cannot name is exit 2, with nothing written.
 printf '%s' '(game "Königs" (players 2) (equipment {(board (square 3)) (piece "王" P1) (piece "Disc" P2)}) (rules (play (move Add (to (sites Empty)))) (end (if (is Line 3) (result Mover Win)))))' > "$tmp/koenigs.lud"

@@ -7,6 +7,7 @@ import json
 import marshal
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -123,15 +124,21 @@ def _capped_breakthrough(tmp_path, monkeypatch, capsys, cpus, later):
     assert main(_generate_argv(out, ["TicTacToe", "Breakthrough", *later],
                                "--playouts", "5", "--format", "json")) == 4
     assert "no terminal state" in capsys.readouterr().err
-    # Seed 2's range stops at it, no seed is played twice, and the ranges
-    # above it may have been played before their workers were killed.
+    # Seed 2's range stops at it: a worker's range start..2 ends unreported
+    # and is played again here, once, and the ranges above it may have been
+    # played before their workers were killed.
     ways = min(cpus, 5)
-    stop = min(b for b in (5 * k // ways for k in range(ways + 1)) if b > 2)
-    played = {name: [int(seed) for seed in (tmp_path / f"{name}.played").read_text().split()]
-              for name in ("Tic-Tac-Toe", "Breakthrough")}
-    assert sorted(played["Tic-Tac-Toe"]) == [0, 1, 2, 3, 4]
-    assert len(played["Breakthrough"]) == len(set(played["Breakthrough"]))
-    assert {0, 1, 2} <= set(played["Breakthrough"]) <= {0, 1, 2, *range(stop, 5)}
+    bounds = [5 * k // ways for k in range(ways + 1)]
+    start, stop = max(b for b in bounds if b <= 2), min(b for b in bounds if b > 2)
+    played = {name: collections.Counter(
+        int(seed) for seed in (tmp_path / f"{name}.played").read_text().split())
+        for name in ("Tic-Tac-Toe", "Breakthrough")}
+    assert played["Tic-Tac-Toe"] == collections.Counter(range(5))
+    breakthrough = played["Breakthrough"]
+    assert {seed for seed, count in breakthrough.items() if count > 1} == (
+        set(range(start, 3)) if start > 0 else set())
+    assert max(breakthrough.values()) <= 2
+    assert {0, 1, 2} <= set(breakthrough) <= {0, 1, 2, *range(stop, 5)}
     assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
     _assert_no_child_left()
     assert set((tmp_path / "forks").read_text().split()) == {str(os.getpid())}
@@ -663,17 +670,26 @@ def test_translate_loads_only_the_front_end():
 
 
 def test_one_game_generate_loads_no_pickle(tmp_path):
-    # Only a worker's reported error needs pickle: a one-game generate on one
-    # CPU forks none, and a two-game one on two CPUs forks one worker, which
-    # reports its folds of both games by marshal.
+    # A one-game generate on one CPU forks none, and a two-game one on two
+    # CPUs forks one worker, which reports its folds of both games by marshal.
+    # A cap in the worker's range of the second game ends the worker
+    # unreported, and this process plays the range again and exits 4.
     code = """if True:
-        import contextlib, io, os, sys, gamescribe.cli
+        import contextlib, io, os, sys, gamescribe.cli, gamescribe.engine as engine
         forks = []
         fork = os.fork
         os.fork = lambda: forks.append(1) or fork()
-        for cpus, games in ((1, sys.argv[1:2]), (2, sys.argv[1:3])):
+        playout = engine.random_playout
+        def capped(spec, seed, **kwargs):
+            if spec.name == "Hex" and seed == 1:
+                raise engine.PlayoutLimitExceeded("no terminal state after 10000 moves")
+            return playout(spec, seed, **kwargs)
+        for run, (cpus, games) in enumerate(((1, sys.argv[1:2]), (2, sys.argv[1:3]),
+                                             (2, sys.argv[1:3]))):
+            if run == 2:
+                engine.random_playout = capped
             os.sched_getaffinity = lambda pid: set(range(cpus))
-            argv = ["generate", "--playouts", "2", "--out", f"{sys.argv[3]}/{cpus}"]
+            argv = ["generate", "--playouts", "2", "--out", f"{sys.argv[3]}/{run}"]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = gamescribe.cli.main(argv + [a for g in games for a in ("--game", g)])
             print(code, len(forks), "pickle" in sys.modules)
@@ -682,7 +698,8 @@ def test_one_game_generate_loads_no_pickle(tmp_path):
                            str(CORPUS / "Hex.lud"), str(tmp_path)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "False", "0", "1", "False"]
+    assert proc.stdout.split() == ["0", "0", "False", "0", "1", "False", "4", "2", "False"]
+    assert proc.stderr == "error: no terminal state after 10000 moves\n"
 
 
 # The names that the benchmark's tracer (bench/tracer.py) wraps in cli and
@@ -1085,8 +1102,9 @@ def test_a_worker_refused_at_a_later_game_has_its_range_played_here(tmp_path, mo
 def test_a_capped_seed_in_a_workers_range_of_a_later_game_exits_4(tmp_path, monkeypatch,
                                                                  capsys):
     # Seed 4 of Breakthrough, the second of three games, lies in the worker's
-    # range: the worker reports the cap, Tic-Tac-Toe alone is written, and
-    # the worker is reaped.
+    # range 2-4: the worker ends unreported at it and is reaped, this process
+    # plays seeds 2-4 again and raises the cap, Tic-Tac-Toe alone is written,
+    # and no process plays Hex.
     here = os.getpid()
 
     def cap(spec, seed):
@@ -1103,10 +1121,47 @@ def test_a_capped_seed_in_a_workers_range_of_a_later_game_exits_4(tmp_path, monk
                                "--format", "json")) == 4
     assert capsys.readouterr().err == "error: seed 4: no terminal state after 10000 moves\n"
     assert forks == [1]
-    [player] = _players(log)["Breakthrough", 4]  # reported, not played again here
-    assert player != here
+    players = _players(log)
+    worker = players["Tic-Tac-Toe", 2][0]
+    assert worker != here
+    assert [players["Breakthrough", seed] for seed in range(5)] == (
+        [[here]] * 2 + [[worker, here]] * 3)
+    assert [key for key in players if key[0] == "Hex"] == []
     assert [p.name for p in out.iterdir()] == ["Tic-Tac-Toe"]
     assert (out / "Tic-Tac-Toe" / "traces.json").is_file()
+    _assert_no_child_left()
+    assert _open_fds() == open_fds
+
+
+def test_a_worker_killed_mid_range_has_its_range_played_here(tmp_path, monkeypatch, capsys):
+    # The worker of seeds 50-99 kills itself at seed 70, without reaching its
+    # finally: this process plays seeds 50-99 again, after the text the
+    # worker left in its file, and every file is the recorded bytes.
+    here = os.getpid()
+
+    def kill_a_worker(spec, seed):
+        if seed == 70 and os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    log = tmp_path / "played"
+    _logged_playouts(monkeypatch, log, kill_a_worker)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    open_fds = _open_fds()
+    out = tmp_path / "out"
+    assert main(_generate_argv(out, ["Hex"], "--playouts", "100", "--seed", "0",
+                               "--format", "json")) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'Hex' / 'manual.html'}\n"
+    assert forks == [1]
+    players = _players(log)
+    worker = players["Hex", 50][0]
+    assert worker != here
+    assert [players["Hex", seed] for seed in range(100)] == (
+        [[here]] * 50 + [[worker, here]] * 21 + [[here]] * 29)
+    got = {path.as_posix(): hashlib.sha256(data).hexdigest()
+           for path, data in _files(out).items()}
+    assert got == {path: digest for path, digest in OUTPUT_DIGESTS["Hex"].items()
+                   if path != "<translate stdout>"}
     _assert_no_child_left()
     assert _open_fds() == open_fds
 

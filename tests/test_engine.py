@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import os
 import pickle
 import random
 import tracemalloc
@@ -483,7 +484,9 @@ def test_hex_playouts_call_check_end_where_the_anchors_join(hexgame, monkeypatch
 
 def test_pipeline_and_taxonomy_call_the_engine_by_its_names(monkeypatch):
     """``pipeline`` calls ``engine.random_playout`` and ``engine.legal_moves``, and
-    ``taxonomy`` its own ``legal_moves`` import, looked up at each call."""
+    ``taxonomy`` its own ``legal_moves`` import, looked up at each call.  On one
+    CPU, so that every call is made in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     called = []
 
     def counting(module, name):

@@ -179,16 +179,20 @@ def test_collect_distinct_keeps_lowest_occurrence(name, data):
 @pytest.mark.parametrize("ways", [1, 2, 3, 7])
 def test_merged_folds_of_any_split_give_the_taxonomy_of_every_trace(
         ways, monkeypatch, tmp_path, tictactoe, hexgame, amazons, breakthrough):
-    # With one CPU, pipeline.play runs every range here, one after another.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # On `ways` CPUs, pipeline.played plays range 0 here and forks a worker
+    # for each other range.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ways)), raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for spec in (tictactoe, hexgame, amazons, breakthrough):
         traces = _traces(spec, 7, seed=13)
-        with tempfile.TemporaryFile() as split, tempfile.TemporaryFile() as whole:
-            kept, counts = pipeline.play(spec, 13, 7, ways, split)
+        with pipeline.played([spec], 13, 7, True) as games, tempfile.TemporaryFile() as whole:
+            kept, counts, spans = next(games)
             sink = pipeline._trace_sink(spec, whole)
             for trace in traces:
                 sink(trace)
-            pipeline._write_traces(tmp_path / "split.json", [(split, 0, split.tell())])
+            pipeline._write_traces(tmp_path / "split.json", spans)
             pipeline._write_traces(tmp_path / "all.json", [(whole, 0, whole.tell())])
         assert kept == [traces[t.seed - 13] for t in kept]
         assert [t.seed for t in kept] == sorted({t.seed for t in kept})
@@ -196,6 +200,7 @@ def test_merged_folds_of_any_split_give_the_taxonomy_of_every_trace(
         assert collect_endings(kept, spec) == collect_endings(traces, spec)
         assert counts == Counter((t.outcome.outcome, t.outcome.players) for t in traces)
         assert (tmp_path / "split.json").read_bytes() == (tmp_path / "all.json").read_bytes()
+    assert len(forks) == 4 * (ways - 1)
 
 
 @pytest.mark.parametrize("ways, kept_seeds", [(1, [0, 2]), (2, [0, 2, 3])])
@@ -204,9 +209,9 @@ def test_a_fold_keeps_each_trace_with_a_first_move_key(ways, kept_seeds, spec_na
                                                       monkeypatch):
     # Every fake playout ends alike.  Seed 2 alone places another piece, and
     # seed 4 alone is played by player 2, which a move key holds only where
-    # the players' rules differ (Amazons).  Seeds 0-2 and 3-5 with two ways.
+    # the players' rules differ (Amazons).  Seeds 0-2 and 3-5 on two CPUs.
     spec = request.getfixturevalue(spec_name)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ways)), raising=False)
 
     def fake_playout(spec, seed):
         move = Move(2 if seed == 4 else 1, "Other" if seed == 2 else "Disc", 3, ("Add",),
@@ -214,5 +219,5 @@ def test_a_fold_keeps_each_trace_with_a_first_move_key(ways, kept_seeds, spec_na
         return PlayoutTrace(seed, (move,), EndMatch(5, (1,), "Win", (0,)))
 
     monkeypatch.setattr(engine, "random_playout", fake_playout)
-    kept = pipeline.play(spec, 0, 6, ways)[0]
+    kept = pipeline.play(spec, 0, 6)[0]
     assert [t.seed for t in kept] == kept_seeds + [4] * spec.distinct_rules
