@@ -54,9 +54,11 @@ whose no-moves fallback resolves the next state.  When every end
 rule is ``(is Connected ...)``, it makes that call only after a ply that
 leaves the mover's anchors under one union-find root, or the board full:
 no end rule can hold after any other ply.  Playouts of every other play
-rule go through ``_pick`` and ``_advance``; for every
-rule, ``legal_moves`` calls ``_pick``, and ``apply_move`` and ``replay``
-call ``_advance``.
+rule go through ``_pick`` and ``_advance``; for every rule, ``legal_moves``
+calls ``_pick`` and ``apply_move`` calls ``_advance``.  ``replay`` plays a
+trace through the loop its playouts took: an add-to-empty trace through
+the add-to-empty loop, each draw the index of the trace's next site among
+the empty sites, and any other through ``_advance``.
 """
 
 from __future__ import annotations
@@ -624,8 +626,9 @@ def random_playout(spec: GameSpec, seed: int, *,
 
     A play rule that is one Add to the empty sites, with or without
     (then (moveAgain)), plays in _add_to_empty_plies instead, to the same
-    trace; the rule alone selects it.  There, end rules that are all
-    (is Connected ...) are checked only on the plies that can end the game.
+    trace; the rule alone selects it, and it stops at ``move_cap`` moves.
+    There, end rules that are all (is Connected ...) are checked only on
+    the plies that can end the game.
 
     Raises PlayoutLimitExceeded exactly when the game is not over after
     ``move_cap`` moves; a game that ends on move ``move_cap`` returns.
@@ -636,7 +639,7 @@ def random_playout(spec: GameSpec, seed: int, *,
     rule = spec.play
     if not _resolve(spec, state):  # degenerate spec with no opening move
         state.terminal = EndMatch(None, tuple(range(1, spec.player_count + 1)), "Draw", None)
-    elif isinstance(rule, MoveRule) and rule.kind == "Add" and rule.to.kind == ("Empty",):
+    elif _adds_to_empty(rule):
         _add_to_empty_plies(spec, state, rule, draw, moves, move_cap)
     while state.terminal is None:
         if len(moves) >= move_cap:
@@ -648,9 +651,16 @@ def random_playout(spec: GameSpec, seed: int, *,
     return PlayoutTrace(seed, tuple(moves), state.terminal)
 
 
+def _adds_to_empty(rule) -> bool:
+    """Whether the play rule ``rule`` is one Add to the empty sites, with or without
+    (then (moveAgain)): the rule that _add_to_empty_plies plays."""
+    return isinstance(rule, MoveRule) and rule.kind == "Add" and rule.to.kind == ("Empty",)
+
+
 def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
-                        moves: list[Move], move_cap: int) -> None:
-    """Play ``state``, already resolved, to its end under ``rule``, an Add to the empty sites.
+                        moves: list[Move], stop: int) -> None:
+    """Play ``state``, already resolved, under ``rule``, an Add to the empty sites,
+    until it ends or ``moves`` holds ``stop`` moves.
 
     The plies the generic loop would play, with what the rule fixes decided
     once: a ply draws an index into the empty sites, reads the mover's Add
@@ -675,9 +685,7 @@ def _add_to_empty_plies(spec: GameSpec, state: GameState, rule: MoveRule, draw,
     gated = all(type(end.cond) is IsConnected for end in spec.end_rules)
     parent = _union_find(spec, state) if gated else None
     anchors = spec.anchors.of_player
-    while state.terminal is None:
-        if len(moves) >= move_cap:
-            raise PlayoutLimitExceeded(f"no terminal state after {move_cap} moves")
+    while state.terminal is None and len(moves) < stop:
         k = draw(len(empty))
         site = empty[k]
         mover = state.mover
@@ -723,9 +731,31 @@ def _add_moves(spec: GameSpec, rule: MoveRule) -> tuple[tuple[Move, ...], ...]:
 
 
 def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> GameState:
-    """State reached by applying the first ``upto`` trace moves (all if None)."""
+    """State reached by applying the first ``upto`` trace moves (all if None).
+
+    An add-to-empty game replays through _add_to_empty_plies, its playouts'
+    loop, stopped after ``upto`` moves: each draw is the index of the trace's
+    next site among the empty sites.  A move that the loop does not play
+    (onto a taken site, by the wrong mover, after the end) raises
+    IllegalMove.  Every other game replays through _advance, which raises
+    IllegalMove for a move after the end.
+    """
+    moves = trace.moves if upto is None else trace.moves[:upto]
     state = initial_state(spec)
-    for move in trace.moves if upto is None else trace.moves[:upto]:
+    rule = spec.play
+    if _adds_to_empty(rule) and _resolve(spec, state):
+        empty, sites, played = state._empty, iter([move.to_site for move in moves]), []
+        # An index past the last empty site draws the last: its move is not the trace's.
+        _add_to_empty_plies(spec, state, rule,
+                            lambda count: min(bisect_left(empty, next(sites)), count - 1),
+                            played, len(moves))
+        if played != list(moves):  # a move differs, or the game ended first
+            ply = next((i for i, (got, want) in enumerate(zip(played, moves)) if got != want),
+                       len(played))
+            raise IllegalMove("state is terminal" if ply == len(played)
+                              else f"move not legal in this state: {moves[ply]}")
+        return state
+    for move in moves:
         if state.terminal is not None:
             raise IllegalMove("state is terminal")
         _advance(spec, state, move)

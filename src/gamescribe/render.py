@@ -11,17 +11,20 @@ and sites it is given: a class "arrow" group for each marked move that
 changes site, then a "dot-red" circle for each other marked move, then a
 "dot-green" circle for each winning site.
 
-Every image of a game has the same cells, built once per ``_Layout``;
-``pipeline.generate`` passes one ``_Layout`` to all of the game's images.
+``pipeline.generate`` passes one ``_Layout`` to all of a game's images, and
+the layout computes once per game what they share: each site's drawing
+centre, the header and the cells, each number's text and each glyph.  No
+cache outlives its layout.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from html import escape
 
 from .compiler import GameSpec
-from .engine import GameState, Move, apply_move
+from .engine import GameState, IllegalMove, Move, apply_move
 from .taxonomy import similar_legal_moves
 
 CELL = 48
@@ -30,6 +33,9 @@ PAD = 16
 
 _HEX_WIDTH = math.sqrt(3.0) * HEX_RADIUS
 _HEX_VSTEP = 1.5 * HEX_RADIUS
+# Each corner of a pointy-top hexagon, from its centre: (28 cos a, 28 sin a), a = 30, 90, .. 330°.
+_HEX_CORNERS = tuple((HEX_RADIUS * math.cos(a), HEX_RADIUS * math.sin(a))
+                     for a in (math.radians(60 * k + 30) for k in range(6)))
 
 # Indexed by owner: the neutral grey, then players 1 to compiler.MAX_PLAYERS, each its own.
 _OWNER_FILL = ("#9e9e9e", "#ffffff", "#1a1a1a", "#3a6fb0", "#e0a526", "#9467bd", "#17becf",
@@ -46,46 +52,53 @@ def _fmt(x: float) -> str:
 
 
 class _Layout:
+    """What every image of one game shares, computed once.
+
+    ``centres`` holds each site's drawing centre and ``head`` the SVG header
+    and every cell, one line each.  ``fmt`` is ``_fmt`` computed once per
+    distinct number, and ``glyphs`` maps each ``(piece name, site)`` to the
+    glyph that ``render_board`` drew there the first time.
+    """
+
     def __init__(self, spec: GameSpec):
+        self.fmt = fmt = cache(_fmt)
+        self.glyphs: dict[tuple[str, int], str] = {}
         board = spec.board
         self.hex = board.shape == "hexDiamond"
         rows, cols = board.rows, board.cols
         # Each site's (row, col); row 0 is the bottom row, drawn lowest.
         grid = [divmod(site, cols) for site in range(board.site_count)]
         if self.hex:
-            self.width = 2 * PAD + _HEX_WIDTH * cols + _HEX_WIDTH / 2 * (rows - 1)
-            self.height = 2 * PAD + 2 * HEX_RADIUS + _HEX_VSTEP * (rows - 1)
+            width = 2 * PAD + _HEX_WIDTH * cols + _HEX_WIDTH / 2 * (rows - 1)
+            height = 2 * PAD + 2 * HEX_RADIUS + _HEX_VSTEP * (rows - 1)
             self.centres = [(PAD + _HEX_WIDTH / 2 + _HEX_WIDTH * col + _HEX_WIDTH / 2 * row,
                              PAD + HEX_RADIUS + _HEX_VSTEP * (rows - 1 - row))
                             for row, col in grid]
         else:
-            self.width = 2 * PAD + CELL * cols
-            self.height = 2 * PAD + CELL * rows
+            width, height = 2 * PAD + CELL * cols, 2 * PAD + CELL * rows
             self.centres = [(PAD + CELL * col + CELL / 2, PAD + CELL * (rows - 1 - row) + CELL / 2)
                             for row, col in grid]
-        self.cells = [_cell_element(self, site) for site in range(board.site_count)]
-
-
-def _hexagon_points(cx: float, cy: float) -> str:
-    pts = []
-    for k in range(6):
-        angle = math.radians(60 * k + 30)
-        pts.append(f"{_fmt(cx + HEX_RADIUS * math.cos(angle))},"
-                   f"{_fmt(cy + HEX_RADIUS * math.sin(angle))}")
-    return " ".join(pts)
+        width, height = fmt(width), fmt(height)
+        self.head = "\n".join([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            *(_cell_element(self, site) for site in range(board.site_count))])
 
 
 def _cell_element(layout: _Layout, site: int) -> str:
     cx, cy = layout.centres[site]
+    fmt = layout.fmt
     if layout.hex:
-        return (f'<polygon class="cell" points="{_hexagon_points(cx, cy)}" '
-                f'fill="#f5e9d0" stroke="#7a6a52"/>')
+        points = " ".join(f"{fmt(cx + dx)},{fmt(cy + dy)}" for dx, dy in _HEX_CORNERS)
+        return f'<polygon class="cell" points="{points}" fill="#f5e9d0" stroke="#7a6a52"/>'
     x, y = cx - CELL / 2, cy - CELL / 2
-    return (f'<rect class="cell" x="{_fmt(x)}" y="{_fmt(y)}" width="{CELL}" '
+    return (f'<rect class="cell" x="{fmt(x)}" y="{fmt(y)}" width="{CELL}" '
             f'height="{CELL}" fill="#f5e9d0" stroke="#7a6a52"/>')
 
 
-def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
+def _glyph(spec: GameSpec, layout: _Layout, name: str, site: int) -> str:
+    cx, cy = layout.centres[site]
+    fmt = layout.fmt
     piece = spec.pieces_by_name[name]
     base = piece.base
     owner = piece.owner
@@ -93,32 +106,33 @@ def _glyph(spec: GameSpec, name: str, cx: float, cy: float) -> str:
     stroke = _OWNER_STROKE.get(owner, "#1a1a1a")
     r = 16
     if base == "Dot":
-        body = f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="7" fill="{fill}" stroke="{stroke}"/>'
+        body = f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="7" fill="{fill}" stroke="{stroke}"/>'
     elif base == "Cross":
         colour = fill if owner != 1 else stroke
         d = 11
-        body = (f'<line x1="{_fmt(cx - d)}" y1="{_fmt(cy - d)}" x2="{_fmt(cx + d)}" '
-                f'y2="{_fmt(cy + d)}" stroke="{colour}" stroke-width="5"/>'
-                f'<line x1="{_fmt(cx - d)}" y1="{_fmt(cy + d)}" x2="{_fmt(cx + d)}" '
-                f'y2="{_fmt(cy - d)}" stroke="{colour}" stroke-width="5"/>')
+        body = (f'<line x1="{fmt(cx - d)}" y1="{fmt(cy - d)}" x2="{fmt(cx + d)}" '
+                f'y2="{fmt(cy + d)}" stroke="{colour}" stroke-width="5"/>'
+                f'<line x1="{fmt(cx - d)}" y1="{fmt(cy + d)}" x2="{fmt(cx + d)}" '
+                f'y2="{fmt(cy - d)}" stroke="{colour}" stroke-width="5"/>')
     elif base == "Queen":
-        crown = (f'<polyline points="{_fmt(cx - 9)},{_fmt(cy - 2)} {_fmt(cx - 5)},{_fmt(cy - 9)} '
-                 f'{_fmt(cx)},{_fmt(cy - 3)} {_fmt(cx + 5)},{_fmt(cy - 9)} '
-                 f'{_fmt(cx + 9)},{_fmt(cy - 2)}" fill="none" stroke="{stroke}" '
+        crown = (f'<polyline points="{fmt(cx - 9)},{fmt(cy - 2)} {fmt(cx - 5)},{fmt(cy - 9)} '
+                 f'{fmt(cx)},{fmt(cy - 3)} {fmt(cx + 5)},{fmt(cy - 9)} '
+                 f'{fmt(cx + 9)},{fmt(cy - 2)}" fill="none" stroke="{stroke}" '
                  f'stroke-width="2"/>')
-        body = (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" fill="{fill}" '
+        body = (f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{r}" fill="{fill}" '
                 f'stroke="{stroke}" stroke-width="2"/>' + crown)
     elif base in ("Disc", "Marker"):
-        body = (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" fill="{fill}" '
+        body = (f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{r}" fill="{fill}" '
                 f'stroke="{stroke}" stroke-width="2"/>')
     else:  # pawn-class default: triangle
-        body = (f'<polygon points="{_fmt(cx)},{_fmt(cy - 14)} {_fmt(cx - 12)},{_fmt(cy + 12)} '
-                f'{_fmt(cx + 12)},{_fmt(cy + 12)}" fill="{fill}" stroke="{stroke}" '
+        body = (f'<polygon points="{fmt(cx)},{fmt(cy - 14)} {fmt(cx - 12)},{fmt(cy + 12)} '
+                f'{fmt(cx + 12)},{fmt(cy + 12)}" fill="{fill}" stroke="{stroke}" '
                 f'stroke-width="2"/>')
     return f'<g class="glyph" data-piece="{escape(name, quote=False)}">{body}</g>'
 
 
 def _arrow(layout: _Layout, from_site: int, to_site: int) -> str:
+    fmt = layout.fmt
     x1, y1 = layout.centres[from_site]
     x2, y2 = layout.centres[to_site]
     dx, dy = x2 - x1, y2 - y1
@@ -128,16 +142,17 @@ def _arrow(layout: _Layout, from_site: int, to_site: int) -> str:
     bx, by = x2 - head * ux, y2 - head * uy
     px, py = -uy * 6.0, ux * 6.0
     return (f'<g class="arrow">'
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
+            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(bx)}" y2="{fmt(by)}" '
             f'stroke="{RED}" stroke-width="4"/>'
-            f'<polygon points="{_fmt(x2)},{_fmt(y2)} {_fmt(bx + px)},{_fmt(by + py)} '
-            f'{_fmt(bx - px)},{_fmt(by - py)}" fill="{RED}"/></g>')
+            f'<polygon points="{fmt(x2)},{fmt(y2)} {fmt(bx + px)},{fmt(by + py)} '
+            f'{fmt(bx - px)},{fmt(by - py)}" fill="{RED}"/></g>')
 
 
 def _dot(layout: _Layout, site: int, colour: str) -> str:
     cx, cy = layout.centres[site]
+    fmt = layout.fmt
     fill = RED if colour == "red" else GREEN
-    return (f'<circle class="dot-{colour}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="7" '
+    return (f'<circle class="dot-{colour}" cx="{fmt(cx)}" cy="{fmt(cy)}" r="7" '
             f'fill="{fill}"/>')
 
 
@@ -151,14 +166,14 @@ def render_board(spec: GameSpec, state: GameState, marked: list[Move] | tuple[Mo
     """
     if layout is None:
         layout = _Layout(spec)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(layout.width)}" '
-        f'height="{_fmt(layout.height)}" '
-        f'viewBox="0 0 {_fmt(layout.width)} {_fmt(layout.height)}">', *layout.cells
-    ]
-    for content, (cx, cy) in zip(state.contents, layout.centres):
+    parts, glyphs = [layout.head], layout.glyphs
+    for site, content in enumerate(state.contents):
         if content is not None:
-            parts.append(_glyph(spec, content[0], cx, cy))
+            key = content[0], site
+            glyph = glyphs.get(key)
+            if glyph is None:
+                glyph = glyphs[key] = _glyph(spec, layout, *key)
+            parts.append(glyph)
     parts += [_arrow(layout, m.from_site, m.to_site) for m in marked if m.from_site != m.to_site]
     parts += [_dot(layout, m.to_site, "red") for m in marked if m.from_site == m.to_site]
     parts += [_dot(layout, site, "green") for site in winning]
@@ -169,10 +184,20 @@ def render_board(spec: GameSpec, state: GameState, marked: list[Move] | tuple[Mo
 def render_move_pair(spec: GameSpec, state: GameState, move: Move, similar: bool,
                      layout: _Layout | None = None) -> tuple[str, str]:
     """Before/after images for a move; before marks it in red, and with
-    ``similar`` every similar legal move too."""
-    marked = similar_legal_moves(state, move, spec) if similar else [move]
+    ``similar`` every similar legal move too.
+
+    A move that is not legal in ``state`` raises IllegalMove.  With
+    ``similar`` the marked moves, which the state's one legal list gives,
+    settle that, so ``apply_move`` builds no second list.
+    """
+    if similar:
+        marked = similar_legal_moves(state, move, spec)
+        if move not in marked:
+            raise IllegalMove(f"move not legal in this state: {move}")
+    else:
+        marked = [move]
     before = render_board(spec, state, marked, layout=layout)
-    after = render_board(spec, apply_move(state, move, spec), layout=layout)
+    after = render_board(spec, apply_move(state, move, spec, validate=not similar), layout=layout)
     return before, after
 
 

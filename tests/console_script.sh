@@ -43,6 +43,18 @@ assert games and all(code == 0 for code, _ in first + second), first + second
 assert first == second, 'the second pass printed other text'
 assert 'gamescribe.engine' not in sys.modules, 'translate imported the engine'
 print(len(games), 'games translate alike twice in one process, without the engine')"
+# So does generate --format json of the corpus: the two calls write the same
+# bytes, so nothing that one call draws or replays changes the next.
+python -c "import contextlib, glob, io, pathlib, sys; from gamescribe.cli import main
+games = [arg for g in sorted(glob.glob('corpus/*.lud')) for arg in ('--game', g)]
+def run(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(['generate', *games, '--format', 'json', '--out', str(out)])
+    assert code == 0, code
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob('*')) if p.is_file()}
+first, second = (run(pathlib.Path(sys.argv[1], f'gs-twice-{k}')) for k in (1, 2))
+assert games and first == second, sorted(p for p in first.keys() | second.keys() if first.get(p) != second.get(p))
+print(len(first), 'files of generate --format json over the corpus alike twice in one process')" "$tmp"
 "${gs[@]}" generate --game corpus/Hex.lud --playouts 5 --out "$tmp/gs-out"
 python -c "import pathlib, sys, xml.dom.minidom as m; fs = [p for p in pathlib.Path(sys.argv[1]).rglob('*') if p.suffix == '.svg' or p.name == 'manual.html']; assert fs; [m.parse(str(p)) for p in fs]; print(len(fs), 'files parse as XML')" "$tmp/gs-out"
 # Hex traces share one table of Add moves, so 20 times the playouts grow the

@@ -13,8 +13,8 @@ from conftest import load_spec
 from gamescribe import engine
 from gamescribe.cli import main
 from gamescribe.compiler import MoveRule, compile_game
-from gamescribe.engine import (EndMatch, Move, apply_move, initial_state, random_playout, replay,
-                               trace_to_dict)
+from gamescribe.engine import (EndMatch, IllegalMove, Move, apply_move, initial_state,
+                               random_playout, replay, trace_to_dict)
 from gamescribe.sexpr import parse
 
 # An Add onto a fixed site set, which overwrites occupied sites.
@@ -575,6 +575,83 @@ def test_add_to_empty_play_rules_take_their_own_loop(name, monkeypatch):
     monkeypatch.setattr(engine, "_advance", watch(engine._advance))
     assert [random_playout(spec, seed) for seed in range(10)] == want
     assert called == (set() if name in ADD_TO_EMPTY else {"_pick", "_advance"})
+
+
+def _advance_replay(spec, moves, advance):
+    """The state that ``advance`` (``engine._advance``) reaches over ``moves``, one
+    move at a time from the initial state: how every other game replays."""
+    state = initial_state(spec)
+    for move in moves:
+        advance(spec, state, move)
+    return state
+
+
+def _caches_match_contents(spec, state):
+    """The state's empty sites and union-find, where built, are what its contents imply."""
+    if state._empty is not None:
+        assert state._empty == [i for i, c in enumerate(state.contents) if c is None]
+    if state._uf is not None:
+        assert _classes(state._uf) == _linked_classes(spec, state.contents)
+
+
+@pytest.mark.parametrize("name", [*ADD_TO_EMPTY, *SMALL_HEX])
+def test_add_to_empty_replay_takes_the_playout_loop(name, monkeypatch):
+    """``replay`` of an add-to-empty trace plays through the playout's loop, without
+    ``_advance``, and at every prefix reaches the state that ``_advance`` reaches.
+
+    The traces are the reference's, so an engine whose loop skipped an end
+    check could not make them.  Where both replays built the empty sites or
+    the union-find, both match contents, so they agree.
+    """
+    spec = _spec(name)
+    traces = [reference_playout.random_playout(spec, seed) for seed in range(6)]
+    advance = engine._advance
+
+    def refuse(*args):
+        raise AssertionError(f"{name}'s replay called _advance")
+
+    monkeypatch.setattr(engine, "_advance", refuse)
+    for trace in traces:
+        for upto in range(len(trace.moves) + 1):
+            got, want = replay(spec, trace, upto), _advance_replay(spec, trace.moves[:upto], advance)
+            assert (got.contents, got.mover, got.move_count, got.last_move, got.terminal) == \
+                (want.contents, want.mover, want.move_count, want.last_move, want.terminal), \
+                f"{name} seed {trace.seed} upto {upto}"
+            for state in (got, want):
+                _caches_match_contents(spec, state)
+            # From the first move on, the loop keeps each cache that _advance's end checks built.
+            for cache in ("_empty", "_uf"):
+                assert upto == 0 or getattr(want, cache) is None or getattr(got, cache) is not None
+        assert got.terminal == trace.outcome
+
+
+@pytest.mark.parametrize("name", [*ADD_TO_EMPTY, *SMALL_HEX])
+def test_add_to_empty_replay_refuses_a_move_its_loop_would_not_play(name):
+    """A move after the end, onto a taken site or by the wrong mover is IllegalMove,
+    and only once ``upto`` reaches it."""
+    spec = _spec(name)
+    players = spec.player_count
+    for seed in range(6):
+        trace = reference_playout.random_playout(spec, seed)
+        moves, outcome = trace.moves, trace.outcome
+        final = replay(spec, trace)
+        empty = [site for site, c in enumerate(final.contents) if c is None]
+        late = moves[-1]._replace(from_site=empty[0], to_site=empty[0]) if empty else moves[-1]
+        bad = {"after the end": (len(moves), late, "^state is terminal$")}
+        if len(moves) > 1:
+            ply, move = len(moves) // 2, moves[len(moves) // 2]
+            taken = moves[0].to_site
+            other = move.mover % players + 1
+            bad["onto a taken site"] = (ply, move._replace(from_site=taken, to_site=taken),
+                                        "^move not legal in this state")
+            bad["by the wrong mover"] = (ply, Move(other, spec.first_piece[other],
+                                                   *move[2:]), "^move not legal in this state")
+        for kind, (ply, move, message) in bad.items():
+            broken = engine.PlayoutTrace(seed, moves[:ply] + (move,) + moves[ply + 1:], outcome)
+            assert replay(spec, broken, ply).contents == replay(spec, trace, ply).contents
+            for upto in (ply + 1, None):
+                with pytest.raises(IllegalMove, match=message):  # kind names the bad move
+                    replay(spec, broken, upto)
 
 
 # Add-to-empty games, and whether all their end rules are (is Connected ...):

@@ -3,8 +3,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from gamescribe import engine, taxonomy
 from gamescribe.compiler import MAX_PLAYERS, compile_game
-from gamescribe.engine import apply_move, initial_state, legal_moves, random_playout, replay
+from gamescribe.engine import (IllegalMove, apply_move, initial_state, legal_moves,
+                               random_playout, replay)
 from gamescribe.render import render_board, render_ending_pair, render_move_pair
 from gamescribe.sexpr import parse
 from test_boards import _game
@@ -67,6 +69,37 @@ def test_selected_only_step_is_one_arrow(breakthrough):
     assert _count(before, 'class="arrow"') == 1
     assert _count(before, 'class="dot-red"') == 0
     assert _count(after, 'class="arrow"') == 0
+
+
+@pytest.mark.parametrize("similar", [True, False])
+def test_move_pair_of_an_illegal_move_is_illegal(similar, tictactoe, breakthrough):
+    """With or without similar moves marked, a move not legal in the state raises."""
+    state = initial_state(tictactoe)
+    first = legal_moves(tictactoe, state)[0]
+    taken = apply_move(state, first, tictactoe)
+    opening = initial_state(breakthrough)
+    theirs = next(m for m in legal_moves(breakthrough, opening) if m.mover == 1)._replace(mover=2)
+    for spec, state, move in ((tictactoe, taken, first._replace(mover=2)),  # onto a taken site
+                              (breakthrough, opening, theirs)):  # out of turn
+        assert move not in legal_moves(spec, state)
+        with pytest.raises(IllegalMove, match="^move not legal in this state"):
+            render_move_pair(spec, state, move, similar)
+
+
+def test_move_pair_with_similar_moves_builds_one_legal_list(breakthrough, monkeypatch):
+    built = []
+    full_list = engine.legal_moves
+
+    def counted(spec, state):
+        built.append(state.move_count)
+        return full_list(spec, state)
+
+    monkeypatch.setattr(engine, "legal_moves", counted)
+    monkeypatch.setattr(taxonomy, "legal_moves", counted)
+    state = initial_state(breakthrough)
+    move = full_list(breakthrough, state)[0]
+    render_move_pair(breakthrough, state, move, similar=True)
+    assert built == [0]
 
 
 def test_all_similar_step_arrows_match_similar_count(breakthrough):
