@@ -762,14 +762,14 @@ def replay(spec: GameSpec, trace: PlayoutTrace, upto: int | None = None) -> Game
     return state
 
 
-def move_actions(move: Move, piece, src, dst) -> list[list]:
-    """Each of ``move``'s action types followed by its exported arguments.
+def move_actions(action_types: tuple[str, ...], piece, src, dst) -> list[list]:
+    """Each of a move's ``action_types`` followed by its exported arguments.
 
     The arguments are read off ``piece`` and the from/to site labels ``src``
     and ``dst``, in whatever form the caller exports them.
     """
     args = {"Add": (piece, dst), "Remove": (dst,), "Move": (src, dst), "SetMoverAgain": ()}
-    return [[kind, *args[kind]] for kind in move.action_types]
+    return [[kind, *args[kind]] for kind in action_types]
 
 
 def _move_to_dict(move: Move, spec: GameSpec) -> dict:
@@ -781,7 +781,7 @@ def _move_to_dict(move: Move, spec: GameSpec) -> dict:
         "origin_ludeme": move.origin_id,
         "from": src,
         "to": dst,
-        "actions": move_actions(move, move.piece, src, dst),
+        "actions": move_actions(move.action_types, move.piece, src, dst),
     }
 
 

@@ -6,7 +6,11 @@ of every game, in game order, while this process plays range 0 of each game
 and then builds and writes it (see ``cli``).  The pool is forked once per
 ``generate`` or ``playout-stats`` call; with one range nothing forks.
 
-A worker only computes, and reports each result by ``marshal``.  A worker
+A worker only computes, and reports each result by ``marshal``.  It points
+its stdout and stderr at ``/dev/null`` as soon as it is forked, so a reader
+of the call's output gets its EOF when the call ends, and it is handed the
+pid of the process that forked it, to leave once that process is gone (see
+``pipeline._fold``).  A worker
 that ends without a report, for any reason, has its stripe played again
 here, where any error it met is raised with its own traceback: which
 process plays a range does not change its result.  A worker never writes
@@ -34,9 +38,10 @@ def cpus() -> int:
 
 
 class Pool:
-    """Run ``job(k, g)`` for every stripe ``k < ways`` of every game ``g < games``:
+    """Run ``job(k, g, parent)`` for every stripe ``k < ways`` of every game ``g < games``:
     stripe 0 here, and each other stripe in a forked worker of its own, which
-    runs its jobs in game order while this process goes on.
+    runs its jobs in game order while this process goes on.  ``parent`` is
+    None here, whatever the stripe, and in a worker the pid of this process.
 
     ``results(g)`` returns game ``g``'s results in stripe order.  A worker
     that ends with no report, whatever the cause, is reaped, and its stripe
@@ -44,7 +49,7 @@ class Pool:
     block kills and reaps every worker and closes every pipe.
     """
 
-    def __init__(self, job: Callable[[int, int], object], ways: int, games: int):
+    def __init__(self, job: Callable[[int, int, int | None], object], ways: int, games: int):
         self.job = job
         self.ways = ways
         self.workers: dict[int, tuple[int, BinaryIO]] = {}  # stripe -> (pid, report pipe)
@@ -62,6 +67,7 @@ class Pool:
         sys.stdout.flush()
         sys.stderr.flush()
         report_r, report_w = os.pipe()
+        parent = os.getpid()
         try:
             pid = os.fork()
         except OSError:
@@ -73,12 +79,16 @@ class Pool:
             self.workers[k] = pid, open(report_r, "rb")
             return
         try:  # in the worker, which prints nothing and leaves through os._exit
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            os.close(null)
             os.close(report_r)
             for _, pipe in self.workers.values():
                 os.close(pipe.fileno())
             with open(report_w, "wb") as pipe:
                 for g in range(games):
-                    data = marshal.dumps(self.job(k, g))
+                    data = marshal.dumps(self.job(k, g, parent))
                     pipe.write(len(data).to_bytes(8, "little") + data)
                     pipe.flush()
         finally:
@@ -102,12 +112,12 @@ class Pool:
         pipe.close()
 
     def results(self, g: int) -> list:
-        """``job(k, g)`` for every stripe ``k``, in order: stripe 0 runs here first,
+        """``job(k, g, None)`` for every stripe ``k``, in order: stripe 0 runs here first,
         then each worker's report is read, or its stripe runs here."""
         results = []
         for k in range(self.ways):
             report = self._report(k) if k in self.workers else None
-            results.append(self.job(k, g) if report is None else report)
+            results.append(self.job(k, g, None) if report is None else report)
         return results
 
     def close(self) -> None:

@@ -18,9 +18,12 @@ anonymous temporary file (see ``_trace_sink``), and ``_write_traces`` copies
 each range's span of those files in seed order.  The text comes from
 templates instead of ``engine.trace_to_dict`` dicts passed to
 ``json.dumps(indent=2)`` (the pure-Python encoder, since ``indent`` disables
-the C one).  Each move signature gets one ``%``-template and each distinct
-move is filled in once per range through a memo, so no process holds more
-than one trace's text.
+the C one).  Each move signature gets one template, with a NUL sentinel
+where each site label goes.  A move that stays on its site is filled in
+once and kept; any other is joined from its (signature, from-site) head,
+the template with the from-label filled in, split at the to-label.  So no
+process holds more than one trace's text, and a range's writer holds at
+most one text and one head per (signature, site), whatever the playouts.
 The output is the same bytes; ``trace_to_dict`` stays as the debug export
 that the tests hold the writer to.  Every file is written as UTF-8, whatever
 the locale.  A game whose first mover has no legal move cannot be played
@@ -167,11 +170,16 @@ _TRACE = (',\n  {\n    "seed": %d,\n    "moves": %s,\n    "outcome": {\n      "p
           '      "result": %s,\n      "end_ludeme": %s,\n      "winning_sites": %s\n    }\n  }')
 
 
-class _MoveTexts(dict):
-    """Move -> its JSON text; a miss fills the template of its ``move[:4]`` signature.
+_FROM, _TO = "\0f", "\0t"  # the label sentinels: json's C encoder never writes a raw NUL
 
-    The template bakes in the quoted piece (``%`` doubled); the quoted
-    from/to labels fill its ``%(f)s`` and ``%(t)s`` as values.
+
+class _Heads(dict):
+    """``move[:5]`` -> the parts of the move's text between its to-labels.
+
+    Each ``move[:4]`` signature gets one template of ``_MOVE``, with the
+    quoted piece baked in and ``_FROM`` and ``_TO`` where its labels go.  A
+    head is that template with the from-label filled in, split at ``_TO``,
+    so a move's text is ``labels[move.to_site].join(heads[move[:5]])``.
     """
 
     def __init__(self, labels: list[str]):
@@ -181,16 +189,42 @@ class _MoveTexts(dict):
         self.move_actions = move_actions
         self.templates: dict[tuple, str] = {}
 
-    def __missing__(self, move: engine.Move) -> str:
+    def template(self, move: tuple) -> str:
+        """The template of ``move[:4]``, built on its first call."""
         template = self.templates.get(move[:4])
         if template is None:
-            piece = _quote(move.piece).replace("%", "%%")
+            mover, piece, origin_id, kinds = move[:4]
+            piece = _quote(piece)
             actions = [_array([_quote(kind), *args], " " * 10)
-                       for kind, *args in self.move_actions(move, piece, "%(f)s", "%(t)s")]
+                       for kind, *args in self.move_actions(kinds, piece, _FROM, _TO)]
             template = self.templates[move[:4]] = _MOVE % (
-                move.mover, piece, move.origin_id, "%(f)s", "%(t)s", _array(actions, " " * 8))
-        labels = self.labels
-        text = self[move] = template % {"f": labels[move.from_site], "t": labels[move.to_site]}
+                mover, piece, origin_id, _FROM, _TO, _array(actions, " " * 8))
+        return template
+
+    def __missing__(self, head: tuple) -> list[str]:
+        parts = self[head] = self.template(head).replace(_FROM, self.labels[head[4]]).split(_TO)
+        return parts
+
+
+class _MoveTexts(dict):
+    """Move -> its JSON text, kept only for a move whose from and to are one site.
+
+    Every Add is such a move, so a game of Adds looks each move up in C after
+    its first.  Any other move misses every time and is joined from its head,
+    so the texts and the heads are at most one per (signature, site).
+    """
+
+    def __init__(self, labels: list[str]):
+        super().__init__()
+        self.labels = labels
+        self.heads = _Heads(labels)
+
+    def __missing__(self, move: engine.Move) -> str:
+        site = move.to_site
+        if move.from_site != site:
+            return self.labels[site].join(self.heads[move[:5]])
+        label = self.labels[site]
+        text = self[move] = self.heads.template(move).replace(_FROM, label).replace(_TO, label)
         return text
 
 
@@ -199,8 +233,8 @@ def _trace_sink(spec: GameSpec, out: BinaryIO) -> Callable[[engine.PlayoutTrace]
 
     The text has the layout of ``json.dumps(indent=2)``, from templates of
     that layout, with no dict per move or trace, and strings go through
-    json's C encoder, so it is ASCII.  Each distinct move is formatted once
-    per function returned, through its ``_MoveTexts`` memo.
+    json's C encoder, so it is ASCII.  The moves' texts come from one
+    ``_MoveTexts`` per function returned.  Only ``spec.board.labels`` is read.
     """
     labels = list(map(_quote, spec.board.labels))
     texts = _MoveTexts(labels)
@@ -273,14 +307,14 @@ def played(specs: list[GameSpec], seed: int, playouts: int,
     ways = min(parallel.cpus(), playouts)  # no range is empty
     bounds = [seed + playouts * k // ways for k in range(ways + 1)]
 
-    def job(k: int, game: int) -> tuple[tuple[list, dict], int, int]:
+    def job(k: int, game: int, parent: int | None) -> tuple[tuple[list, dict], int, int]:
         spec, out, sink, start = specs[game], files[k], None, 0
         if out is not None:
             if k == 0:  # this process's own file holds one game's range 0 at a time
                 out.truncate(0)
             start = out.seek(0, os.SEEK_END)  # past what a dead worker left
             sink = _trace_sink(spec, out)
-        fold, stop = _fold(spec, bounds[k], bounds[k + 1], sink), 0
+        fold, stop = _fold(spec, bounds[k], bounds[k + 1], sink, parent), 0
         if out is not None:
             out.flush()
             stop = out.tell()
@@ -314,10 +348,14 @@ def play(spec: GameSpec, seed: int, playouts: int) -> tuple[list[engine.PlayoutT
 
 
 def _fold(spec: GameSpec, start: int, stop: int,
-          sink: Callable[[engine.PlayoutTrace], object] | None
+          sink: Callable[[engine.PlayoutTrace], object] | None, parent: int | None
           ) -> tuple[list[engine.PlayoutTrace], dict]:
     """Play seeds ``start .. stop - 1`` in order, each trace passed to ``sink`` if given,
     and fold them: ``(kept, counts)``.
+
+    A forked worker passes ``parent``, the pid of the process that forked it,
+    and leaves through ``os._exit`` before a playout once that process is
+    gone, since nothing would read its fold: one ``os.getppid`` per playout.
 
     A trace is kept when it holds the first occurrence among these seeds of a
     ``taxonomy.move_key`` or of a ``taxonomy.ending_key``, the keys by which
@@ -332,6 +370,8 @@ def _fold(spec: GameSpec, start: int, stop: int,
     kept: list[engine.PlayoutTrace] = []
     counts: dict[tuple, int] = {}
     for seed in range(start, stop):
+        if parent is not None and os.getppid() != parent:
+            os._exit(0)
         trace = playout(spec, seed)
         if sink is not None:
             sink(trace)

@@ -1,15 +1,18 @@
 import argparse
 import collections
+import contextlib
 import errno
 import hashlib
 import io
 import json
 import marshal
 import os
+import select
 import shutil
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import urllib.parse
 import xml.dom.minidom
@@ -979,6 +982,60 @@ def test_an_error_no_exit_code_covers_keeps_its_traceback_from_a_child(tmp_path,
     assert raised.traceback[-1].name == "broken_translate"
     assert capsys.readouterr().out == f"wrote {out / 'Tic-Tac-Toe' / 'manual.html'}\n"
     assert sorted(p.name for p in out.iterdir()) == ["Tic-Tac-Toe"]
+
+
+def _session(sid):
+    """The pids of the live (not zombie) processes of session ``sid``, read off /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rpartition(")")[2].split()
+        except (OSError, ValueError):  # not a process, or gone meanwhile
+            continue
+        if fields and int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the session off /proc")
+def test_a_worker_leaves_when_its_call_is_killed(tmp_path):
+    # The top process of a long Amazons generate, in a session of its own,
+    # gets SIGKILL about 1 s into its playouts.  Its worker has pointed the
+    # CLI's stdout and stderr at /dev/null, so the caller's read ends at once,
+    # and it leaves before its next playout, so the session is empty long
+    # before the worker's 100,000 seeds (minutes of play) are done.
+    code = """if True:
+        import os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import gamescribe.cli
+        sys.exit(gamescribe.cli.main(sys.argv[1:]))
+        """
+    argv = _generate_argv(tmp_path / "out", ["Amazons"], "--playouts", "200000")
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    try:
+        deadline = time.monotonic() + 60
+        while len(_session(proc.pid)) < 2:  # the worker is forked
+            assert proc.poll() is None and time.monotonic() < deadline, proc.stdout.read()
+            time.sleep(0.02)
+        time.sleep(1)
+        for pid in set(_session(proc.pid)) - {proc.pid}:
+            assert {os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (1, 2)} == {os.devnull}
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait() == -signal.SIGKILL
+        assert select.select([proc.stdout], [], [], 10)[0], "no EOF on stdout within 10 s"
+        assert proc.stdout.read() == b""
+        deadline = time.monotonic() + 10
+        while _session(proc.pid):
+            assert time.monotonic() < deadline, f"still running: {_session(proc.pid)}"
+            time.sleep(0.02)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
 
 
 # With n CPUs generate cuts each game's seeds into n ranges: it plays the

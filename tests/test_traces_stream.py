@@ -1,10 +1,14 @@
 """traces.json from pipeline._trace_sink and _write_traces: `%` in names, and the
-writer's peak memory.
+writer's memory.
 
-The sink fills one `%`-template per move signature, so a `%` in a piece
+The sink fills one template per move signature, with a NUL sentinel where
+each site label goes, and never `%`-formats a move, so a `%` in a piece
 name, a site label or an outcome must come out as written.  It streams the
 text trace by trace, and the writer copies it in chunks, so their peak
-memory stays below the file's size.
+memory stays below the file's size.  It keeps a move's text only when the
+move's from and to are one site, and otherwise one split template per
+(signature, from-site), so what it holds is bounded by the board, not by
+the number of traces.
 """
 
 import tempfile
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from conftest import load_spec
 from gamescribe.compiler import compile_game
 from gamescribe.engine import EndMatch, Move, PlayoutTrace, random_playout
+from gamescribe import pipeline
 from gamescribe.pipeline import _trace_sink, _write_traces
 from gamescribe.sexpr import parse
 from test_traces_json import _oracle, _written
@@ -68,6 +73,18 @@ def test_writer_matches_json_dumps_on_edge_traces(traces):
     assert _written(traces, spec) == _oracle(traces, spec)
 
 
+def test_writer_matches_json_dumps_with_sentinels_in_names():
+    # The templates mark each label's place with a NUL sentinel; json's
+    # encoder writes a NUL in a name as \u0000, so names that hold the
+    # sentinels come out as written, whether a move keeps its site or not.
+    spec = _board(["\0f", "\0t", "\0"])
+    moves = (Move(1, "\0t\0f", 5, ("Add",), 1, 1), Move(2, "\0f", 6, ("Move",), 0, 1),
+             Move(1, "\0t", 7, ("Remove", "Move", "SetMoverAgain"), 2, 0))
+    traces = [PlayoutTrace(0, moves, EndMatch(7, (1,), "\0t", (0, 1))),
+              PlayoutTrace(1, moves[::-1], EndMatch(None, (1, 2), "Draw"))]
+    assert _written(traces, spec) == _oracle(traces, spec)
+
+
 # P1 adds on even move counts, and both players step and capture: Add, Move
 # and capture templates each bake in a piece name that holds a `%`.
 PERCENT_GAME = (
@@ -88,15 +105,20 @@ def test_writer_matches_json_dumps_on_percent_named_pieces():
     assert _written(traces, spec) == _oracle(traces, spec)
 
 
-def test_writer_peak_memory_stays_below_file_size(tmp_path):
+@pytest.fixture(scope="module")
+def amazons_traces():
     spec = load_spec("Amazons")
-    traces = [random_playout(spec, seed) for seed in range(100)]
+    return spec, [random_playout(spec, seed) for seed in range(300)]
+
+
+def test_writer_peak_memory_stays_below_file_size(tmp_path, amazons_traces):
+    spec, traces = amazons_traces
     path = tmp_path / "traces.json"
     with tempfile.TemporaryFile() as part:
         tracemalloc.start()
         try:
             sink = _trace_sink(spec, part)
-            for trace in traces:
+            for trace in traces[:100]:
                 sink(trace)
             _write_traces(path, [(part, 0, part.tell())])
             peak = tracemalloc.get_traced_memory()[1]
@@ -104,3 +126,35 @@ def test_writer_peak_memory_stays_below_file_size(tmp_path):
             tracemalloc.stop()
     size = path.stat().st_size
     assert peak < size, f"writer peak {peak:,} bytes for a {size:,}-byte file"
+
+
+def test_writer_holds_at_most_one_text_and_head_per_signature_and_site(monkeypatch,
+                                                                       amazons_traces):
+    # 100 and then 200 more Amazons traces through one sink: about 2 in 3 of
+    # their moves are distinct, and none stays on its site, so a memo of every
+    # move would grow with the traces.
+    made = []
+
+    class Recorded(pipeline._MoveTexts):
+        def __init__(self, labels):
+            super().__init__(labels)
+            made.append(self)
+
+    monkeypatch.setattr(pipeline, "_MoveTexts", Recorded)
+    spec, traces = amazons_traces
+    bound = len({move[:4] for trace in traces for move in trace.moves}) * len(spec.board.labels)
+    held = []
+    with tempfile.TemporaryFile() as part:
+        tracemalloc.start()
+        try:
+            sink = _trace_sink(spec, part)
+            for batch in traces[:100], traces[100:]:
+                for trace in batch:
+                    sink(trace)
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    [texts] = made
+    assert len(texts) <= bound, f"{len(texts):,} texts for {bound:,} (signature, site) pairs"
+    assert len(texts.heads) <= bound, f"{len(texts.heads):,} heads for {bound:,} pairs"
+    assert held[1] <= held[0] + 32 * 1024, f"held {held[0]:,} bytes at 100 traces, {held[1]:,} at 300"
