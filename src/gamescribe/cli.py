@@ -10,7 +10,9 @@ directory, two ``generate --game`` files of the same game name, a game named
 game whose output directory the file-system encoding cannot name; 3
 parse/compile error (including an input that is not UTF-8, at the offset of
 its first bad byte), a malformed heuristics file or (generate,
-playout-stats) a game with no legal opening move; 4 playout move-cap exceeded.
+playout-stats) a game with no legal opening move; 4 playout move-cap exceeded;
+130 interrupted (SIGINT, as a Ctrl-C sends it), with the one line ``error:
+interrupted``.
 Every offset in a message is a character offset into the file's text as
 written, line endings included.  Standard output is UTF-8, as every written
 file is, whatever the locale's encoding.
@@ -24,10 +26,12 @@ spare CPU once per call, and worker k plays seed range k of every game
 while this process plays range 0 and builds and writes each game in turn
 (``parallel``).  A worker that fails, for any reason, has its ranges played
 again here, so every error, exit 4's move cap too, is raised in this
-process.  Only this process writes, so exit 2 or 4 in one game
+process.  Only this process writes, so exit 2, 4 or 130 in one game
 leaves the games before it written and nothing of it or of any later game,
-as with one CPU.  ``playout-stats`` splits its one game alike.  The files
-and the output are the same bytes for any number of CPUs.
+as with one CPU.  SIGINT is held while a game's files and its ``wrote``
+line, or the index, are written, and workers ignore it: leaving ``played``
+kills and reaps them.  ``playout-stats`` splits its one game alike.  The
+files and the output are the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .compiler import PlayoutLimitExceeded
@@ -58,6 +64,22 @@ def playout_count(text: str) -> int:
     if count < 1:  # argparse makes this a usage error, exit 2
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+@contextmanager
+def _sigint_held() -> Iterator[None]:
+    """Hold SIGINT over the block where the platform can, so that a Ctrl-C in it
+    raises ``KeyboardInterrupt`` only as the block is left: what the block
+    writes is written whole."""
+    import signal  # here, since translate never needs it
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 @functools.cache
@@ -128,10 +150,12 @@ def main(argv: list[str] | None = None) -> int:
                 for spec, strategy, (kept, _, spans) in zip(specs, strategies, games):
                     files = generate(spec, kept, strategy, similar=not args.no_similar,
                                      dump=dump)
-                    game_dir = write_game(args.out / spec.name, files, spans)
-                    print(f"wrote {game_dir / 'manual.html'}")
+                    with _sigint_held():
+                        game_dir = write_game(args.out / spec.name, files, spans)
+                        print(f"wrote {game_dir / 'manual.html'}")
             if len(specs) > 1:
-                write_index(args.out, list(paths))
+                with _sigint_held():
+                    write_index(args.out, list(paths))
         elif args.command == "translate":
             print(translate_game(load_game(args.game)), end="")
         elif args.command == "playout-stats":
@@ -158,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlayoutLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:  # Ctrl-C, or SIGINT to the process or its group
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

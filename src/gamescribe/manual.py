@@ -9,8 +9,6 @@ action types.
 
 from __future__ import annotations
 
-from html import escape as _escape
-
 SECTIONS = ["Rules", "Heuristics", "Setup", "Endings", "Moves"]
 NO_STRATEGY_PLACEHOLDER = "No strategy information available."
 
@@ -26,10 +24,18 @@ class MissingAsset(Exception):
     pass
 
 
-def escape(text: str) -> str:
-    # Only &, < and > need escaping: no text written into an attribute value
-    # here can hold a double quote, because .lud strings cannot.
-    return _escape(text, quote=False)
+def escape(text: str, quote: bool = False) -> str:
+    """``html.escape(text, quote)`` with ``quote`` false unless given: ``&``, ``<``
+    and ``>``, and with ``quote`` also ``"`` and ``'``.  Importing ``html``
+    would load ``html.entities`` too.
+
+    The manual needs no ``quote``: no text written into an attribute value
+    here can hold a double quote, because .lud strings cannot.
+    """
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if quote:
+        text = text.replace('"', "&quot;").replace("'", "&#x27;")
+    return text
 
 
 def _mover_label(mover) -> str:

@@ -10,12 +10,13 @@ A worker only computes, and reports each result by ``marshal``.  It points
 its stdout and stderr at ``/dev/null`` as soon as it is forked, so a reader
 of the call's output gets its EOF when the call ends, and it is handed the
 pid of the process that forked it, to leave once that process is gone (see
-``pipeline._fold``).  A worker
-that ends without a report, for any reason, has its stripe played again
-here, where any error it met is raised with its own traceback: which
-process plays a range does not change its result.  A worker never writes
-under ``--out``, so it may be killed at any time.  Only ``generate`` and
-``playout-stats`` import this module.
+``pipeline._fold``).  A worker ignores SIGINT: a Ctrl-C reaches this process
+too, whose ``KeyboardInterrupt`` leaves the pool's ``with`` block, which kills
+and reaps the worker.  A worker that ends without a report, for any reason,
+has its stripe played again here, where any error it met is raised with
+its own traceback: which process plays a range does not change its result.
+A worker never writes under ``--out``, so it may be killed at any time.
+Only ``generate`` and ``playout-stats`` import this module.
 """
 
 from __future__ import annotations
@@ -68,17 +69,26 @@ class Pool:
         sys.stderr.flush()
         report_r, report_w = os.pipe()
         parent = os.getpid()
+        # SIGINT is held over the fork: the worker ignores it before it can
+        # raise there, and here it raises once the worker is recorded.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             pid = os.fork()
         except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             os.close(report_r)
             os.close(report_w)
             raise
         if pid:
-            os.close(report_w)
-            self.workers[k] = pid, open(report_r, "rb")
+            try:
+                os.close(report_w)
+                self.workers[k] = pid, open(report_r, "rb")
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
             return
         try:  # in the worker, which prints nothing and leaves through os._exit
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, 1)
             os.dup2(null, 2)

@@ -29,9 +29,12 @@ that the tests hold the writer to.  Every file is written as UTF-8, whatever
 the locale.  A game whose first mover has no legal move cannot be played
 out, so ``generate`` and ``playout-stats`` reject it.
 
-The engine, render, taxonomy and ``hashlib`` are imported by the functions
-that run them, once per call, so that ``translate``, which reads only
-``load_game``, loads none of them.
+The engine, render, taxonomy and SHA-1 are imported by the functions that
+run them, once per call, so that ``translate``, which reads only
+``load_game``, loads none of them.  The asset ids' SHA-1 comes from
+CPython's own ``_sha1``, since ``hashlib`` loads OpenSSL; a build without
+``_sha1`` uses ``hashlib``.  ``write_index`` escapes with ``manual.escape``,
+so no command loads ``html`` and ``html.entities``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import ExitStack, contextmanager
-from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
@@ -47,7 +49,7 @@ from urllib.parse import quote
 
 from .compiler import GameSpec, compile_game
 from .english import translate_game
-from .manual import build_manual, check_assets
+from .manual import build_manual, check_assets, escape
 from .registry import CompileError
 from .sexpr import ParseError, parse
 
@@ -95,8 +97,11 @@ def load_playable(path: Path) -> GameSpec:
 
 
 def _asset_id(key: tuple) -> str:  # of a move signature or an ending's result key
-    import hashlib  # once per image pair, not per move
-    return hashlib.sha1(repr(tuple(key)).encode()).hexdigest()[:10]
+    try:  # once per image pair, not per move; hashlib would load OpenSSL's _hashlib
+        from _sha1 import sha1
+    except ImportError:  # a build without CPython's own SHA-1
+        from hashlib import sha1
+    return sha1(repr(tuple(key)).encode()).hexdigest()[:10]
 
 
 def _add_pair(files: dict[str, str], stem: str, pair: tuple[str, str]) -> dict:
@@ -467,8 +472,8 @@ def playout_stats(spec: GameSpec, seed: int, playouts: int) -> str:
 
 def write_index(out_dir: Path, game_names: list[str]) -> None:
     """Write ``index.html``, linking each game's ``<name>/manual.html``."""
-    items = "\n".join(f'<li><a href="{quote(name)}/manual.html">{escape(name)}</a></li>'
-                       for name in game_names)
+    items = "\n".join(f'<li><a href="{quote(name)}/manual.html">'
+                       f'{escape(name, quote=True)}</a></li>' for name in game_names)
     out_dir.joinpath("index.html").write_text(
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>"
         "<title>Game manuals</title></head>\n"

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from html import escape
 
 from .compiler import GameSpec
 from .engine import GameState, IllegalMove, Move, apply_move
+from .manual import escape
 from .taxonomy import similar_legal_moves
 
 CELL = 48
@@ -128,7 +128,7 @@ def _glyph(spec: GameSpec, layout: _Layout, name: str, site: int) -> str:
         body = (f'<polygon points="{fmt(cx)},{fmt(cy - 14)} {fmt(cx - 12)},{fmt(cy + 12)} '
                 f'{fmt(cx + 12)},{fmt(cy + 12)}" fill="{fill}" stroke="{stroke}" '
                 f'stroke-width="2"/>')
-    return f'<g class="glyph" data-piece="{escape(name, quote=False)}">{body}</g>'
+    return f'<g class="glyph" data-piece="{escape(name)}">{body}</g>'
 
 
 def _arrow(layout: _Layout, from_site: int, to_site: int) -> str:

@@ -203,12 +203,13 @@ def test_generate_multiple_games_writes_index(tmp_path):
 
 
 def test_index_escapes_game_names(tmp_path):
-    name = "Noughts & <Crosses> #1?"
+    name = "Noughts & <Crosses> #1's?"
     game = tmp_path / "noughts.lud"
     game.write_text((CORPUS / "TicTacToe.lud").read_text().replace("Tic-Tac-Toe", name))
     out = tmp_path / "out"
     assert main(["generate", "--game", str(game), "--game", str(CORPUS / "Hex.lud"),
                  "--playouts", "3", "--out", str(out)]) == 0
+    assert ">Noughts &amp; &lt;Crosses&gt; #1&#x27;s?</a>" in (out / "index.html").read_text()
     links = xml.dom.minidom.parse(str(out / "index.html")).getElementsByTagName("a")
     assert [a.firstChild.data for a in links] == [name, "Hex"]
     for a in links:
@@ -639,10 +640,11 @@ def test_cli_import_stays_light():
     assert proc.stdout.strip() == "[]"
 
 
-# The back end, the fork code of a multi-game generate, and what creating a
-# dataclass imports: translate loads none of them.
+# The back end, the fork code of a multi-game generate, what creating a
+# dataclass imports, and html, which loads html.entities: translate loads
+# none of them.
 NOT_LOADED = ("gamescribe.engine", "gamescribe.render", "gamescribe.taxonomy", "hashlib",
-              "gamescribe.parallel", "pickle", "dataclasses", "inspect")
+              "gamescribe.parallel", "pickle", "dataclasses", "inspect", "html")
 
 
 def test_translate_loads_only_the_front_end():
@@ -670,6 +672,24 @@ def test_translate_loads_only_the_front_end():
     assert count >= 4 and codes == [0] * count
     assert loaded == {step: [] for step in ("start", "import gamescribe",
                                             "import gamescribe.cli", "translate")}
+
+
+def test_one_game_generate_loads_no_openssl_and_no_html(tmp_path):
+    # The asset ids come from CPython's own _sha1, and the index's escape is
+    # manual.escape.  Without site, as above.
+    code = """if True:
+        import contextlib, io, sys, gamescribe.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gamescribe.cli.main(["generate", "--game", sys.argv[1], "--playouts", "3",
+                                        "--out", sys.argv[2]])
+        print(code, [m for m in ("_hashlib", "hashlib", "html", "html.entities")
+                     if m in sys.modules])
+        """
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(CORPUS / "Hex.lud"),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
 
 
 def test_one_game_generate_loads_no_pickle(tmp_path):
@@ -1036,6 +1056,68 @@ def test_a_worker_leaves_when_its_call_is_killed(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         proc.stdout.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the session off /proc")
+def test_sigint_exits_130_and_reaps_every_worker(tmp_path):
+    # SIGINT to the process group of a long Amazons generate, as a Ctrl-C
+    # sends it, about 0.5 s into its playouts.  The handler is set as an
+    # interactive shell leaves it, whatever the test runner inherited.
+    code = """if True:
+        import os, signal, sys
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import gamescribe.cli
+        sys.exit(gamescribe.cli.main(sys.argv[1:]))
+        """
+    out = tmp_path / "out"
+    argv = _generate_argv(out, ["Amazons"], "--playouts", "20000")
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    try:
+        deadline = time.monotonic() + 60
+        while len(_session(proc.pid)) < 2:  # the worker is forked
+            assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+            time.sleep(0.02)
+        time.sleep(0.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=30)
+        assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+        assert _session(proc.pid) == []
+        assert not out.exists()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_sigint_is_held_while_a_game_is_written(tmp_path, monkeypatch, capsys):
+    # SIGINT as Tic-Tac-Toe's files start to be written: they are written
+    # whole, with their wrote line, and then the call ends with exit 130,
+    # before Hex or the index.
+    write_game = cli.write_game
+
+    def interrupted(*args):
+        os.kill(os.getpid(), signal.SIGINT)
+        return write_game(*args)
+
+    monkeypatch.setattr(cli, "write_game", interrupted)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        out = tmp_path / "out"
+        assert main(_generate_argv(out, ["TicTacToe", "Hex"], "--playouts", "5")) == 130
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out / 'Tic-Tac-Toe' / 'manual.html'}\n"
+    assert captured.err == "error: interrupted\n"
+    assert sorted(p.name for p in out.iterdir()) == ["Tic-Tac-Toe"]
+    monkeypatch.setattr(cli, "write_game", write_game)
+    assert main(_generate_argv(tmp_path / "whole", ["TicTacToe"], "--playouts", "5")) == 0
+    assert _files(out) == _files(tmp_path / "whole")
 
 
 # With n CPUs generate cuts each game's seeds into n ranges: it plays the

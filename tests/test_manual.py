@@ -1,12 +1,17 @@
+import hashlib
+import html
 import json
 import re
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from conftest import CORPUS
+from gamescribe import pipeline, taxonomy
 from gamescribe.manual import (NO_STRATEGY_PLACEHOLDER, SECTIONS, MissingAsset, build_manual,
-                               check_assets)
+                               check_assets, escape)
 from gamescribe.pipeline import generate, load_playable, play
 
 
@@ -155,3 +160,27 @@ def test_moves_tree_keeps_origins_that_share_a_text(tmp_path):
     moves_html = html[html.index("<h2>Moves</h2>"):]
     shown = re.findall(r'<img src="([^"]+)" alt="before"/>', moves_html)
     assert shown == [leaves[i]["before"] for i in indices]
+
+
+@pytest.mark.parametrize("text", ["", "plain", "a&b<c>d", "&amp;", '"quoted"', "it's",
+                                  "<'&\">", "&&<<>>''\"\""])
+def test_escape_matches_html_escape(text):
+    assert escape(text) == html.escape(text, quote=False)
+    assert escape(text, quote=True) == html.escape(text)
+
+
+@pytest.mark.parametrize("sha1", ["_sha1", "hashlib"])
+def test_asset_ids_are_sha1_prefixes(monkeypatch, sha1):
+    # Every move signature's and ending's id of the corpus games, with
+    # CPython's own _sha1 and with the hashlib that a build without it uses.
+    if sha1 == "hashlib":
+        monkeypatch.setitem(sys.modules, "_sha1", None)
+    keys = []
+    for path in sorted(CORPUS.glob("*.lud")):
+        spec = load_playable(path)
+        kept = play(spec, 0, 100)[0]
+        keys += [d.signature for d in taxonomy.collect_distinct(kept, spec)]
+        keys += [e.result_key for e in taxonomy.collect_endings(kept, spec)]
+    assert len(keys) >= 20
+    assert [pipeline._asset_id(key) for key in keys] == [
+        hashlib.sha1(repr(tuple(key)).encode()).hexdigest()[:10] for key in keys]
