@@ -20,18 +20,14 @@ file is, whatever the locale's encoding.
 ``generate`` is a plain loop over the games: ``pipeline.played`` plays
 each game's seeds, ``pipeline.generate`` builds its files and
 ``pipeline.write_game`` writes them, and the ``wrote`` line is printed, in
-game order, with ``index.html`` last.  With more than one CPU in
-``os.sched_getaffinity`` and one thread, ``played`` forks one worker per
-spare CPU once per call, and worker k plays seed range k of every game
-while this process plays range 0 and builds and writes each game in turn
-(``parallel``).  A worker that fails, for any reason, has its ranges played
-again here, so every error, exit 4's move cap too, is raised in this
-process.  Only this process writes, so exit 2, 4 or 130 in one game
+game order, with ``index.html`` last.  With more than one CPU, ``played``
+splits every game's seeds over forked workers, which only play: ``parallel``
+describes them.  Every error, exit 4's move cap too, is raised in this
+process, and only this process writes, so exit 2, 4 or 130 in one game
 leaves the games before it written and nothing of it or of any later game,
 as with one CPU.  SIGINT is held while a game's files and its ``wrote``
-line, or the index, are written, and workers ignore it: leaving ``played``
-kills and reaps them.  ``playout-stats`` splits its one game alike.  The
-files and the output are the same bytes for any number of CPUs.
+line, or the index, are written.  ``playout-stats`` splits its one game
+alike.  The files and the output are the same bytes for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -40,8 +36,6 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
 from pathlib import Path
 
 from .compiler import PlayoutLimitExceeded
@@ -64,22 +58,6 @@ def playout_count(text: str) -> int:
     if count < 1:  # argparse makes this a usage error, exit 2
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
-
-
-@contextmanager
-def _sigint_held() -> Iterator[None]:
-    """Hold SIGINT over the block where the platform can, so that a Ctrl-C in it
-    raises ``KeyboardInterrupt`` only as the block is left: what the block
-    writes is written whole."""
-    import signal  # here, since translate never needs it
-    if not hasattr(signal, "pthread_sigmask"):
-        yield
-        return
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 @functools.cache
@@ -145,16 +123,17 @@ def main(argv: list[str] | None = None) -> int:
             strategies = [None if entries is None else explain_heuristics(entries, spec)
                           for spec in specs]
 
+            from .parallel import sigint_held  # here, since translate never needs it
             dump = args.format == "json"  # then the playouts go to traces.json too
             with played(specs, args.seed, args.playouts, dump) as games:
                 for spec, strategy, (kept, _, spans) in zip(specs, strategies, games):
                     files = generate(spec, kept, strategy, similar=not args.no_similar,
                                      dump=dump)
-                    with _sigint_held():
+                    with sigint_held():
                         game_dir = write_game(args.out / spec.name, files, spans)
                         print(f"wrote {game_dir / 'manual.html'}")
             if len(specs) > 1:
-                with _sigint_held():
+                with sigint_held():
                     write_index(args.out, list(paths))
         elif args.command == "translate":
             print(translate_game(load_game(args.game)), end="")

@@ -1,4 +1,5 @@
-"""A pool of forked workers, each running one stripe of jobs.
+"""A pool of forked workers, each running one stripe of jobs: every process
+concern of a call is here.
 
 ``pipeline.played`` cuts every game's seeds into the same contiguous ranges,
 one per CPU, and runs them through a ``Pool``: worker ``k`` plays range ``k``
@@ -6,17 +7,19 @@ of every game, in game order, while this process plays range 0 of each game
 and then builds and writes it (see ``cli``).  The pool is forked once per
 ``generate`` or ``playout-stats`` call; with one range nothing forks.
 
-A worker only computes, and reports each result by ``marshal``.  It points
-its stdout and stderr at ``/dev/null`` as soon as it is forked, so a reader
-of the call's output gets its EOF when the call ends, and it is handed the
-pid of the process that forked it, to leave once that process is gone (see
-``pipeline._fold``).  A worker ignores SIGINT: a Ctrl-C reaches this process
-too, whose ``KeyboardInterrupt`` leaves the pool's ``with`` block, which kills
-and reaps the worker.  A worker that ends without a report, for any reason,
-has its stripe played again here, where any error it met is raised with
-its own traceback: which process plays a range does not change its result.
-A worker never writes under ``--out``, so it may be killed at any time.
-Only ``generate`` and ``playout-stats`` import this module.
+A worker only computes, and reports each result by ``marshal``; it never
+writes under ``--out``, so it may be killed at any time.  As soon as it is
+forked it points the standard streams that are open at ``/dev/null``, so a
+reader of the call's output gets its EOF when the call ends, and it arms a
+timer on its own CPU time whose ``SIGVTALRM``, every 0.1 s of play, leaves
+through ``os._exit`` once the process that forked it is gone: nothing would
+read its results.  This process never arms it.  A worker ignores SIGINT: a
+Ctrl-C reaches this process too, whose ``KeyboardInterrupt`` leaves the
+pool's ``with`` block, which kills and reaps the worker.  A worker that
+ends without a report, for any reason, has its stripe played again here,
+where any error it met is raised with its own traceback: which process
+plays a range does not change its result.  Only ``generate`` and
+``playout-stats`` import this module.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import os
 import signal
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import BinaryIO
 
 
@@ -38,11 +42,25 @@ def cpus() -> int:
     return 1
 
 
+@contextmanager
+def sigint_held() -> Iterator[None]:
+    """Hold SIGINT over the block where the platform can, so that a Ctrl-C in it
+    raises ``KeyboardInterrupt`` only as the block is left: what the block
+    does is done whole."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
 class Pool:
-    """Run ``job(k, g, parent)`` for every stripe ``k < ways`` of every game ``g < games``:
+    """Run ``job(k, g)`` for every stripe ``k < ways`` of every game ``g < games``:
     stripe 0 here, and each other stripe in a forked worker of its own, which
-    runs its jobs in game order while this process goes on.  ``parent`` is
-    None here, whatever the stripe, and in a worker the pid of this process.
+    runs its jobs in game order while this process goes on.
 
     ``results(g)`` returns game ``g``'s results in stripe order.  A worker
     that ends with no report, whatever the cause, is reaped, and its stripe
@@ -50,7 +68,7 @@ class Pool:
     block kills and reaps every worker and closes every pipe.
     """
 
-    def __init__(self, job: Callable[[int, int, int | None], object], ways: int, games: int):
+    def __init__(self, job: Callable[[int, int], object], ways: int, games: int):
         self.job = job
         self.ways = ways
         self.workers: dict[int, tuple[int, BinaryIO]] = {}  # stripe -> (pid, report pipe)
@@ -65,44 +83,41 @@ class Pool:
             raise
 
     def _fork(self, k: int, games: int) -> None:
-        sys.stdout.flush()
-        sys.stderr.flush()
         report_r, report_w = os.pipe()
         parent = os.getpid()
-        # SIGINT is held over the fork: the worker ignores it before it can
-        # raise there, and here it raises once the worker is recorded.
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            pid = os.fork()
-        except OSError:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            os.close(report_r)
-            os.close(report_w)
-            raise
-        if pid:
+        # The worker ignores SIGINT before it can raise there, and here it
+        # raises once the worker is recorded.
+        with sigint_held():
             try:
+                pid = os.fork()
+            except OSError:
+                os.close(report_r)
+                os.close(report_w)
+                raise
+            if pid:
                 os.close(report_w)
                 self.workers[k] = pid, open(report_r, "rb")
+                return
+            try:  # in the worker, which prints nothing and leaves through os._exit
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGVTALRM,
+                              lambda *_: os.getppid() != parent and os._exit(0))
+                signal.setitimer(signal.ITIMER_VIRTUAL, 0.1, 0.1)
+                null = os.open(os.devnull, os.O_WRONLY)
+                for stream in sys.__stdout__, sys.__stderr__:
+                    if stream is not None:  # else its descriptor may be another file's
+                        os.dup2(null, stream.fileno())
+                os.close(null)
+                os.close(report_r)
+                for _, pipe in self.workers.values():
+                    os.close(pipe.fileno())
+                with open(report_w, "wb") as pipe:
+                    for g in range(games):
+                        data = marshal.dumps(self.job(k, g))
+                        pipe.write(len(data).to_bytes(8, "little") + data)
+                        pipe.flush()
             finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            return
-        try:  # in the worker, which prints nothing and leaves through os._exit
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, 1)
-            os.dup2(null, 2)
-            os.close(null)
-            os.close(report_r)
-            for _, pipe in self.workers.values():
-                os.close(pipe.fileno())
-            with open(report_w, "wb") as pipe:
-                for g in range(games):
-                    data = marshal.dumps(self.job(k, g, parent))
-                    pipe.write(len(data).to_bytes(8, "little") + data)
-                    pipe.flush()
-        finally:
-            os._exit(0)
+                os._exit(0)
 
     def _report(self, k: int) -> object:
         """Worker ``k``'s next result; ``None`` once the worker is reaped unreported."""
@@ -122,12 +137,12 @@ class Pool:
         pipe.close()
 
     def results(self, g: int) -> list:
-        """``job(k, g, None)`` for every stripe ``k``, in order: stripe 0 runs here first,
+        """``job(k, g)`` for every stripe ``k``, in order: stripe 0 runs here first,
         then each worker's report is read, or its stripe runs here."""
         results = []
         for k in range(self.ways):
             report = self._report(k) if k in self.workers else None
-            results.append(self.job(k, g, None) if report is None else report)
+            results.append(self.job(k, g) if report is None else report)
         return results
 
     def close(self) -> None:

@@ -7,7 +7,8 @@ ids are content hashes of move signatures and ending result keys.
 
 ``played`` cuts every game's seeds into the same contiguous ranges, one
 per CPU that ``parallel.cpus`` counts, and merges the processes' folds, so
-the output does not depend on the number of CPUs.  ``generate`` builds a
+the output does not depend on the number of CPUs (``parallel`` describes
+the workers).  ``generate`` builds a
 game's files from the merged folds as plain data, and ``write_game``
 writes them.  Only the process that runs ``cli.main`` does either, so no
 worker writes under ``--out``.
@@ -312,14 +313,14 @@ def played(specs: list[GameSpec], seed: int, playouts: int,
     ways = min(parallel.cpus(), playouts)  # no range is empty
     bounds = [seed + playouts * k // ways for k in range(ways + 1)]
 
-    def job(k: int, game: int, parent: int | None) -> tuple[tuple[list, dict], int, int]:
+    def job(k: int, game: int) -> tuple[tuple[list, dict], int, int]:
         spec, out, sink, start = specs[game], files[k], None, 0
         if out is not None:
             if k == 0:  # this process's own file holds one game's range 0 at a time
                 out.truncate(0)
             start = out.seek(0, os.SEEK_END)  # past what a dead worker left
             sink = _trace_sink(spec, out)
-        fold, stop = _fold(spec, bounds[k], bounds[k + 1], sink, parent), 0
+        fold, stop = _fold(spec, bounds[k], bounds[k + 1], sink), 0
         if out is not None:
             out.flush()
             stop = out.tell()
@@ -353,14 +354,10 @@ def play(spec: GameSpec, seed: int, playouts: int) -> tuple[list[engine.PlayoutT
 
 
 def _fold(spec: GameSpec, start: int, stop: int,
-          sink: Callable[[engine.PlayoutTrace], object] | None, parent: int | None
+          sink: Callable[[engine.PlayoutTrace], object] | None
           ) -> tuple[list[engine.PlayoutTrace], dict]:
     """Play seeds ``start .. stop - 1`` in order, each trace passed to ``sink`` if given,
     and fold them: ``(kept, counts)``.
-
-    A forked worker passes ``parent``, the pid of the process that forked it,
-    and leaves through ``os._exit`` before a playout once that process is
-    gone, since nothing would read its fold: one ``os.getppid`` per playout.
 
     A trace is kept when it holds the first occurrence among these seeds of a
     ``taxonomy.move_key`` or of a ``taxonomy.ending_key``, the keys by which
@@ -375,8 +372,6 @@ def _fold(spec: GameSpec, start: int, stop: int,
     kept: list[engine.PlayoutTrace] = []
     counts: dict[tuple, int] = {}
     for seed in range(start, stop):
-        if parent is not None and os.getppid() != parent:
-            os._exit(0)
         trace = playout(spec, seed)
         if sink is not None:
             sink(trace)

@@ -83,6 +83,17 @@ three=(--game corpus/TicTacToe.lud --game corpus/Breakthrough.lud --game corpus/
 "${gs[@]}" generate "${three[@]}" --out "$tmp/gs-three-all-cpus" > /dev/null
 diff -r "$tmp/gs-three-one-cpu" "$tmp/gs-three-all-cpus"
 echo "three games of generate --format json write the same files on one CPU and on $(nproc)"
+# A call started with stdout closed, or with stdout and stderr closed, exits 0
+# and writes the bytes of one with both open, on every CPU: a worker points
+# /dev/null only at the streams that are open, whose descriptors are not
+# the files of another.
+tic=(generate --game corpus/TicTacToe.lud --playouts 20 --format json)
+"${gs[@]}" "${tic[@]}" --out "$tmp/gs-streams-open" > /dev/null
+"${gs[@]}" "${tic[@]}" --out "$tmp/gs-stdout-closed" >&-
+"${gs[@]}" "${tic[@]}" --out "$tmp/gs-streams-closed" >&- 2>&-
+diff -r "$tmp/gs-streams-open" "$tmp/gs-stdout-closed"
+diff -r "$tmp/gs-streams-open" "$tmp/gs-streams-closed"
+echo "generate --format json writes the same files with stdout, or stdout and stderr, closed"
 printf '(heuristics {(lineCompletion 3 0.7)})' > "$tmp/h.lud"
 "${gs[@]}" generate --game corpus/TicTacToe.lud --playouts 5 --heuristics "$tmp/h.lud" --out "$tmp/gs-tips"
 grep -q "Try to work towards completing lines of 3 of your pieces" "$tmp/gs-tips/Tic-Tac-Toe/manual.html"

@@ -748,6 +748,24 @@ def test_traced_names_are_looked_up_per_call(tmp_path, monkeypatch, capsys):
     assert [key for key in TRACED_NAMES if not calls[key]] == []
 
 
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # bench/tracer.py wraps functions of src/ by name, such as
+    # engine.trace_to_dict and taxonomy.move_signature, for the traced
+    # benchmark run: renaming or deleting one fails here too.  Uninstalled,
+    # every name holds its own function again.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    import tracer
+    trace = tracer.Tracer()
+    try:
+        trace.install()
+        wrapped = list(trace._saved)
+        assert [(owner, name) for owner, name, fn in wrapped if getattr(owner, name) is fn] == []
+    finally:
+        trace.uninstall()
+    assert len(wrapped) == 32
+    assert [(owner, name) for owner, name, fn in wrapped if getattr(owner, name) is not fn] == []
+
+
 def test_package_api_resolves_every_name():
     import gamescribe
     from gamescribe import compiler, english, sexpr
@@ -1023,8 +1041,8 @@ def test_a_worker_leaves_when_its_call_is_killed(tmp_path):
     # The top process of a long Amazons generate, in a session of its own,
     # gets SIGKILL about 1 s into its playouts.  Its worker has pointed the
     # CLI's stdout and stderr at /dev/null, so the caller's read ends at once,
-    # and it leaves before its next playout, so the session is empty long
-    # before the worker's 100,000 seeds (minutes of play) are done.
+    # and it leaves within 0.1 s of its own CPU time, so the session is empty
+    # long before the worker's 100,000 seeds (minutes of play) are done.
     code = """if True:
         import os, sys
         os.sched_getaffinity = lambda pid: {0, 1}
@@ -1056,6 +1074,31 @@ def test_a_worker_leaves_when_its_call_is_killed(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         proc.stdout.close()
+
+
+@pytest.mark.parametrize("closed", [">&-", ">&- 2>&-"], ids=["stdout", "stdout-and-stderr"])
+def test_generate_with_closed_standard_streams_writes_the_same_bytes(tmp_path, closed):
+    # The interpreter starts with those descriptors closed, so its first files
+    # take them: a worker points /dev/null only at the streams that are open,
+    # and flushes none, so each range's traces stay whole.
+    code = """if True:
+        import os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import gamescribe.cli
+        sys.exit(gamescribe.cli.main(sys.argv[1:]))
+        """
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    argv = ["--playouts", "20", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", code,
+                           *_generate_argv(tmp_path / "open", ["TicTacToe"], *argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-c", code,
+                           *_generate_argv(tmp_path / "closed", ["TicTacToe"], *argv)], env=env)
+    assert proc.returncode == 0
+    traces = json.loads((tmp_path / "open" / "Tic-Tac-Toe" / "traces.json").read_text())
+    assert [trace["seed"] for trace in traces] == list(range(20))
+    assert _files(tmp_path / "closed") == _files(tmp_path / "open")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the session off /proc")
@@ -1118,6 +1161,47 @@ def test_sigint_is_held_while_a_game_is_written(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "write_game", write_game)
     assert main(_generate_argv(tmp_path / "whole", ["TicTacToe"], "--playouts", "5")) == 0
     assert _files(out) == _files(tmp_path / "whole")
+
+
+def test_the_fold_only_plays(monkeypatch):
+    # Leaving once the caller is gone is the pool's concern: the fold never
+    # asks for its parent, and folds as one CPU's play does.
+    def no_parent():
+        raise AssertionError("the fold asked for its parent")
+
+    spec = pipeline.load_playable(CORPUS / "Breakthrough.lud")
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "getppid", no_parent)
+    assert pipeline._fold(spec, 3, 13, None) == pipeline.play(spec, 3, 10)
+
+
+@pytest.mark.parametrize("reported", [True, False], ids=["reported", "played-here"])
+def test_only_a_worker_watches_its_caller(reported, tmp_path, monkeypatch, capsys):
+    # A worker arms a CPU-time timer to leave once its caller is gone; this
+    # process never does, neither while it plays its own range nor while it
+    # plays a range whose worker ended unreported, and keeps its handler.
+    here = os.getpid()
+    if not reported:
+        dumps = marshal.dumps
+        monkeypatch.setattr(marshal, "dumps",
+                            lambda *args: dumps(*args) if os.getpid() == here else 1 / 0)
+    playout, timers = engine.random_playout, []
+
+    def watched(spec, seed, **kwargs):
+        timers.append((spec.name, seed, signal.getitimer(signal.ITIMER_VIRTUAL)))
+        return playout(spec, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "random_playout", watched)
+    handler = signal.getsignal(signal.SIGVTALRM)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    assert main(_generate_argv(tmp_path, ["TicTacToe", "Hex"], "--playouts", "4")) == 0
+    assert forks == [1]
+    seeds = [0, 1] if reported else [0, 1, 2, 3]
+    assert timers == [(name, seed, (0.0, 0.0)) for name in ("Tic-Tac-Toe", "Hex")
+                      for seed in seeds]
+    assert signal.getitimer(signal.ITIMER_VIRTUAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGVTALRM) is handler
 
 
 # With n CPUs generate cuts each game's seeds into n ranges: it plays the
